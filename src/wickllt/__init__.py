@@ -14,7 +14,6 @@ from .basis import (
     ChaosVector,
     GaussianSpace,
     KernelView,
-    MultiIndex,
     chaos_inner,
     enumerate_indices,
     eval_at,
@@ -46,7 +45,6 @@ __all__ = [
     "ChaosVector",
     "GaussianSpace",
     "KernelView",
-    "MultiIndex",
     "chaos_inner",
     "enumerate_indices",
     "eval_at",

@@ -12,14 +12,19 @@ c_alpha = (k!/alpha!) T_alpha, so the squared norm of the degree-k slice is
 k! |T|^2 and the full norm identity reads ||f||_2^2 = sum_alpha alpha! c_alpha^2.
 Under this convention the Wick product acts as a plain additive convolution
 of multi-index coefficients (see wick.py).
+
+A space has one index representation: the rows of its read-only int array
+`indices`, in graded order. Every lookup of an index goes through its
+closed-form graded rank (`GaussianSpace.positions`), and every
+one-multiply-per-row recursion over the table reads one cached `IndexPlan`.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,37 +58,10 @@ def factorial_float(n: int) -> float:
     return math.exp(math.lgamma(n + 1.0))
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """A d-tuple of nonnegative integers with its total degree cached."""
-
-    entries: tuple[int, ...]
-    degree: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.entries):
-            raise ValueError("multi-index entries must be nonnegative")
-        object.__setattr__(self, "degree", int(sum(self.entries)))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _compositions(dimension: int, total: int) -> Iterator[tuple[int, ...]]:
-    # Weak compositions of `total` into `dimension` parts, first part largest
-    # first; concatenated over increasing `total` this is the graded order.
-    if dimension == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(dimension - 1, total - head):
-            yield (head,) + tail
-
-
 def enumerate_indices(
     dimension: int, max_degree: int, size_cap: int = MAX_BASIS_SIZE
-) -> list[MultiIndex]:
-    """All multi-indices with |alpha| <= max_degree in graded order.
+) -> np.ndarray:
+    """All multi-indices with |alpha| <= max_degree in graded order, one per row.
 
     Within one degree the order is by decreasing first coordinate, then
     recursively on the remainder; the full table has binom(d + K, K) rows.
@@ -98,11 +76,45 @@ def enumerate_indices(
             f"basis too large: {size} indices for d={dimension}, K={max_degree} "
             f"(cap {size_cap})"
         )
-    out = []
-    for total in range(max_degree + 1):
-        for entries in _compositions(dimension, total):
-            out.append(MultiIndex(entries))
-    return out
+    # exact[n]: the indices of degree n over the trailing k coordinates, in
+    # order; one more coordinate in front prepends each head from n down to 0.
+    exact = [np.full((1, 1), n, dtype=np.int64) for n in range(max_degree + 1)]
+    for _ in range(dimension - 1):
+        exact = [
+            np.vstack(
+                [
+                    np.hstack((np.full((len(exact[n - head]), 1), head), exact[n - head]))
+                    for head in range(n, -1, -1)
+                ]
+            )
+            for n in range(max_degree + 1)
+        ]
+    return np.vstack(exact)
+
+
+class IndexPlan(NamedTuple):
+    """Per index p > 0: first nonzero coordinate c, its entry alpha_c, and the
+    positions of alpha with coordinate c zeroed and decremented; row 0 is zero.
+
+    Lets a product over coordinates be built with one multiply per row.
+    """
+
+    coord: np.ndarray
+    entry: np.ndarray
+    zeroed: np.ndarray
+    decremented: np.ndarray
+
+
+def _build_plan(space: "GaussianSpace") -> IndexPlan:
+    alpha = space.indices[1:]
+    rows = np.arange(len(alpha))
+    coord = np.argmax(alpha > 0, axis=1)
+    zeroed = alpha.copy()
+    zeroed[rows, coord] = 0
+    decremented = alpha.copy()
+    decremented[rows, coord] -= 1
+    columns = (coord, alpha[rows, coord], space.positions(zeroed), space.positions(decremented))
+    return IndexPlan(*(np.concatenate(([0], col)).astype(np.int64) for col in columns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +122,14 @@ class GaussianSpace:
     """Finite-dimensional Gaussian model: R^d, standard Gaussian, degree cap K.
 
     Holds the canonical graded enumeration of all multi-indices with
-    |alpha| <= max_degree plus derived lookup tables. Instances are immutable;
-    the internal cache only memoizes derived read-only structures.
+    |alpha| <= max_degree as the read-only int array `indices`. The position
+    of an index is its graded rank, computed in closed form: the number of
+    indices of lower degree plus, for every coordinate i < d - 1, the number
+    of same-degree indices that agree with alpha before i and are larger at
+    i. With s_j = alpha_j + ... + alpha_{d-1} (so s_0 = |alpha|) each count is
+    a hockey-stick sum, and the rank is sum_j binom(s_j + d - j - 1, d - j).
+    Instances are immutable; the internal cache only memoizes derived
+    read-only structures.
     """
 
     dimension: int
@@ -119,8 +137,7 @@ class GaussianSpace:
     size_cap: int = MAX_BASIS_SIZE
 
     def __post_init__(self) -> None:
-        table = enumerate_indices(self.dimension, self.max_degree, self.size_cap)
-        indices = np.array([mi.entries for mi in table], dtype=np.int64)
+        indices = enumerate_indices(self.dimension, self.max_degree, self.size_cap)
         indices.setflags(write=False)
         degrees = indices.sum(axis=1)
         degrees.setflags(write=False)
@@ -129,25 +146,74 @@ class GaussianSpace:
         )
         factorials = np.prod(fact_1d[indices], axis=1)
         factorials.setflags(write=False)
-        position = {mi.entries: p for p, mi in enumerate(table)}
-        object.__setattr__(self, "_table", table)
+        # binoms[k, s] = binom(s + k - 1, k), by Pascal's rule as running sums;
+        # every entry used is at most the table size, so int64 is exact.
+        k_max = self.max_degree
+        binoms = np.empty((self.dimension + 1, k_max + 1), dtype=np.int64)
+        binoms[0] = 1
+        binoms[0, 0] = 0
+        for k in range(1, self.dimension + 1):
+            binoms[k] = np.cumsum(binoms[k - 1])
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "factorials", factorials)
-        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_binoms", binoms.ravel())
+        object.__setattr__(
+            self,
+            "_binom_rows",
+            (self.dimension - np.arange(self.dimension)) * (k_max + 1),
+        )
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_lock", threading.Lock())
 
     @property
     def size(self) -> int:
-        return len(self._table)
+        return len(self.indices)
 
-    @property
-    def index_table(self) -> list[MultiIndex]:
-        return list(self._table)
+    def _suffix_rows(self, indices: np.ndarray) -> np.ndarray:
+        # Flat index into _binoms of each rank term: row d - j, column s_j.
+        return np.cumsum(indices[..., ::-1], axis=-1)[..., ::-1] + self._binom_rows
 
-    def position(self, entries: tuple[int, ...]) -> int:
-        return self._position[tuple(int(e) for e in entries)]
+    def positions(self, indices: np.ndarray) -> np.ndarray:
+        """Graded rank of each row of an int array of in-space multi-indices."""
+        return self._binoms[self._suffix_rows(indices)].sum(axis=-1)
+
+    def positions_of_sums(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Positions of indices[l] + indices[r], shape (len(left), len(right)).
+
+        Every such sum must lie in the space. Suffix sums add under
+        alpha + beta, so each rank is one table lookup per coordinate and the
+        summed indices are never formed.
+        """
+        rows_l = self._suffix_rows(self.indices[left])
+        rows_r = self._suffix_rows(self.indices[right]) - self._binom_rows
+        out = np.zeros((len(left), len(right)), dtype=np.int64)
+        for j in range(self.dimension):
+            out += self._binoms[rows_l[:, j, None] + rows_r[None, :, j]]
+        return out
+
+    def position(self, entries) -> int:
+        """Position of one multi-index; ValueError if it is not in the space."""
+        try:
+            alpha = [int(e) for e in entries]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"multi-index {entries!r} is not a list of integers") from exc
+        if len(alpha) != self.dimension:
+            reason = f"has length {len(alpha)}"
+        elif min(alpha) < 0:
+            reason = "has a negative entry"
+        elif sum(alpha) > self.max_degree:
+            reason = f"has degree {sum(alpha)}"
+        else:
+            return int(self.positions(np.array(alpha)))
+        raise ValueError(
+            f"multi-index {alpha} {reason}, outside the space "
+            f"(d={self.dimension}, K={self.max_degree})"
+        )
+
+    def plan(self) -> IndexPlan:
+        """The cached one-multiply-per-row recursion plan of this space."""
+        return self.cached("plan", _build_plan)
 
     def cached(self, key: str, builder: Callable[["GaussianSpace"], object]) -> object:
         """Memoize a derived structure; thread-safe, built at most once."""
@@ -278,48 +344,12 @@ def chaos_inner(f: ChaosVector, g: ChaosVector) -> float:
     return float(np.dot(space.factorials * f.coeffs, g.coeffs))
 
 
-def _strip_plan(space: GaussianSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # For each index p > 0: c = first nonzero coordinate, its entry value,
-    # and the position of alpha with coordinate c zeroed out. Lets basis
-    # evaluation run as one vector multiply per table row.
-    n = space.size
-    coord = np.zeros(n, dtype=np.int64)
-    order = np.zeros(n, dtype=np.int64)
-    rest = np.zeros(n, dtype=np.int64)
-    for p in range(1, n):
-        alpha = space._table[p].entries
-        c = next(i for i, e in enumerate(alpha) if e > 0)
-        stripped = alpha[:c] + (0,) + alpha[c + 1 :]
-        coord[p] = c
-        order[p] = alpha[c]
-        rest[p] = space.position(stripped)
-    return coord, order, rest
-
-
-def _parent_plan(space: GaussianSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # For each index p > 0: first nonzero coordinate c, its entry value, and
-    # the position of alpha - e_c. Supports one-multiply-per-row recursions
-    # for monomial powers h^alpha.
-    n = space.size
-    coord = np.zeros(n, dtype=np.int64)
-    entry = np.zeros(n, dtype=np.int64)
-    parent = np.zeros(n, dtype=np.int64)
-    for p in range(1, n):
-        alpha = space._table[p].entries
-        c = next(i for i, e in enumerate(alpha) if e > 0)
-        reduced = alpha[:c] + (alpha[c] - 1,) + alpha[c + 1 :]
-        coord[p] = c
-        entry[p] = alpha[c]
-        parent[p] = space.position(reduced)
-    return coord, entry, parent
-
-
 def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
     """h^alpha for every table index, computed by one multiply per row."""
     h = np.asarray(h, dtype=float)
     if h.shape != (space.dimension,):
         raise ValueError(f"expected vector of length {space.dimension}")
-    coord, _, parent = space.cached("parent_plan", _parent_plan)
+    coord, _, _, parent = space.plan()
     out = np.empty(space.size)
     out[0] = 1.0
     for p in range(1, space.size):
@@ -340,7 +370,7 @@ def eval_many(f: ChaosVector, points: np.ndarray, chunk: int = 2048) -> np.ndarr
         raise ValueError(
             f"points have dimension {pts.shape[1]}, expected {space.dimension}"
         )
-    coord, order, rest = space.cached("strip_plan", _strip_plan)
+    coord, order, rest, _ = space.plan()
     n = space.size
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], chunk):

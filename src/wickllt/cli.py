@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .audit import AssumptionViolationError, audit_density
-from .config import ConfigError, ExperimentConfig, load_config, resolve_density
+from .config import ConfigError, ExperimentConfig, load_config, parse_config, resolve_density
 from .harness import BoundViolationError, RateTable, rate_sweep
 from .identities import run_identity_suite
 from .limit_density import gaussian_limit_series, limit_l2_norms
@@ -84,25 +84,10 @@ class _Manifest:
 def _prepare(args) -> tuple[ExperimentConfig, Path]:
     config = load_config(args.config)
     if args.seed is not None:
-        raw = dict(config.raw)
-        raw["seed"] = args.seed
-        config = load_config_from_raw(raw)
+        config = parse_config({**config.raw, "seed": args.seed})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out
-
-
-def load_config_from_raw(raw: dict) -> ExperimentConfig:
-    import json
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(raw, fh)
-        name = fh.name
-    try:
-        return load_config(name)
-    finally:
-        Path(name).unlink(missing_ok=True)
 
 
 def cmd_audit(args) -> int:
@@ -301,8 +286,8 @@ def cmd_sde(args) -> int:
         try:
             with manifest.stage("llt"):
                 table, _ = rate_sweep(
-                    config, density=density, override_audit=args.override_audit,
-                    threads=args.threads,
+                    config, density=density, report=report,
+                    override_audit=args.override_audit, threads=args.threads,
                 )
         except (BoundViolationError, AssumptionViolationError) as exc:
             print(f"sde llt: FAIL ({exc})", file=sys.stderr)

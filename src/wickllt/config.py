@@ -146,7 +146,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; raises ConfigError with diagnostics."""
+    """Read, parse and validate a config file; raises ConfigError with diagnostics."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -155,6 +155,11 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}, {exc.msg}") from exc
+    return parse_config(data)
+
+
+def parse_config(data) -> ExperimentConfig:
+    """Validate decoded config JSON; raises ConfigError with diagnostics."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _take(
@@ -244,7 +249,10 @@ def resolve_density(
             coeffs[0] = 1.0
             for term in spec.get("terms", []):
                 _take(term, {"index": True, "coeff": True}, "density.terms entry")
-                coeffs[space.position(tuple(term["index"]))] = float(term["coeff"])
+                try:
+                    coeffs[space.position(term["index"])] = float(term["coeff"])
+                except ValueError as exc:
+                    raise ConfigError(f"density.terms entry: {exc}") from exc
         if not validate:
             return ChaosVector(space, coeffs)
         return from_coefficients(coeffs, space, grid)

@@ -85,7 +85,7 @@ def sum_density(
         )
     centered = center_density(f, policy)
     scaled = gamma(math.sqrt(alpha / n), centered)
-    return wick_power(scaled, n, policy).vector
+    return wick_power(scaled, n, policy)
 
 
 def l1_distance(f: ChaosVector, g: ChaosVector, spec: DistanceConfig | None = None, seed: int = 0) -> DistanceResult:
@@ -195,6 +195,7 @@ def rate_sweep(
     density: ChaosVector | None = None,
     override_audit: bool = False,
     threads: int = 1,
+    report: AssumptionReport | None = None,
 ) -> tuple[RateTable, AssumptionReport]:
     """Measure the L1 distance row per n and check each row against its bound.
 
@@ -202,7 +203,8 @@ def rate_sweep(
     distance sampler uses one fixed sub-stream of the master seed for every
     row (common random numbers), so results do not depend on the execution
     order or the thread count, and the measured distances of successive n
-    share their Monte-Carlo noise.
+    share their Monte-Carlo noise. The density is audited against
+    config.audit_grid unless the caller passes the report of that audit.
     """
     config.require_llt_fields(need_density=density is None)
     space = density.space if density is not None else config.build_space()
@@ -210,7 +212,8 @@ def rate_sweep(
         config.density, space, config.seed, config.audit_grid,
         validate=not override_audit,
     )
-    report = audit_density(f, config.audit_grid)
+    if report is None:
+        report = audit_density(f, config.audit_grid)
     if not report.all_passed and not override_audit:
         raise AssumptionViolationError(
             "assumption audit failed: " + ", ".join(report.failing())
@@ -280,7 +283,7 @@ def young_check(
     acc = None
     for vec, a in zip(fs, alphas):
         scaled = gamma(math.sqrt(a), vec)
-        acc = scaled if acc is None else wick_product(acc, scaled, policy).vector
+        acc = scaled if acc is None else wick_product(acc, scaled, policy)
     lhs = acc.norm()
     rhs = 1.0
     for vec in fs:
@@ -337,5 +340,5 @@ def empirical_convolution_check(
     x1 = sample(f, samples, seed=child_seed(seed, 1))[:, 0]
     x2 = sample(g, samples, seed=child_seed(seed, 2))[:, 0]
     sums = math.sqrt(a1) * x1 + math.sqrt(a2) * x2
-    predicted = wick_product(gamma(math.sqrt(a1), f), gamma(math.sqrt(a2), g)).vector
+    predicted = wick_product(gamma(math.sqrt(a1), f), gamma(math.sqrt(a2), g))
     return ks_against_density(sums, predicted)

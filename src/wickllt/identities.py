@@ -3,8 +3,10 @@
 Every identity the calculus relies on is duplicated here as a standalone
 check with an explicit tolerance, runnable from the CLI. A mutation hook
 (`inject_error`) corrupts one documented input per identity so the suite can
-demonstrate that it actually detects violations. Truncation-sensitive checks
-report the discarded-mass bound they used alongside the verdict.
+demonstrate that it actually detects violations. The one truncation-sensitive
+check, the S-transform factorization, reports the allowance it granted for
+the L2 mass its capped products drop (`wick.discarded_mass`, exact) as
+`tail_bound` alongside the verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .harness import empirical_convolution_check, ks_against_density, young_chec
 from .limit_density import gaussian_limit_series, self_similarity_defect
 from .measures import from_coefficients, sample
 from .streams import STREAM_VALIDATE, substream
-from .wick import TruncationPolicy, gamma, s_transform, stochastic_exponential, wick_power, wick_product
+from .wick import discarded_mass, gamma, s_transform, stochastic_exponential, wick_power, wick_product
 
 IDENTITY_NAMES = (
     "orthogonality",
@@ -65,11 +67,11 @@ def _check_orthogonality(space: GaussianSpace, rng, mutate: bool) -> IdentityRes
     tol = 1e-10
     worst = 0.0
     for p in range(space.size):
-        left = basis_vector(space, space._table[p].entries)
+        left = basis_vector(space, space.indices[p])
         if mutate and p == space.size - 1:
             left = -1.0 * left  # deliberate sign corruption
         for q in range(p, space.size):
-            right = basis_vector(space, space._table[q].entries)
+            right = basis_vector(space, space.indices[q])
             expected = space.factorials[p] if p == q else 0.0
             worst = max(worst, abs(chaos_inner(left, right) - expected))
     return IdentityResult("orthogonality", worst <= tol, worst, tol)
@@ -81,9 +83,9 @@ def _check_functor(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
     for lam in (0.0, 0.3, 1.0):
         f = _random_vector(space, rng, 4)
         g = _random_vector(space, rng, 4)
-        left = gamma(lam, wick_product(f, g).vector)
+        left = gamma(lam, wick_product(f, g))
         lam_right = lam / 2.0 if mutate else lam
-        right = wick_product(gamma(lam_right, f), gamma(lam, g)).vector
+        right = wick_product(gamma(lam_right, f), gamma(lam, g))
         worst = max(worst, float(np.abs(left.coeffs - right.coeffs).max()))
     return IdentityResult("functor", worst <= tol, worst, tol)
 
@@ -96,7 +98,7 @@ def _check_group_law(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
         ell = 0.6 * rng.standard_normal(space.dimension)
         prod = wick_product(
             stochastic_exponential(h, space), stochastic_exponential(ell, space)
-        ).vector
+        )
         target = stochastic_exponential(h - ell if mutate else h + ell, space)
         worst = max(worst, float(np.abs(prod.coeffs - target.coeffs).max()))
     return IdentityResult("exponential_group_law", worst <= tol, worst, tol)
@@ -110,12 +112,11 @@ def _check_s_transform(space: GaussianSpace, rng, mutate: bool) -> IdentityResul
     for _ in range(100):
         f = _random_vector(space, rng, 4)
         g = _random_vector(space, rng, 4)
-        prod = wick_product(f, g)
-        lhs = s_transform(prod.vector, h)
+        lhs = s_transform(wick_product(f, g), h)
         rhs = s_transform(f, h) * s_transform(g, -h if mutate else h)
         # Capped products lose the pairing mass of the dropped degrees:
         # |missing| <= sqrt(dropped L2 mass) * exp(|h|^2 / 2).
-        drop = math.sqrt(max(prod.discarded_mass or 0.0, 0.0)) * math.exp(
+        drop = math.sqrt(discarded_mass(f, g, space.max_degree)) * math.exp(
             0.5 * float(h @ h)
         )
         tail = max(tail, drop)
@@ -153,12 +154,8 @@ def _check_self_similarity(space: GaussianSpace, rng, mutate: bool) -> IdentityR
         if mutate:
             density = gaussian_limit_series(g, space)
             scaled = gamma(1.0 / float(n), density.series)  # wrong exponent
-            powered = wick_power(
-                scaled, n, TruncationPolicy(space.max_degree, report_discarded=False)
-            )
-            worst = max(
-                worst, float(np.abs(powered.vector.coeffs - density.series.coeffs).max())
-            )
+            powered = wick_power(scaled, n)
+            worst = max(worst, float(np.abs(powered.coeffs - density.series.coeffs).max()))
         else:
             worst = max(worst, self_similarity_defect(g, n, space))
     return IdentityResult("self_similarity", worst <= tol, worst, tol)
@@ -190,7 +187,7 @@ def _check_empirical_convolution(
         x1 = sample(f, ks_samples, seed=seed)[:, 0]
         x2 = sample(f, ks_samples, seed=seed + 1)[:, 0]
         sums = math.sqrt(0.5) * (x1 + x2)
-        predicted = wick_product(gamma(math.sqrt(0.1), f), gamma(math.sqrt(0.9), f)).vector
+        predicted = wick_product(gamma(math.sqrt(0.1), f), gamma(math.sqrt(0.9), f))
         report = ks_against_density(sums, predicted)
     else:
         report = empirical_convolution_check(f, f, (0.5, 0.5), samples=ks_samples, seed=seed)

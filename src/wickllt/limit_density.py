@@ -99,9 +99,7 @@ def gaussian_limit_series(
     series = constant_vector(space)
     term = constant_vector(space)
     for k in range(1, cap // 2 + 1):
-        term = wick_product(term, base, TruncationPolicy(cap, report_discarded=False)).vector * (
-            1.0 / k
-        )
+        term = wick_product(term, base, TruncationPolicy(cap)) * (1.0 / k)
         series = series + term
     full_norm_sq = float(np.prod(1.0 / np.sqrt(1.0 - 4.0 * eig**2)))
     tail = max(full_norm_sq - series.norm_sq(), 0.0)
@@ -175,8 +173,8 @@ def self_similarity_defect(g2, n: int, space: GaussianSpace) -> float:
         raise ValueError("need n >= 1")
     density = gaussian_limit_series(g2, space)
     scaled = gamma(1.0 / math.sqrt(n), density.series)
-    powered = wick_power(scaled, n, TruncationPolicy(space.max_degree, report_discarded=False))
-    return float(np.abs(powered.vector.coeffs - density.series.coeffs).max())
+    powered = wick_power(scaled, n)
+    return float(np.abs(powered.coeffs - density.series.coeffs).max())
 
 
 def pointwise_tail_bound(g2, w, truncation_degree: int) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import GridSpec, check_square_integrability
-from .basis import ChaosVector, GaussianSpace, _parent_plan, eval_many
+from .basis import ChaosVector, GaussianSpace, eval_many
 from .limit_density import gaussian_limit_series
 from .quadrature import tensor_grid
 from .streams import STREAM_SAMPLER, substream
@@ -136,7 +136,7 @@ def shift_mixture(nu: WeightedShifts, space: GaussianSpace, chunk: int = 512) ->
         raise ValueError(
             f"shifts have dimension {nu.dimension}, space has {space.dimension}"
         )
-    coord, _, parent = space.cached("parent_plan", _parent_plan)
+    coord, _, _, parent = space.plan()
     acc = np.zeros(space.size)
     n = space.size
     for start in range(0, nu.count, chunk):

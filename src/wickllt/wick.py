@@ -11,9 +11,9 @@ multiplies degree-k coefficients by lambda^k; gamma(exp(-t)) is the
 Ornstein-Uhlenbeck semigroup, and ou_apply provides an independent
 Monte-Carlo check of that identity through the Mehler integral form.
 
-Products are truncated at a cap degree. The truncated L2 mass is reported
-exactly when enumerating the overflow degrees is affordable, and otherwise
-as a documented upper bound from degreewise norms (flagged as such).
+Products are truncated at a cap degree and return a plain ChaosVector. The
+L2 mass a cap drops is not tracked per product; `discarded_mass` computes it
+on request by forming the product uncapped in a wide enough space.
 """
 
 from __future__ import annotations
@@ -30,19 +30,12 @@ from .basis import (
     ChaosError,
     _require_same_space,
     constant_vector,
-    enumerate_indices,
     eval_at,
     eval_many,
     extract_mean,
-    factorial_float,
     monomial_powers,
 )
 from .streams import substream
-
-# Enumerating decompositions of overflow degrees costs one table row per
-# (alpha, beta) pair; above this many pairs the exact discarded mass is
-# replaced by the norm bound.
-EXT_PAIR_BUDGET = 3_000_000
 
 
 class NotNormalizedError(ChaosError):
@@ -51,27 +44,13 @@ class NotNormalizedError(ChaosError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Degree cap for Wick products plus discarded-mass reporting switch."""
+    """Degree cap for Wick products."""
 
     cap_degree: int
-    report_discarded: bool = True
 
     def __post_init__(self) -> None:
         if self.cap_degree < 0:
             raise ValueError("cap_degree must be nonnegative")
-
-
-class WickResult(NamedTuple):
-    vector: ChaosVector
-    discarded_mass: float | None
-    mass_is_bound: bool
-
-
-def _encode_radix(indices: np.ndarray, base: int) -> np.ndarray:
-    # Mixed-radix key per row; caller guarantees base**d fits in int64.
-    d = indices.shape[1]
-    powers = base ** np.arange(d, dtype=np.int64)
-    return indices @ powers
 
 
 def _pair_table(space: GaussianSpace):
@@ -84,12 +63,6 @@ def _pair_table(space: GaussianSpace):
 
     def build(sp: GaussianSpace):
         k_max = sp.max_degree
-        base = k_max + 1
-        if base ** sp.dimension >= 2**62:
-            raise ChaosError("index table too wide for radix keys")
-        keys = _encode_radix(sp.indices, base)
-        order = np.argsort(keys)
-        keys_sorted = keys[order]
         deg_pos = [np.nonzero(sp.degrees == m)[0] for m in range(k_max + 1)]
         chunks_i, chunks_j, chunks_out = [], [], []
         offsets = np.zeros(k_max + 2, dtype=np.int64)
@@ -98,15 +71,10 @@ def _pair_table(space: GaussianSpace):
             offsets[m] = total
             for a in range(m + 1):
                 ia, ib = deg_pos[a], deg_pos[m - a]
-                if ia.size == 0 or ib.size == 0:
-                    continue
-                sums = sp.indices[ia][:, None, :] + sp.indices[ib][None, :, :]
-                out = order[
-                    np.searchsorted(keys_sorted, _encode_radix(sums.reshape(-1, sp.dimension), base))
-                ]
+                out = sp.positions_of_sums(ia, ib)
                 chunks_i.append(np.repeat(ia, ib.size))
                 chunks_j.append(np.tile(ib, ia.size))
-                chunks_out.append(out)
+                chunks_out.append(out.reshape(-1))
                 total += out.size
         offsets[k_max + 1] = total
         return (
@@ -119,92 +87,16 @@ def _pair_table(space: GaussianSpace):
     return space.cached("pair_table", build)
 
 
-def _overflow_table(space: GaussianSpace):
-    """Pair table for output degrees K+1 .. 2K, or None when unaffordable.
-
-    Output positions refer to a local enumeration of the overflow indices;
-    the matching factorials come along for exact mass computation.
-    """
-
-    def build(sp: GaussianSpace):
-        d, k_max = sp.dimension, sp.max_degree
-        n_pairs = math.comb(2 * d + 2 * k_max, 2 * k_max) - math.comb(2 * d + k_max, k_max)
-        if n_pairs > EXT_PAIR_BUDGET:
-            return None
-        over = [
-            mi
-            for mi in enumerate_indices(d, 2 * k_max, size_cap=2 * EXT_PAIR_BUDGET)
-            if mi.degree > k_max
-        ]
-        over_idx = np.array([mi.entries for mi in over], dtype=np.int64)
-        base = 2 * k_max + 1
-        if base**d >= 2**62:
-            return None
-        keys = _encode_radix(over_idx, base)
-        order = np.argsort(keys)
-        keys_sorted = keys[order]
-        fact_1d = np.array([factorial_float(n) for n in range(2 * k_max + 1)])
-        over_fact = np.prod(fact_1d[over_idx], axis=1)
-        deg_pos = [np.nonzero(sp.degrees == m)[0] for m in range(k_max + 1)]
-        chunks_i, chunks_j, chunks_out = [], [], []
-        for m in range(k_max + 1, 2 * k_max + 1):
-            for a in range(m - k_max, k_max + 1):
-                ia, ib = deg_pos[a], deg_pos[m - a]
-                if ia.size == 0 or ib.size == 0:
-                    continue
-                sums = sp.indices[ia][:, None, :] + sp.indices[ib][None, :, :]
-                out = order[
-                    np.searchsorted(keys_sorted, _encode_radix(sums.reshape(-1, d), base))
-                ]
-                chunks_i.append(np.repeat(ia, ib.size))
-                chunks_j.append(np.tile(ib, ia.size))
-                chunks_out.append(out)
-        if not chunks_i:
-            return (
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-                over_fact,
-            )
-        return (
-            np.concatenate(chunks_i),
-            np.concatenate(chunks_j),
-            np.concatenate(chunks_out),
-            over_fact,
-        )
-
-    return space.cached("overflow_table", build)
-
-
-def _discarded_bound(f: ChaosVector, g: ChaosVector, cap: int) -> float:
-    # Upper bound on the dropped L2 mass from degreewise norms: within each
-    # overflow degree m, triangle inequality over (k, j) splits combined with
-    # ||(deg k) <> (deg j)||^2 <= binom(m, k) ||f_k||^2 ||g_j||^2.
-    nf = np.sqrt(f.degree_norms_sq())
-    ng = np.sqrt(g.degree_norms_sq())
-    top_f = f.max_nonzero_degree()
-    top_g = g.max_nonzero_degree()
-    total = 0.0
-    for m in range(cap + 1, top_f + top_g + 1):
-        s = 0.0
-        for k in range(max(0, m - top_g), min(top_f, m) + 1):
-            s += math.sqrt(math.comb(m, k)) * nf[k] * ng[m - k]
-        total += s * s
-    return total
-
-
 def wick_product(
     f: ChaosVector, g: ChaosVector, policy: TruncationPolicy | None = None
-) -> WickResult:
-    """Truncated Wick product with a report of the L2 mass dropped by the cap.
+) -> ChaosVector:
+    """Wick product truncated at the policy's cap degree (default: the space's).
 
     Bilinear, commutative, and exact on all output degrees <= cap_degree;
     the unit element is the constant one. H_alpha <> H_beta = H_{alpha+beta}.
     """
     space = _require_same_space(f, g)
-    if policy is None:
-        policy = TruncationPolicy(space.max_degree)
-    cap = policy.cap_degree
+    cap = space.max_degree if policy is None else policy.cap_degree
     if cap > space.max_degree:
         raise ValueError("cap_degree exceeds the space's max_degree")
     i_idx, j_idx, out_idx, offsets = _pair_table(space)
@@ -214,72 +106,58 @@ def wick_product(
         weights=f.coeffs[i_idx[:stop]] * g.coeffs[j_idx[:stop]],
         minlength=space.size,
     )
-    vec = ChaosVector(space, prod)
-    if not policy.report_discarded:
-        return WickResult(vec, None, False)
+    return ChaosVector(space, prod)
+
+
+def discarded_mass(f: ChaosVector, g: ChaosVector, cap: int) -> float:
+    """Squared L2 norm of the part of f <> g above degree `cap`.
+
+    The product is formed uncapped in GaussianSpace(d, deg f + deg g), which
+    is cached on the operands' space with its pair table. The graded order
+    makes each space's table a prefix of every wider one, so zero-padding
+    (or dropping trailing zeros) carries the coefficients over unchanged.
+    """
+    space = _require_same_space(f, g)
     top = f.max_nonzero_degree() + g.max_nonzero_degree()
     if top <= cap:
-        return WickResult(vec, 0.0, False)
-    # Drops between cap and the table's max degree are representable and are
-    # recovered exactly by rerunning the convolution without the cap.
-    mid = 0.0
-    if cap < space.max_degree:
-        full = np.bincount(
-            out_idx, weights=f.coeffs[i_idx] * g.coeffs[j_idx], minlength=space.size
-        )
-        diff = full - prod
-        mid = float(np.dot(space.factorials * diff, diff))
-    if top <= space.max_degree:
-        return WickResult(vec, mid, False)
-    over = _overflow_table(space)
-    if over is not None:
-        oi, oj, oout, ofact = over
-        dropped = np.bincount(
-            oout, weights=f.coeffs[oi] * g.coeffs[oj], minlength=ofact.size
-        )
-        return WickResult(vec, mid + float(np.dot(ofact * dropped, dropped)), False)
-    return WickResult(vec, mid + _discarded_bound(f, g, space.max_degree), True)
+        return 0.0
+    wide = space.cached(f"padded_{top}", lambda sp: GaussianSpace(sp.dimension, top))
+    keep = min(wide.size, space.size)
+
+    def padded(v: ChaosVector) -> ChaosVector:
+        c = np.zeros(wide.size)
+        c[:keep] = v.coeffs[:keep]
+        return ChaosVector(wide, c)
+
+    above = wide.degrees > cap
+    tail = wick_product(padded(f), padded(g)).coeffs[above]
+    return float(np.dot(wide.factorials[above] * tail, tail))
 
 
 def wick_power(
     f: ChaosVector, n: int, policy: TruncationPolicy | None = None
-) -> WickResult:
+) -> ChaosVector:
     """n-th Wick power by binary exponentiation with per-step capping.
 
     Capped convolution never corrupts degrees <= cap, so the result agrees
     with the n-fold product on every represented degree regardless of the
-    multiplication order. Discarded masses accumulate over the steps.
+    multiplication order.
     """
     if n < 0:
         raise ValueError("Wick power needs a nonnegative exponent")
-    if policy is None:
-        policy = TruncationPolicy(f.space.max_degree)
     if n == 0:
-        return WickResult(constant_vector(f.space), 0.0 if policy.report_discarded else None, False)
+        return constant_vector(f.space)
     result: ChaosVector | None = None
     base = f
-    dropped = 0.0 if policy.report_discarded else None
-    is_bound = False
     remaining = n
     while True:
         if remaining & 1:
-            if result is None:
-                result = base
-            else:
-                step = wick_product(result, base, policy)
-                result = step.vector
-                if dropped is not None and step.discarded_mass is not None:
-                    dropped += step.discarded_mass
-                    is_bound = is_bound or step.mass_is_bound
+            result = base if result is None else wick_product(result, base, policy)
         remaining >>= 1
         if remaining == 0:
             break
-        step = wick_product(base, base, policy)
-        base = step.vector
-        if dropped is not None and step.discarded_mass is not None:
-            dropped += step.discarded_mass
-            is_bound = is_bound or step.mass_is_bound
-    return WickResult(result, dropped, is_bound)
+        base = wick_product(base, base, policy)
+    return result
 
 
 def gamma(lam: float, f: ChaosVector) -> ChaosVector:
@@ -372,4 +250,4 @@ def center_density(
         )
     mean = extract_mean(f)
     shift = stochastic_exponential(-mean, f.space)
-    return wick_product(f, shift, policy).vector
+    return wick_product(f, shift, policy)

@@ -31,11 +31,11 @@ from conftest import random_low_degree, unit_density
 class TestEnumeration:
     def test_line_degree_three(self):
         table = enumerate_indices(1, 3)
-        assert [mi.entries for mi in table] == [(0,), (1,), (2,), (3,)]
+        assert table.tolist() == [[0], [1], [2], [3]]
 
     def test_plane_degree_one(self):
         table = enumerate_indices(2, 1)
-        assert [mi.entries for mi in table] == [(0, 0), (1, 0), (0, 1)]
+        assert table.tolist() == [[0, 0], [1, 0], [0, 1]]
 
     def test_card_matches_binomial(self):
         # independent count: binom(d + K, K)
@@ -44,10 +44,10 @@ class TestEnumeration:
 
     def test_graded_then_ordered_within_degree(self):
         table = enumerate_indices(3, 4)
-        degrees = [mi.degree for mi in table]
+        degrees = table.sum(axis=1).tolist()
         assert degrees == sorted(degrees)
         # no duplicates, every index accounted for
-        assert len({mi.entries for mi in table}) == math.comb(7, 4)
+        assert len({tuple(row) for row in table}) == math.comb(7, 4)
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
@@ -57,10 +57,41 @@ class TestEnumeration:
         with pytest.raises(BasisTooLargeError, match="basis too large"):
             enumerate_indices(8, 8, size_cap=1000)
 
-    def test_degree_cached(self):
-        table = enumerate_indices(2, 3)
-        for mi in table:
-            assert mi.degree == sum(mi.entries)
+
+# (d, K) pairs for the index core; (40, 2) has too many coordinates for a
+# mixed-radix key of base K + 1 to fit in 64 bits.
+CORE_SHAPES = [(1, 16), (2, 8), (4, 6), (8, 8), (5, 14), (40, 2)]
+
+
+class TestIndexCore:
+    @pytest.mark.parametrize("d, k", CORE_SHAPES)
+    def test_rank_inverts_table(self, d, k):
+        space = GaussianSpace(d, k)
+        assert np.array_equal(space.positions(space.indices), np.arange(space.size))
+        for p, alpha in enumerate(space.indices):
+            assert space.position(alpha) == p
+
+    @pytest.mark.parametrize("d, k", CORE_SHAPES)
+    def test_plan_columns(self, d, k):
+        space = GaussianSpace(d, k)
+        plan = space.plan()
+        for p in range(1, space.size):
+            alpha = space.indices[p]
+            c = next(i for i, e in enumerate(alpha) if e > 0)
+            assert (plan.coord[p], plan.entry[p]) == (c, alpha[c])
+            zeroed, decremented = alpha.copy(), alpha.copy()
+            zeroed[c] = 0
+            decremented[c] -= 1
+            assert np.array_equal(space.indices[plan.zeroed[p]], zeroed)
+            assert np.array_equal(space.indices[plan.decremented[p]], decremented)
+
+    @pytest.mark.parametrize(
+        "entries, reason",
+        [((1, 2, 0), "has length 3"), ((-1, 2), "negative entry"), ((5, 4), "has degree 9")],
+    )
+    def test_rank_rejects_outside_index(self, plane8, entries, reason):
+        with pytest.raises(ValueError, match=rf"{reason}.*\(d=2, K=8\)"):
+            plane8.position(entries)
 
 
 class TestHermite:
@@ -103,9 +134,9 @@ class TestInnerProduct:
         # alpha! on the diagonal, zero elsewhere, across the whole table
         space = GaussianSpace(3, 6)
         for p in range(space.size):
-            f = basis_vector(space, space.index_table[p].entries)
+            f = basis_vector(space, space.indices[p])
             for q in range(p, space.size):
-                g = basis_vector(space, space.index_table[q].entries)
+                g = basis_vector(space, space.indices[q])
                 expected = space.factorials[p] if p == q else 0.0
                 assert abs(chaos_inner(f, g) - expected) <= 1e-10
 

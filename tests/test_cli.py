@@ -403,6 +403,19 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "c.json", {**base_llt_config(), "schema_version": 2})
         assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "index, reason",
+        [([1, 1], "has length 2"), ([-1], "negative entry"), ([17], "has degree 17")],
+    )
+    def test_term_index_outside_space(self, tmp_path, capsys, index, reason):
+        data = base_llt_config()
+        data["density"]["terms"].append({"index": index, "coeff": 0.01})
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert reason in err and "(d=1, K=16)" in err
+
     def test_alpha_domain_checked(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", base_llt_config(alpha=1.0))
         assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

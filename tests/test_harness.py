@@ -302,7 +302,7 @@ class TestEmpiricalConvolution:
         f = stochastic_exponential([0.4], space)
         predicted = wick_product(
             gamma(math.sqrt(0.5), f), gamma(math.sqrt(0.5), unit_density(space))
-        ).vector
+        )
         target = stochastic_exponential([0.4 * math.sqrt(0.5)], space)
         assert np.abs(predicted.coeffs - target.coeffs).max() <= 1e-14
 

@@ -10,6 +10,7 @@ from wickllt.wick import (
     NotNormalizedError,
     TruncationPolicy,
     center_density,
+    discarded_mass,
     gamma,
     ou_apply,
     s_transform,
@@ -28,20 +29,20 @@ class TestWickProduct:
         h1 = basis_vector(line16, (1,))
         result = wick_product(h1, h1)
         expected = basis_vector(line16, (2,))
-        assert np.array_equal(result.vector.coeffs, expected.coeffs)
-        assert result.discarded_mass == 0.0
+        assert np.array_equal(result.coeffs, expected.coeffs)
+        assert discarded_mass(h1, h1, 16) == 0.0
 
     def test_unit_element(self, line16):
         rng = np.random.default_rng(0)
         f = random_low_degree(line16, rng, max_degree=6)
         result = wick_product(unit_density(line16), f)
-        assert np.array_equal(result.vector.coeffs, f.coeffs)
+        assert np.array_equal(result.coeffs, f.coeffs)
 
     def test_exponential_binomial_convolution(self):
         space = GaussianSpace(1, 12)
         prod = wick_product(
             stochastic_exponential([0.3], space), stochastic_exponential([-0.1], space)
-        ).vector
+        )
         for k in range(13):
             assert prod.coeffs[space.position((k,))] == pytest.approx(
                 0.2**k / math.factorial(k), abs=1e-15
@@ -55,12 +56,12 @@ class TestWickProduct:
         g = random_low_degree(plane8, rng)
         h = random_low_degree(plane8, rng)
         a = data.draw(small_coeff)
-        fg = wick_product(f, g).vector
-        gf = wick_product(g, f).vector
+        fg = wick_product(f, g)
+        gf = wick_product(g, f)
         # identical term sets, different accumulation order: rounding only
         assert np.allclose(fg.coeffs, gf.coeffs, atol=1e-13)
-        left = wick_product(f + a * h, g).vector
-        right = fg + a * wick_product(h, g).vector
+        left = wick_product(f + a * h, g)
+        right = fg + a * wick_product(h, g)
         assert np.allclose(left.coeffs, right.coeffs, atol=1e-12)
 
     def test_exact_associativity_within_cap(self, line16):
@@ -68,8 +69,8 @@ class TestWickProduct:
         f = random_low_degree(line16, rng, max_degree=4)
         g = random_low_degree(line16, rng, max_degree=4)
         h = random_low_degree(line16, rng, max_degree=4)
-        left = wick_product(wick_product(f, g).vector, h).vector
-        right = wick_product(f, wick_product(g, h).vector).vector
+        left = wick_product(wick_product(f, g), h)
+        right = wick_product(f, wick_product(g, h))
         # degrees above 16 - 4 are corrupted by the intermediate cap, but the
         # operands have degree <= 4 each so nothing is lost here
         assert np.allclose(left.coeffs, right.coeffs, atol=1e-13)
@@ -78,7 +79,7 @@ class TestWickProduct:
         h, ell = 0.35, -0.2
         prod = wick_product(
             stochastic_exponential([h], line16), stochastic_exponential([ell], line16)
-        ).vector
+        )
         target = stochastic_exponential([h + ell], line16)
         assert np.abs(prod.coeffs - target.coeffs).max() <= 1e-12
 
@@ -91,7 +92,7 @@ class TestWickProduct:
         ell = np.array([l1, l2])
         prod = wick_product(
             stochastic_exponential(h, plane8), stochastic_exponential(ell, plane8)
-        ).vector
+        )
         target = stochastic_exponential(h + ell, plane8)
         assert np.abs(prod.coeffs - target.coeffs).max() <= 1e-12
 
@@ -101,7 +102,6 @@ class TestDiscardedMass:
         space = GaussianSpace(1, 6)
         rng = np.random.default_rng(9)
         f = random_low_degree(space, rng, max_degree=6, scale=0.5)
-        result = wick_product(f, f)
         # brute-force oracle: convolve the coefficient sequences fully
         full = np.zeros(13)
         for i in range(7):
@@ -110,52 +110,70 @@ class TestDiscardedMass:
         expected = sum(
             math.factorial(k) * full[k] ** 2 for k in range(7, 13)
         )
-        assert result.discarded_mass == pytest.approx(expected, rel=1e-12)
-        assert not result.mass_is_bound
+        assert discarded_mass(f, f, 6) == pytest.approx(expected, rel=1e-12)
 
-    def test_bound_dominates_exact(self):
-        from wickllt.wick import _discarded_bound
-
-        space = GaussianSpace(1, 6)
-        rng = np.random.default_rng(10)
-        f = random_low_degree(space, rng, max_degree=6, scale=0.5)
-        exact = wick_product(f, f).discarded_mass
-        assert _discarded_bound(f, f, 6) >= exact
-
-    def test_no_report_requested(self, line16):
-        rng = np.random.default_rng(11)
-        f = random_low_degree(line16, rng, max_degree=16)
-        result = wick_product(f, f, TruncationPolicy(16, report_discarded=False))
-        assert result.discarded_mass is None
+    @pytest.mark.parametrize("cap", [0, 3, 5, 8])
+    def test_matches_brute_force_convolution(self, cap):
+        space = GaussianSpace(1, 8)
+        rng = np.random.default_rng(cap)
+        f = random_low_degree(space, rng, max_degree=3, scale=0.5)
+        g = random_low_degree(space, rng, max_degree=6, scale=0.5)
+        full = np.convolve(f.coeffs[:4], g.coeffs[:7])
+        expected = sum(math.factorial(k) * full[k] ** 2 for k in range(cap + 1, 10))
+        assert discarded_mass(f, g, cap) == pytest.approx(expected, rel=1e-12)
 
     def test_mid_cap_drop_is_exact(self, line16):
         f = basis_vector(line16, (3,))
         result = wick_product(f, f, TruncationPolicy(4))
         # the degree-6 output is dropped by the cap but representable: 6! * 1
-        assert result.vector.coeffs[line16.position((6,))] == 0.0
-        assert result.discarded_mass == pytest.approx(720.0)
-        assert not result.mass_is_bound
+        assert result.coeffs[line16.position((6,))] == 0.0
+        assert discarded_mass(f, f, 4) == pytest.approx(720.0)
+
+
+class TestWideSpace:
+    # d = 40 at K = 2: base-3 radix keys would need 3**40 > 2**63
+    def test_products_of_degree_one(self):
+        space = GaussianSpace(40, 2)
+        m = np.random.default_rng(16).standard_normal(40)
+        c = np.zeros(space.size)
+        c[1:41] = m
+        h = ChaosVector(space, c)
+        prod = wick_product(h, h)
+        view = kernel_view(prod)
+        assert np.array_equal(view.mean, np.zeros(40))
+        assert np.array_equal(view.kernel2, np.outer(m, m))
+        assert np.array_equal(view.g2, np.outer(m, m))
+        assert discarded_mass(h, h, 1) == pytest.approx(2.0 * float(m @ m) ** 2, rel=1e-12)
+
+    def test_basis_products(self):
+        space = GaussianSpace(40, 2)
+        for i, j in [(0, 0), (0, 39), (17, 23), (39, 39)]:
+            e_i = tuple(int(k == i) for k in range(40))
+            e_j = tuple(int(k == j) for k in range(40))
+            expected = basis_vector(space, tuple(a + b for a, b in zip(e_i, e_j)))
+            prod = wick_product(basis_vector(space, e_i), basis_vector(space, e_j))
+            assert np.array_equal(prod.coeffs, expected.coeffs)
 
 
 class TestWickPower:
     def test_power_one_is_identity(self, line16):
         rng = np.random.default_rng(1)
         f = random_low_degree(line16, rng)
-        assert np.array_equal(wick_power(f, 1).vector.coeffs, f.coeffs)
+        assert np.array_equal(wick_power(f, 1).coeffs, f.coeffs)
 
     def test_power_matches_repeated_products(self, line16):
         rng = np.random.default_rng(2)
         f = random_low_degree(line16, rng, max_degree=3)
-        by_power = wick_power(f, 5).vector
+        by_power = wick_power(f, 5)
         acc = f
         for _ in range(4):
-            acc = wick_product(acc, f).vector
+            acc = wick_product(acc, f)
         assert np.allclose(by_power.coeffs, acc.coeffs, atol=1e-13)
 
     def test_exponent_zero(self, line16):
         rng = np.random.default_rng(3)
         f = random_low_degree(line16, rng)
-        assert np.array_equal(wick_power(f, 0).vector.coeffs, unit_density(line16).coeffs)
+        assert np.array_equal(wick_power(f, 0).coeffs, unit_density(line16).coeffs)
 
 
 class TestGamma:
@@ -193,8 +211,8 @@ class TestGamma:
         f = random_low_degree(plane8, rng, max_degree=4)
         g = random_low_degree(plane8, rng, max_degree=4)
         for lam in (0.0, 0.3, 1.0):
-            left = gamma(lam, wick_product(f, g).vector)
-            right = wick_product(gamma(lam, f), gamma(lam, g)).vector
+            left = gamma(lam, wick_product(f, g))
+            right = wick_product(gamma(lam, f), gamma(lam, g))
             assert np.abs(left.coeffs - right.coeffs).max() <= 1e-14
 
 
@@ -268,7 +286,7 @@ class TestSTransform:
         for _ in range(100):
             f = random_low_degree(plane8, rng, max_degree=4)
             g = random_low_degree(plane8, rng, max_degree=4)
-            prod = wick_product(f, g).vector
+            prod = wick_product(f, g)
             assert s_transform(prod, h) == pytest.approx(
                 s_transform(f, h) * s_transform(g, h), rel=1e-10, abs=1e-12
             )
@@ -293,7 +311,7 @@ class TestCenterDensity:
         c[0] = 1.0
         c[line16.position((2,))] = 0.1
         quad = ChaosVector(line16, c)
-        f = wick_product(stochastic_exponential([0.4], line16), quad).vector
+        f = wick_product(stochastic_exponential([0.4], line16), quad)
         centered = center_density(f)
         assert np.abs(centered.coeffs - quad.coeffs).max() <= 1e-12
         assert kernel_view(centered).kernel2[0, 0] == pytest.approx(0.1, abs=1e-12)
