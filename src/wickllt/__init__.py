@@ -18,6 +18,7 @@ from .basis import (
     enumerate_indices,
     eval_at,
     eval_many,
+    eval_stacked,
     hermite_eval,
     kernel_view,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "enumerate_indices",
     "eval_at",
     "eval_many",
+    "eval_stacked",
     "hermite_eval",
     "kernel_view",
     "TruncationPolicy",

@@ -357,31 +357,54 @@ def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_many(f: ChaosVector, points: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """Evaluate sum_alpha c_alpha H_alpha at each row of `points`.
+def _fill_table(space: GaussianSpace, block: np.ndarray, table: np.ndarray) -> None:
+    """Write H_alpha_p(block[j]) into table[p, j] for every table index alpha_p.
 
-    Basis values are filled degree by degree through the strip recursion
-    H_alpha = He_{alpha_c}(w_c) * H_{alpha with c zeroed}; memory is bounded
-    by chunking over evaluation points.
+    Fills degree by degree through the strip recursion
+    H_alpha = He_{alpha_c}(w_c) * H_{alpha with c zeroed}.
     """
-    space = f.space
+    coord, order, rest, _ = space.plan()
+    tabs = [hermite_table(space.max_degree, block[:, i]) for i in range(space.dimension)]
+    table[0] = 1.0
+    for p in range(1, space.size):
+        table[p] = tabs[coord[p]][order[p]] * table[rest[p]]
+
+
+def eval_stacked(fs, points: np.ndarray, chunk: int = 2048) -> np.ndarray:
+    """Evaluate sum_alpha c_alpha H_alpha for several vectors of one space.
+
+    Returns shape (len(fs), len(points)). The basis is evaluated once per
+    chunk of points for all vectors together, and each vector is contracted
+    with that table by its own GEMV, so row i does not depend on the other
+    vectors. Memory is bounded by one basis table of size x chunk values.
+    """
+    if not fs:
+        raise ValueError("need at least one vector to evaluate")
+    for g in fs[1:]:
+        _require_same_space(fs[0], g)
+    space = fs[0].space
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != space.dimension:
         raise ValueError(
             f"points have dimension {pts.shape[1]}, expected {space.dimension}"
         )
-    coord, order, rest, _ = space.plan()
-    n = space.size
-    out = np.empty(pts.shape[0])
+    out = np.empty((len(fs), pts.shape[0]))
+    # One buffer, refilled for every chunk, so only one table is ever
+    # allocated; the last, shorter chunk takes a C-contiguous prefix of it,
+    # which gives each GEMV the layout a fresh table would have.
+    buffer = np.empty(space.size * min(chunk, pts.shape[0]))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
-        tabs = [hermite_table(space.max_degree, block[:, i]) for i in range(space.dimension)]
-        vals = np.empty((n, block.shape[0]))
-        vals[0] = 1.0
-        for p in range(1, n):
-            vals[p] = tabs[coord[p]][order[p]] * vals[rest[p]]
-        out[start : start + block.shape[0]] = f.coeffs @ vals
+        table = buffer[: space.size * len(block)].reshape(space.size, len(block))
+        _fill_table(space, block, table)
+        for values, g in zip(out, fs):
+            values[start : start + len(block)] = g.coeffs @ table
     return out
+
+
+def eval_many(f: ChaosVector, points: np.ndarray, chunk: int = 2048) -> np.ndarray:
+    """Evaluate sum_alpha c_alpha H_alpha at each row of `points`."""
+    return eval_stacked([f], points, chunk)[0]
 
 
 def eval_at(f: ChaosVector, w) -> float:

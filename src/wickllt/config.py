@@ -53,11 +53,27 @@ class DistanceConfig:
         method = data["method"]
         if method not in ("quadrature", "mc"):
             raise ConfigError(f"distance.method must be 'quadrature' or 'mc', got {method!r}")
+        nodes = data.get("nodes_per_axis")
+        if nodes is not None and (type(nodes) is not int or nodes < 1):
+            raise ConfigError(f"distance.nodes_per_axis must be an integer >= 1, got {nodes!r}")
+        samples = int(data.get("samples", 20000))
+        if samples < 2:
+            # the Monte-Carlo error bar is a sample standard deviation
+            raise ConfigError(f"distance.samples must be at least 2, got {samples}")
         return DistanceConfig(
             method=method,
-            nodes_per_axis=data.get("nodes_per_axis"),
-            samples=int(data.get("samples", 20000)),
+            nodes_per_axis=nodes,
+            samples=samples,
             max_quadrature_dim=int(data.get("max_quadrature_dim", 3)),
+        )
+
+
+def _check_quadrature_dimension(distance: DistanceConfig, dimension: int, where: str) -> None:
+    if distance.method == "quadrature" and dimension > distance.max_quadrature_dim:
+        raise ConfigError(
+            f"quadrature distance is limited to dimension <= {distance.max_quadrature_dim} "
+            f"(distance.max_quadrature_dim), but {where} is {dimension}; "
+            "use distance.method 'mc'"
         )
 
 
@@ -210,6 +226,12 @@ def parse_config(data) -> ExperimentConfig:
         )
     if "density" in data and "kind" not in data["density"]:
         raise ConfigError("density section needs a 'kind' field")
+    sde = SdeSection.from_dict(data["sde"]) if "sde" in data else None
+    # Only a rate sweep measures distances: llt on the space, sde on its steps.
+    if n_values and dim is not None:
+        _check_quadrature_dimension(distance, dim, "space.dimension")
+    if sde is not None and sde.run_llt:
+        _check_quadrature_dimension(distance, sde.steps, "sde.steps")
     return ExperimentConfig(
         seed=int(data["seed"]),
         space_dimension=dim,
@@ -219,7 +241,7 @@ def parse_config(data) -> ExperimentConfig:
         n_values=n_values,
         distance=distance,
         audit_grid=grid,
-        sde=SdeSection.from_dict(data["sde"]) if "sde" in data else None,
+        sde=sde,
         validate=ValidateSection.from_dict(data["validate"]) if "validate" in data else None,
         record_wall_times=bool(data.get("record_wall_times", False)),
         raw=data,
@@ -244,6 +266,11 @@ def resolve_density(
         _take(spec, {"kind": True, "terms": False, "coeffs": False}, "density")
         if "coeffs" in spec:
             coeffs = np.asarray(spec["coeffs"], dtype=float)
+            if coeffs.shape != (space.size,):
+                raise ConfigError(
+                    f"density.coeffs has shape {coeffs.shape}, expected {space.size} "
+                    f"coefficients for (d={space.dimension}, K={space.max_degree})"
+                )
         else:
             coeffs = np.zeros(space.size)
             coeffs[0] = 1.0

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import kolmogi
 
 from .audit import AssumptionReport, AssumptionViolationError, audit_density
-from .basis import ChaosVector, eval_many, kernel_view
+from .basis import ChaosVector, eval_many, eval_stacked, kernel_view
 from .config import DistanceConfig, ExperimentConfig, resolve_density
 from .limit_density import gaussian_limit_series
 from .measures import sample
@@ -88,33 +88,52 @@ def sum_density(
     return wick_power(scaled, n, policy)
 
 
-def l1_distance(f: ChaosVector, g: ChaosVector, spec: DistanceConfig | None = None, seed: int = 0) -> DistanceResult:
-    """Integral of |f - g| against the reference measure, with an error estimate.
+def l1_distances(
+    fs: Sequence[ChaosVector],
+    g: ChaosVector,
+    spec: DistanceConfig | None = None,
+    seed: int = 0,
+) -> list[DistanceResult]:
+    """Integral of |f - g| against the reference measure for every f in fs.
 
     Quadrature route: evaluate at n and 2n Gauss-Hermite nodes per axis and
     report the difference as the error (the integrand has a kink, so the rule
     is not exact and the estimate matters). Monte-Carlo route: mean of
-    |f - g| over Gaussian samples with its standard error.
+    |f - g| over Gaussian samples with its standard error. Every f is
+    measured on the same points (the same grids, or one sample drawn from
+    the seed's distance stream), and the basis is evaluated there once for
+    all of them; each result equals l1_distance(f, g, spec, seed).
     """
     spec = spec or DistanceConfig()
-    diff = f - g
-    d = f.space.dimension
+    diffs = [f - g for f in fs]
+    d = g.space.dimension
     if spec.method == "quadrature":
         if d > spec.max_quadrature_dim:
             raise ValueError(
                 f"quadrature distance limited to dimension <= {spec.max_quadrature_dim}"
             )
-        nodes = spec.nodes_per_axis or max(2 * f.space.max_degree, 8)
+        nodes = spec.nodes_per_axis
+        if nodes is None:
+            nodes = max(2 * g.space.max_degree, 8)
         pts, wts = tensor_rule(d, nodes)
-        coarse = float(np.dot(wts, np.abs(eval_many(diff, pts))))
+        coarse = [float(np.dot(wts, row)) for row in np.abs(eval_stacked(diffs, pts))]
         pts2, wts2 = tensor_rule(d, 2 * nodes)
-        fine = float(np.dot(wts2, np.abs(eval_many(diff, pts2))))
-        return DistanceResult(fine, abs(fine - coarse))
+        fine = [float(np.dot(wts2, row)) for row in np.abs(eval_stacked(diffs, pts2))]
+        return [DistanceResult(b, abs(b - a)) for a, b in zip(coarse, fine)]
     rng = substream(seed, STREAM_DISTANCE)
     pts = rng.standard_normal((spec.samples, d))
-    vals = np.abs(eval_many(diff, pts))
-    se = float(vals.std(ddof=1) / math.sqrt(spec.samples))
-    return DistanceResult(float(vals.mean()), se)
+    return [
+        DistanceResult(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(spec.samples)))
+        for vals in np.abs(eval_stacked(diffs, pts))
+    ]
+
+
+def l1_distance(f: ChaosVector, g: ChaosVector, spec: DistanceConfig | None = None, seed: int = 0) -> DistanceResult:
+    """Integral of |f - g| against the reference measure, with an error estimate.
+
+    The one-element case of l1_distances, which documents both routes.
+    """
+    return l1_distances([f], g, spec, seed)[0]
 
 
 def tv_distance(f: ChaosVector, g: ChaosVector, spec: DistanceConfig | None = None, seed: int = 0) -> DistanceResult:
@@ -138,23 +157,30 @@ def rate_constant(f: ChaosVector, alpha: float) -> RateConstant:
     degrees 3..max_degree of the scaled difference between the centered
     density and the limit series.
     """
+    if f.space.max_degree < 3:
+        # No degree reaches the tail sum, so the limit series (which needs
+        # degree 2) is never read.
+        return _rate_constant(f, f, alpha)
+    limit = gaussian_limit_series(kernel_view(f).g2, f.space).series
+    return _rate_constant(center_density(f), limit, alpha)
+
+
+def _rate_constant(centered: ChaosVector, limit: ChaosVector, alpha: float) -> RateConstant:
+    # rate_constant from the centered density and its limit series, which
+    # rate_sweep builds once and also uses for its rows and target.
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    space = f.space
     beta = alpha / (1.0 - alpha)
     # epsilon guard: float noise in beta must not bump the ceiling (e.g.
     # alpha = 0.8 gives beta = 4 + 1 ulp); the scaling argument is clamped
     # back into [0, 1] for the same reason
     n0 = max(1, math.ceil(beta - 1e-9))
-    if space.max_degree < 3:
+    if centered.space.max_degree < 3:
         warnings.warn(
             "max_degree below 3: no degree-3 content is representable, the rate "
             "constant is zero by construction",
-            stacklevel=2,
+            stacklevel=3,
         )
-        return RateConstant(0.0, n0, beta, 0.0)
-    centered = center_density(f)
-    limit = gaussian_limit_series(kernel_view(f).g2, space).series
     lam = min(1.0, math.sqrt(beta / n0))
     diff = gamma(lam, centered) - gamma(lam, limit)
     tail = float(diff.degree_norms_sq()[3:].sum())
@@ -199,12 +225,14 @@ def rate_sweep(
 ) -> tuple[RateTable, AssumptionReport]:
     """Measure the L1 distance row per n and check each row against its bound.
 
-    Rows are independent; with threads > 1 they run on a thread pool. The
-    distance sampler uses one fixed sub-stream of the master seed for every
-    row (common random numbers), so results do not depend on the execution
-    order or the thread count, and the measured distances of successive n
-    share their Monte-Carlo noise. The density is audited against
-    config.audit_grid unless the caller passes the report of that audit.
+    The density is centered and the limit series built once per sweep. The
+    row densities are independent; with threads > 1 they are computed on a
+    thread pool, and a row's seconds are the time of its density. All rows
+    are then measured in one l1_distances call on the same points (common
+    random numbers), so results do not depend on the execution order or the
+    thread count, and the measured distances of successive n share their
+    Monte-Carlo noise. The density is audited against config.audit_grid
+    unless the caller passes the report of that audit.
     """
     config.require_llt_fields(need_density=density is None)
     space = density.space if density is not None else config.build_space()
@@ -218,31 +246,33 @@ def rate_sweep(
         raise AssumptionViolationError(
             "assumption audit failed: " + ", ".join(report.failing())
         )
-    constant = rate_constant(f, config.alpha)
+    centered = center_density(f)
     limit = gaussian_limit_series(kernel_view(f).g2, space).series
+    constant = _rate_constant(centered, limit, config.alpha)
     target = gamma(math.sqrt(config.alpha), limit)
     distance_seed = child_seed(config.seed, STREAM_DISTANCE)
 
-    def run_row(n: int) -> RateRow:
+    def row_density(n: int) -> tuple[ChaosVector, float]:
+        # sum_density without its per-call audit check and centering
         start = time.perf_counter()
-        rho = sum_density(f, n, config.alpha, report=report, override=override_audit)
-        dist, err = l1_distance(rho, target, config.distance, seed=distance_seed)
-        return RateRow(
-            n=n,
-            l1=dist,
-            bound=constant.c / math.sqrt(n),
-            error=err,
-            seconds=time.perf_counter() - start,
-        )
+        rho = wick_power(gamma(math.sqrt(config.alpha / n), centered), n)
+        return rho, time.perf_counter() - start
 
     ns = sorted(config.n_values)
     if threads > 1:
         # Warm the shared caches before fanning out.
         wick_product(f, f)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_row, ns))
+            densities = list(pool.map(row_density, ns))
     else:
-        rows = [run_row(n) for n in ns]
+        densities = [row_density(n) for n in ns]
+    distances = l1_distances(
+        [rho for rho, _ in densities], target, config.distance, seed=distance_seed
+    )
+    rows = [
+        RateRow(n=n, l1=dist, bound=constant.c / math.sqrt(n), error=err, seconds=seconds)
+        for n, (_, seconds), (dist, err) in zip(ns, densities, distances)
+    ]
     table = RateTable(tuple(rows), constant.c, constant.n0, constant.beta)
     # absolute floor below which a measured distance is evaluation noise
     # (coefficients agree to roundoff, e.g. the fixed-point density)
@@ -308,12 +338,19 @@ def ks_against_density(values: np.ndarray, predicted: ChaosVector, grid_halfwidt
     if predicted.space.dimension != 1:
         raise ValueError("KS comparison needs a one-dimensional density")
     grid = np.linspace(-grid_halfwidth, grid_halfwidth, 8001)
-    dens = np.clip(eval_many(predicted, grid[:, None]), 0.0, None) * stats.norm.pdf(grid)
+    weight = np.exp(-grid**2 / 2.0) / np.sqrt(2 * np.pi)
+    dens = np.clip(eval_many(predicted, grid[:, None]), 0.0, None) * weight
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
     cdf /= cdf[-1]
-    statistic = float(stats.ks_1samp(values, lambda x: np.interp(x, grid, cdf)).statistic)
+    # The two-sided KS statistic and the 1% point of its asymptotic law,
+    # computed as scipy.stats does without importing scipy.stats (most of
+    # the package's import time).
     n = values.size
-    critical = float(stats.kstwobign.isf(0.01) / math.sqrt(n))
+    at = np.interp(np.sort(values), grid, cdf)
+    statistic = float(
+        max((np.arange(1.0, n + 1) / n - at).max(), (at - np.arange(0.0, n) / n).max())
+    )
+    critical = float(kolmogi(0.01) / math.sqrt(n))
     return ConvolutionReport(statistic, critical, statistic < critical, n)
 
 

@@ -17,6 +17,7 @@ from wickllt.basis import (
     enumerate_indices,
     eval_at,
     eval_many,
+    eval_stacked,
     from_kernel_view,
     hermite_eval,
     kernel_view,
@@ -184,6 +185,39 @@ class TestEvaluation:
     def test_dimension_mismatch(self, plane8):
         with pytest.raises(ValueError):
             eval_at(unit_density(plane8), [1.0])
+
+
+def reference_eval(f, pts, chunk=2048):
+    """Loop reference: a fresh basis table per chunk, one GEMV per chunk."""
+    space = f.space
+    coord, order, rest, _ = space.plan()
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), chunk):
+        block = pts[start : start + chunk]
+        vals = np.empty((space.size, len(block)))
+        vals[0] = 1.0
+        for p in range(1, space.size):
+            vals[p] = hermite_eval(int(order[p]), block[:, coord[p]]) * vals[rest[p]]
+        out[start : start + len(block)] = f.coeffs @ vals
+    return out
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("count", [1, 2047, 2049, 20_000])
+    def test_rows_equal_eval_many_bit_for_bit(self, plane8, count):
+        rng = np.random.default_rng(count)
+        fs = [ChaosVector(plane8, rng.standard_normal(plane8.size)) for _ in range(3)]
+        pts = rng.standard_normal((count, 2))
+        stacked = eval_stacked(fs, pts)
+        assert stacked.shape == (3, count)
+        for f, row in zip(fs, stacked):
+            single = eval_many(f, pts)
+            assert np.array_equal(row, single)
+            assert np.array_equal(single, reference_eval(f, pts))
+
+    def test_rejects_mixed_spaces(self, line16, plane8):
+        with pytest.raises(IncompatibleBasisError):
+            eval_stacked([unit_density(plane8), unit_density(line16)], np.zeros((1, 2)))
 
 
 class TestKernelView:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -416,6 +419,58 @@ class TestConfigErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert reason in err and "(d=1, K=16)" in err
 
+    def test_coeffs_of_wrong_length(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "schema_version": 1,
+                "seed": 1,
+                "space": {"dimension": 1, "max_degree": 8},
+                "density": {"kind": "coefficients", "coeffs": [1.0, 0.0]},
+            },
+        )
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "expected 9 coefficients" in err and "(d=1, K=8)" in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"distance": {"method": "quadrature", "nodes_per_axis": 0}}, "nodes_per_axis must be"),
+            ({"distance": {"method": "quadrature", "nodes_per_axis": 2.5}}, "got 2.5"),
+            ({"distance": {"method": "mc", "samples": 1}}, "samples must be at least 2"),
+            (
+                {"space": {"dimension": 4, "max_degree": 4}, "density": {"kind": "coefficients"}},
+                "space.dimension is 4",
+            ),
+            (
+                {
+                    "space": {"dimension": 1, "max_degree": 4},
+                    "distance": {"method": "quadrature", "max_quadrature_dim": 2},
+                    "sde": {
+                        "drift": {"kind": "zero"},
+                        "steps": 3,
+                        "paths": 64,
+                        "max_degree": 4,
+                        "run_llt": True,
+                    },
+                },
+                "sde.steps is 3",
+            ),
+        ],
+        ids=["zero_nodes", "fractional_nodes", "one_sample", "quadrature_space", "quadrature_sde_steps"],
+    )
+    def test_distance_config_rejected(self, tmp_path, capsys, overrides, message):
+        data = base_llt_config(**overrides)
+        command = "sde" if "sde" in data else "llt"
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err
+
     def test_alpha_domain_checked(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", base_llt_config(alpha=1.0))
         assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -425,3 +480,17 @@ class TestConfigErrors:
             main(["llt", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
             == 2
         )
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is most of the package's import time and no CLI path needs it
+    import wickllt
+
+    src = str(Path(wickllt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, wickllt.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
