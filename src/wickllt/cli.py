@@ -166,7 +166,7 @@ def _write_llt_outputs(
 
 def cmd_llt(args) -> int:
     config, out = _prepare(args)
-    config.require_llt_fields()
+    config.require_llt_fields(config.space_dimension)
     manifest = _Manifest(config, "llt")
     manifest.notes["derived_seeds"] = {
         "distance_stream": child_seed(config.seed, STREAM_DISTANCE)
@@ -234,6 +234,9 @@ def cmd_sde(args) -> int:
     section = config.sde
     if section is None:
         raise ConfigError("sde needs an 'sde' section")
+    if section.run_llt:
+        # the sweep runs on the space of the path's steps
+        config.require_llt_fields(section.steps, need_density=False)
     manifest = _Manifest(config, "sde")
     manifest.notes["derived_seeds"] = {
         "path_stream_block0": child_seed(config.seed, STREAM_PATHS, 0)
@@ -282,7 +285,6 @@ def cmd_sde(args) -> int:
     manifest.add_artifact(shifts_path)
     ok = energy.passed and report.all_passed
     if ok and section.run_llt:
-        config.require_llt_fields(need_density=False)
         try:
             with manifest.stage("llt"):
                 table, _ = rate_sweep(

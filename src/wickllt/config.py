@@ -68,15 +68,6 @@ class DistanceConfig:
         )
 
 
-def _check_quadrature_dimension(distance: DistanceConfig, dimension: int, where: str) -> None:
-    if distance.method == "quadrature" and dimension > distance.max_quadrature_dim:
-        raise ConfigError(
-            f"quadrature distance is limited to dimension <= {distance.max_quadrature_dim} "
-            f"(distance.max_quadrature_dim), but {where} is {dimension}; "
-            "use distance.method 'mc'"
-        )
-
-
 @dataclass(frozen=True)
 class SdeSection:
     drift: dict
@@ -152,13 +143,23 @@ class ExperimentConfig:
             raise ConfigError("config does not define a space section")
         return GaussianSpace(self.space_dimension, self.space_max_degree)
 
-    def require_llt_fields(self, need_density: bool = True) -> None:
+    def require_llt_fields(self, dimension: int | None, need_density: bool = True) -> None:
+        """Check the fields a rate sweep reads; dimension is that of the swept
+        space (None when the config has no space section, which build_space
+        reports)."""
         if need_density and self.density is None:
             raise ConfigError("this command needs a 'density' section")
         if self.alpha is None or not self.n_values:
             raise ConfigError("this command needs 'alpha' and 'n_values'")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        limit = self.distance.max_quadrature_dim
+        if self.distance.method == "quadrature" and dimension is not None and dimension > limit:
+            raise ConfigError(
+                f"quadrature distance is limited to dimension <= {limit} "
+                f"(distance.max_quadrature_dim), but the swept space has dimension "
+                f"{dimension}; use distance.method 'mc'"
+            )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -227,11 +228,6 @@ def parse_config(data) -> ExperimentConfig:
     if "density" in data and "kind" not in data["density"]:
         raise ConfigError("density section needs a 'kind' field")
     sde = SdeSection.from_dict(data["sde"]) if "sde" in data else None
-    # Only a rate sweep measures distances: llt on the space, sde on its steps.
-    if n_values and dim is not None:
-        _check_quadrature_dimension(distance, dim, "space.dimension")
-    if sde is not None and sde.run_llt:
-        _check_quadrature_dimension(distance, sde.steps, "sde.steps")
     return ExperimentConfig(
         seed=int(data["seed"]),
         space_dimension=dim,

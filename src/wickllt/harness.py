@@ -83,9 +83,15 @@ def sum_density(
         raise AssumptionViolationError(
             "assumption audit failed: " + ", ".join(report.failing())
         )
-    centered = center_density(f, policy)
-    scaled = gamma(math.sqrt(alpha / n), centered)
-    return wick_power(scaled, n, policy)
+    return _smoothed_power(center_density(f, policy), n, alpha, policy)
+
+
+def _smoothed_power(
+    centered: ChaosVector, n: int, alpha: float, policy: TruncationPolicy | None = None
+) -> ChaosVector:
+    # sum_density from the centered density, which rate_sweep computes once
+    # for all of its rows
+    return wick_power(gamma(math.sqrt(alpha / n), centered), n, policy)
 
 
 def l1_distances(
@@ -158,8 +164,8 @@ def rate_constant(f: ChaosVector, alpha: float) -> RateConstant:
     density and the limit series.
     """
     if f.space.max_degree < 3:
-        # No degree reaches the tail sum, so the limit series (which needs
-        # degree 2) is never read.
+        # The constant is zero by construction and neither density is read,
+        # so f stands in for both.
         return _rate_constant(f, f, alpha)
     limit = gaussian_limit_series(kernel_view(f).g2, f.space).series
     return _rate_constant(center_density(f), limit, alpha)
@@ -181,6 +187,7 @@ def _rate_constant(centered: ChaosVector, limit: ChaosVector, alpha: float) -> R
             "constant is zero by construction",
             stacklevel=3,
         )
+        return RateConstant(0.0, n0, beta, 0.0)
     lam = min(1.0, math.sqrt(beta / n0))
     diff = gamma(lam, centered) - gamma(lam, limit)
     tail = float(diff.degree_norms_sq()[3:].sum())
@@ -234,7 +241,10 @@ def rate_sweep(
     Monte-Carlo noise. The density is audited against config.audit_grid
     unless the caller passes the report of that audit.
     """
-    config.require_llt_fields(need_density=density is None)
+    config.require_llt_fields(
+        density.space.dimension if density is not None else config.space_dimension,
+        need_density=density is None,
+    )
     space = density.space if density is not None else config.build_space()
     f = density if density is not None else resolve_density(
         config.density, space, config.seed, config.audit_grid,
@@ -253,9 +263,8 @@ def rate_sweep(
     distance_seed = child_seed(config.seed, STREAM_DISTANCE)
 
     def row_density(n: int) -> tuple[ChaosVector, float]:
-        # sum_density without its per-call audit check and centering
         start = time.perf_counter()
-        rho = wick_power(gamma(math.sqrt(config.alpha / n), centered), n)
+        rho = _smoothed_power(centered, n, config.alpha)
         return rho, time.perf_counter() - start
 
     ns = sorted(config.n_values)

@@ -443,7 +443,7 @@ class TestConfigErrors:
             ({"distance": {"method": "mc", "samples": 1}}, "samples must be at least 2"),
             (
                 {"space": {"dimension": 4, "max_degree": 4}, "density": {"kind": "coefficients"}},
-                "space.dimension is 4",
+                "swept space has dimension 4",
             ),
             (
                 {
@@ -457,7 +457,7 @@ class TestConfigErrors:
                         "run_llt": True,
                     },
                 },
-                "sde.steps is 3",
+                "swept space has dimension 3",
             ),
         ],
         ids=["zero_nodes", "fractional_nodes", "one_sample", "quadrature_space", "quadrature_sde_steps"],
@@ -470,6 +470,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
+
+    def test_audit_ignores_the_sweep_distance(self, tmp_path):
+        # audit measures no distance, so a quadrature distance that a sweep of
+        # this space could not use is no error there
+        data = base_llt_config(
+            space={"dimension": 4, "max_degree": 4}, density={"kind": "coefficients"}
+        )
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_alpha_domain_checked(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", base_llt_config(alpha=1.0))
