@@ -15,8 +15,9 @@ of multi-index coefficients (see wick.py).
 
 A space has one index representation: the rows of its read-only int array
 `indices`, in graded order. Every lookup of an index goes through its
-closed-form graded rank (`GaussianSpace.positions`), and every
-one-multiply-per-row recursion over the table reads one cached `IndexPlan`.
+closed-form graded rank (`GaussianSpace.positions`), and the one
+one-multiply-per-row recursion over the table, which builds Hermite and
+monomial tables alike, reads one cached `IndexPlan`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def enumerate_indices(
 
 class IndexPlan(NamedTuple):
     """Per index p > 0: first nonzero coordinate c, its entry alpha_c, and the
-    positions of alpha with coordinate c zeroed and decremented; row 0 is zero.
+    position of alpha with coordinate c zeroed; row 0 is zero.
 
     Lets a product over coordinates be built with one multiply per row.
     """
@@ -102,7 +103,6 @@ class IndexPlan(NamedTuple):
     coord: np.ndarray
     entry: np.ndarray
     zeroed: np.ndarray
-    decremented: np.ndarray
 
 
 def _build_plan(space: "GaussianSpace") -> IndexPlan:
@@ -111,9 +111,7 @@ def _build_plan(space: "GaussianSpace") -> IndexPlan:
     coord = np.argmax(alpha > 0, axis=1)
     zeroed = alpha.copy()
     zeroed[rows, coord] = 0
-    decremented = alpha.copy()
-    decremented[rows, coord] -= 1
-    columns = (coord, alpha[rows, coord], space.positions(zeroed), space.positions(decremented))
+    columns = (coord, alpha[rows, coord], space.positions(zeroed))
     return IndexPlan(*(np.concatenate(([0], col)).astype(np.int64) for col in columns))
 
 
@@ -270,6 +268,11 @@ def hermite_table(max_order: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def power_table(max_power: int, x: np.ndarray) -> np.ndarray:
+    """x^0..x^max_power; shape (max_power+1, *x.shape)."""
+    return np.asarray(x, dtype=float) ** np.arange(max_power + 1).reshape((-1,) + (1,) * np.ndim(x))
+
+
 @dataclass(frozen=True, eq=False)
 class ChaosVector:
     """An L2(mu) element stored as one real coefficient per basis index.
@@ -345,29 +348,46 @@ def chaos_inner(f: ChaosVector, g: ChaosVector) -> float:
 
 
 def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
-    """h^alpha for every table index, computed by one multiply per row."""
+    """h^alpha for every table index."""
     h = np.asarray(h, dtype=float)
     if h.shape != (space.dimension,):
         raise ValueError(f"expected vector of length {space.dimension}")
-    coord, _, _, parent = space.plan()
-    out = np.empty(space.size)
-    out[0] = 1.0
-    for p in range(1, space.size):
-        out[p] = out[parent[p]] * h[coord[p]]
-    return out
+    return np.prod(h ** space.indices, axis=1)
 
 
-def _fill_table(space: GaussianSpace, block: np.ndarray, table: np.ndarray) -> None:
-    """Write H_alpha_p(block[j]) into table[p, j] for every table index alpha_p.
+# A one-dimensional family t: one_d(K, x) gives t_0..t_K at x, shape (K+1, *x.shape).
+OneD = Callable[[int, np.ndarray], np.ndarray]
 
-    Fills degree by degree through the strip recursion
-    H_alpha = He_{alpha_c}(w_c) * H_{alpha with c zeroed}.
+
+def _fill_table(space: GaussianSpace, one_d: OneD, block: np.ndarray, table: np.ndarray) -> None:
+    """Write prod_i t_{alpha_i}(block[j, i]) into table[p, j] for every index alpha_p.
+
+    one_d is hermite_table or power_table. Fills degree by degree through the
+    strip recursion T_alpha = t_{alpha_c}(x_c) * T_{alpha with c zeroed}.
     """
-    coord, order, rest, _ = space.plan()
-    tabs = [hermite_table(space.max_degree, block[:, i]) for i in range(space.dimension)]
+    coord, order, rest = space.plan()
+    tabs = [one_d(space.max_degree, block[:, i]) for i in range(space.dimension)]
     table[0] = 1.0
     for p in range(1, space.size):
         table[p] = tabs[coord[p]][order[p]] * table[rest[p]]
+
+
+def _chunked_tables(
+    space: GaussianSpace, one_d: OneD, points: np.ndarray, chunk: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, table) for each chunk of points, table of shape (size, m).
+
+    Every table is the same buffer, refilled by _fill_table, so only one is
+    ever allocated and each is valid only until the next one is yielded. The
+    last, shorter chunk takes a C-contiguous prefix of the buffer, which gives
+    a GEMV the layout a fresh table would have.
+    """
+    buffer = np.empty(space.size * min(chunk, len(points)))
+    for start in range(0, len(points), chunk):
+        block = points[start : start + chunk]
+        table = buffer[: space.size * len(block)].reshape(space.size, len(block))
+        _fill_table(space, one_d, block, table)
+        yield start, table
 
 
 def eval_stacked(fs, points: np.ndarray, chunk: int = 2048) -> np.ndarray:
@@ -389,16 +409,9 @@ def eval_stacked(fs, points: np.ndarray, chunk: int = 2048) -> np.ndarray:
             f"points have dimension {pts.shape[1]}, expected {space.dimension}"
         )
     out = np.empty((len(fs), pts.shape[0]))
-    # One buffer, refilled for every chunk, so only one table is ever
-    # allocated; the last, shorter chunk takes a C-contiguous prefix of it,
-    # which gives each GEMV the layout a fresh table would have.
-    buffer = np.empty(space.size * min(chunk, pts.shape[0]))
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        table = buffer[: space.size * len(block)].reshape(space.size, len(block))
-        _fill_table(space, block, table)
+    for start, table in _chunked_tables(space, hermite_table, pts, chunk):
         for values, g in zip(out, fs):
-            values[start : start + len(block)] = g.coeffs @ table
+            values[start : start + table.shape[1]] = g.coeffs @ table
     return out
 
 
@@ -435,6 +448,12 @@ class KernelView:
             object.__setattr__(self, name, arr)
 
 
+def _low_positions(space: GaussianSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of e_i (length d) and of e_i + e_j (d x d, symmetric)."""
+    p1 = space.positions(np.eye(space.dimension, dtype=np.int64))
+    return p1, space.positions_of_sums(p1, p1)
+
+
 def kernel_view(f: ChaosVector) -> KernelView:
     """Extract (f1, f2, G) from the degree-1 and degree-2 coefficients."""
     space = f.space
@@ -442,19 +461,10 @@ def kernel_view(f: ChaosVector) -> KernelView:
         raise InsufficientDegreeError(
             "insufficient degree: kernel extraction needs max_degree >= 2"
         )
-    d = space.dimension
-    mean = np.zeros(d)
-    kernel2 = np.zeros((d, d))
-    for i in range(d):
-        e_i = tuple(1 if k == i else 0 for k in range(d))
-        mean[i] = f.coeffs[space.position(e_i)]
-        two_e_i = tuple(2 if k == i else 0 for k in range(d))
-        kernel2[i, i] = f.coeffs[space.position(two_e_i)]
-        for j in range(i + 1, d):
-            e_ij = tuple(1 if k in (i, j) else 0 for k in range(d))
-            half = 0.5 * f.coeffs[space.position(e_ij)]
-            kernel2[i, j] = half
-            kernel2[j, i] = half
+    p1, p2 = _low_positions(space)
+    mean = f.coeffs[p1]
+    kernel2 = 0.5 * f.coeffs[p2]
+    np.fill_diagonal(kernel2, f.coeffs[p2.diagonal()])
     g2 = kernel2 - 0.5 * np.outer(mean, mean)
     return KernelView(mean=mean, kernel2=kernel2, g2=g2)
 
@@ -477,27 +487,19 @@ def from_kernel_view(
         raise ValueError("kernel shapes do not match the space dimension")
     if not np.allclose(kernel2, kernel2.T, atol=0.0):
         raise ValueError("second-order kernel must be exactly symmetric")
+    p1, p2 = _low_positions(space)
+    upper = np.triu_indices(d, 1)
     c = np.zeros(space.size)
     c[0] = constant
-    for i in range(d):
-        e_i = tuple(1 if k == i else 0 for k in range(d))
-        c[space.position(e_i)] = mean[i]
-        two_e_i = tuple(2 if k == i else 0 for k in range(d))
-        c[space.position(two_e_i)] = kernel2[i, i]
-        for j in range(i + 1, d):
-            e_ij = tuple(1 if k in (i, j) else 0 for k in range(d))
-            c[space.position(e_ij)] = 2.0 * kernel2[i, j]
+    c[p1] = mean
+    c[p2.diagonal()] = kernel2.diagonal()
+    c[p2[upper]] = 2.0 * kernel2[upper]
     return ChaosVector(space, c)
 
 
 def extract_mean(f: ChaosVector) -> np.ndarray:
     """Degree-1 coefficients as a vector (the first chaos kernel)."""
     space = f.space
-    d = space.dimension
     if space.max_degree < 1:
-        return np.zeros(d)
-    mean = np.zeros(d)
-    for i in range(d):
-        e_i = tuple(1 if k == i else 0 for k in range(d))
-        mean[i] = f.coeffs[space.position(e_i)]
-    return mean
+        return np.zeros(space.dimension)
+    return f.coeffs[space.positions(np.eye(space.dimension, dtype=np.int64))]

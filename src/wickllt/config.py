@@ -9,15 +9,16 @@ sub-stream scheme in streams.py.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .audit import GridSpec
-from .basis import GaussianSpace, ChaosVector
-from .measures import from_coefficients, gaussian_cov, rank_one_quadratic, shift_mixture, WeightedShifts
-from .sde import PathGrid, drift_from_config, sde_density
+from .basis import ChaosVector, GaussianSpace
+from .measures import gaussian_cov, rank_one_quadratic, shift_mixture, WeightedShifts
+from .sde import DriftSpec, PathGrid, drift_from_config, sde_density
 
 SCHEMA_VERSION = 1
 
@@ -36,12 +37,37 @@ def _take(data: dict, allowed: dict[str, bool], where: str) -> None:
         raise ConfigError(f"missing required field(s) {missing} in {where}")
 
 
+def _number(value, name: str, kind: type = int, minimum=None):
+    """value as kind (int, or float for any real), at least minimum if given.
+
+    A bool, a string, or a float where an integer is wanted is a ConfigError.
+    """
+    wanted = numbers.Integral if kind is int else numbers.Real
+    if not isinstance(value, wanted) or isinstance(value, bool):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class DistanceConfig:
     method: str = "quadrature"
     nodes_per_axis: int | None = None
     samples: int = 20000
     max_quadrature_dim: int = 3
+
+    def __post_init__(self) -> None:
+        if self.method not in ("quadrature", "mc"):
+            raise ConfigError(
+                f"distance.method must be 'quadrature' or 'mc', got {self.method!r}"
+            )
+        if self.nodes_per_axis is not None:
+            _number(self.nodes_per_axis, "distance.nodes_per_axis", int, 1)
+        # the Monte-Carlo error bar is a sample standard deviation
+        _number(self.samples, "distance.samples", int, 2)
+        _number(self.max_quadrature_dim, "distance.max_quadrature_dim", int, 1)
 
     @staticmethod
     def from_dict(data: dict) -> "DistanceConfig":
@@ -50,21 +76,11 @@ class DistanceConfig:
             {"method": True, "nodes_per_axis": False, "samples": False, "max_quadrature_dim": False},
             "distance",
         )
-        method = data["method"]
-        if method not in ("quadrature", "mc"):
-            raise ConfigError(f"distance.method must be 'quadrature' or 'mc', got {method!r}")
-        nodes = data.get("nodes_per_axis")
-        if nodes is not None and (type(nodes) is not int or nodes < 1):
-            raise ConfigError(f"distance.nodes_per_axis must be an integer >= 1, got {nodes!r}")
-        samples = int(data.get("samples", 20000))
-        if samples < 2:
-            # the Monte-Carlo error bar is a sample standard deviation
-            raise ConfigError(f"distance.samples must be at least 2, got {samples}")
         return DistanceConfig(
-            method=method,
-            nodes_per_axis=nodes,
-            samples=samples,
-            max_quadrature_dim=int(data.get("max_quadrature_dim", 3)),
+            method=data["method"],
+            nodes_per_axis=data.get("nodes_per_axis"),
+            samples=data.get("samples", 20000),
+            max_quadrature_dim=data.get("max_quadrature_dim", 3),
         )
 
 
@@ -91,14 +107,32 @@ class SdeSection:
             },
             "sde",
         )
+        _drift(data["drift"], "sde.drift")
         return SdeSection(
             drift=dict(data["drift"]),
-            steps=int(data["steps"]),
-            paths=int(data["paths"]),
-            max_degree=int(data["max_degree"]),
+            steps=_number(data["steps"], "sde.steps", int, 1),
+            paths=_number(data["paths"], "sde.paths", int, 1),
+            max_degree=_number(data["max_degree"], "sde.max_degree", int, 0),
             run_llt=bool(data.get("run_llt", False)),
-            novikov_ceiling=float(data.get("novikov_ceiling", 1e15)),
+            novikov_ceiling=_number(
+                data.get("novikov_ceiling", 1e15), "sde.novikov_ceiling", float
+            ),
         )
+
+
+def _drift(data, where: str) -> DriftSpec:
+    """The drift a config section names; an unknown kind or a missing or bad
+    parameter is a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    try:
+        return drift_from_config(data)
+    except KeyError as exc:
+        raise ConfigError(
+            f"{where} of kind {data.get('kind')!r} needs a {exc.args[0]!r} field"
+        ) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -116,10 +150,10 @@ class ValidateSection:
             "validate",
         )
         return ValidateSection(
-            dimension=int(data.get("dimension", 2)),
-            max_degree=int(data.get("max_degree", 8)),
+            dimension=_number(data.get("dimension", 2), "validate.dimension", int, 1),
+            max_degree=_number(data.get("max_degree", 8), "validate.max_degree", int, 0),
             inject_error=data.get("inject_error"),
-            ks_samples=int(data.get("ks_samples", 20000)),
+            ks_samples=_number(data.get("ks_samples", 20000), "validate.ks_samples", int, 1),
         )
 
 
@@ -203,14 +237,15 @@ def parse_config(data) -> ExperimentConfig:
     dim = maxdeg = None
     if "space" in data:
         _take(data["space"], {"dimension": True, "max_degree": True}, "space")
-        dim = int(data["space"]["dimension"])
-        maxdeg = int(data["space"]["max_degree"])
-    alpha = float(data["alpha"]) if "alpha" in data else None
+        dim = _number(data["space"]["dimension"], "space.dimension", int, 1)
+        maxdeg = _number(data["space"]["max_degree"], "space.max_degree", int, 0)
+    alpha = _number(data["alpha"], "alpha", float) if "alpha" in data else None
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    n_values = tuple(int(n) for n in data.get("n_values", ()))
-    if any(n < 1 for n in n_values):
-        raise ConfigError("n_values must be positive integers")
+    n_values = data.get("n_values", [])
+    if not isinstance(n_values, list):
+        raise ConfigError(f"n_values must be a list of integers, got {n_values!r}")
+    n_values = tuple(_number(n, "each of n_values", int, 1) for n in n_values)
     distance = DistanceConfig.from_dict(data["distance"]) if "distance" in data else DistanceConfig()
     grid = GridSpec()
     if "audit_grid" in data:
@@ -219,17 +254,20 @@ def parse_config(data) -> ExperimentConfig:
             {"points_per_axis": False, "halfwidth": False, "mc_points": False, "seed": False},
             "audit_grid",
         )
+        section = data["audit_grid"]
         grid = GridSpec(
-            points_per_axis=int(data["audit_grid"].get("points_per_axis", 41)),
-            halfwidth=float(data["audit_grid"].get("halfwidth", 3.5)),
-            mc_points=int(data["audit_grid"].get("mc_points", 4096)),
-            seed=int(data["audit_grid"].get("seed", 2024)),
+            points_per_axis=_number(
+                section.get("points_per_axis", 41), "audit_grid.points_per_axis", int, 1
+            ),
+            halfwidth=_number(section.get("halfwidth", 3.5), "audit_grid.halfwidth", float),
+            mc_points=_number(section.get("mc_points", 4096), "audit_grid.mc_points", int, 1),
+            seed=_number(section.get("seed", 2024), "audit_grid.seed", int),
         )
     if "density" in data and "kind" not in data["density"]:
         raise ConfigError("density section needs a 'kind' field")
     sde = SdeSection.from_dict(data["sde"]) if "sde" in data else None
     return ExperimentConfig(
-        seed=int(data["seed"]),
+        seed=_number(data["seed"], "seed", int),
         space_dimension=dim,
         space_max_degree=maxdeg,
         density=dict(data["density"]) if "density" in data else None,
@@ -244,18 +282,11 @@ def parse_config(data) -> ExperimentConfig:
     )
 
 
-def resolve_density(
-    spec: dict,
-    space: GaussianSpace,
-    seed: int,
-    grid: GridSpec | None = None,
-    validate: bool = True,
-) -> ChaosVector:
+def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
     """Build the density named by a config 'density' section.
 
-    With validate=False the raw-coefficient kinds skip the constructor
-    screen; the assumption audit still reports on the result (the override
-    path, where outputs are watermarked).
+    Raw coefficients are taken as given: the assumption audit, which every
+    command runs on the result, screens normalization and nonnegativity.
     """
     kind = spec.get("kind")
     if kind == "coefficients":
@@ -276,15 +307,13 @@ def resolve_density(
                     coeffs[space.position(term["index"])] = float(term["coeff"])
                 except ValueError as exc:
                     raise ConfigError(f"density.terms entry: {exc}") from exc
-        if not validate:
-            return ChaosVector(space, coeffs)
-        return from_coefficients(coeffs, space, grid)
+        return ChaosVector(space, coeffs)
     if kind == "shift_mixture":
         _take(spec, {"kind": True, "weights": True, "shifts": True}, "density")
-        nu = WeightedShifts(
-            np.asarray(spec["weights"], dtype=float), np.asarray(spec["shifts"], dtype=float)
-        )
-        return shift_mixture(nu, space)
+        try:
+            return shift_mixture(WeightedShifts.from_json_dict(spec), space)
+        except ValueError as exc:
+            raise ConfigError(f"density: {exc}") from exc
     if kind == "gaussian_cov":
         _take(spec, {"kind": True, "g2": True}, "density")
         return gaussian_cov(np.asarray(spec["g2"], dtype=float), space)
@@ -298,14 +327,10 @@ def resolve_density(
             raise ConfigError("product_hermite axis_coeffs must start with 1.0")
         padded = np.zeros(space.max_degree + 1)
         padded[: min(base.size, padded.size)] = base[: padded.size]
-        coeffs = np.prod(padded[space.indices], axis=1)
-        if not validate:
-            return ChaosVector(space, coeffs)
-        return from_coefficients(coeffs, space, grid)
+        return ChaosVector(space, np.prod(padded[space.indices], axis=1))
     if kind == "sde":
         _take(spec, {"kind": True, "drift": True, "paths": True}, "density")
-        drift = drift_from_config(spec["drift"])
-        return sde_density(
-            drift, PathGrid(space.dimension), int(spec["paths"]), space, seed=seed
-        )
+        drift = _drift(spec["drift"], "density.drift")
+        paths = _number(spec["paths"], "density.paths", int, 1)
+        return sde_density(drift, PathGrid(space.dimension), paths, space, seed=seed)
     raise ConfigError(f"unknown density kind {kind!r}")

@@ -246,10 +246,7 @@ def rate_sweep(
         need_density=density is None,
     )
     space = density.space if density is not None else config.build_space()
-    f = density if density is not None else resolve_density(
-        config.density, space, config.seed, config.audit_grid,
-        validate=not override_audit,
-    )
+    f = density if density is not None else resolve_density(config.density, space, config.seed)
     if report is None:
         report = audit_density(f, config.audit_grid)
     if not report.all_passed and not override_audit:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import GridSpec, check_square_integrability
-from .basis import ChaosVector, GaussianSpace, eval_many
+from .basis import ChaosVector, GaussianSpace, _chunked_tables, eval_many, power_table
 from .limit_density import gaussian_limit_series
 from .quadrature import tensor_grid
 from .streams import STREAM_SAMPLER, substream
@@ -58,7 +58,7 @@ class WeightedShifts:
         if w.min() < 0.0:
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
+            raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1")
         w.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -104,31 +104,27 @@ def from_coefficients(
     grid: GridSpec | None = None,
     negativity_factor: float = 1e-6,
 ) -> ChaosVector:
-    """Validate raw coefficients as a density: unit mass plus a grid screen."""
+    """Validate raw coefficients as a density: the unit-mass and grid screen
+    of check_square_integrability, whose failed verdicts are raised."""
     vec = ChaosVector(space, np.asarray(coeffs, dtype=float))
-    violations = []
-    if abs(vec.coeffs[0] - 1.0) > 1e-12:
-        violations.append(
-            f"normalization: degree-0 coefficient is {float(vec.coeffs[0]):.17g}, expected 1"
-        )
-    report = check_square_integrability(vec, grid, negativity_factor)
-    if not report.verdicts["nonnegativity"].passed:
-        violations.append(
-            f"nonnegativity: grid minimum {report.min_on_grid:.6g} below floor "
-            f"{report.verdicts['nonnegativity'].threshold:.6g}"
-        )
+    verdicts = check_square_integrability(vec, grid, negativity_factor).verdicts
+    violations = [
+        f"{name}: measured {v.measured:.17g}, threshold {v.threshold:.6g}"
+        for name, v in verdicts.items()
+        if not v.passed
+    ]
     if violations:
         raise DensityValidationError(violations)
     return vec
 
 
-def shift_mixture(nu: WeightedShifts, space: GaussianSpace, chunk: int = 512) -> ChaosVector:
+def shift_mixture(nu: WeightedShifts, space: GaussianSpace, chunk: int = 2048) -> ChaosVector:
     """Density of the reference measure convolved with the atomic measure nu.
 
     Coefficientwise this is sum_j p_j h_j^alpha / alpha!, a convex
     combination of shifted-Gaussian densities; strictly positive with unit
-    mass. Atoms are processed in chunks with a one-multiply-per-index
-    recursion so large atom counts stay affordable. The result is divided by
+    mass. The monomials h_j^alpha of a chunk of atoms are one basis table of
+    powers, contracted with the chunk's weights. The result is divided by
     its constant coefficient (= the accumulated weight total, one up to
     summation roundoff) so the mass invariant holds exactly.
     """
@@ -136,17 +132,9 @@ def shift_mixture(nu: WeightedShifts, space: GaussianSpace, chunk: int = 512) ->
         raise ValueError(
             f"shifts have dimension {nu.dimension}, space has {space.dimension}"
         )
-    coord, _, _, parent = space.plan()
     acc = np.zeros(space.size)
-    n = space.size
-    for start in range(0, nu.count, chunk):
-        h = nu.shifts[start : start + chunk]
-        w = nu.weights[start : start + chunk]
-        block = np.empty((n, h.shape[0]))
-        block[0] = 1.0
-        for p in range(1, n):
-            block[p] = block[parent[p]] * h[:, coord[p]]
-        acc += block @ w
+    for start, table in _chunked_tables(space, power_table, nu.shifts, chunk):
+        acc += table @ nu.weights[start : start + table.shape[1]]
     acc /= acc[0]
     return ChaosVector(space, acc / space.factorials)
 

@@ -21,6 +21,7 @@ from wickllt.basis import (
     from_kernel_view,
     hermite_eval,
     kernel_view,
+    monomial_powers,
 )
 from wickllt.quadrature import tensor_rule
 from wickllt.serialize import chaos_from_json, chaos_to_json
@@ -80,11 +81,9 @@ class TestIndexCore:
             alpha = space.indices[p]
             c = next(i for i, e in enumerate(alpha) if e > 0)
             assert (plan.coord[p], plan.entry[p]) == (c, alpha[c])
-            zeroed, decremented = alpha.copy(), alpha.copy()
+            zeroed = alpha.copy()
             zeroed[c] = 0
-            decremented[c] -= 1
             assert np.array_equal(space.indices[plan.zeroed[p]], zeroed)
-            assert np.array_equal(space.indices[plan.decremented[p]], decremented)
 
     @pytest.mark.parametrize(
         "entries, reason",
@@ -93,6 +92,18 @@ class TestIndexCore:
     def test_rank_rejects_outside_index(self, plane8, entries, reason):
         with pytest.raises(ValueError, match=rf"{reason}.*\(d=2, K=8\)"):
             plane8.position(entries)
+
+
+class TestMonomialPowers:
+    @pytest.mark.parametrize("d, k", [(1, 16), (2, 8), (8, 8)])
+    def test_matches_product_reference(self, d, k):
+        space = GaussianSpace(d, k)
+        h = np.random.default_rng(d).uniform(-1.5, 1.5, d)
+        expected = np.array(
+            [math.prod(float(x) ** int(a) for x, a in zip(h, alpha)) for alpha in space.indices]
+        )
+        got = monomial_powers(space, h)
+        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
 
 
 class TestHermite:
@@ -190,7 +201,7 @@ class TestEvaluation:
 def reference_eval(f, pts, chunk=2048):
     """Loop reference: a fresh basis table per chunk, one GEMV per chunk."""
     space = f.space
-    coord, order, rest, _ = space.plan()
+    coord, order, rest = space.plan()
     out = np.empty(len(pts))
     for start in range(0, len(pts), chunk):
         block = pts[start : start + chunk]

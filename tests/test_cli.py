@@ -34,6 +34,11 @@ def base_llt_config(**overrides):
     return data
 
 
+def base_sde_config(**sde_overrides):
+    sde = {"drift": {"kind": "zero"}, "steps": 2, "paths": 64, "max_degree": 4}
+    return {"schema_version": 1, "seed": 1, "sde": {**sde, **sde_overrides}}
+
+
 class TestAuditCommand:
     def test_unit_density_passes(self, tmp_path):
         cfg = write_config(
@@ -465,6 +470,78 @@ class TestConfigErrors:
     def test_distance_config_rejected(self, tmp_path, capsys, overrides, message):
         data = base_llt_config(**overrides)
         command = "sde" if "sde" in data else "llt"
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            (
+                "llt",
+                base_llt_config(space={"dimension": 1, "max_degree": -1}),
+                "space.max_degree must be at least 0",
+            ),
+            ("llt", base_llt_config(alpha="x"), "alpha must be a number, got 'x'"),
+            ("llt", base_llt_config(seed="abc"), "seed must be an integer, got 'abc'"),
+            ("llt", base_llt_config(n_values=["a"]), "each of n_values must be an integer"),
+            (
+                "llt",
+                base_llt_config(space={"dimension": "two", "max_degree": 4}),
+                "space.dimension must be an integer",
+            ),
+            ("sde", base_sde_config(paths=0), "sde.paths must be at least 1"),
+            ("sde", base_sde_config(drift={"kind": "cosine"}), "unknown drift kind 'cosine'"),
+            ("sde", base_sde_config(drift={"kind": "constant"}), "needs a 'value' field"),
+            (
+                "llt",
+                base_llt_config(
+                    density={
+                        "kind": "shift_mixture",
+                        "weights": [0.5, 0.5],
+                        "shifts": [[0.1, 0.2], [-0.1, 0.0]],
+                    }
+                ),
+                "shifts have dimension 2, space has 1",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    density={
+                        "kind": "shift_mixture",
+                        "weights": [0.25, 0.25],
+                        "shifts": [[0.1], [-0.1]],
+                    }
+                ),
+                "weights sum to 0.5",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    space={"dimension": 30, "max_degree": 12}, distance={"method": "mc"}
+                ),
+                "basis too large",
+            ),
+        ],
+        ids=[
+            "negative_degree",
+            "alpha_string",
+            "seed_string",
+            "n_values_string",
+            "dimension_string",
+            "zero_paths",
+            "unknown_drift",
+            "constant_drift_without_value",
+            "shift_dimension",
+            "weights_sum",
+            "basis_too_large",
+        ],
+    )
+    def test_bad_value_exits_two_without_traceback(
+        self, tmp_path, capsys, command, data, message
+    ):
         cfg = write_config(tmp_path, "c.json", data)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err

@@ -6,7 +6,7 @@ from scipy import stats
 
 from wickllt.audit import AssumptionViolationError
 from wickllt.basis import ChaosVector, GaussianSpace, eval_many, kernel_view
-from wickllt.config import DistanceConfig, load_config
+from wickllt.config import ConfigError, DistanceConfig, load_config
 from wickllt.harness import (
     BoundViolationError,
     empirical_convolution_check,
@@ -133,6 +133,19 @@ class TestDistances:
         fs = [random_low_degree(plane8, rng) for _ in range(4)]
         batched = l1_distances(fs, g, spec, seed=17)
         assert batched == [l1_distance(f, g, spec, seed=17) for f in fs]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"method": "mcx"}, "'quadrature' or 'mc'"),
+            ({"method": "mc", "samples": 1}, "at least 2"),
+        ],
+        ids=["unknown_method", "one_sample"],
+    )
+    def test_library_spec_validated(self, fields, message):
+        # a spec built in code, not parsed from a config, is checked too
+        with pytest.raises(ConfigError, match=message):
+            DistanceConfig(**fields)
 
     def test_tv_is_half_l1(self, line16):
         f = corpus_line_density(line16)
@@ -261,9 +274,9 @@ class TestRateSweep:
         built = []
         real = basis._fill_table
 
-        def counting(space, block, table):
+        def counting(space, one_d, block, table):
             built.append(len(block))
-            real(space, block, table)
+            real(space, one_d, block, table)
 
         monkeypatch.setattr(basis, "_fill_table", counting)
         table, _ = rate_sweep(config, density=f, report=report)
