@@ -29,6 +29,7 @@ from .wick import (
     ou_apply,
     s_transform,
     stochastic_exponential,
+    wick_exp,
     wick_power,
     wick_product,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "ou_apply",
     "s_transform",
     "stochastic_exponential",
+    "wick_exp",
     "wick_power",
     "wick_product",
     "LimitDensity",

@@ -162,7 +162,7 @@ class GaussianSpace:
             (self.dimension - np.arange(self.dimension)) * (k_max + 1),
         )
         object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_lock", threading.RLock())
 
     @property
     def size(self) -> int:
@@ -214,7 +214,10 @@ class GaussianSpace:
         return self.cached("plan", _build_plan)
 
     def cached(self, key: str, builder: Callable[["GaussianSpace"], object]) -> object:
-        """Memoize a derived structure; thread-safe, built at most once."""
+        """Memoize a derived structure; thread-safe, built at most once.
+
+        The lock is reentrant, so a builder may itself call cached.
+        """
         cache = self._cache
         if key not in cache:
             with self._lock:

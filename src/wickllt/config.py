@@ -51,6 +51,28 @@ def _number(value, name: str, kind: type = int, minimum=None):
     return kind(value)
 
 
+def _flag(value, name: str) -> bool:
+    """value if it is a JSON boolean; anything else (the string "false"
+    among them) is a ConfigError."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _finite(value, name: str) -> np.ndarray:
+    """value as a float array whose entries are all finite numbers; a NaN, an
+    infinity or a non-number is a ConfigError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be numbers: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        where = f" at entry {bad[0]}" if arr.ndim else ""
+        raise ConfigError(f"{name} must be finite, got {float(arr.flat[bad[0]])}{where}")
+    return arr
+
+
 @dataclass(frozen=True)
 class DistanceConfig:
     method: str = "quadrature"
@@ -113,7 +135,7 @@ class SdeSection:
             steps=_number(data["steps"], "sde.steps", int, 1),
             paths=_number(data["paths"], "sde.paths", int, 1),
             max_degree=_number(data["max_degree"], "sde.max_degree", int, 0),
-            run_llt=bool(data.get("run_llt", False)),
+            run_llt=_flag(data.get("run_llt", False), "sde.run_llt"),
             novikov_ceiling=_number(
                 data.get("novikov_ceiling", 1e15), "sde.novikov_ceiling", float
             ),
@@ -277,7 +299,7 @@ def parse_config(data) -> ExperimentConfig:
         audit_grid=grid,
         sde=sde,
         validate=ValidateSection.from_dict(data["validate"]) if "validate" in data else None,
-        record_wall_times=bool(data.get("record_wall_times", False)),
+        record_wall_times=_flag(data.get("record_wall_times", False), "record_wall_times"),
         raw=data,
     )
 
@@ -292,7 +314,7 @@ def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
     if kind == "coefficients":
         _take(spec, {"kind": True, "terms": False, "coeffs": False}, "density")
         if "coeffs" in spec:
-            coeffs = np.asarray(spec["coeffs"], dtype=float)
+            coeffs = _finite(spec["coeffs"], "density.coeffs")
             if coeffs.shape != (space.size,):
                 raise ConfigError(
                     f"density.coeffs has shape {coeffs.shape}, expected {space.size} "
@@ -304,7 +326,9 @@ def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
             for term in spec.get("terms", []):
                 _take(term, {"index": True, "coeff": True}, "density.terms entry")
                 try:
-                    coeffs[space.position(term["index"])] = float(term["coeff"])
+                    coeffs[space.position(term["index"])] = _finite(
+                        term["coeff"], "density.terms coeff"
+                    )
                 except ValueError as exc:
                     raise ConfigError(f"density.terms entry: {exc}") from exc
         return ChaosVector(space, coeffs)
@@ -316,13 +340,19 @@ def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
             raise ConfigError(f"density: {exc}") from exc
     if kind == "gaussian_cov":
         _take(spec, {"kind": True, "g2": True}, "density")
-        return gaussian_cov(np.asarray(spec["g2"], dtype=float), space)
+        try:
+            return gaussian_cov(_finite(spec["g2"], "density.g2"), space)
+        except ValueError as exc:
+            raise ConfigError(f"density: {exc}") from exc
     if kind == "rank_one_quadratic":
         _take(spec, {"kind": True, "g": True}, "density")
-        return rank_one_quadratic(np.asarray(spec["g"], dtype=float), space)
+        try:
+            return rank_one_quadratic(_finite(spec["g"], "density.g"), space)
+        except ValueError as exc:
+            raise ConfigError(f"density: {exc}") from exc
     if kind == "product_hermite":
         _take(spec, {"kind": True, "axis_coeffs": True}, "density")
-        base = np.asarray(spec["axis_coeffs"], dtype=float)
+        base = _finite(spec["axis_coeffs"], "density.axis_coeffs")
         if base[0] != 1.0:
             raise ConfigError("product_hermite axis_coeffs must start with 1.0")
         padded = np.zeros(space.max_degree + 1)

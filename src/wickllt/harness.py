@@ -70,8 +70,8 @@ def sum_density(
     """Density of the alpha-smoothed standardized sum of n copies of f.
 
     Centers f, applies the degreewise scaling sqrt(alpha/n), and takes the
-    n-th Wick power by binary exponentiation (exact for all represented
-    degrees). The degree-0 coefficient stays exactly one.
+    n-th Wick power with wick_power (exact for all represented degrees).
+    The degree-0 coefficient stays exactly one.
     """
     if n < 1:
         raise ValueError("need n >= 1")

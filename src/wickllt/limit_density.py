@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .audit import AssumptionViolationError
-from .basis import ChaosVector, GaussianSpace, constant_vector, from_kernel_view
-from .wick import TruncationPolicy, gamma, wick_power, wick_product
+from .basis import ChaosVector, GaussianSpace, from_kernel_view
+from .wick import TruncationPolicy, gamma, wick_exp, wick_power
 
 # Cramer's envelope |He_n(x)| <= C sqrt(n!) exp(x^2/4).
 CRAMER_CONSTANT = 1.086435
@@ -51,11 +51,11 @@ class LimitDensity:
 
     def to_json_dict(self) -> dict:
         return {
-            "g2": [[float(x) for x in row] for row in self.g2],
+            "g2": self.g2.tolist(),
             "series": {
                 "dimension": self.series.space.dimension,
                 "max_degree": self.series.space.max_degree,
-                "coeffs": [float(c) for c in self.series.coeffs],
+                "coeffs": self.series.coeffs.tolist(),
             },
         }
 
@@ -87,20 +87,15 @@ def _validated_kernel(g2, space: GaussianSpace | None = None) -> tuple[np.ndarra
 def gaussian_limit_series(
     g2, space: GaussianSpace, policy: TruncationPolicy | None = None
 ) -> LimitDensity:
-    """Build the truncated limit-density series by iterated Wick products.
+    """Build the truncated limit-density series as the Wick exponential of G.
 
     Each term (degree-2 of G)^{wick k}/k! sits exactly at degree 2k, so the
     truncation at max_degree keeps partial sums exact and the dropped mass is
     the analytic tail of the norm series.
     """
     g, eig = _validated_kernel(g2, space)
-    cap = space.max_degree if policy is None else policy.cap_degree
     base = from_kernel_view(space, np.zeros(space.dimension), g, constant=0.0)
-    series = constant_vector(space)
-    term = constant_vector(space)
-    for k in range(1, cap // 2 + 1):
-        term = wick_product(term, base, TruncationPolicy(cap)) * (1.0 / k)
-        series = series + term
+    series = wick_exp(base, policy)
     full_norm_sq = float(np.prod(1.0 / np.sqrt(1.0 - 4.0 * eig**2)))
     tail = max(full_norm_sq - series.norm_sq(), 0.0)
     return LimitDensity(g2=g, series=series, eigenvalues=eig, l2_tail_sq=tail)

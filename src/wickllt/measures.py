@@ -55,6 +55,8 @@ class WeightedShifts:
         s = np.atleast_2d(np.asarray(self.shifts, dtype=float))
         if w.ndim != 1 or w.shape[0] != s.shape[0]:
             raise ValueError("need one weight per shift")
+        if not (np.isfinite(w).all() and np.isfinite(s).all()):
+            raise ValueError("weights and shifts must be finite")
         if w.min() < 0.0:
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -86,8 +88,8 @@ class WeightedShifts:
 
     def to_json_dict(self) -> dict:
         return {
-            "weights": [float(x) for x in self.weights],
-            "shifts": [[float(x) for x in row] for row in self.shifts],
+            "weights": self.weights.tolist(),
+            "shifts": self.shifts.tolist(),
         }
 
     @staticmethod

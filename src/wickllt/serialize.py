@@ -47,6 +47,9 @@ def _emit(obj) -> str:
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            # a flat float array (a float ndarray arrives here by tolist)
+            return "[" + ",".join(map(fmt17, obj)) + "]"
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
@@ -64,7 +67,7 @@ def chaos_to_json(vec: ChaosVector) -> str:
     payload = {
         "dimension": vec.space.dimension,
         "max_degree": vec.space.max_degree,
-        "coeffs": [float(c) for c in vec.coeffs],
+        "coeffs": vec.coeffs.tolist(),
     }
     return dumps_canonical(payload)
 

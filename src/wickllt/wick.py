@@ -13,14 +13,16 @@ Monte-Carlo check of that identity through the Mehler integral form.
 
 Products are truncated at a cap degree and return a plain ChaosVector. The
 L2 mass a cap drops is not tracked per product; `discarded_mass` computes it
-on request by forming the product uncapped in a wide enough space.
+on request by forming the product uncapped in a wide enough space. Wick
+powers and the Wick exponential are built one chaos degree at a time by one
+graded recurrence over the same pair table as the product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,35 +58,46 @@ class TruncationPolicy:
 def _pair_table(space: GaussianSpace):
     """All ordered index pairs with |alpha|+|beta| <= K, grouped by out degree.
 
-    Returns (i_idx, j_idx, out_idx, degree_offsets) where degree_offsets[m]
-    is the first pair whose output degree is m; slicing at
-    degree_offsets[cap+1] restricts a convolution to outputs of degree <= cap.
+    Within out degree m the pairs are grouped by the degree a of the left
+    index, a = 0..m. Returns (i_idx, j_idx, out_idx, starts) where
+    starts[m, a] is the first pair of block (m, a) and starts[m, m+1] =
+    starts[m+1, 0] ends degree m, so every run of consecutive blocks is a
+    slice. Slicing at starts[cap+1, 0] restricts a convolution to outputs of
+    degree <= cap.
     """
 
     def build(sp: GaussianSpace):
         k_max = sp.max_degree
         deg_pos = [np.nonzero(sp.degrees == m)[0] for m in range(k_max + 1)]
         chunks_i, chunks_j, chunks_out = [], [], []
-        offsets = np.zeros(k_max + 2, dtype=np.int64)
+        starts = np.zeros((k_max + 2, k_max + 2), dtype=np.int64)
         total = 0
         for m in range(k_max + 1):
-            offsets[m] = total
             for a in range(m + 1):
+                starts[m, a] = total
                 ia, ib = deg_pos[a], deg_pos[m - a]
                 out = sp.positions_of_sums(ia, ib)
                 chunks_i.append(np.repeat(ia, ib.size))
                 chunks_j.append(np.tile(ib, ia.size))
                 chunks_out.append(out.reshape(-1))
                 total += out.size
-        offsets[k_max + 1] = total
+            starts[m, m + 1] = total
+        starts[k_max + 1, 0] = total
         return (
             np.concatenate(chunks_i),
             np.concatenate(chunks_j),
             np.concatenate(chunks_out),
-            offsets,
+            starts,
         )
 
     return space.cached("pair_table", build)
+
+
+def _cap_degree(space: GaussianSpace, policy: TruncationPolicy | None) -> int:
+    cap = space.max_degree if policy is None else policy.cap_degree
+    if cap > space.max_degree:
+        raise ValueError("cap_degree exceeds the space's max_degree")
+    return cap
 
 
 def wick_product(
@@ -96,11 +109,9 @@ def wick_product(
     the unit element is the constant one. H_alpha <> H_beta = H_{alpha+beta}.
     """
     space = _require_same_space(f, g)
-    cap = space.max_degree if policy is None else policy.cap_degree
-    if cap > space.max_degree:
-        raise ValueError("cap_degree exceeds the space's max_degree")
-    i_idx, j_idx, out_idx, offsets = _pair_table(space)
-    stop = offsets[cap + 1]
+    cap = _cap_degree(space, policy)
+    i_idx, j_idx, out_idx, starts = _pair_table(space)
+    stop = starts[cap + 1, 0]
     prod = np.bincount(
         out_idx[:stop],
         weights=f.coeffs[i_idx[:stop]] * g.coeffs[j_idx[:stop]],
@@ -134,19 +145,69 @@ def discarded_mass(f: ChaosVector, g: ChaosVector, cap: int) -> float:
     return float(np.dot(wide.factorials[above] * tail, tail))
 
 
+def _graded_recurrence(
+    f: ChaosVector, g0: float, weight: Callable[[int, np.ndarray], np.ndarray], cap: int
+) -> ChaosVector:
+    """The g with g_0 = g0 and, for m = 1..cap,
+
+        g_m = (1/m) sum_{k=1..m} weight(m, k) f_k <> g_{m-k},
+
+    zero above cap; f_k is the degree-k part of f.
+
+    This is J.C.P. Miller's power-series recurrence (Knuth, TAOCP vol. 2,
+    4.7) graded by chaos degree: the Euler operator (degree k times k) is a
+    derivation for the Wick product. Degree m reads the pairs of out degree m
+    whose left index has a degree between f's lowest and highest nonzero
+    degree above zero. Those blocks are consecutive in the pair table, so
+    each degree is one bincount over a view of it, and g_{m-k} is complete
+    before degree m reads it.
+    """
+    space = f.space
+    i_idx, j_idx, out_idx, starts = _pair_table(space)
+    bounds = np.searchsorted(space.degrees, np.arange(space.max_degree + 2))
+    support = space.degrees[1:][f.coeffs[1:] != 0]
+    g = np.zeros(space.size)
+    g[0] = g0
+    if support.size == 0:
+        return ChaosVector(space, g)
+    k_lo, k_hi = int(support.min()), int(support.max())
+    for m in range(k_lo, cap + 1):
+        lo, hi = starts[m, k_lo], starts[m, min(m, k_hi) + 1]
+        fw = f.coeffs * (weight(m, space.degrees) / m)
+        sums = np.bincount(
+            out_idx[lo:hi],
+            weights=fw[i_idx[lo:hi]] * g[j_idx[lo:hi]],
+            minlength=space.size,
+        )
+        g[bounds[m] : bounds[m + 1]] = sums[bounds[m] : bounds[m + 1]]
+    return ChaosVector(space, g)
+
+
 def wick_power(
     f: ChaosVector, n: int, policy: TruncationPolicy | None = None
 ) -> ChaosVector:
-    """n-th Wick power by binary exponentiation with per-step capping.
+    """n-th Wick power, exact on every degree <= the cap.
 
-    Capped convolution never corrupts degrees <= cap, so the result agrees
-    with the n-fold product on every represented degree regardless of the
-    multiplication order.
+    When the constant term dominates (the |c_alpha| of degrees >= 1 sum to at
+    most |c_0|), the graded recurrence builds the power degree by degree from
+    g_0 = c_0^n with weights ((n+1)k - m)/c_0: one pass over the pair table.
+    The recurrence divides by c_0 and loses its accuracy when c_0 is small
+    next to the rest, so every other input (c_0 = 0 among them) takes binary
+    exponentiation with per-step capping. Capped convolution never corrupts
+    degrees <= cap, so that route agrees with the n-fold product on every
+    represented degree regardless of the multiplication order.
     """
     if n < 0:
         raise ValueError("Wick power needs a nonnegative exponent")
     if n == 0:
         return constant_vector(f.space)
+    if n == 1:
+        return f
+    f0 = float(f.coeffs[0])
+    if f0 != 0.0 and np.abs(f.coeffs[1:]).sum() <= abs(f0):
+        return _graded_recurrence(
+            f, f0**n, lambda m, k: ((n + 1) * k - m) / f0, _cap_degree(f.space, policy)
+        )
     result: ChaosVector | None = None
     base = f
     remaining = n
@@ -158,6 +219,18 @@ def wick_power(
             break
         base = wick_product(base, base, policy)
     return result
+
+
+def wick_exp(f: ChaosVector, policy: TruncationPolicy | None = None) -> ChaosVector:
+    """Wick exponential sum_j f^{<>j} / j!, exact on every degree <= the cap.
+
+    The graded recurrence from g_0 = exp(c_0) with weights k. The weights are
+    positive and nothing is divided by a coefficient of f, so every input
+    takes this route.
+    """
+    return _graded_recurrence(
+        f, math.exp(f.coeffs[0]), lambda m, k: k, _cap_degree(f.space, policy)
+    )
 
 
 def gamma(lam: float, f: ChaosVector) -> ChaosVector:
@@ -242,12 +315,16 @@ def center_density(
 
     Requires unit mass (degree-0 coefficient one). The result has zero
     degree-1 coefficients and its degree-2 kernel equals the excess kernel
-    G = f2 - f1 f1^T / 2 of the input.
+    G = f2 - f1 f1^T / 2 of the input. A mean-free input is returned as it
+    is unless the policy caps it: the shift is then the unit, and f <> 1 = f
+    exactly.
     """
     if abs(f.coeffs[0] - 1.0) > 1e-12:
         raise NotNormalizedError(
             f"not a normalized density: degree-0 coefficient is {float(f.coeffs[0]):.17g}"
         )
     mean = extract_mean(f)
+    if not mean.any() and (policy is None or policy.cap_degree >= f.space.max_degree):
+        return f
     shift = stochastic_exponential(-mean, f.space)
     return wick_product(f, shift, policy)

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ class TestIndexCore:
     def test_rank_rejects_outside_index(self, plane8, entries, reason):
         with pytest.raises(ValueError, match=rf"{reason}.*\(d=2, K=8\)"):
             plane8.position(entries)
+
+    def test_builder_may_call_cached(self):
+        # a builder that reads another cached structure of the same space
+        # must not wait on the cache lock it already holds
+        space = GaussianSpace(1, 2)
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(
+                space.cached("outer", lambda sp: sp.cached("inner", lambda _: 1))
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and result == [1]
 
 
 class TestMonomialPowers:
@@ -297,6 +313,19 @@ class TestSerialization:
         from wickllt.serialize import fmt17
 
         assert float(fmt17(x)) == x
+
+    def test_flat_float_arrays_match_per_element_path(self):
+        from wickllt.serialize import _emit, dumps_canonical, fmt17
+
+        a = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 3.0, -1.0, 0.1, 1e300])
+        per_element = "[" + ",".join(_emit(float(x)) for x in a) + "]"
+        assert dumps_canonical(a) == per_element + "\n"
+        assert dumps_canonical(a.tolist()) == per_element + "\n"
+        nested = np.stack([a, a[::-1]])
+        rows = ",".join("[" + ",".join(fmt17(x) for x in row) + "]" for row in nested)
+        assert dumps_canonical({"s": nested}) == '{"s":[' + rows + "]}\n"
+        # a list that is not all Python floats keeps the per-element path
+        assert dumps_canonical([1, 2.0, True, None]) == "[1,2.0000000000000000e+00,true,null]\n"
 
     def test_space_mismatch_rejected(self, line16, plane8):
         text = chaos_to_json(unit_density(line16))

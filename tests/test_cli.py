@@ -524,6 +524,21 @@ class TestConfigErrors:
                 ),
                 "basis too large",
             ),
+            (
+                "llt",
+                base_llt_config(density={"kind": "gaussian_cov", "g2": [[0.1, 0.0]]}),
+                "excess kernel must be a square matrix",
+            ),
+            (
+                "llt",
+                base_llt_config(density={"kind": "rank_one_quadratic", "g": [0.1, 0.1]}),
+                "direction must have length 1",
+            ),
+            (
+                "llt",
+                base_llt_config(density={"kind": "rank_one_quadratic", "g": [0.9]}),
+                "requires 2|g|^2 < 1",
+            ),
         ],
         ids=[
             "negative_degree",
@@ -537,6 +552,9 @@ class TestConfigErrors:
             "shift_dimension",
             "weights_sum",
             "basis_too_large",
+            "kernel_not_square",
+            "direction_length",
+            "rank_one_too_large",
         ],
     )
     def test_bad_value_exits_two_without_traceback(
@@ -547,6 +565,52 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "command, data, name",
+        [
+            ("llt", base_llt_config(record_wall_times="false"), "record_wall_times"),
+            ("llt", base_llt_config(record_wall_times=0), "record_wall_times"),
+            ("sde", base_sde_config(run_llt="false"), "sde.run_llt"),
+        ],
+        ids=["wall_times_string", "wall_times_zero", "run_llt_string"],
+    )
+    def test_flag_must_be_a_json_boolean(self, tmp_path, capsys, command, data, name):
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{name} must be true or false" in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "density, field",
+        [
+            ({"kind": "coefficients", "coeffs": [1.0, 0.0, "X", 0.0, 0.0]}, "density.coeffs"),
+            (
+                {"kind": "coefficients", "terms": [{"index": [2], "coeff": "X"}]},
+                "density.terms coeff",
+            ),
+            ({"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, "X"]}, "density.axis_coeffs"),
+            ({"kind": "gaussian_cov", "g2": [["X"]]}, "density.g2"),
+            ({"kind": "rank_one_quadratic", "g": ["X"]}, "density.g"),
+            (
+                {"kind": "shift_mixture", "weights": [0.5, 0.5], "shifts": [["X"], [0.1]]},
+                "density: weights and shifts",
+            ),
+        ],
+        ids=["coeffs", "terms", "axis_coeffs", "g2", "g", "shifts"],
+    )
+    def test_non_finite_density_value_exits_two(self, tmp_path, capsys, value, density, field):
+        # json writes NaN and Infinity as bare literals, which json.loads reads back
+        text = json.dumps(density).replace('"X"', json.dumps(value))
+        data = base_llt_config(space={"dimension": 1, "max_degree": 4})
+        data["density"] = json.loads(text)
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{field} must be finite" in err
 
     def test_audit_ignores_the_sweep_distance(self, tmp_path):
         # audit measures no distance, so a quadrature distance that a sweep of

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wickllt.basis import ChaosVector, GaussianSpace, basis_vector, eval_at, kernel_view
+from wickllt.basis import (
+    ChaosVector,
+    GaussianSpace,
+    basis_vector,
+    eval_at,
+    from_kernel_view,
+    kernel_view,
+)
 from wickllt.wick import (
     NotNormalizedError,
     TruncationPolicy,
@@ -15,13 +22,62 @@ from wickllt.wick import (
     ou_apply,
     s_transform,
     stochastic_exponential,
+    wick_exp,
     wick_power,
     wick_product,
 )
+from wickllt import wick
+from wickllt.config import resolve_density
 
 from conftest import random_low_degree, unit_density
 
 small_coeff = st.floats(min_value=-0.8, max_value=0.8, allow_nan=False)
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Records every wick_product call made from inside the wick module."""
+    calls = []
+    product = wick.wick_product
+
+    def counted(f, g, policy=None):
+        calls.append(policy)
+        return product(f, g, policy)
+
+    monkeypatch.setattr(wick, "wick_product", counted)
+    return calls
+
+
+def _power_by_products(f, n, policy=None):
+    # repeated squaring with wick_product: the product route of wick_power
+    result, base = None, f
+    while True:
+        if n & 1:
+            result = base if result is None else wick_product(result, base, policy)
+        n >>= 1
+        if n == 0:
+            return result
+        base = wick_product(base, base, policy)
+
+
+def _dominant(f):
+    # the same f with a constant term that outweighs the rest
+    c = f.coeffs.copy()
+    c[0] = 1.0 + np.abs(c[1:]).sum()
+    return ChaosVector(f.space, c)
+
+
+def _degree_two(space, g):
+    return from_kernel_view(space, np.zeros(space.dimension), np.asarray(g), constant=0.0)
+
+
+def _product_series(base, cap):
+    # sum_k base^{<>k} / k! by one Wick product per term
+    series = term = unit_density(base.space)
+    for k in range(1, cap // 2 + 1):
+        term = wick_product(term, base, TruncationPolicy(cap)) * (1.0 / k)
+        series = series + term
+    return series
 
 
 class TestWickProduct:
@@ -175,6 +231,93 @@ class TestWickPower:
         f = random_low_degree(line16, rng)
         assert np.array_equal(wick_power(f, 0).coeffs, unit_density(line16).coeffs)
 
+    def test_recurrence_matches_products_on_sweep_rows(self, product_calls):
+        # the rows of a d=5, K=14 sweep of a product density, n = 4 ... 4^9
+        space = GaussianSpace(5, 14)
+        spec = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.02]}
+        centered = center_density(resolve_density(spec, space, 0))
+        for n in [4**k for k in range(1, 10)]:
+            row = gamma(math.sqrt(0.5 / n), centered)
+            product_calls.clear()
+            by_recurrence = wick_power(row, n)
+            assert product_calls == []
+            by_products = _power_by_products(row, n)
+            assert np.abs(by_recurrence.coeffs - by_products.coeffs).max() <= 1e-15
+
+    def test_recurrence_respects_cap(self, plane8, product_calls):
+        rng = np.random.default_rng(21)
+        f = _dominant(random_low_degree(plane8, rng, max_degree=5))
+        policy = TruncationPolicy(5)
+        capped = wick_power(f, 7, policy)
+        assert product_calls == []
+        expected = _power_by_products(f, 7, policy)
+        assert np.allclose(capped.coeffs, expected.coeffs, rtol=1e-13, atol=1e-15)
+        assert not capped.coeffs[plane8.degrees > 5].any()
+
+    def test_square_of_degree_one_takes_products(self, line16, product_calls):
+        # f_0 = 0: nothing dominates, and x^{<>2} = H_2 exactly
+        x = basis_vector(line16, (1,))
+        assert np.array_equal(wick_power(x, 2).coeffs, basis_vector(line16, (2,)).coeffs)
+        assert len(product_calls) == 1
+
+    def test_route_follows_dominance(self, line16, product_calls):
+        c = np.zeros(line16.size)
+        c[:4] = [1.0, 0.25, -0.5, 0.25]  # the rest sums to exactly |c_0|
+        at_edge = ChaosVector(line16, c)
+        wick_power(at_edge, 3)
+        assert product_calls == []
+        c[0] = np.nextafter(1.0, 0.0)
+        below = wick_power(ChaosVector(line16, c), 3)
+        assert len(product_calls) == 2
+        assert np.allclose(below.coeffs, wick_power(at_edge, 3).coeffs, atol=1e-14)
+
+
+class TestWickExp:
+    @pytest.mark.parametrize("cap", [None, 10])
+    def test_line_matches_product_series(self, line16, cap):
+        base = _degree_two(line16, [[0.2]])
+        policy = None if cap is None else TruncationPolicy(cap)
+        expected = _product_series(base, cap or line16.max_degree)
+        got = wick_exp(base, policy)
+        assert np.allclose(got.coeffs, expected.coeffs, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_plane_matches_product_series(self, plane12, cap):
+        base = _degree_two(plane12, [[0.2, 0.1], [0.1, 0.15]])
+        policy = None if cap is None else TruncationPolicy(cap)
+        expected = _product_series(base, cap or plane12.max_degree)
+        got = wick_exp(base, policy)
+        assert np.allclose(got.coeffs, expected.coeffs, rtol=1e-14, atol=0.0)
+        if cap is not None:
+            assert not got.coeffs[plane12.degrees > cap].any()
+
+    def test_degree_one_gives_stochastic_exponential(self, plane8):
+        h = np.array([0.3, -0.7])
+        c = np.zeros(plane8.size)
+        c[[plane8.position((1, 0)), plane8.position((0, 1))]] = h
+        got = wick_exp(ChaosVector(plane8, c))
+        expected = stochastic_exponential(h, plane8)
+        assert np.allclose(got.coeffs, expected.coeffs, rtol=1e-14, atol=1e-16)
+
+    def test_matches_power_sum(self, plane8):
+        # with no constant term f^{<>j} starts at degree j, so the sum up to
+        # j = K is exact on every represented degree
+        rng = np.random.default_rng(22)
+        f = random_low_degree(plane8, rng, max_degree=3)
+        c = f.coeffs.copy()
+        c[0] = 0.0
+        f = ChaosVector(plane8, c)
+        total = unit_density(plane8)
+        term = unit_density(plane8)
+        for j in range(1, plane8.max_degree + 1):
+            term = wick_product(term, f) * (1.0 / j)
+            total = total + term
+        got = wick_exp(f)
+        assert np.allclose(got.coeffs, total.coeffs, rtol=1e-12, atol=1e-14)
+        c[0] = 0.5
+        shifted = wick_exp(ChaosVector(plane8, c))
+        assert np.allclose(shifted.coeffs, math.exp(0.5) * got.coeffs, rtol=1e-14, atol=1e-15)
+
 
 class TestGamma:
     def test_halving_on_degree_two(self, line16):
@@ -305,6 +448,21 @@ class TestCenterDensity:
         f = ChaosVector(line16, c)
         centered = center_density(f)
         assert np.array_equal(centered.coeffs, f.coeffs)
+
+    def test_mean_free_input_skips_the_product(self, plane8, product_calls):
+        rng = np.random.default_rng(23)
+        c = random_low_degree(plane8, rng, max_degree=4).coeffs.copy()
+        c[0] = 1.0
+        c[plane8.degrees == 1] = 0.0
+        f = ChaosVector(plane8, c)
+        centered = center_density(f)
+        assert product_calls == []
+        by_product = wick_product(f, stochastic_exponential(np.zeros(2), plane8))
+        assert np.array_equal(centered.coeffs, by_product.coeffs)
+        policy = TruncationPolicy(3)
+        capped = center_density(f, policy)
+        by_product = wick_product(f, stochastic_exponential(np.zeros(2), plane8), policy)
+        assert np.array_equal(capped.coeffs, by_product.coeffs)
 
     def test_shifted_quadratic(self, line16):
         c = np.zeros(line16.size)
