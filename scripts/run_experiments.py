@@ -53,7 +53,6 @@ def shrink_for_quick(config_path: Path, scratch: Path) -> Path:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output root directory")
-    parser.add_argument("--threads", type=int, default=2)
     parser.add_argument(
         "--quick", action="store_true", help="shrink sample counts for a fast pass"
     )
@@ -71,17 +70,7 @@ def main() -> int:
             config = shrink_for_quick(config, scratch)
         stage_out = out_root / config_name.replace(".json", "")
         start = time.perf_counter()
-        code = cli_main(
-            [
-                command,
-                "--config",
-                str(config),
-                "--out",
-                str(stage_out),
-                "--threads",
-                str(args.threads),
-            ]
-        )
+        code = cli_main([command, "--config", str(config), "--out", str(stage_out)])
         elapsed = time.perf_counter() - start
         status = "ok" if code == 0 else f"exit {code}"
         print(f"[{status:>7}] {label:<40} {elapsed:6.1f}s -> {stage_out}")

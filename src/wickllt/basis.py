@@ -23,7 +23,6 @@ monomial tables alike, reads one cached `IndexPlan`.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -132,10 +131,9 @@ class GaussianSpace:
 
     dimension: int
     max_degree: int
-    size_cap: int = MAX_BASIS_SIZE
 
     def __post_init__(self) -> None:
-        indices = enumerate_indices(self.dimension, self.max_degree, self.size_cap)
+        indices = enumerate_indices(self.dimension, self.max_degree)
         indices.setflags(write=False)
         degrees = indices.sum(axis=1)
         degrees.setflags(write=False)
@@ -162,7 +160,6 @@ class GaussianSpace:
             (self.dimension - np.arange(self.dimension)) * (k_max + 1),
         )
         object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_lock", threading.RLock())
 
     @property
     def size(self) -> int:
@@ -214,15 +211,11 @@ class GaussianSpace:
         return self.cached("plan", _build_plan)
 
     def cached(self, key: str, builder: Callable[["GaussianSpace"], object]) -> object:
-        """Memoize a derived structure; thread-safe, built at most once.
-
-        The lock is reentrant, so a builder may itself call cached.
-        """
+        """Memoize a derived structure, built at most once; a builder may itself
+        call cached for another key."""
         cache = self._cache
         if key not in cache:
-            with self._lock:
-                if key not in cache:
-                    cache[key] = builder(self)
+            cache[key] = builder(self)
         return cache[key]
 
     def is_compatible(self, other: "GaussianSpace") -> bool:

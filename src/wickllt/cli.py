@@ -4,8 +4,8 @@ Exit codes: 0 all checks pass; 1 a hypothesis or bound violation; 2 a usage
 or configuration error. Every run writes a manifest with the config echo,
 derived seeds, per-stage wall times, and SHA-256 digests of the artifacts.
 The artifacts themselves are byte-stable: rerunning with the same config and
-seed reproduces them exactly at any thread count (measured wall times go to
-the manifest, not the artifacts, unless record_wall_times is set).
+seed reproduces them exactly (measured wall times go to the manifest, not the
+artifacts, unless record_wall_times is set).
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _write_llt_outputs(
 
 def cmd_llt(args) -> int:
     config, out = _prepare(args)
-    config.require_llt_fields(config.space_dimension)
+    config.require_llt_fields(config.space_dimension, config.space_max_degree)
     manifest = _Manifest(config, "llt")
     manifest.notes["derived_seeds"] = {
         "distance_stream": child_seed(config.seed, STREAM_DISTANCE)
@@ -162,9 +162,7 @@ def cmd_llt(args) -> int:
         manifest.notes["audit_overridden"] = True
     try:
         with manifest.stage("sweep"):
-            table, report = rate_sweep(
-                config, override_audit=args.override_audit, threads=args.threads
-            )
+            table, report = rate_sweep(config, override_audit=args.override_audit)
     except BoundViolationError as exc:
         if exc.table is not None:
             rows = [f"n={r.n}" for r in exc.rows]
@@ -181,8 +179,7 @@ def cmd_llt(args) -> int:
         _write_llt_outputs(out, manifest, table, report, config, args.override_audit)
     manifest.write(out)
     print(
-        f"llt: PASS (C={table.constant:.6g}, n0={table.n0}, "
-        f"rows={len(table.rows)}, threads={args.threads})"
+        f"llt: PASS (C={table.constant:.6g}, n0={table.n0}, rows={len(table.rows)})"
     )
     return EXIT_OK
 
@@ -223,7 +220,7 @@ def cmd_sde(args) -> int:
         raise ConfigError("sde needs an 'sde' section")
     if section.run_llt:
         # the sweep runs on the space of the path's steps
-        config.require_llt_fields(section.steps, need_density=False)
+        config.require_llt_fields(section.steps, section.max_degree, need_density=False)
     manifest = _Manifest(config, "sde")
     manifest.notes["derived_seeds"] = {
         "path_stream_block0": child_seed(config.seed, STREAM_PATHS, 0)
@@ -270,8 +267,7 @@ def cmd_sde(args) -> int:
         try:
             with manifest.stage("llt"):
                 table, _ = rate_sweep(
-                    config, density=density, report=report,
-                    override_audit=args.override_audit, threads=args.threads,
+                    config, density=density, report=report, override_audit=args.override_audit
                 )
         except (BoundViolationError, AssumptionViolationError) as exc:
             print(f"sde llt: FAIL ({exc})", file=sys.stderr)
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads; never changes results"
+            "--threads", type=int, default=1, help="ignored; the sweep runs on one thread"
         )
         p.add_argument(
             "--override-audit",

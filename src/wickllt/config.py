@@ -21,14 +21,25 @@ from .measures import gaussian_cov, rank_one_quadratic, shift_mixture, WeightedS
 from .sde import DriftSpec, PathGrid, drift_from_config, sde_density
 
 SCHEMA_VERSION = 1
+# n enters the row scaling sqrt(alpha / n) and the bound C / sqrt(n) as a
+# float, which holds every integer only up to 2**53
+MAX_SUMMANDS = 2**53
 
 
 class ConfigError(Exception):
     """Malformed or unknown configuration content."""
 
 
-def _take(data: dict, allowed: dict[str, bool], where: str) -> None:
+def _object(data, where: str) -> dict:
+    """data if it is a JSON object; anything else is a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    return data
+
+
+def _take(data, allowed: dict[str, bool], where: str) -> None:
     # allowed maps field name -> required?
+    _object(data, where)
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown} in {where}")
@@ -145,10 +156,8 @@ class SdeSection:
 def _drift(data, where: str) -> DriftSpec:
     """The drift a config section names; an unknown kind or a missing or bad
     parameter is a ConfigError."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object, got {data!r}")
     try:
-        return drift_from_config(data)
+        return drift_from_config(_object(data, where))
     except KeyError as exc:
         raise ConfigError(
             f"{where} of kind {data.get('kind')!r} needs a {exc.args[0]!r} field"
@@ -199,16 +208,23 @@ class ExperimentConfig:
             raise ConfigError("config does not define a space section")
         return GaussianSpace(self.space_dimension, self.space_max_degree)
 
-    def require_llt_fields(self, dimension: int | None, need_density: bool = True) -> None:
-        """Check the fields a rate sweep reads; dimension is that of the swept
-        space (None when the config has no space section, which build_space
-        reports)."""
+    def require_llt_fields(
+        self, dimension: int | None, max_degree: int | None, need_density: bool = True
+    ) -> None:
+        """Check the fields a rate sweep reads; dimension and max_degree are
+        those of the swept space (None when the config has no space section,
+        which build_space reports)."""
         if need_density and self.density is None:
             raise ConfigError("this command needs a 'density' section")
         if self.alpha is None or not self.n_values:
             raise ConfigError("this command needs 'alpha' and 'n_values'")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
+        if max_degree is not None and max_degree < 3:
+            raise ConfigError(
+                f"a rate sweep needs max_degree >= 3 (its rate constant is zero by "
+                f"construction below), but the swept space has max_degree {max_degree}"
+            )
         limit = self.distance.max_quadrature_dim
         if self.distance.method == "quadrature" and dimension is not None and dimension > limit:
             raise ConfigError(
@@ -268,6 +284,8 @@ def parse_config(data) -> ExperimentConfig:
     if not isinstance(n_values, list):
         raise ConfigError(f"n_values must be a list of integers, got {n_values!r}")
     n_values = tuple(_number(n, "each of n_values", int, 1) for n in n_values)
+    if any(n > MAX_SUMMANDS for n in n_values):
+        raise ConfigError(f"each of n_values must be at most 2**53, got {max(n_values)}")
     distance = DistanceConfig.from_dict(data["distance"]) if "distance" in data else DistanceConfig()
     grid = GridSpec()
     if "audit_grid" in data:
@@ -285,7 +303,7 @@ def parse_config(data) -> ExperimentConfig:
             mc_points=_number(section.get("mc_points", 4096), "audit_grid.mc_points", int, 1),
             seed=_number(section.get("seed", 2024), "audit_grid.seed", int),
         )
-    if "density" in data and "kind" not in data["density"]:
+    if "density" in data and "kind" not in _object(data["density"], "density"):
         raise ConfigError("density section needs a 'kind' field")
     sde = SdeSection.from_dict(data["sde"]) if "sde" in data else None
     return ExperimentConfig(
@@ -323,7 +341,10 @@ def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
         else:
             coeffs = np.zeros(space.size)
             coeffs[0] = 1.0
-            for term in spec.get("terms", []):
+            terms = spec.get("terms", [])
+            if not isinstance(terms, list):
+                raise ConfigError(f"density.terms must be a list, got {terms!r}")
+            for term in terms:
                 _take(term, {"index": True, "coeff": True}, "density.terms entry")
                 try:
                     coeffs[space.position(term["index"])] = _finite(
@@ -353,6 +374,8 @@ def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
     if kind == "product_hermite":
         _take(spec, {"kind": True, "axis_coeffs": True}, "density")
         base = _finite(spec["axis_coeffs"], "density.axis_coeffs")
+        if base.ndim != 1 or base.size == 0:
+            raise ConfigError("density.axis_coeffs must be a non-empty list of numbers")
         if base[0] != 1.0:
             raise ConfigError("product_hermite axis_coeffs must start with 1.0")
         padded = np.zeros(space.max_degree + 1)

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -161,12 +159,9 @@ def rate_constant(f: ChaosVector, alpha: float) -> RateConstant:
     beta = alpha/(1-alpha); n0 = max(1, ceil(beta)) is the smallest index
     keeping the scaling argument inside [0, 1]; the tail sum runs over
     degrees 3..max_degree of the scaled difference between the centered
-    density and the limit series.
+    density and the limit series. A space of max_degree below 3 has no such
+    degree, and is a ValueError.
     """
-    if f.space.max_degree < 3:
-        # The constant is zero by construction and neither density is read,
-        # so f stands in for both.
-        return _rate_constant(f, f, alpha)
     limit = gaussian_limit_series(kernel_view(f).g2, f.space).series
     return _rate_constant(center_density(f), limit, alpha)
 
@@ -176,18 +171,16 @@ def _rate_constant(centered: ChaosVector, limit: ChaosVector, alpha: float) -> R
     # rate_sweep builds once and also uses for its rows and target.
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    if centered.space.max_degree < 3:
+        raise ValueError(
+            "max_degree below 3: no degree-3 content is representable, so the rate "
+            "constant is zero by construction and the sweep would be vacuous"
+        )
     beta = alpha / (1.0 - alpha)
     # epsilon guard: float noise in beta must not bump the ceiling (e.g.
     # alpha = 0.8 gives beta = 4 + 1 ulp); the scaling argument is clamped
     # back into [0, 1] for the same reason
     n0 = max(1, math.ceil(beta - 1e-9))
-    if centered.space.max_degree < 3:
-        warnings.warn(
-            "max_degree below 3: no degree-3 content is representable, the rate "
-            "constant is zero by construction",
-            stacklevel=3,
-        )
-        return RateConstant(0.0, n0, beta, 0.0)
     lam = min(1.0, math.sqrt(beta / n0))
     diff = gamma(lam, centered) - gamma(lam, limit)
     tail = float(diff.degree_norms_sq()[3:].sum())
@@ -227,26 +220,25 @@ def rate_sweep(
     config: ExperimentConfig,
     density: ChaosVector | None = None,
     override_audit: bool = False,
-    threads: int = 1,
     report: AssumptionReport | None = None,
 ) -> tuple[RateTable, AssumptionReport]:
     """Measure the L1 distance row per n and check each row against its bound.
 
-    The density is centered and the limit series built once per sweep. The
-    row densities are independent; with threads > 1 they are computed on a
-    thread pool, and a row's seconds are the time of its density. All rows
-    are then measured in one l1_distances call on the same points (common
-    random numbers), so results do not depend on the execution order or the
-    thread count, and the measured distances of successive n share their
-    Monte-Carlo noise. The density is audited against config.audit_grid
-    unless the caller passes the report of that audit.
+    The density is centered and the limit series built once per sweep; each
+    row's density is then one Wick power, and a row's seconds are the time
+    of that power. All rows are measured in one l1_distances call on the
+    same points (common random numbers), so the measured distances of
+    successive n share their Monte-Carlo noise. The density is audited
+    against config.audit_grid unless the caller passes the report of that
+    audit.
     """
-    config.require_llt_fields(
-        density.space.dimension if density is not None else config.space_dimension,
-        need_density=density is None,
-    )
-    space = density.space if density is not None else config.build_space()
-    f = density if density is not None else resolve_density(config.density, space, config.seed)
+    if density is None:
+        config.require_llt_fields(config.space_dimension, config.space_max_degree)
+        space = config.build_space()
+        f = resolve_density(config.density, space, config.seed)
+    else:
+        space, f = density.space, density
+        config.require_llt_fields(space.dimension, space.max_degree, need_density=False)
     if report is None:
         report = audit_density(f, config.audit_grid)
     if not report.all_passed and not override_audit:
@@ -259,25 +251,16 @@ def rate_sweep(
     target = gamma(math.sqrt(config.alpha), limit)
     distance_seed = child_seed(config.seed, STREAM_DISTANCE)
 
-    def row_density(n: int) -> tuple[ChaosVector, float]:
-        start = time.perf_counter()
-        rho = _smoothed_power(centered, n, config.alpha)
-        return rho, time.perf_counter() - start
-
     ns = sorted(config.n_values)
-    if threads > 1:
-        # Warm the shared caches before fanning out.
-        wick_product(f, f)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            densities = list(pool.map(row_density, ns))
-    else:
-        densities = [row_density(n) for n in ns]
-    distances = l1_distances(
-        [rho for rho, _ in densities], target, config.distance, seed=distance_seed
-    )
+    densities, seconds = [], []
+    for n in ns:
+        start = time.perf_counter()
+        densities.append(_smoothed_power(centered, n, config.alpha))
+        seconds.append(time.perf_counter() - start)
+    distances = l1_distances(densities, target, config.distance, seed=distance_seed)
     rows = [
-        RateRow(n=n, l1=dist, bound=constant.c / math.sqrt(n), error=err, seconds=seconds)
-        for n, (_, seconds), (dist, err) in zip(ns, densities, distances)
+        RateRow(n=n, l1=dist, bound=constant.c / math.sqrt(n), error=err, seconds=s)
+        for n, s, (dist, err) in zip(ns, seconds, distances)
     ]
     table = RateTable(tuple(rows), constant.c, constant.n0, constant.beta)
     # absolute floor below which a measured distance is evaluation noise

@@ -10,8 +10,8 @@ Families covered:
     form for cross-checking.
 
 Sampling is by rejection against the standard Gaussian with a grid-based
-envelope; Philox sub-streams keyed by batch index make the output identical
-for a given seed at any worker count.
+envelope; Philox sub-streams keyed by batch index make the output a function
+of the seed alone.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .measures import WeightedShifts, shift_mixture
 from .streams import STREAM_PATHS, substream
 
 # Paths are simulated in blocks, one Philox sub-stream per block, so the
-# sample set for a seed is identical at any worker count or chunking.
+# sample set for a seed is identical at any chunking.
 PATH_BLOCK = 1024
 
 EXP_OVERFLOW = 700.0

@@ -1,9 +1,9 @@
 """Byte-stable text serialization: canonical JSON, 17-digit floats, CSV.
 
 All artifacts the experiment pipeline writes go through these helpers, so
-that identical inputs produce byte-identical files on every platform and at
-any worker count. Floats are emitted with 17 significant digits (lossless
-for IEEE doubles), dict keys are sorted, line endings are '\\n'.
+that identical inputs produce byte-identical files on every platform.
+Floats are emitted with 17 significant digits (lossless for IEEE doubles),
+dict keys are sorted, line endings are '\\n'.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Every random quantity in the package draws from a Philox generator whose key
 is derived from (master_seed, *path) through numpy's SeedSequence hashing.
 Streams for distinct paths are statistically independent, and the same
-(master_seed, path) pair yields the same draws regardless of how many workers
-run or in which order streams are consumed.
+(master_seed, path) pair yields the same draws regardless of the order in
+which streams are consumed.
 
 Registry of stream tags (first path element):
     1  audit grids (Monte Carlo screening points)

@@ -186,7 +186,7 @@ def _graded_recurrence(
 def wick_power(
     f: ChaosVector, n: int, policy: TruncationPolicy | None = None
 ) -> ChaosVector:
-    """n-th Wick power, exact on every degree <= the cap.
+    """n-th Wick power, exact on every degree <= the cap and zero above it.
 
     When the constant term dominates (the |c_alpha| of degrees >= 1 sum to at
     most |c_0|), the graded recurrence builds the power degree by degree from
@@ -202,7 +202,10 @@ def wick_power(
     if n == 0:
         return constant_vector(f.space)
     if n == 1:
-        return f
+        if policy is None:
+            return f
+        keep = f.space.degrees <= _cap_degree(f.space, policy)
+        return ChaosVector(f.space, np.where(keep, f.coeffs, 0.0))
     f0 = float(f.coeffs[0])
     if f0 != 0.0 and np.abs(f.coeffs[1:]).sum() <= abs(f0):
         return _graded_recurrence(

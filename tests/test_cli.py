@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickllt.cli import main
 from wickllt.serialize import sha256_file
@@ -487,6 +490,7 @@ class TestConfigErrors:
             ("llt", base_llt_config(alpha="x"), "alpha must be a number, got 'x'"),
             ("llt", base_llt_config(seed="abc"), "seed must be an integer, got 'abc'"),
             ("llt", base_llt_config(n_values=["a"]), "each of n_values must be an integer"),
+            ("llt", base_llt_config(n_values=[2**63 - 1]), "n_values must be at most 2**53"),
             (
                 "llt",
                 base_llt_config(space={"dimension": "two", "max_degree": 4}),
@@ -539,12 +543,30 @@ class TestConfigErrors:
                 base_llt_config(density={"kind": "rank_one_quadratic", "g": [0.9]}),
                 "requires 2|g|^2 < 1",
             ),
+            ("llt", base_llt_config(distance=5), "distance must be an object, got 5"),
+            ("llt", base_llt_config(density=5), "density must be an object, got 5"),
+            (
+                "llt",
+                base_llt_config(density={"kind": "coefficients", "terms": [3]}),
+                "density.terms entry must be an object, got 3",
+            ),
+            (
+                "llt",
+                base_llt_config(density={"kind": "coefficients", "terms": 3}),
+                "density.terms must be a list, got 3",
+            ),
+            (
+                "llt",
+                base_llt_config(density={"kind": "product_hermite", "axis_coeffs": []}),
+                "axis_coeffs must be a non-empty list",
+            ),
         ],
         ids=[
             "negative_degree",
             "alpha_string",
             "seed_string",
             "n_values_string",
+            "n_values_huge",
             "dimension_string",
             "zero_paths",
             "unknown_drift",
@@ -555,6 +577,11 @@ class TestConfigErrors:
             "kernel_not_square",
             "direction_length",
             "rank_one_too_large",
+            "distance_not_object",
+            "density_not_object",
+            "term_not_object",
+            "terms_not_list",
+            "empty_axis_coeffs",
         ],
     )
     def test_bad_value_exits_two_without_traceback(
@@ -565,6 +592,38 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            (
+                "llt",
+                base_llt_config(
+                    space={"dimension": 1, "max_degree": 2},
+                    density={"kind": "coefficients", "terms": [{"index": [2], "coeff": 0.1}]},
+                ),
+            ),
+            (
+                "sde",
+                {
+                    **base_sde_config(run_llt=True, max_degree=2),
+                    "alpha": 0.5,
+                    "n_values": [4, 16],
+                },
+            ),
+        ],
+        ids=["llt", "sde"],
+    )
+    def test_vacuous_sweep_exits_two_before_running(self, tmp_path, capsys, command, data):
+        # below degree 3 the rate constant is zero by construction, so every
+        # row would pass whatever the distances
+        cfg = write_config(tmp_path, "c.json", data)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "needs max_degree >= 3" in err and "max_degree 2" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, data, name",
@@ -630,6 +689,50 @@ class TestConfigErrors:
             main(["llt", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
             == 2
         )
+
+
+_REMOVED = object()
+_FUZZ_VALUES = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.just(math.nan),
+    st.booleans(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3), st.none()), max_size=3),
+    st.none(),
+    st.dictionaries(st.text(max_size=6), st.integers(), max_size=2),
+    st.just(_REMOVED),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(
+        ["space", "density", "terms", "distance", "audit_grid", "alpha", "n_values", "seed"]
+    ),
+    value=_FUZZ_VALUES,
+)
+def test_config_fuzz_exits_with_a_documented_code(field, value):
+    # one field of a small valid llt config replaced by an arbitrary JSON
+    # value (or removed): every outcome is an exit code, never an exception
+    data = base_llt_config(
+        space={"dimension": 2, "max_degree": 4},
+        density={
+            "kind": "coefficients",
+            "terms": [{"index": [2, 0], "coeff": 0.1}, {"index": [0, 2], "coeff": 0.05}],
+        },
+        n_values=[4, 16],
+        distance={"method": "mc", "samples": 200},
+        audit_grid={"points_per_axis": 11},
+    )
+    section = data["density"] if field == "terms" else data
+    if value is _REMOVED:
+        del section[field]
+    else:
+        section[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "c.json", data)
+        assert main(["llt", "--config", str(cfg), "--out", str(Path(tmp) / "o")]) in (0, 1, 2)
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -192,13 +192,12 @@ class TestRateConstant:
         assert result.beta == pytest.approx(4.0)
         assert result.n0 == 4
 
-    def test_low_degree_warns(self):
+    def test_low_degree_raises(self):
         space = GaussianSpace(1, 2)
         c = np.zeros(space.size)
         c[0] = 1.0
-        with pytest.warns(UserWarning, match="rate constant is zero"):
-            result = rate_constant(ChaosVector(space, c), 0.5)
-        assert result.c == 0.0
+        with pytest.raises(ValueError, match="rate constant is zero"):
+            rate_constant(ChaosVector(space, c), 0.5)
 
 
 def _config_for(density: dict, n_values, space=(1, 16), method="quadrature", **extra):
@@ -248,16 +247,6 @@ class TestRateSweep:
             assert row.l1 <= row.bound + row.error
         slope = math.log(values[-1] / values[0]) / math.log(256 / 4)
         assert slope <= -0.5 + 0.15
-
-    def test_threads_do_not_change_results(self):
-        config = _config_for(
-            {"kind": "coefficients", "terms": [{"index": [2], "coeff": 0.1}]},
-            [4, 16],
-        )
-        serial, _ = rate_sweep(config, threads=1)
-        threaded, _ = rate_sweep(config, threads=4)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert (a.n, a.l1, a.bound, a.error) == (b.n, b.l1, b.bound, b.error)
 
     def test_one_basis_table_per_point_chunk(self, monkeypatch):
         import wickllt.basis as basis

@@ -217,6 +217,15 @@ class TestWickPower:
         f = random_low_degree(line16, rng)
         assert np.array_equal(wick_power(f, 1).coeffs, f.coeffs)
 
+    def test_power_one_respects_cap(self):
+        # f = 1 + 0.1 H_4 under a cap of 2: every exponent drops the H_4 term
+        space = GaussianSpace(1, 6)
+        f = unit_density(space) + basis_vector(space, (4,)) * 0.1
+        for n in (1, 2):
+            capped = wick_power(f, n, TruncationPolicy(2))
+            assert np.array_equal(capped.coeffs, unit_density(space).coeffs)
+        assert wick_power(f, 1) is f
+
     def test_power_matches_repeated_products(self, line16):
         rng = np.random.default_rng(2)
         f = random_low_degree(line16, rng, max_degree=3)
