@@ -18,6 +18,7 @@ import numpy as np
 from .audit import GridSpec
 from .basis import ChaosVector, GaussianSpace
 from .measures import gaussian_cov, rank_one_quadratic, shift_mixture, WeightedShifts
+from .quadrature import MAX_RULE_NODES
 from .sde import DriftSpec, PathGrid, drift_from_config, sde_density
 
 SCHEMA_VERSION = 1
@@ -101,6 +102,12 @@ class DistanceConfig:
         # the Monte-Carlo error bar is a sample standard deviation
         _number(self.samples, "distance.samples", int, 2)
         _number(self.max_quadrature_dim, "distance.max_quadrature_dim", int, 1)
+
+    def coarse_nodes(self, max_degree: int) -> int:
+        """Quadrature nodes per axis of the coarse rule; the fine rule doubles them."""
+        if self.nodes_per_axis is not None:
+            return self.nodes_per_axis
+        return max(2 * max_degree, 8)
 
     @staticmethod
     def from_dict(data: dict) -> "DistanceConfig":
@@ -232,6 +239,15 @@ class ExperimentConfig:
                 f"(distance.max_quadrature_dim), but the swept space has dimension "
                 f"{dimension}; use distance.method 'mc'"
             )
+        if self.distance.method == "quadrature" and max_degree is not None:
+            nodes = self.distance.coarse_nodes(max_degree)
+            if 2 * nodes > MAX_RULE_NODES:
+                raise ConfigError(
+                    f"quadrature distance is limited to {MAX_RULE_NODES // 2} nodes per axis "
+                    f"(its error estimate doubles them, and the Gauss-Hermite rule stops at "
+                    f"{MAX_RULE_NODES}), but this sweep needs {nodes}; lower "
+                    f"distance.nodes_per_axis or use distance.method 'mc'"
+                )
 
 
 def load_config(path) -> ExperimentConfig:

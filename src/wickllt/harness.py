@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .audit import AssumptionReport, AssumptionViolationError, audit_density
 from .basis import ChaosVector, eval_many, eval_stacked, kernel_view
@@ -41,6 +40,11 @@ from .measures import sample
 from .quadrature import tensor_rule
 from .streams import STREAM_DISTANCE, child_seed, substream
 from .wick import TruncationPolicy, center_density, gamma, wick_power, wick_product
+
+# The 1% point of the Kolmogorov distribution, scipy.special.kolmogi(0.01):
+# sqrt(n) times the two-sided KS statistic exceeds it with probability 0.01
+# as n grows.
+KOLMOGOROV_1PCT = 1.6276236115189504
 
 
 class BoundViolationError(Exception):
@@ -116,9 +120,7 @@ def l1_distances(
             raise ValueError(
                 f"quadrature distance limited to dimension <= {spec.max_quadrature_dim}"
             )
-        nodes = spec.nodes_per_axis
-        if nodes is None:
-            nodes = max(2 * g.space.max_degree, 8)
+        nodes = spec.coarse_nodes(g.space.max_degree)
         pts, wts = tensor_rule(d, nodes)
         coarse = [float(np.dot(wts, row)) for row in np.abs(eval_stacked(diffs, pts))]
         pts2, wts2 = tensor_rule(d, 2 * nodes)
@@ -331,15 +333,14 @@ def ks_against_density(values: np.ndarray, predicted: ChaosVector, grid_halfwidt
     dens = np.clip(eval_many(predicted, grid[:, None]), 0.0, None) * weight
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
     cdf /= cdf[-1]
-    # The two-sided KS statistic and the 1% point of its asymptotic law,
-    # computed as scipy.stats does without importing scipy.stats (most of
-    # the package's import time).
+    # The two-sided KS statistic and the 1% point of its asymptotic law, as
+    # scipy.stats computes them.
     n = values.size
     at = np.interp(np.sort(values), grid, cdf)
     statistic = float(
         max((np.arange(1.0, n + 1) / n - at).max(), (at - np.arange(0.0, n) / n).max())
     )
-    critical = float(kolmogi(0.01) / math.sqrt(n))
+    critical = KOLMOGOROV_1PCT / math.sqrt(n)
     return ConvolutionReport(statistic, critical, statistic < critical, n)
 
 

@@ -5,19 +5,41 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import roots_hermitenorm
+
+# The rule's eigenvalue problem costs O(n^3): 0.1-0.2 s at 1024 nodes and
+# about 1.3 s at 2048. A quadrature distance doubles its node count for the
+# error estimate, so a config may ask for at most half of this per axis.
+MAX_RULE_NODES = 1024
 
 
 def gauss_hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights integrating exactly against N(0,1) up to degree 2n-1.
 
-    scipy's probabilists' rule stays stable into the thousands of nodes
-    (numpy's recurrence overflows past ~300).
+    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi matrix
+    of the probabilists' Hermite recurrence (off-diagonal sqrt(k)), made
+    exactly symmetric. The weights are the Christoffel numbers
+    1 / sum_k p_k(x)^2 over the orthonormal polynomials
+    p_{k+1} = (x p_k - sqrt(k) p_{k-1}) / sqrt(k+1). Those sums grow like
+    exp(x^2 / 2) at the outer nodes and overflow a double from 371 nodes on,
+    so the recurrence runs scaled by exact powers of two; weights far out in
+    the tail underflow to subnormals or zero.
     """
     if nodes < 1:
         raise ValueError("need at least one quadrature node")
-    x, w = roots_hermitenorm(nodes)
-    return x, w / math.sqrt(2.0 * math.pi)
+    if nodes > MAX_RULE_NODES:
+        raise ValueError(f"Gauss-Hermite rule limited to {MAX_RULE_NODES} nodes, got {nodes}")
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, nodes)), -1))
+    x = (x - x[::-1]) / 2.0
+    prev, cur = np.zeros(nodes), np.ones(nodes)
+    # the true p_k and sum are the held ones times 2**shift and 4**shift
+    total, shift = np.ones(nodes), np.zeros(nodes, dtype=np.int64)
+    for k in range(1, nodes):
+        prev, cur = cur, (x * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
+        total += cur * cur
+        half = np.frexp(total)[1] // 2
+        prev, cur, total = np.ldexp(prev, -half), np.ldexp(cur, -half), np.ldexp(total, -2 * half)
+        shift += half
+    return x, np.ldexp(1.0 / total, -2 * shift)
 
 
 def tensor_rule(dimension: int, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:

@@ -209,7 +209,7 @@ def wick_power(
     f0 = float(f.coeffs[0])
     if f0 != 0.0 and np.abs(f.coeffs[1:]).sum() <= abs(f0):
         return _graded_recurrence(
-            f, f0**n, lambda m, k: ((n + 1) * k - m) / f0, _cap_degree(f.space, policy)
+            f, f0**n, lambda m, k: ((n + 1.0) * k - m) / f0, _cap_degree(f.space, policy)
         )
     result: ChaosVector | None = None
     base = f

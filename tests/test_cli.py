@@ -224,6 +224,12 @@ class TestLltCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stage_wall_seconds"]["sweep"] > 0
 
+    def test_quadrature_at_the_node_limit_runs(self, tmp_path):
+        # 512 coarse nodes: the error estimate's fine rule is the largest rule
+        data = base_llt_config(distance={"method": "quadrature", "nodes_per_axis": 512})
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
 
 class TestValidateCommand:
     def test_default_suite_passes(self, tmp_path):
@@ -448,6 +454,10 @@ class TestConfigErrors:
         [
             ({"distance": {"method": "quadrature", "nodes_per_axis": 0}}, "nodes_per_axis must be"),
             ({"distance": {"method": "quadrature", "nodes_per_axis": 2.5}}, "got 2.5"),
+            (
+                {"distance": {"method": "quadrature", "nodes_per_axis": 513}},
+                "limited to 512 nodes per axis",
+            ),
             ({"distance": {"method": "mc", "samples": 1}}, "samples must be at least 2"),
             (
                 {"space": {"dimension": 4, "max_degree": 4}, "density": {"kind": "coefficients"}},
@@ -468,7 +478,14 @@ class TestConfigErrors:
                 "swept space has dimension 3",
             ),
         ],
-        ids=["zero_nodes", "fractional_nodes", "one_sample", "quadrature_space", "quadrature_sde_steps"],
+        ids=[
+            "zero_nodes",
+            "fractional_nodes",
+            "too_many_nodes",
+            "one_sample",
+            "quadrature_space",
+            "quadrature_sde_steps",
+        ],
     )
     def test_distance_config_rejected(self, tmp_path, capsys, overrides, message):
         data = base_llt_config(**overrides)
@@ -735,15 +752,43 @@ def test_config_fuzz_exits_with_a_documented_code(field, value):
         assert main(["llt", "--config", str(cfg), "--out", str(Path(tmp) / "o")]) in (0, 1, 2)
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats is most of the package's import time and no CLI path needs it
+_SCIPY_PROBE = """
+import sys, tempfile
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import wickllt.cli
+assert not scipy_modules(), ("import", scipy_modules())
+configs = Path(sys.argv[1])
+with tempfile.TemporaryDirectory() as tmp:
+    for command, name in [
+        ("validate", "validate_default.json"),
+        ("audit", "audit_mixture.json"),
+        ("llt", "llt_cubic_d1.json"),
+    ]:
+        code = wickllt.cli.main([command, "--config", str(configs / name), "--out", f"{tmp}/{command}"])
+        assert code == 0, (command, code)
+        assert not scipy_modules(), (command, scipy_modules())
+print("clean")
+"""
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test-only dependency: neither importing the CLI nor running
+    # validate, audit or a quadrature sweep may load any part of it
     import wickllt
 
     src = str(Path(wickllt.__file__).resolve().parent.parent)
+    configs = str(Path(__file__).resolve().parent.parent / "configs")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, wickllt.cli; print('scipy.stats' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", _SCIPY_PROBE, configs],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip().splitlines()[-1] == "clean"

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from wickllt.audit import AssumptionViolationError
 from wickllt.basis import ChaosVector, GaussianSpace, eval_many, kernel_view
 from wickllt.config import ConfigError, DistanceConfig, load_config
 from wickllt.harness import (
+    KOLMOGOROV_1PCT,
     BoundViolationError,
     empirical_convolution_check,
     ks_against_density,
@@ -358,7 +359,7 @@ class TestEmpiricalConvolution:
         assert report.passed
 
     def test_statistic_matches_scipy(self, line16):
-        # the KS arithmetic is inlined to keep scipy.stats off the import path
+        # the KS arithmetic is inlined to keep scipy off the runtime path
         f = corpus_line_density(line16)
         values = np.random.default_rng(4).standard_normal(3000)
         report = ks_against_density(values, f)
@@ -369,6 +370,9 @@ class TestEmpiricalConvolution:
         expected = stats.ks_1samp(values, lambda x: np.interp(x, grid, cdf)).statistic
         assert report.ks_statistic == float(expected)
         assert report.critical_value == float(stats.kstwobign.isf(0.01) / math.sqrt(3000))
+
+    def test_stored_kolmogorov_point_matches_scipy(self):
+        assert KOLMOGOROV_1PCT == float(special.kolmogi(0.01))
 
     def test_dimension_restriction(self, plane8):
         with pytest.raises(ValueError, match="one-dimensional"):

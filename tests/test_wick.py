@@ -280,6 +280,14 @@ class TestWickPower:
         assert len(product_calls) == 2
         assert np.allclose(below.coeffs, wick_power(at_edge, 3).coeffs, atol=1e-14)
 
+    def test_recurrence_weight_does_not_wrap(self, line16, product_calls):
+        # (n + 1) * 16 passes 2**63 at n = 2**60, where int64 weights wrap;
+        # the degree-16 coefficient of (1 + eps H_16)^{<>n} is n * eps
+        f = unit_density(line16) + basis_vector(line16, (16,)) * 2.0**-70
+        power = wick_power(f, 2**60)
+        assert product_calls == []
+        assert power.coeffs[line16.position((16,))] == pytest.approx(2.0**-10, rel=1e-12)
+
 
 class TestWickExp:
     @pytest.mark.parametrize("cap", [None, 10])
