@@ -18,6 +18,12 @@ A space has one index representation: the rows of its read-only int array
 closed-form graded rank (`GaussianSpace.positions`), and the one
 one-multiply-per-row recursion over the table, which builds Hermite and
 monomial tables alike, reads one cached `IndexPlan`.
+
+Tables over the full space are never formed. Evaluation and the monomial
+sums of shift mixtures factor every index into a head over the first d // 2
+coordinates and a tail over the rest (`SumSplit`, sum factorization), so a
+chunk of points needs only the head and the tail table, joined by dense
+matrix products.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ import numpy as np
 # Hard cap on the basis table; a full table of this size is ~100 MB of
 # bookkeeping and anything bigger is a config mistake, not a use case.
 MAX_BASIS_SIZE = 2_000_000
+# Largest degree whose factorial a float holds: 171! overflows, and every
+# norm weighs a coefficient by alpha!.
+MAX_DEGREE = 170
 
 
 class ChaosError(Exception):
@@ -70,6 +79,10 @@ def enumerate_indices(
         raise ValueError("dimension must be at least 1")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    if max_degree > MAX_DEGREE:
+        raise ValueError(
+            f"max_degree must be at most {MAX_DEGREE} ({MAX_DEGREE + 1}! overflows a float)"
+        )
     size = math.comb(dimension + max_degree, max_degree)
     if size > size_cap:
         raise BasisTooLargeError(
@@ -209,6 +222,10 @@ class GaussianSpace:
     def plan(self) -> IndexPlan:
         """The cached one-multiply-per-row recursion plan of this space."""
         return self.cached("plan", _build_plan)
+
+    def split(self) -> "SumSplit":
+        """The cached head/tail factorization of this space (see SumSplit)."""
+        return self.cached("split", _build_split)
 
     def cached(self, key: str, builder: Callable[["GaussianSpace"], object]) -> object:
         """Memoize a derived structure, built at most once; a builder may itself
@@ -368,31 +385,105 @@ def _fill_table(space: GaussianSpace, one_d: OneD, block: np.ndarray, table: np.
         table[p] = tabs[coord[p]][order[p]] * table[rest[p]]
 
 
-def _chunked_tables(
-    space: GaussianSpace, one_d: OneD, points: np.ndarray, chunk: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, table) for each chunk of points, table of shape (size, m).
+class SumSplit(NamedTuple):
+    """Head/tail factorization of a space, for sum-factorized evaluation.
 
-    Every table is the same buffer, refilled by _fill_table, so only one is
-    ever allocated and each is valid only until the next one is yielded. The
-    last, shorter chunk takes a C-contiguous prefix of the buffer, which gives
-    a GEMV the layout a fresh table would have.
+    Each index is alpha = (h, t) with h over the first d // 2 coordinates
+    (the head) and t over the rest (the tail), so H_alpha(x) =
+    H_h(x_head) H_t(x_tail). The heads of degree k, rows lo:hi of the head
+    table, pair with every tail of degree <= K - k, and in graded order those
+    are the first `tails` rows of the tail table; blocks holds (lo, hi, tails)
+    per head degree. Laid out block by block, each block row-major, the
+    coefficients of the space are coeffs[order], every one exactly once.
+    For d = 1 the head is the constant (head is None, one head row) and
+    the tail is the space itself.
     """
-    buffer = np.empty(space.size * min(chunk, len(points)))
+
+    head: GaussianSpace | None
+    tail: GaussianSpace
+    order: np.ndarray
+    blocks: tuple[tuple[int, int, int], ...]
+
+    @property
+    def head_rows(self) -> int:
+        return 1 if self.head is None else self.head.size
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The blocks C_k of a vector laid out in split order (coeffs[order]),
+        as views of it."""
+        out, start = [], 0
+        for lo, hi, tails in self.blocks:
+            out.append(flat[start : start + (hi - lo) * tails].reshape(hi - lo, tails))
+            start += (hi - lo) * tails
+        return out
+
+
+def _build_split(space: GaussianSpace) -> SumSplit:
+    d, k_max = space.dimension, space.max_degree
+    s = d // 2
+    if s == 0:
+        head, tail = None, space
+    else:
+        head = GaussianSpace(s, k_max)
+        tail = head if 2 * s == d else GaussianSpace(d - s, k_max)
+    heads = np.zeros((1, 0), dtype=np.int64) if head is None else head.indices
+    head_bounds = np.searchsorted(heads.sum(axis=1), np.arange(k_max + 2))
+    tail_counts = np.searchsorted(tail.degrees, np.arange(k_max + 1), side="right")
+    blocks, order = [], []
+    for k in range(k_max + 1):
+        lo, hi = int(head_bounds[k]), int(head_bounds[k + 1])
+        if lo == hi:
+            continue
+        tails = int(tail_counts[k_max - k])
+        alpha = np.hstack(
+            (np.repeat(heads[lo:hi], tails, axis=0), np.tile(tail.indices[:tails], (hi - lo, 1)))
+        )
+        blocks.append((lo, hi, tails))
+        order.append(space.positions(alpha))
+    order = np.concatenate(order)
+    order.setflags(write=False)
+    return SumSplit(head, tail, order, tuple(blocks))
+
+
+def _split_tables(
+    split: SumSplit, one_d: OneD, points: np.ndarray, chunk: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (start, head, tail) for each chunk of points: the head and the
+    tail table, shapes (head_rows, m) and (tail size, m); the head table of
+    d = 1 is a row of ones.
+
+    Each table is one buffer refilled per chunk, valid (and free to
+    overwrite) until the next yield; the last, shorter chunk takes a
+    C-contiguous prefix, the layout a fresh table would have. Fresh tables
+    per chunk made evaluation on small spaces about 1.4x slower.
+    """
+    s = points.shape[1] // 2
+    m = min(chunk, len(points))
+    head_buffer = np.empty(split.head_rows * m)
+    tail_buffer = np.empty(split.tail.size * m)
     for start in range(0, len(points), chunk):
         block = points[start : start + chunk]
-        table = buffer[: space.size * len(block)].reshape(space.size, len(block))
-        _fill_table(space, one_d, block, table)
-        yield start, table
+        head = head_buffer[: split.head_rows * len(block)].reshape(-1, len(block))
+        tail = tail_buffer[: split.tail.size * len(block)].reshape(-1, len(block))
+        if split.head is None:
+            head.fill(1.0)
+        else:
+            _fill_table(split.head, one_d, block[:, :s], head)
+        _fill_table(split.tail, one_d, block[:, s:], tail)
+        yield start, head, tail
 
 
 def eval_stacked(fs, points: np.ndarray, chunk: int = 2048) -> np.ndarray:
     """Evaluate sum_alpha c_alpha H_alpha for several vectors of one space.
 
-    Returns shape (len(fs), len(points)). The basis is evaluated once per
-    chunk of points for all vectors together, and each vector is contracted
-    with that table by its own GEMV, so row i does not depend on the other
-    vectors. Memory is bounded by one basis table of size x chunk values.
+    Returns shape (len(fs), len(points)). The full basis table is never
+    formed (sum factorization, Orszag 1980): per chunk of points one head
+    and one tail table are filled for all vectors together (see SumSplit),
+    and each vector is contracted on its own, R[heads of degree k] =
+    C_k @ T_tail[:tails] for its coefficient block C_k, then
+    values = sum over head rows of R * T_head. Row i therefore does not
+    depend on the other vectors. Memory is bounded by the head table, the
+    tail table and R, each of at most binom(d - d//2 + K, K) x chunk values.
     """
     if not fs:
         raise ValueError("need at least one vector to evaluate")
@@ -404,10 +495,16 @@ def eval_stacked(fs, points: np.ndarray, chunk: int = 2048) -> np.ndarray:
         raise ValueError(
             f"points have dimension {pts.shape[1]}, expected {space.dimension}"
         )
+    split = space.split()
+    coeff_blocks = [split.views(g.coeffs[split.order]) for g in fs]
     out = np.empty((len(fs), pts.shape[0]))
-    for start, table in _chunked_tables(space, hermite_table, pts, chunk):
-        for values, g in zip(out, fs):
-            values[start : start + table.shape[1]] = g.coeffs @ table
+    for start, head, tail in _split_tables(split, hermite_table, pts, chunk):
+        partial = np.empty_like(head)
+        for values, cs in zip(out, coeff_blocks):
+            for c, (lo, hi, tails) in zip(cs, split.blocks):
+                np.matmul(c, tail[:tails], out=partial[lo:hi])
+            partial *= head
+            values[start : start + head.shape[1]] = partial.sum(axis=0)
     return out
 
 
@@ -422,6 +519,27 @@ def eval_at(f: ChaosVector, w) -> float:
     if w.shape != (f.space.dimension,):
         raise ValueError(f"point has dimension {w.size}, expected {f.space.dimension}")
     return float(eval_many(f, w[None, :])[0])
+
+
+def monomial_sums(
+    space: GaussianSpace, points: np.ndarray, weights: np.ndarray, chunk: int = 2048
+) -> np.ndarray:
+    """sum_j weights[j] * points[j]^alpha for every table index alpha.
+
+    Per chunk of points one head and one tail table of powers are filled
+    (see SumSplit), and each block of sums accumulates
+    (T_head[heads of degree k] * weights) @ T_tail[:tails].T.
+    """
+    split = space.split()
+    flat = np.zeros(space.size)
+    sums = split.views(flat)
+    for start, head, tail in _split_tables(split, power_table, points, chunk):
+        head *= weights[start : start + head.shape[1]]
+        for acc, (lo, hi, tails) in zip(sums, split.blocks):
+            acc += head[lo:hi] @ tail[:tails].T
+    out = np.empty(space.size)
+    out[split.order] = flat
+    return out
 
 
 @dataclass(frozen=True)

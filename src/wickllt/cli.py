@@ -151,6 +151,19 @@ def _write_llt_outputs(
     manifest.add_artifact(summary_path)
 
 
+def _note_evaluation(manifest: _Manifest, space: GaussianSpace, points: int | None) -> None:
+    """Record the sizes basis evaluation ran at: the row counts of the
+    head/tail split of the space and, where a sweep ran, its distance points."""
+    split = space.split()
+    manifest.notes["basis_rows"] = {
+        "head": split.head_rows,
+        "tail": split.tail.size,
+        "full": space.size,
+    }
+    if points is not None:
+        manifest.notes["distance_points"] = points
+
+
 def cmd_llt(args) -> int:
     config, out = _prepare(args)
     config.require_llt_fields(config.space_dimension, config.space_max_degree)
@@ -160,9 +173,16 @@ def cmd_llt(args) -> int:
     }
     if args.override_audit:
         manifest.notes["audit_overridden"] = True
+    space = config.build_space()
+    _note_evaluation(
+        manifest, space, config.distance.points(space.dimension, space.max_degree)
+    )
     try:
         with manifest.stage("sweep"):
-            table, report = rate_sweep(config, override_audit=args.override_audit)
+            density = resolve_density(config.density, space, config.seed)
+            table, report = rate_sweep(
+                config, density=density, override_audit=args.override_audit
+            )
     except BoundViolationError as exc:
         if exc.table is not None:
             rows = [f"n={r.n}" for r in exc.rows]
@@ -238,6 +258,11 @@ def cmd_sde(args) -> int:
         return EXIT_VIOLATION
     with manifest.stage("drift_energy"):
         energy = mean_square_drift_estimate(drift, grid, section.paths, seed=config.seed)
+    _note_evaluation(
+        manifest,
+        space,
+        config.distance.points(space.dimension, space.max_degree) if section.run_llt else None,
+    )
     with manifest.stage("density"):
         density = shift_mixture(shifts, space)
         report = audit_density(density, config.audit_grid)

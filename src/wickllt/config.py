@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import GridSpec
-from .basis import ChaosVector, GaussianSpace
+from .basis import MAX_DEGREE, ChaosVector, GaussianSpace
 from .measures import gaussian_cov, rank_one_quadratic, shift_mixture, WeightedShifts
 from .quadrature import MAX_RULE_NODES
 from .sde import DriftSpec, PathGrid, drift_from_config, sde_density
@@ -49,8 +49,9 @@ def _take(data, allowed: dict[str, bool], where: str) -> None:
         raise ConfigError(f"missing required field(s) {missing} in {where}")
 
 
-def _number(value, name: str, kind: type = int, minimum=None):
-    """value as kind (int, or float for any real), at least minimum if given.
+def _number(value, name: str, kind: type = int, minimum=None, maximum=None):
+    """value as kind (int, or float for any real), within [minimum, maximum]
+    where given.
 
     A bool, a string, or a float where an integer is wanted is a ConfigError.
     """
@@ -60,6 +61,8 @@ def _number(value, name: str, kind: type = int, minimum=None):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be at most {maximum}, got {value!r}")
     return kind(value)
 
 
@@ -109,6 +112,14 @@ class DistanceConfig:
             return self.nodes_per_axis
         return max(2 * max_degree, 8)
 
+    def points(self, dimension: int, max_degree: int) -> int:
+        """Points at which l1_distances evaluates its rows: the samples, or
+        the nodes of the coarse and the fine tensor rule."""
+        if self.method == "mc":
+            return self.samples
+        nodes = self.coarse_nodes(max_degree)
+        return nodes**dimension + (2 * nodes) ** dimension
+
     @staticmethod
     def from_dict(data: dict) -> "DistanceConfig":
         _take(
@@ -152,7 +163,7 @@ class SdeSection:
             drift=dict(data["drift"]),
             steps=_number(data["steps"], "sde.steps", int, 1),
             paths=_number(data["paths"], "sde.paths", int, 1),
-            max_degree=_number(data["max_degree"], "sde.max_degree", int, 0),
+            max_degree=_number(data["max_degree"], "sde.max_degree", int, 0, MAX_DEGREE),
             run_llt=_flag(data.get("run_llt", False), "sde.run_llt"),
             novikov_ceiling=_number(
                 data.get("novikov_ceiling", 1e15), "sde.novikov_ceiling", float
@@ -189,7 +200,7 @@ class ValidateSection:
         )
         return ValidateSection(
             dimension=_number(data.get("dimension", 2), "validate.dimension", int, 1),
-            max_degree=_number(data.get("max_degree", 8), "validate.max_degree", int, 0),
+            max_degree=_number(data.get("max_degree", 8), "validate.max_degree", int, 0, MAX_DEGREE),
             inject_error=data.get("inject_error"),
             ks_samples=_number(data.get("ks_samples", 20000), "validate.ks_samples", int, 1),
         )
@@ -292,7 +303,7 @@ def parse_config(data) -> ExperimentConfig:
     if "space" in data:
         _take(data["space"], {"dimension": True, "max_degree": True}, "space")
         dim = _number(data["space"]["dimension"], "space.dimension", int, 1)
-        maxdeg = _number(data["space"]["max_degree"], "space.max_degree", int, 0)
+        maxdeg = _number(data["space"]["max_degree"], "space.max_degree", int, 0, MAX_DEGREE)
     alpha = _number(data["alpha"], "alpha", float) if "alpha" in data else None
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")

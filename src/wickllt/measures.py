@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import GridSpec, check_square_integrability
-from .basis import ChaosVector, GaussianSpace, _chunked_tables, eval_many, power_table
+from .basis import ChaosVector, GaussianSpace, eval_many, monomial_sums
 from .limit_density import gaussian_limit_series
 from .quadrature import tensor_grid
 from .streams import STREAM_SAMPLER, substream
@@ -125,18 +125,16 @@ def shift_mixture(nu: WeightedShifts, space: GaussianSpace, chunk: int = 2048) -
 
     Coefficientwise this is sum_j p_j h_j^alpha / alpha!, a convex
     combination of shifted-Gaussian densities; strictly positive with unit
-    mass. The monomials h_j^alpha of a chunk of atoms are one basis table of
-    powers, contracted with the chunk's weights. The result is divided by
-    its constant coefficient (= the accumulated weight total, one up to
+    mass. The sums over atoms are monomial_sums, which factors every
+    monomial into a head and a tail part. The result is divided by its
+    constant coefficient (= the accumulated weight total, one up to
     summation roundoff) so the mass invariant holds exactly.
     """
     if nu.dimension != space.dimension:
         raise ValueError(
             f"shifts have dimension {nu.dimension}, space has {space.dimension}"
         )
-    acc = np.zeros(space.size)
-    for start, table in _chunked_tables(space, power_table, nu.shifts, chunk):
-        acc += table @ nu.weights[start : start + table.shape[1]]
+    acc = monomial_sums(space, nu.shifts, nu.weights, chunk)
     acc /= acc[0]
     return ChaosVector(space, acc / space.factorials)
 

@@ -56,6 +56,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_indices(0, 3)
 
+    def test_rejects_degree_whose_factorial_overflows(self):
+        assert len(enumerate_indices(1, 170)) == 171
+        with pytest.raises(ValueError, match="at most 170"):
+            GaussianSpace(1, 171)
+
     def test_rejects_oversized_table(self):
         with pytest.raises(BasisTooLargeError, match="basis too large"):
             enumerate_indices(8, 8, size_cap=1000)
@@ -215,10 +220,15 @@ class TestEvaluation:
 
 
 def reference_eval(f, pts, chunk=2048):
-    """Loop reference: a fresh basis table per chunk, one GEMV per chunk."""
+    """Loop reference: a fresh full basis table per chunk, one GEMV per chunk.
+
+    Returns the values and |c| @ |T| per point, the scale of the rounding
+    error of any order of summing the terms c_alpha H_alpha.
+    """
     space = f.space
     coord, order, rest = space.plan()
     out = np.empty(len(pts))
+    scale = np.empty(len(pts))
     for start in range(0, len(pts), chunk):
         block = pts[start : start + chunk]
         vals = np.empty((space.size, len(block)))
@@ -226,7 +236,8 @@ def reference_eval(f, pts, chunk=2048):
         for p in range(1, space.size):
             vals[p] = hermite_eval(int(order[p]), block[:, coord[p]]) * vals[rest[p]]
         out[start : start + len(block)] = f.coeffs @ vals
-    return out
+        scale[start : start + len(block)] = np.abs(f.coeffs) @ np.abs(vals)
+    return out, scale
 
 
 class TestStackedEvaluation:
@@ -240,7 +251,65 @@ class TestStackedEvaluation:
         for f, row in zip(fs, stacked):
             single = eval_many(f, pts)
             assert np.array_equal(row, single)
-            assert np.array_equal(single, reference_eval(f, pts))
+            # the head/tail factorization sums in another order than the
+            # full-table GEMV, so it agrees to a forward-error bound
+            ref, scale = reference_eval(f, pts)
+            assert np.all(np.abs(single - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("count", [1, 2047, 2049])
+    @pytest.mark.parametrize("dimension, degree", [(1, 16), (2, 8), (3, 6), (5, 5), (8, 4)])
+    def test_split_matches_full_table(self, dimension, degree, count):
+        # odd d gives an unbalanced split: a head of d // 2 coordinates
+        space = GaussianSpace(dimension, degree)
+        rng = np.random.default_rng(100 * dimension + count)
+        fs = [ChaosVector(space, rng.standard_normal(space.size)) for _ in range(2)]
+        pts = rng.standard_normal((count, dimension))
+        for f, row in zip(fs, eval_stacked(fs, pts)):
+            ref, scale = reference_eval(f, pts)
+            assert np.all(np.abs(row - ref) <= 1e-12 * scale)
+            if dimension == 1:
+                # the head is the constant: one block, the full 1-D table
+                assert np.array_equal(row, ref)
+
+    def test_split_covers_every_coefficient_once(self):
+        for dimension, degree in [(1, 6), (2, 5), (3, 4), (5, 3), (8, 2), (4, 0)]:
+            space = GaussianSpace(dimension, degree)
+            split = space.split()
+            assert sorted(split.order.tolist()) == list(range(space.size))
+            assert split.blocks[0][0] == 0 and split.blocks[-1][1] == split.head_rows
+            for (lo, hi, tails), (lo2, _, _) in zip(split.blocks, split.blocks[1:]):
+                assert hi == lo2
+            assert sum((hi - lo) * tails for lo, hi, tails in split.blocks) == space.size
+
+    def test_tables_stay_small_at_d8(self, monkeypatch):
+        # No fill has more rows than the tail space, binom(d - d//2 + K, K),
+        # and the fills per chunk do not depend on the number of vectors.
+        import wickllt.basis as basis
+        from wickllt.measures import WeightedShifts, shift_mixture
+
+        space = GaussianSpace(8, 8)
+        limit = math.comb(8 - 8 // 2 + 8, 8)
+        fills = []
+        real = basis._fill_table
+
+        def counting(sp, one_d, block, table):
+            fills.append(len(table))
+            real(sp, one_d, block, table)
+
+        monkeypatch.setattr(basis, "_fill_table", counting)
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((3000, 8))
+        per_count = []
+        for count in (1, 4):
+            fills.clear()
+            fs = [ChaosVector(space, rng.standard_normal(space.size)) for _ in range(count)]
+            eval_stacked(fs, pts)
+            per_count.append(len(fills))
+            assert max(fills) <= limit < space.size
+        assert per_count == [4, 4]  # head and tail table for each of 2 chunks
+        fills.clear()
+        shift_mixture(WeightedShifts(np.full(3000, 1 / 3000), 0.1 * pts), space)
+        assert len(fills) == 4 and max(fills) <= limit
 
     def test_rejects_mixed_spaces(self, line16, plane8):
         with pytest.raises(IncompatibleBasisError):

@@ -231,6 +231,62 @@ class TestLltCommand:
         assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+class TestManifestNotes:
+    """The manifest records the sizes basis evaluation ran at; the counted
+    points are those the distance stage really evaluated."""
+
+    def _run_counting(self, monkeypatch, tmp_path, command, data):
+        import wickllt.harness as harness
+
+        points = []
+        real = harness.eval_stacked
+
+        def counting(fs, pts, *args, **kwargs):
+            points.append(len(pts))
+            return real(fs, pts, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "eval_stacked", counting)
+        cfg = write_config(tmp_path, "c.json", data)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        return notes, sum(points)
+
+    def test_llt_quadrature_d1(self, monkeypatch, tmp_path):
+        notes, points = self._run_counting(monkeypatch, tmp_path, "llt", base_llt_config())
+        assert notes["basis_rows"] == {"head": 1, "tail": 17, "full": 17}
+        assert notes["distance_points"] == points == 32 + 64
+
+    def test_llt_mc_d3(self, monkeypatch, tmp_path):
+        data = base_llt_config(
+            space={"dimension": 3, "max_degree": 6},
+            density={"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1]},
+            distance={"method": "mc", "samples": 3000},
+        )
+        notes, points = self._run_counting(monkeypatch, tmp_path, "llt", data)
+        assert notes["basis_rows"] == {"head": 7, "tail": 28, "full": 84}
+        assert notes["distance_points"] == points == 3000
+
+    def test_sde_sweep(self, monkeypatch, tmp_path):
+        data = {
+            "schema_version": 1,
+            "seed": 11,
+            "alpha": 0.5,
+            "n_values": [4, 16],
+            "distance": {"method": "mc", "samples": 2000},
+            "sde": {
+                "drift": {"kind": "scaled_sin", "scale": 0.5},
+                "steps": 4,
+                "paths": 500,
+                "max_degree": 4,
+                "run_llt": True,
+            },
+        }
+        notes, points = self._run_counting(monkeypatch, tmp_path, "sde", data)
+        assert notes["basis_rows"] == {"head": 15, "tail": 15, "full": 70}
+        assert notes["distance_points"] == points == 2000
+
+
 class TestValidateCommand:
     def test_default_suite_passes(self, tmp_path):
         cfg = write_config(
@@ -609,6 +665,33 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "command, data, field",
+        [
+            (
+                "llt",
+                base_llt_config(
+                    space={"dimension": 1, "max_degree": 171}, distance={"method": "mc"}
+                ),
+                "space.max_degree",
+            ),
+            ("sde", base_sde_config(steps=1, max_degree=171), "sde.max_degree"),
+            (
+                "validate",
+                {"schema_version": 1, "seed": 1, "validate": {"dimension": 1, "max_degree": 171}},
+                "validate.max_degree",
+            ),
+        ],
+        ids=["space", "sde", "validate"],
+    )
+    def test_degree_above_factorial_limit_exits_two(self, tmp_path, capsys, command, data, field):
+        # 171! overflows a float, which every norm needs
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{field} must be at most 170, got 171" in err
 
     @pytest.mark.parametrize(
         "command, data",

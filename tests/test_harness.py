@@ -274,6 +274,36 @@ class TestRateSweep:
         assert len(table.rows) == 3
         assert built == [2048] * 9 + [20_000 - 9 * 2048]
 
+    def test_fills_per_chunk_do_not_depend_on_rows(self, monkeypatch):
+        # Above d = 1 every chunk fills one head and one tail table, shared
+        # by all rows: a sweep of one row and one of three fill alike.
+        import wickllt.basis as basis
+        from wickllt.audit import audit_density
+        from wickllt.config import resolve_density
+
+        density = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.03]}
+        real = basis._fill_table
+        fills = []
+
+        def counting(space, one_d, block, table):
+            fills.append((space.dimension, len(block)))
+            real(space, one_d, block, table)
+
+        per_sweep = []
+        for n_values in ([4], [4, 16, 64]):
+            config = _config_for(density, n_values, space=(3, 6), method="mc")
+            f = resolve_density(config.density, config.build_space(), config.seed)
+            report = audit_density(f, config.audit_grid)
+            fills.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(basis, "_fill_table", counting)
+                table, _ = rate_sweep(config, density=f, report=report)
+            assert len(table.rows) == len(n_values)
+            per_sweep.append(list(fills))
+        chunks = [2048] * 9 + [20_000 - 9 * 2048]
+        # the head (1 coordinate) then the tail (2 coordinates) of each chunk
+        assert per_sweep[0] == per_sweep[1] == [(d, m) for m in chunks for d in (1, 2)]
+
     def test_bound_violation_fails_loudly(self, monkeypatch):
         config = _config_for(
             {"kind": "coefficients", "terms": [{"index": [2], "coeff": 0.1}]},

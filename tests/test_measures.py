@@ -128,27 +128,29 @@ class TestShiftMixture:
 
 
     def test_matches_parent_recursion(self):
-        # Reference: the loop this replaced, h^alpha by one multiply per row
-        # from the index with its first nonzero coordinate decremented, in
-        # chunks of 512 atoms. 3,000 atoms cross the 2,048-atom chunk boundary.
-        space = GaussianSpace(4, 6)
-        rng = np.random.default_rng(23)
-        shifts = 0.4 * rng.standard_normal((3000, 4))
-        w = rng.random(3000)
-        nu = WeightedShifts(w / w.sum(), shifts)
-        acc = np.zeros(space.size)
-        for start in range(0, nu.count, 512):
-            h = nu.shifts[start : start + 512]
-            block = np.empty((space.size, len(h)))
-            block[0] = 1.0
-            for p in range(1, space.size):
-                alpha = space.indices[p].copy()
-                c = int(np.argmax(alpha > 0))
-                alpha[c] -= 1
-                block[p] = block[space.position(alpha)] * h[:, c]
-            acc += block @ nu.weights[start : start + 512]
-        expected = acc / acc[0] / space.factorials
-        assert np.abs(shift_mixture(nu, space).coeffs - expected).max() <= 1e-15
+        # Reference: the full-space loop the head/tail split replaced, h^alpha
+        # by one multiply per row from the index with its first nonzero
+        # coordinate decremented, in chunks of 512 atoms. 3,000 atoms cross
+        # the 2,048-atom chunk boundary; d=5 splits unevenly (2 + 3).
+        for dimension, degree in ((4, 6), (5, 5)):
+            space = GaussianSpace(dimension, degree)
+            rng = np.random.default_rng(23)
+            shifts = 0.4 * rng.standard_normal((3000, dimension))
+            w = rng.random(3000)
+            nu = WeightedShifts(w / w.sum(), shifts)
+            acc = np.zeros(space.size)
+            for start in range(0, nu.count, 512):
+                h = nu.shifts[start : start + 512]
+                block = np.empty((space.size, len(h)))
+                block[0] = 1.0
+                for p in range(1, space.size):
+                    alpha = space.indices[p].copy()
+                    c = int(np.argmax(alpha > 0))
+                    alpha[c] -= 1
+                    block[p] = block[space.position(alpha)] * h[:, c]
+                acc += block @ nu.weights[start : start + 512]
+            expected = acc / acc[0] / space.factorials
+            assert np.abs(shift_mixture(nu, space).coeffs - expected).max() <= 1e-15
 
 
 class TestGaussianCov:
