@@ -1,29 +1,31 @@
 """Command-line front end: audit, llt, validate, sde, build-xi.
 
 Exit codes: 0 all checks pass; 1 a hypothesis or bound violation; 2 a usage
-or configuration error. Every run writes a manifest with the config echo,
-derived seeds, per-stage wall times, and SHA-256 digests of the artifacts.
-The artifacts themselves are byte-stable: rerunning with the same config and
-seed reproduces them exactly (measured wall times go to the manifest, not the
-artifacts, unless record_wall_times is set).
+or configuration error. Every run that writes an artifact writes a manifest
+with the config echo, derived seeds, per-stage wall times, and SHA-256
+digests of the artifacts. The artifacts themselves are byte-stable:
+rerunning with the same config and seed reproduces them exactly (measured
+wall times go to the manifest, not the artifacts, unless record_wall_times
+is set).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .audit import AssumptionViolationError, audit_density
-from .basis import BasisTooLargeError, GaussianSpace
-from .config import ConfigError, ExperimentConfig, load_config, parse_config, resolve_density
+from .basis import BasisTooLargeError, GaussianSpace, InsufficientDegreeError
+from .config import (
+    ConfigError, ExperimentConfig, gaussian_cov_limit, load_config, parse_config, resolve_density
+)
 from .harness import BoundViolationError, RateTable, rate_sweep
 from .identities import run_identity_suite
-from .limit_density import gaussian_limit_series, limit_l2_norms
+from .limit_density import limit_l2_norms
 from .measures import DensityValidationError, WeightedShifts, shift_mixture
 from .sde import (
     PathGrid,
@@ -33,43 +35,53 @@ from .sde import (
     novikov_from_shifts,
     simulate_drift_shifts,
 )
-from .serialize import chaos_to_json, dumps_canonical, sha256_file, write_csv, write_text
+from .serialize import chaos_to_json, csv_text, dumps_canonical, sha256_file, write_text
 from .streams import STREAM_DISTANCE, STREAM_PATHS, child_seed
+from .wick import NotNormalizedError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# what a command may end in: exit 2 with one "config error:" line, or exit 1
+# with one "<command>: FAIL (...)" line
+USAGE_ERRORS = (ConfigError, BasisTooLargeError, InsufficientDegreeError)
+VIOLATIONS = (
+    AssumptionViolationError,
+    BoundViolationError,
+    SdeNumericError,
+    NotNormalizedError,
+    DensityValidationError,
+)
+
 
 class _Manifest:
     """Collects stage timings, seeds, and artifact digests for one run."""
 
-    def __init__(self, config: ExperimentConfig, command: str):
+    def __init__(self, config: ExperimentConfig, command: str, out: Path):
         self.command = command
         self.config_echo = config.raw
         self.master_seed = config.seed
+        self.out = out
         self.stage_seconds: dict[str, float] = {}
         self.artifacts: dict[str, str] = {}
         self.notes: dict[str, object] = {}
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        manifest = self
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stage_seconds[name] = time.perf_counter() - start
 
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return self
+    def artifact(self, name: str, text: str) -> None:
+        """Write text to the file name in the output directory and record its digest."""
+        path = self.out / name
+        write_text(path, text)
+        self.artifacts[name] = sha256_file(path)
 
-            def __exit__(self, *exc):
-                manifest.stage_seconds[name] = time.perf_counter() - self.start
-                return False
-
-        return _Timer()
-
-    def add_artifact(self, path: Path) -> None:
-        self.artifacts[path.name] = sha256_file(path)
-
-    def write(self, out_dir: Path) -> None:
+    def write(self) -> None:
         payload = {
             "command": self.command,
             "library_version": __version__,
@@ -79,59 +91,71 @@ class _Manifest:
             "artifact_sha256": self.artifacts,
             "notes": self.notes,
         }
-        write_text(out_dir / "manifest.json", dumps_canonical(payload))
+        write_text(self.out / "manifest.json", dumps_canonical(payload))
 
 
-def _prepare(args) -> tuple[ExperimentConfig, Path]:
+@contextlib.contextmanager
+def _run(args, command: str):
+    """The config and the manifest of one run of command.
+
+    The manifest is written on the way out whenever an artifact was, also
+    when the command fails after writing it, so that every artifact on disk
+    has its digest recorded.
+    """
     config = load_config(args.config)
     if args.seed is not None:
         config = parse_config({**config.raw, "seed": args.seed})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return config, out
+    manifest = _Manifest(config, command, out)
+    try:
+        yield config, manifest
+    finally:
+        if manifest.artifacts:
+            manifest.write()
 
 
 def cmd_audit(args) -> int:
-    config, out = _prepare(args)
-    if config.density is None:
-        raise ConfigError("audit needs a 'density' section")
-    manifest = _Manifest(config, "audit")
-    space = config.build_space()
-    with manifest.stage("build_density"):
-        density = resolve_density(config.density, space, config.seed)
-    with manifest.stage("audit"):
-        report = audit_density(density, config.audit_grid)
-    payload = report.to_json_dict()
-    if config.density.get("kind") == "shift_mixture":
-        nu = WeightedShifts.from_json_dict(config.density)
-        payload["shift_variance_total"] = nu.shift_variance_total()
-        payload["exponential_integrability"] = nu.exponential_integrability()
-    report_path = out / "audit.json"
-    write_text(report_path, dumps_canonical(payload))
-    manifest.add_artifact(report_path)
-    manifest.write(out)
-    if not report.all_passed:
-        print(f"audit: FAIL ({', '.join(report.failing())})", file=sys.stderr)
-        return EXIT_VIOLATION
+    with _run(args, "audit") as (config, manifest):
+        if config.density is None:
+            raise ConfigError("audit needs a 'density' section")
+        space = config.build_space()
+        with manifest.stage("build_density"):
+            density = resolve_density(config.density, space, config.seed)
+        with manifest.stage("audit"):
+            report = audit_density(density, config.audit_grid)
+        payload = report.to_json_dict()
+        if config.density.get("kind") == "shift_mixture":
+            nu = WeightedShifts.from_json_dict(config.density)
+            payload["shift_variance_total"] = nu.shift_variance_total()
+            payload["exponential_integrability"] = nu.exponential_integrability()
+        manifest.artifact("audit.json", dumps_canonical(payload))
+        if not report.all_passed:
+            raise AssumptionViolationError(", ".join(report.failing()))
     print("audit: PASS")
     return EXIT_OK
 
 
-def _write_llt_outputs(
-    out: Path,
-    manifest: _Manifest,
-    table: RateTable,
-    report,
-    config: ExperimentConfig,
-    overridden: bool,
-    violations=None,
-) -> None:
-    csv_path = out / "rate.csv"
-    write_csv(
-        csv_path,
-        ["n", "l1", "bound", "err", "seconds"],
-        table.to_csv_rows(config.record_wall_times),
-    )
+def _sweep(
+    manifest: _Manifest, config: ExperimentConfig, density, report, override_audit: bool
+) -> RateTable:
+    """The rate sweep of llt and of sde with run_llt, written to rate.csv and
+    summary.json. A bound violation writes them too, listing its rows, and
+    then propagates; report is the audit the caller already ran, or None."""
+    space = density.space
+    manifest.notes["distance_points"] = config.distance.points(space.dimension, space.max_degree)
+    if override_audit:
+        manifest.notes["audit_overridden"] = True
+    violation = None
+    try:
+        with manifest.stage("sweep"):
+            table, report = rate_sweep(
+                config, density=density, report=report, override_audit=override_audit
+            )
+    except BoundViolationError as exc:
+        violation, table = exc, exc.table
+    header = ["n", "l1", "bound", "err", "seconds"]
+    manifest.artifact("rate.csv", csv_text(header, table.to_csv_rows(config.record_wall_times)))
     summary = {
         "constant": table.constant,
         "n0": table.n0,
@@ -141,63 +165,37 @@ def _write_llt_outputs(
             {"n": r.n, "l1": r.l1, "bound": r.bound, "err": r.error} for r in table.rows
         ],
         "audit": report.to_json_dict() if report is not None else None,
-        "audit_overridden": overridden,
-        "bound_violations": violations or [],
+        "audit_overridden": override_audit,
+        "bound_violations": [f"n={r.n}" for r in violation.rows] if violation else [],
         "config": config.raw,
     }
-    summary_path = out / "summary.json"
-    write_text(summary_path, dumps_canonical(summary))
-    manifest.add_artifact(csv_path)
-    manifest.add_artifact(summary_path)
+    manifest.artifact("summary.json", dumps_canonical(summary))
+    if violation is not None:
+        raise violation
+    return table
 
 
-def _note_evaluation(manifest: _Manifest, space: GaussianSpace, points: int | None) -> None:
-    """Record the sizes basis evaluation ran at: the row counts of the
-    head/tail split of the space and, where a sweep ran, its distance points."""
+def _note_evaluation(manifest: _Manifest, space: GaussianSpace) -> None:
+    """Record the row counts of the head/tail split basis evaluation runs at."""
     split = space.split()
     manifest.notes["basis_rows"] = {
         "head": split.head_rows,
         "tail": split.tail.size,
         "full": space.size,
     }
-    if points is not None:
-        manifest.notes["distance_points"] = points
 
 
 def cmd_llt(args) -> int:
-    config, out = _prepare(args)
-    config.require_llt_fields(config.space_dimension, config.space_max_degree)
-    manifest = _Manifest(config, "llt")
-    manifest.notes["derived_seeds"] = {
-        "distance_stream": child_seed(config.seed, STREAM_DISTANCE)
-    }
-    if args.override_audit:
-        manifest.notes["audit_overridden"] = True
-    space = config.build_space()
-    _note_evaluation(
-        manifest, space, config.distance.points(space.dimension, space.max_degree)
-    )
-    try:
-        with manifest.stage("sweep"):
+    with _run(args, "llt") as (config, manifest):
+        config.require_llt_fields(config.space_dimension, config.space_max_degree)
+        manifest.notes["derived_seeds"] = {
+            "distance_stream": child_seed(config.seed, STREAM_DISTANCE)
+        }
+        space = config.build_space()
+        _note_evaluation(manifest, space)
+        with manifest.stage("density"):
             density = resolve_density(config.density, space, config.seed)
-            table, report = rate_sweep(
-                config, density=density, override_audit=args.override_audit
-            )
-    except BoundViolationError as exc:
-        if exc.table is not None:
-            rows = [f"n={r.n}" for r in exc.rows]
-            _write_llt_outputs(
-                out, manifest, exc.table, None, config, args.override_audit, rows
-            )
-            manifest.write(out)
-        print(f"llt: FAIL ({exc})", file=sys.stderr)
-        return EXIT_VIOLATION
-    except AssumptionViolationError as exc:
-        print(f"llt: FAIL ({exc})", file=sys.stderr)
-        return EXIT_VIOLATION
-    with manifest.stage("write"):
-        _write_llt_outputs(out, manifest, table, report, config, args.override_audit)
-    manifest.write(out)
+        table = _sweep(manifest, config, density, None, args.override_audit)
     print(
         f"llt: PASS (C={table.constant:.6g}, n0={table.n0}, rows={len(table.rows)})"
     )
@@ -205,101 +203,73 @@ def cmd_llt(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config, out = _prepare(args)
-    section = config.validate
-    if section is None:
-        raise ConfigError("validate needs a 'validate' section")
-    manifest = _Manifest(config, "validate")
-    with manifest.stage("identities"):
-        results = run_identity_suite(
-            dimension=section.dimension,
-            max_degree=section.max_degree,
-            seed=config.seed,
-            inject_error=section.inject_error,
-            ks_samples=section.ks_samples,
-        )
-    payload = {
-        "inject_error": section.inject_error,
-        "identities": [r.to_json_dict() for r in results],
-        "all_passed": all(r.passed for r in results),
-    }
-    report_path = out / "validate.json"
-    write_text(report_path, dumps_canonical(payload))
-    manifest.add_artifact(report_path)
-    manifest.write(out)
+    with _run(args, "validate") as (config, manifest):
+        section = config.validate
+        if section is None:
+            raise ConfigError("validate needs a 'validate' section")
+        with manifest.stage("identities"):
+            results = run_identity_suite(
+                dimension=section.dimension,
+                max_degree=section.max_degree,
+                seed=config.seed,
+                inject_error=section.inject_error,
+                ks_samples=section.ks_samples,
+            )
+        passed = all(r.passed for r in results)
+        payload = {
+            "inject_error": section.inject_error,
+            "identities": [r.to_json_dict() for r in results],
+            "all_passed": passed,
+        }
+        manifest.artifact("validate.json", dumps_canonical(payload))
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         print(f"identity {r.name}: {mark} (err={r.max_error:.3g}, tol={r.tolerance:.3g})")
-    return EXIT_OK if payload["all_passed"] else EXIT_VIOLATION
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def cmd_sde(args) -> int:
-    config, out = _prepare(args)
-    section = config.sde
-    if section is None:
-        raise ConfigError("sde needs an 'sde' section")
-    if section.run_llt:
-        # the sweep runs on the space of the path's steps
-        config.require_llt_fields(section.steps, section.max_degree, need_density=False)
-    manifest = _Manifest(config, "sde")
-    manifest.notes["derived_seeds"] = {
-        "path_stream_block0": child_seed(config.seed, STREAM_PATHS, 0)
-    }
-    space = GaussianSpace(section.steps, section.max_degree)
-    drift = drift_from_config(section.drift)
-    grid = PathGrid(section.steps)
-    with manifest.stage("simulate"):
-        shifts = simulate_drift_shifts(drift, grid, section.paths, seed=config.seed)
-    try:
+    with _run(args, "sde") as (config, manifest):
+        section = config.sde
+        if section is None:
+            raise ConfigError("sde needs an 'sde' section")
+        if section.run_llt:
+            # the sweep runs on the space of the path's steps
+            config.require_llt_fields(section.steps, section.max_degree, need_density=False)
+        manifest.notes["derived_seeds"] = {
+            "path_stream_block0": child_seed(config.seed, STREAM_PATHS, 0)
+        }
+        space = GaussianSpace(section.steps, section.max_degree)
+        drift = drift_from_config(section.drift)
+        grid = PathGrid(section.steps)
+        with manifest.stage("simulate"):
+            shifts = simulate_drift_shifts(drift, grid, section.paths, seed=config.seed)
         with manifest.stage("novikov"):
             novikov = novikov_from_shifts(shifts, ceiling=section.novikov_ceiling)
-    except SdeNumericError as exc:
-        print(f"sde: FAIL ({exc})", file=sys.stderr)
-        return EXIT_VIOLATION
-    with manifest.stage("drift_energy"):
-        energy = mean_square_drift_estimate(drift, grid, section.paths, seed=config.seed)
-    _note_evaluation(
-        manifest,
-        space,
-        config.distance.points(space.dimension, space.max_degree) if section.run_llt else None,
-    )
-    with manifest.stage("density"):
-        density = shift_mixture(shifts, space)
-        report = audit_density(density, config.audit_grid)
-    payload = {
-        "drift": section.drift,
-        "steps": section.steps,
-        "paths": section.paths,
-        "novikov_estimate": novikov.estimate,
-        "novikov_standard_error": novikov.standard_error,
-        "drift_energy_estimate": energy.estimate,
-        "drift_energy_standard_error": energy.standard_error,
-        "drift_energy_passed": energy.passed,
-        "exponential_integrability": shifts.exponential_integrability(),
-        "audit": report.to_json_dict(),
-    }
-    report_path = out / "sde_report.json"
-    write_text(report_path, dumps_canonical(payload))
-    manifest.add_artifact(report_path)
-    density_path = out / "density.json"
-    write_text(density_path, chaos_to_json(density))
-    manifest.add_artifact(density_path)
-    shifts_path = out / "shifts.json"
-    write_text(shifts_path, dumps_canonical(shifts.to_json_dict()))
-    manifest.add_artifact(shifts_path)
-    ok = energy.passed and report.all_passed
-    if ok and section.run_llt:
-        try:
-            with manifest.stage("llt"):
-                table, _ = rate_sweep(
-                    config, density=density, report=report, override_audit=args.override_audit
-                )
-        except (BoundViolationError, AssumptionViolationError) as exc:
-            print(f"sde llt: FAIL ({exc})", file=sys.stderr)
-            manifest.write(out)
-            return EXIT_VIOLATION
-        _write_llt_outputs(out, manifest, table, report, config, args.override_audit)
-    manifest.write(out)
+        with manifest.stage("drift_energy"):
+            energy = mean_square_drift_estimate(drift, grid, section.paths, seed=config.seed)
+        _note_evaluation(manifest, space)
+        with manifest.stage("density"):
+            density = shift_mixture(shifts, space)
+            report = audit_density(density, config.audit_grid)
+        payload = {
+            "drift": section.drift,
+            "steps": section.steps,
+            "paths": section.paths,
+            "novikov_estimate": novikov.estimate,
+            "novikov_standard_error": novikov.standard_error,
+            "drift_energy_estimate": energy.estimate,
+            "drift_energy_standard_error": energy.standard_error,
+            "drift_energy_passed": energy.passed,
+            "exponential_integrability": shifts.exponential_integrability(),
+            "audit": report.to_json_dict(),
+        }
+        manifest.artifact("sde_report.json", dumps_canonical(payload))
+        manifest.artifact("density.json", chaos_to_json(density))
+        manifest.artifact("shifts.json", dumps_canonical(shifts.to_json_dict()))
+        ok = energy.passed and report.all_passed
+        if ok and section.run_llt:
+            _sweep(manifest, config, density, report, args.override_audit)
     print(
         f"sde: {'PASS' if ok else 'FAIL'} (novikov={novikov.estimate:.6g}, "
         f"drift_energy={energy.estimate:.6g} +- {energy.standard_error:.2g})"
@@ -308,30 +278,21 @@ def cmd_sde(args) -> int:
 
 
 def cmd_build_xi(args) -> int:
-    config, out = _prepare(args)
-    if config.density is None or config.density.get("kind") != "gaussian_cov":
-        raise ConfigError("build-xi needs a density of kind 'gaussian_cov'")
-    manifest = _Manifest(config, "build-xi")
-    space = config.build_space()
-    g2 = np.asarray(config.density["g2"], dtype=float)
-    with manifest.stage("series"):
-        density = gaussian_limit_series(g2, space)
-        norms = limit_l2_norms(g2, space)
-    series_path = out / "xi_series.json"
-    write_text(series_path, dumps_canonical(density.to_json_dict()))
-    report = {
-        "g2": g2,
-        "eigenvalues": density.eigenvalues,
-        "l2_tail_sq": density.l2_tail_sq,
-        "norm_sq_series": norms.series_value,
-        "norm_sq_eigenproduct": norms.determinant_value,
-        "norm_sq_scalar_frobenius": norms.scalar_frobenius_value,
-    }
-    report_path = out / "xi_report.json"
-    write_text(report_path, dumps_canonical(report))
-    manifest.add_artifact(series_path)
-    manifest.add_artifact(report_path)
-    manifest.write(out)
+    with _run(args, "build-xi") as (config, manifest):
+        space = config.build_space()
+        with manifest.stage("series"):
+            density = gaussian_cov_limit(config.density, space)
+            norms = limit_l2_norms(density.g2, space)
+        manifest.artifact("xi_series.json", dumps_canonical(density.to_json_dict()))
+        report = {
+            "g2": density.g2,
+            "eigenvalues": density.eigenvalues,
+            "l2_tail_sq": density.l2_tail_sq,
+            "norm_sq_series": norms.series_value,
+            "norm_sq_eigenproduct": norms.determinant_value,
+            "norm_sq_scalar_frobenius": norms.scalar_frobenius_value,
+        }
+        manifest.artifact("xi_report.json", dumps_canonical(report))
     print(f"build-xi: wrote series with {space.size} coefficients")
     return EXIT_OK
 
@@ -366,15 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, BasisTooLargeError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DensityValidationError as exc:
-        print(f"density rejected: {exc}", file=sys.stderr)
+    except VIOLATIONS as exc:
+        print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
         return EXIT_VIOLATION
 
 

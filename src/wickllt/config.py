@@ -8,18 +8,21 @@ sub-stream scheme in streams.py.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .audit import GridSpec
 from .basis import MAX_DEGREE, ChaosVector, GaussianSpace
-from .measures import gaussian_cov, rank_one_quadratic, shift_mixture, WeightedShifts
+from .limit_density import LimitDensity, gaussian_limit_series
+from .measures import rank_one_quadratic, shift_mixture, WeightedShifts
 from .quadrature import MAX_RULE_NODES
-from .sde import DriftSpec, PathGrid, drift_from_config, sde_density
+from .sde import PathGrid, drift_from_config, sde_density
 
 SCHEMA_VERSION = 1
 # n enters the row scaling sqrt(alpha / n) and the bound C / sqrt(n) as a
@@ -50,20 +53,31 @@ def _take(data, allowed: dict[str, bool], where: str) -> None:
 
 
 def _number(value, name: str, kind: type = int, minimum=None, maximum=None):
-    """value as kind (int, or float for any real), within [minimum, maximum]
-    where given.
+    """value as kind (int, or float for any finite real), within
+    [minimum, maximum] where given.
 
-    A bool, a string, or a float where an integer is wanted is a ConfigError.
+    A bool, a string, a float where an integer is wanted, or a real that is
+    NaN, infinite or beyond the float range is a ConfigError.
     """
     wanted = numbers.Integral if kind is int else numbers.Real
     if not isinstance(value, wanted) or isinstance(value, bool):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN fails it too
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
         raise ConfigError(f"{name} must be at most {maximum}, got {value!r}")
     return kind(value)
+
+
+def _int(minimum=None, maximum=None):
+    """A field check: an integer within [minimum, maximum] where given."""
+    return functools.partial(_number, kind=int, minimum=minimum, maximum=maximum)
+
+
+_real = functools.partial(_number, kind=float)
 
 
 def _flag(value, name: str) -> bool:
@@ -88,9 +102,27 @@ def _finite(value, name: str) -> np.ndarray:
     return arr
 
 
+# marks a section field that must be present although it has a default (the
+# default then applies only when the whole section is absent)
+_REQUIRED = {"required": True}
+
+
+def _section(cls, data, where: str, checks: dict):
+    """cls built from the config section data.
+
+    The fields of the dataclass cls are the section's keys: a field without
+    a default, or marked _REQUIRED, must be present, and an absent one keeps
+    its default. checks maps a field to the function that vets a given
+    value, called as check(value, "where.field").
+    """
+    required = {f.name: f.metadata.get("required", f.default is MISSING) for f in fields(cls)}
+    _take(data, required, where)
+    return cls(**{k: checks[k](v, f"{where}.{k}") if k in checks else v for k, v in data.items()})
+
+
 @dataclass(frozen=True)
 class DistanceConfig:
-    method: str = "quadrature"
+    method: str = field(default="quadrature", metadata=_REQUIRED)
     nodes_per_axis: int | None = None
     samples: int = 20000
     max_quadrature_dim: int = 3
@@ -120,20 +152,6 @@ class DistanceConfig:
         nodes = self.coarse_nodes(max_degree)
         return nodes**dimension + (2 * nodes) ** dimension
 
-    @staticmethod
-    def from_dict(data: dict) -> "DistanceConfig":
-        _take(
-            data,
-            {"method": True, "nodes_per_axis": False, "samples": False, "max_quadrature_dim": False},
-            "distance",
-        )
-        return DistanceConfig(
-            method=data["method"],
-            nodes_per_axis=data.get("nodes_per_axis"),
-            samples=data.get("samples", 20000),
-            max_quadrature_dim=data.get("max_quadrature_dim", 3),
-        )
-
 
 @dataclass(frozen=True)
 class SdeSection:
@@ -144,44 +162,28 @@ class SdeSection:
     run_llt: bool = False
     novikov_ceiling: float = 1e15
 
-    @staticmethod
-    def from_dict(data: dict) -> "SdeSection":
-        _take(
-            data,
-            {
-                "drift": True,
-                "steps": True,
-                "paths": True,
-                "max_degree": True,
-                "run_llt": False,
-                "novikov_ceiling": False,
-            },
-            "sde",
-        )
-        _drift(data["drift"], "sde.drift")
-        return SdeSection(
-            drift=dict(data["drift"]),
-            steps=_number(data["steps"], "sde.steps", int, 1),
-            paths=_number(data["paths"], "sde.paths", int, 1),
-            max_degree=_number(data["max_degree"], "sde.max_degree", int, 0, MAX_DEGREE),
-            run_llt=_flag(data.get("run_llt", False), "sde.run_llt"),
-            novikov_ceiling=_number(
-                data.get("novikov_ceiling", 1e15), "sde.novikov_ceiling", float
-            ),
-        )
 
-
-def _drift(data, where: str) -> DriftSpec:
-    """The drift a config section names; an unknown kind or a missing or bad
-    parameter is a ConfigError."""
+def _drift(data, where: str) -> dict:
+    """data if it is a drift section that drift_from_config accepts; an
+    unknown kind or a missing or bad parameter is a ConfigError."""
     try:
-        return drift_from_config(_object(data, where))
+        drift_from_config(_object(data, where))
     except KeyError as exc:
         raise ConfigError(
             f"{where} of kind {data.get('kind')!r} needs a {exc.args[0]!r} field"
         ) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    return dict(data)
+
+
+def _identity(value, name: str) -> str | None:
+    """value if it names an identity of the suite, or is null."""
+    from .identities import IDENTITY_NAMES  # identities imports harness, which imports config
+
+    if value not in (None, *IDENTITY_NAMES):
+        raise ConfigError(f"{name} must be null or one of {list(IDENTITY_NAMES)}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -190,20 +192,6 @@ class ValidateSection:
     max_degree: int = 8
     inject_error: str | None = None
     ks_samples: int = 20000
-
-    @staticmethod
-    def from_dict(data: dict) -> "ValidateSection":
-        _take(
-            data,
-            {"dimension": False, "max_degree": False, "inject_error": False, "ks_samples": False},
-            "validate",
-        )
-        return ValidateSection(
-            dimension=_number(data.get("dimension", 2), "validate.dimension", int, 1),
-            max_degree=_number(data.get("max_degree", 8), "validate.max_degree", int, 0, MAX_DEGREE),
-            inject_error=data.get("inject_error"),
-            ks_samples=_number(data.get("ks_samples", 20000), "validate.ks_samples", int, 1),
-        )
 
 
 @dataclass(frozen=True)
@@ -313,26 +301,48 @@ def parse_config(data) -> ExperimentConfig:
     n_values = tuple(_number(n, "each of n_values", int, 1) for n in n_values)
     if any(n > MAX_SUMMANDS for n in n_values):
         raise ConfigError(f"each of n_values must be at most 2**53, got {max(n_values)}")
-    distance = DistanceConfig.from_dict(data["distance"]) if "distance" in data else DistanceConfig()
-    grid = GridSpec()
-    if "audit_grid" in data:
-        _take(
-            data["audit_grid"],
-            {"points_per_axis": False, "halfwidth": False, "mc_points": False, "seed": False},
-            "audit_grid",
-        )
-        section = data["audit_grid"]
-        grid = GridSpec(
-            points_per_axis=_number(
-                section.get("points_per_axis", 41), "audit_grid.points_per_axis", int, 1
-            ),
-            halfwidth=_number(section.get("halfwidth", 3.5), "audit_grid.halfwidth", float),
-            mc_points=_number(section.get("mc_points", 4096), "audit_grid.mc_points", int, 1),
-            seed=_number(section.get("seed", 2024), "audit_grid.seed", int),
+    # each optional section, keyed by its ExperimentConfig field: its
+    # dataclass and the checks of its fields (DistanceConfig vets itself)
+    kinds = {
+        "distance": (DistanceConfig, {}),
+        "audit_grid": (
+            GridSpec,
+            {"points_per_axis": _int(1), "halfwidth": _real, "mc_points": _int(1), "seed": _int()},
+        ),
+        "sde": (
+            SdeSection,
+            {
+                "drift": _drift,
+                "steps": _int(1),
+                "paths": _int(1),
+                "max_degree": _int(0, MAX_DEGREE),
+                "run_llt": _flag,
+                "novikov_ceiling": _real,
+            },
+        ),
+        "validate": (
+            ValidateSection,
+            {
+                "dimension": _int(1),
+                "max_degree": _int(0, MAX_DEGREE),
+                "inject_error": _identity,
+                "ks_samples": _int(1),
+            },
+        ),
+    }
+    sections = {
+        key: _section(cls, data[key], key, checks)
+        for key, (cls, checks) in kinds.items()
+        if key in data
+    }
+    sde = sections.get("sde")
+    if sde is not None and dim is not None and (dim, maxdeg) != (sde.steps, sde.max_degree):
+        raise ConfigError(
+            f"space (dimension {dim}, max_degree {maxdeg}) disagrees with the space of the "
+            f"sde section (steps {sde.steps}, max_degree {sde.max_degree})"
         )
     if "density" in data and "kind" not in _object(data["density"], "density"):
         raise ConfigError("density section needs a 'kind' field")
-    sde = SdeSection.from_dict(data["sde"]) if "sde" in data else None
     return ExperimentConfig(
         seed=_number(data["seed"], "seed", int),
         space_dimension=dim,
@@ -340,13 +350,26 @@ def parse_config(data) -> ExperimentConfig:
         density=dict(data["density"]) if "density" in data else None,
         alpha=alpha,
         n_values=n_values,
-        distance=distance,
-        audit_grid=grid,
-        sde=sde,
-        validate=ValidateSection.from_dict(data["validate"]) if "validate" in data else None,
         record_wall_times=_flag(data.get("record_wall_times", False), "record_wall_times"),
         raw=data,
+        **sections,
     )
+
+
+def gaussian_cov_limit(spec: dict | None, space: GaussianSpace) -> LimitDensity:
+    """The limit density that a density section of kind 'gaussian_cov' names.
+
+    A missing or non-finite g2, or one that is not a symmetric kernel of the
+    space's dimension, is a ConfigError; a kernel that breaks the standing
+    hypotheses raises AssumptionViolationError.
+    """
+    if spec is None or spec.get("kind") != "gaussian_cov":
+        raise ConfigError("this command needs a density of kind 'gaussian_cov'")
+    _take(spec, {"kind": True, "g2": True}, "density")
+    try:
+        return gaussian_limit_series(_finite(spec["g2"], "density.g2"), space)
+    except ValueError as exc:
+        raise ConfigError(f"density: {exc}") from exc
 
 
 def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
@@ -387,11 +410,7 @@ def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
         except ValueError as exc:
             raise ConfigError(f"density: {exc}") from exc
     if kind == "gaussian_cov":
-        _take(spec, {"kind": True, "g2": True}, "density")
-        try:
-            return gaussian_cov(_finite(spec["g2"], "density.g2"), space)
-        except ValueError as exc:
-            raise ConfigError(f"density: {exc}") from exc
+        return gaussian_cov_limit(spec, space).series
     if kind == "rank_one_quadratic":
         _take(spec, {"kind": True, "g": True}, "density")
         try:
@@ -410,7 +429,7 @@ def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
         return ChaosVector(space, np.prod(padded[space.indices], axis=1))
     if kind == "sde":
         _take(spec, {"kind": True, "drift": True, "paths": True}, "density")
-        drift = _drift(spec["drift"], "density.drift")
+        drift = drift_from_config(_drift(spec["drift"], "density.drift"))
         paths = _number(spec["paths"], "density.paths", int, 1)
         return sde_density(drift, PathGrid(space.dimension), paths, space, seed=seed)
     raise ConfigError(f"unknown density kind {kind!r}")

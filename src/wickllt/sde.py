@@ -67,7 +67,8 @@ class DriftSpec:
 
 
 def _drift_values(spec: DriftSpec, x: np.ndarray) -> np.ndarray:
-    vals = np.asarray(spec.b1(x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        vals = np.asarray(spec.b1(x), dtype=float)
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape).astype(float)
     finite_per_path = np.isfinite(vals).all(axis=-1)
@@ -141,7 +142,8 @@ def novikov_estimate(
 
 def novikov_from_shifts(nu: WeightedShifts, ceiling: float = 1e15) -> MomentEstimate:
     """Exponential moment of an already-simulated drift measure."""
-    exponents = 0.5 * np.sum(nu.shifts**2, axis=1)
+    with np.errstate(over="ignore"):  # an infinite exponent is raised below
+        exponents = 0.5 * np.sum(nu.shifts**2, axis=1)
     return _exponential_moment(np.asarray(nu.weights), exponents, ceiling)
 
 

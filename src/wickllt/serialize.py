@@ -87,7 +87,7 @@ def chaos_from_json(text: str, space: GaussianSpace | None = None) -> ChaosVecto
     return ChaosVector(space, coeffs)
 
 
-def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     """CSV with '\\n' endings; floats in 17-digit form, '.' decimal separator."""
     lines = [",".join(header)]
     for row in rows:
@@ -98,9 +98,11 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    write_text(path, csv_text(header, rows))
 
 
 def write_text(path, text: str) -> None:

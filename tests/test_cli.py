@@ -42,6 +42,21 @@ def base_sde_config(**sde_overrides):
     return {"schema_version": 1, "seed": 1, "sde": {**sde, **sde_overrides}}
 
 
+def base_xi_config(g2=((0.1, 0.0), (0.0, 0.1)), max_degree=4, **density_overrides):
+    dimension = len(g2) if isinstance(g2, (list, tuple)) else 1
+    return {
+        "schema_version": 1,
+        "seed": 1,
+        "space": {"dimension": dimension, "max_degree": max_degree},
+        "density": {"kind": "gaussian_cov", "g2": g2, **density_overrides},
+    }
+
+
+def base_validate_config(**overrides):
+    section = {"dimension": 1, "max_degree": 4, "ks_samples": 200, **overrides}
+    return {"schema_version": 1, "seed": 1, "validate": section}
+
+
 class TestAuditCommand:
     def test_unit_density_passes(self, tmp_path):
         cfg = write_config(
@@ -427,6 +442,42 @@ class TestSdeCommand:
         assert all(v <= b + e for v, b, e in zip(l1s, bounds, errs))
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("llt", base_llt_config()),
+        (
+            "sde",
+            {
+                **base_sde_config(drift={"kind": "scaled_sin", "scale": 0.5}, run_llt=True),
+                "alpha": 0.5,
+                "n_values": [4, 16],
+                "distance": {"method": "mc", "samples": 200},
+            },
+        ),
+    ],
+    ids=["llt", "sde"],
+)
+def test_bound_violation_writes_the_rate_table(monkeypatch, tmp_path, capsys, command, data):
+    # a measured distance of 1 exceeds every row's bound; llt and sde write
+    # the same rate.csv and summary.json, listing the violating rows
+    import wickllt.harness as harness
+
+    monkeypatch.setattr(harness, "l1_distances", lambda fs, *a, **k: [(1.0, 0.0)] * len(fs))
+    cfg = write_config(tmp_path, "c.json", data)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: FAIL (rate bound violated") and err.count("\n") == 1
+    rows = (out / "rate.csv").read_text().strip().splitlines()
+    assert rows[0] == "n,l1,bound,err,seconds" and len(rows) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["bound_violations"] == ["n=4", "n=16"]
+    digests = json.loads((out / "manifest.json").read_text())["artifact_sha256"]
+    for name in ("rate.csv", "summary.json"):
+        assert digests[name] == sha256_file(out / name)
+
+
 class TestBuildXi:
     def test_writes_series_and_report(self, tmp_path):
         cfg = write_config(
@@ -521,7 +572,7 @@ class TestConfigErrors:
             ),
             (
                 {
-                    "space": {"dimension": 1, "max_degree": 4},
+                    "space": {"dimension": 3, "max_degree": 4},
                     "distance": {"method": "quadrature", "max_quadrature_dim": 2},
                     "sde": {
                         "drift": {"kind": "zero"},
@@ -633,6 +684,39 @@ class TestConfigErrors:
                 base_llt_config(density={"kind": "product_hermite", "axis_coeffs": []}),
                 "axis_coeffs must be a non-empty list",
             ),
+            (
+                "build-xi",
+                {**base_xi_config(), "density": {"kind": "gaussian_cov"}},
+                "missing required field(s) ['g2'] in density",
+            ),
+            ("build-xi", base_xi_config(g2=[[math.nan]]), "density.g2 must be finite, got nan"),
+            ("build-xi", base_xi_config(g2=[[0.1, 0.0]]), "excess kernel must be a square matrix"),
+            ("build-xi", base_xi_config(g2="abc"), "density.g2 must be numbers"),
+            ("build-xi", base_xi_config(max_degree=1), "kernel placement needs max_degree >= 2"),
+            ("build-xi", base_xi_config(zzz=1), "unknown field(s) ['zzz'] in density"),
+            ("audit", base_xi_config(g2=[[0.1]], max_degree=1), "needs max_degree >= 2"),
+            ("validate", base_validate_config(inject_error="bogus"), "inject_error must be null or"),
+            ("validate", base_validate_config(inject_error=5), "inject_error must be null or"),
+            (
+                "sde",
+                {
+                    **base_sde_config(steps=8, max_degree=8),
+                    "space": {"dimension": 3, "max_degree": 4},
+                },
+                "space (dimension 3, max_degree 4) disagrees with the space of the sde section "
+                "(steps 8, max_degree 8)",
+            ),
+            (
+                "sde",
+                base_sde_config(drift={"kind": "constant", "value": 30}, novikov_ceiling=math.nan),
+                "sde.novikov_ceiling must be finite, got nan",
+            ),
+            (
+                "llt",
+                base_llt_config(audit_grid={"halfwidth": math.nan}),
+                "audit_grid.halfwidth must be finite, got nan",
+            ),
+            ("llt", base_llt_config(alpha=10**400), "alpha must be finite"),
         ],
         ids=[
             "negative_degree",
@@ -655,6 +739,19 @@ class TestConfigErrors:
             "term_not_object",
             "terms_not_list",
             "empty_axis_coeffs",
+            "xi_without_g2",
+            "xi_nan_g2",
+            "xi_g2_not_square",
+            "xi_g2_string",
+            "xi_degree_one",
+            "xi_unknown_field",
+            "audit_degree_one",
+            "unknown_identity",
+            "identity_number",
+            "space_disagrees_with_sde",
+            "nan_novikov_ceiling",
+            "nan_halfwidth",
+            "alpha_beyond_float",
         ],
     )
     def test_bad_value_exits_two_without_traceback(
@@ -664,6 +761,65 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, data, flags, message",
+        [
+            (
+                "build-xi",
+                base_xi_config(g2=[[0.9, 0.0], [0.0, 0.1]]),
+                [],
+                "spectral radius of the doubled excess kernel is 1.800000 >= 1",
+            ),
+            (
+                "audit",
+                base_xi_config(g2=[[0.9]]),
+                [],
+                "spectral radius of the doubled excess kernel is 1.800000 >= 1",
+            ),
+            ("audit", base_xi_config(g2=[[-0.2]]), [], "excess kernel is not positive semidefinite"),
+            (
+                "sde",
+                base_sde_config(drift={"kind": "linear", "slope": 1e308}),
+                [],
+                "drift evaluation returned a non-finite value",
+            ),
+            (
+                "sde",
+                base_sde_config(drift={"kind": "linear", "slope": 1e200}),
+                [],
+                "exponent inf overflows",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    space={"dimension": 1, "max_degree": 4},
+                    density={"kind": "coefficients", "coeffs": [1.5, 0.0, 0.0, 0.0, 0.0]},
+                ),
+                ["--override-audit"],
+                "not a normalized density: degree-0 coefficient is 1.5",
+            ),
+        ],
+        ids=[
+            "xi_spectral_radius",
+            "audit_spectral_radius",
+            "audit_not_psd",
+            "sde_drift_overflows",
+            "sde_novikov_exponent_overflows",
+            "llt_not_normalized",
+        ],
+    )
+    def test_violation_exits_one_without_traceback(
+        self, tmp_path, capsys, command, data, flags, message
+    ):
+        # warnings are errors here: a numpy overflow warning would be a
+        # second stderr line
+        cfg = write_config(tmp_path, "c.json", data)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: FAIL (") and err.count("\n") == 1
         assert message in err
 
     @pytest.mark.parametrize(
@@ -792,17 +948,23 @@ class TestConfigErrors:
 
 
 _REMOVED = object()
-_FUZZ_VALUES = st.one_of(
-    st.integers(),
-    st.floats(allow_nan=False),
-    st.just(math.nan),
-    st.booleans(),
-    st.text(max_size=6),
-    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3), st.none()), max_size=3),
-    st.none(),
-    st.dictionaries(st.text(max_size=6), st.integers(), max_size=2),
-    st.just(_REMOVED),
-)
+
+
+def _fuzz_values(integers):
+    return st.one_of(
+        integers,
+        st.floats(allow_nan=False),
+        st.just(math.nan),
+        st.booleans(),
+        st.text(max_size=6),
+        st.lists(st.one_of(integers, st.floats(), st.text(max_size=3), st.none()), max_size=3),
+        st.none(),
+        st.dictionaries(st.text(max_size=6), integers, max_size=2),
+        st.just(_REMOVED),
+    )
+
+
+_FUZZ_VALUES = _fuzz_values(st.integers())
 
 
 @settings(max_examples=60, deadline=None)
@@ -833,6 +995,35 @@ def test_config_fuzz_exits_with_a_documented_code(field, value):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), "c.json", data)
         assert main(["llt", "--config", str(cfg), "--out", str(Path(tmp) / "o")]) in (0, 1, 2)
+
+
+# one field of the sde, validate or build-xi section: (command, its small
+# valid config, the section, the field)
+_SDE_FIELDS = ("drift", "steps", "paths", "max_degree", "run_llt", "novikov_ceiling")
+_VALIDATE_FIELDS = ("dimension", "max_degree", "inject_error", "ks_samples")
+_FUZZ_FIELDS = [
+    *[("sde", base_sde_config(), "sde", f) for f in _SDE_FIELDS],
+    *[("validate", base_validate_config(), "validate", f) for f in _VALIDATE_FIELDS],
+    *[("build-xi", base_xi_config(), "density", f) for f in ("kind", "g2")],
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, section, field", _FUZZ_FIELDS, ids=[f"{c}-{f}" for c, _, _, f in _FUZZ_FIELDS]
+)
+@settings(max_examples=15, deadline=None)
+# integers stay small: a path count or a sample size is allocated as given
+@given(value=_fuzz_values(st.integers(min_value=-2, max_value=6)))
+def test_config_fuzz_of_other_commands(command, config, section, field, value):
+    # as above, one field of another command's section at a time
+    data = json.loads(json.dumps(config))
+    if value is _REMOVED:
+        data[section].pop(field, None)
+    else:
+        data[section][field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "c.json", data)
+        assert main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")]) in (0, 1, 2)
 
 
 _SCIPY_PROBE = """
