@@ -1,7 +1,8 @@
 """Numeric audits of the standing hypotheses behind the limit theorem.
 
-Three checks gate every experiment, each reported with the measured quantity
-and an explicit tolerance:
+Three checks gate every experiment. audit_density runs them in one pass,
+reading the kernel M and its eigenvalues once, and reports each with the
+measured quantity and an explicit tolerance:
 
   * square-integrability / normalization: the candidate is a unit-mass L2
     density, and its truncated representative stays nonnegative on a screen
@@ -76,23 +77,6 @@ class AssumptionReport:
     def failing(self) -> list[str]:
         return [name for name, v in self.verdicts.items() if not v.passed]
 
-    def merged(self, other: "AssumptionReport") -> "AssumptionReport":
-        out = AssumptionReport()
-        for name in (
-            "l2_norm",
-            "normalization",
-            "min_on_grid",
-            "min_eigenvalue_m",
-            "trace_m",
-            "frobenius_sq_m",
-            "spectral_radius_2g",
-        ):
-            mine = getattr(self, name)
-            theirs = getattr(other, name)
-            setattr(out, name, theirs if theirs is not None else mine)
-        out.verdicts = {**self.verdicts, **other.verdicts}
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "l2_norm": self.l2_norm,
@@ -139,39 +123,6 @@ def check_square_integrability(
     return report
 
 
-def check_variance_domination(f: ChaosVector) -> AssumptionReport:
-    """M = 2 f2 - f1 f1^T must be PSD; its trace is reported for the record."""
-    view = kernel_view(f)
-    m = 2.0 * view.g2
-    eig = np.linalg.eigvalsh(m)
-    report = AssumptionReport()
-    report.min_eigenvalue_m = float(eig.min())
-    report.trace_m = float(np.trace(m))
-    report.verdicts["variance_domination"] = CheckResult(
-        report.min_eigenvalue_m >= -1e-10, report.min_eigenvalue_m, -1e-10
-    )
-    return report
-
-
-def check_excess_size(f: ChaosVector) -> AssumptionReport:
-    """|M|_F^2 strictly below one; reports the spectral radius of 2G as well.
-
-    The Frobenius condition is the sufficient hypothesis; the spectral radius
-    is the exact admissibility quantity for the limit density and always
-    satisfies rho(2G) <= |M|_F.
-    """
-    view = kernel_view(f)
-    m = 2.0 * view.g2
-    eig = np.linalg.eigvalsh(m)
-    report = AssumptionReport()
-    report.frobenius_sq_m = float(np.sum(m * m))
-    report.spectral_radius_2g = float(np.abs(eig).max())
-    report.verdicts["excess_frobenius"] = CheckResult(
-        report.frobenius_sq_m < 1.0, report.frobenius_sq_m, 1.0
-    )
-    return report
-
-
 class VariancePairing(NamedTuple):
     formula_value: float
     quadrature_value: float | None
@@ -205,9 +156,25 @@ def variance_pairing(
 
 
 def audit_density(f: ChaosVector, grid: GridSpec | None = None) -> AssumptionReport:
-    """Run all standing-hypothesis checks and merge the verdicts."""
+    """Run all standing-hypothesis checks in one report.
+
+    The two second-order checks share one M and one eigendecomposition,
+    whose spectral radius always satisfies rho(2G) <= |M|_F. A space of
+    max_degree below 2 has no kernel and gets the first check only.
+    """
     report = check_square_integrability(f, grid)
-    if f.space.max_degree >= 2:
-        report = report.merged(check_variance_domination(f))
-        report = report.merged(check_excess_size(f))
+    if f.space.max_degree < 2:
+        return report
+    m = 2.0 * kernel_view(f).g2
+    eig = np.linalg.eigvalsh(m)
+    report.min_eigenvalue_m = float(eig.min())
+    report.trace_m = float(np.trace(m))
+    report.frobenius_sq_m = float(np.sum(m * m))
+    report.spectral_radius_2g = float(np.abs(eig).max())
+    report.verdicts["variance_domination"] = CheckResult(
+        report.min_eigenvalue_m >= -1e-10, report.min_eigenvalue_m, -1e-10
+    )
+    report.verdicts["excess_frobenius"] = CheckResult(
+        report.frobenius_sq_m < 1.0, report.frobenius_sq_m, 1.0
+    )
     return report

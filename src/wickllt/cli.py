@@ -4,9 +4,9 @@ Exit codes: 0 all checks pass; 1 a hypothesis or bound violation; 2 a usage
 or configuration error. Every run that writes an artifact writes a manifest
 with the config echo, derived seeds, per-stage wall times, and SHA-256
 digests of the artifacts. The artifacts themselves are byte-stable:
-rerunning with the same config and seed reproduces them exactly (measured
-wall times go to the manifest, not the artifacts, unless record_wall_times
-is set).
+rerunning with the same config and seed reproduces them exactly, because
+measured wall times, those of the rate rows among them, go to the manifest
+only.
 """
 
 from __future__ import annotations
@@ -154,8 +154,9 @@ def _sweep(
             )
     except BoundViolationError as exc:
         violation, table = exc, exc.table
-    header = ["n", "l1", "bound", "err", "seconds"]
-    manifest.artifact("rate.csv", csv_text(header, table.to_csv_rows(config.record_wall_times)))
+    rows = [(r.n, r.l1, r.bound, r.error) for r in table.rows]
+    manifest.artifact("rate.csv", csv_text(["n", "l1", "bound", "err"], rows))
+    manifest.notes["row_seconds"] = [[r.n, r.seconds] for r in table.rows]
     summary = {
         "constant": table.constant,
         "n0": table.n0,
@@ -282,7 +283,7 @@ def cmd_build_xi(args) -> int:
         space = config.build_space()
         with manifest.stage("series"):
             density = gaussian_cov_limit(config.density, space)
-            norms = limit_l2_norms(density.g2, space)
+            norms = limit_l2_norms(density)
         manifest.artifact("xi_series.json", dumps_canonical(density.to_json_dict()))
         report = {
             "g2": density.g2,
@@ -314,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--threads", type=int, default=1, help="ignored; the sweep runs on one thread"
-        )
         p.add_argument(
             "--override-audit",
             action="store_true",

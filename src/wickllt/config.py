@@ -206,7 +206,6 @@ class ExperimentConfig:
     audit_grid: GridSpec = field(default_factory=GridSpec)
     sde: SdeSection | None = None
     validate: ValidateSection | None = None
-    record_wall_times: bool = False
     raw: dict = field(default_factory=dict)
 
     def build_space(self) -> GaussianSpace:
@@ -279,7 +278,6 @@ def parse_config(data) -> ExperimentConfig:
             "audit_grid": False,
             "sde": False,
             "validate": False,
-            "record_wall_times": False,
         },
         "config root",
     )
@@ -350,7 +348,6 @@ def parse_config(data) -> ExperimentConfig:
         density=dict(data["density"]) if "density" in data else None,
         alpha=alpha,
         n_values=n_values,
-        record_wall_times=_flag(data.get("record_wall_times", False), "record_wall_times"),
         raw=data,
         **sections,
     )

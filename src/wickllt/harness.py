@@ -142,12 +142,6 @@ def l1_distance(f: ChaosVector, g: ChaosVector, spec: DistanceConfig | None = No
     return l1_distances([f], g, spec, seed)[0]
 
 
-def tv_distance(f: ChaosVector, g: ChaosVector, spec: DistanceConfig | None = None, seed: int = 0) -> DistanceResult:
-    """Total-variation distance: half the L1 distance, same error convention."""
-    value, error = l1_distance(f, g, spec, seed)
-    return DistanceResult(0.5 * value, 0.5 * error)
-
-
 class RateConstant(NamedTuple):
     c: float
     n0: int
@@ -204,18 +198,6 @@ class RateTable:
     constant: float
     n0: int
     beta: float
-
-    def to_csv_rows(self, record_wall_times: bool = False):
-        # The seconds column is zeroed by default so artifacts are
-        # byte-identical across reruns; measured times live in the manifest.
-        for row in self.rows:
-            yield (
-                row.n,
-                row.l1,
-                row.bound,
-                row.error,
-                row.seconds if record_wall_times else 0.0,
-            )
 
 
 def rate_sweep(

@@ -139,15 +139,14 @@ class L2Norms(NamedTuple):
     scalar_frobenius_value: float | None
 
 
-def limit_l2_norms(g2, space: GaussianSpace) -> L2Norms:
-    """Three readings of the squared L2 norm of the limit density.
+def limit_l2_norms(density: LimitDensity) -> L2Norms:
+    """Three readings of the squared L2 norm of a built limit density.
 
     (i) the truncated series sum, (ii) the exact eigenvalue product
     prod (1 - 4 lambda_i^2)^{-1/2}, (iii) the one-number Frobenius form
     (1 - 4 |G|_F^2)^{-1/2}. Always (i) ~= (ii) within the truncation tail
     and (ii) <= (iii); equality in the latter holds exactly for rank-one G.
     """
-    density = gaussian_limit_series(g2, space)
     eig = density.eigenvalues
     det_value = float(np.prod(1.0 / np.sqrt(1.0 - 4.0 * eig**2)))
     frob_sq = float(np.sum(density.g2 * density.g2))

@@ -174,14 +174,6 @@ def rank_one_closed_form(g, w) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def save_samples_csv(samples: np.ndarray, path) -> None:
-    """Write draws as plain CSV, one row per vector, 17-digit coordinates."""
-    from .serialize import write_csv
-
-    arr = np.atleast_2d(np.asarray(samples, dtype=float))
-    write_csv(path, [f"x{i + 1}" for i in range(arr.shape[1])], arr)
-
-
 def _envelope_halfwidth(count: int, max_degree: int) -> float:
     # Wide enough that a standard normal sample of this size stays inside
     # with overwhelming probability, padded for polynomial growth.

@@ -208,29 +208,29 @@ def sde_density(
     return shift_mixture(shifts, space)
 
 
-DRIFT_REGISTRY: dict[str, Callable[..., DriftSpec]] = {
-    "zero": lambda: DriftSpec(lambda x: np.zeros_like(x), label="zero"),
-    "constant": lambda value: DriftSpec(
-        lambda x, _v=float(value): np.full_like(x, _v), kappa=float(value), label="constant"
-    ),
-    "scaled_sin": lambda scale: DriftSpec(
-        lambda x, _s=float(scale): _s * np.sin(x), kappa=float(scale), label="scaled_sin"
-    ),
-    "linear": lambda slope: DriftSpec(
-        lambda x, _s=float(slope): _s * x, kappa=float(slope), label="linear"
-    ),
+# each drift kind: the name of its one parameter s (None for none) and b1(x, s)
+DRIFT_KINDS: dict[str, tuple[str | None, Callable[[np.ndarray, float], np.ndarray]]] = {
+    "zero": (None, lambda x, s: np.zeros_like(x)),
+    "constant": ("value", lambda x, s: np.full_like(x, s)),
+    "scaled_sin": ("scale", lambda x, s: s * np.sin(x)),
+    "linear": ("slope", lambda x, s: s * x),
 }
 
 
 def drift_from_config(data: dict) -> DriftSpec:
-    """Build a drift from {'kind': ..., optional parameter} config data."""
+    """Build a drift from {'kind': ..., its parameter} config data.
+
+    An unknown kind or any field beyond the kind's parameter is a ValueError;
+    a missing parameter is a KeyError naming it.
+    """
     kind = data.get("kind")
-    if kind == "zero":
-        return DRIFT_REGISTRY["zero"]()
-    if kind == "constant":
-        return DRIFT_REGISTRY["constant"](data["value"])
-    if kind == "scaled_sin":
-        return DRIFT_REGISTRY["scaled_sin"](data["scale"])
-    if kind == "linear":
-        return DRIFT_REGISTRY["linear"](data["slope"])
-    raise ValueError(f"unknown drift kind {kind!r}")
+    if not isinstance(kind, str) or kind not in DRIFT_KINDS:
+        raise ValueError(f"unknown drift kind {kind!r}")
+    param, b1 = DRIFT_KINDS[kind]
+    unknown = sorted(set(data) - {"kind", param})
+    if unknown:
+        raise ValueError(f"unknown field(s) {unknown} in a drift of kind {kind!r}")
+    if param is None:
+        return DriftSpec(lambda x: b1(x, 0.0), label=kind)
+    s = float(data[param])
+    return DriftSpec(lambda x: b1(x, s), kappa=s, label=kind)

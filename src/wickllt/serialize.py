@@ -101,10 +101,6 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    write_text(path, csv_text(header, rows))
-
-
 def write_text(path, text: str) -> None:
     with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))

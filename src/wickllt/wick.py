@@ -37,7 +37,7 @@ from .basis import (
     extract_mean,
     monomial_powers,
 )
-from .streams import substream
+from .streams import STREAM_OU, substream
 
 
 class NotNormalizedError(ChaosError):
@@ -279,7 +279,7 @@ def ou_apply(
     spread = math.sqrt(max(0.0, 1.0 - decay * decay))
     if spread == 0.0:
         return OuEstimate(eval_at(f, w), 0.0)
-    rng = substream(seed, 5)
+    rng = substream(seed, STREAM_OU)
     pts = decay * w[None, :] + spread * rng.standard_normal((mc_samples, f.space.dimension))
     vals = eval_many(f, pts)
     se = float(vals.std(ddof=1) / math.sqrt(mc_samples))

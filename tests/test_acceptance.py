@@ -202,11 +202,11 @@ def test_criterion_03_series_vs_closed_form():
 
 def test_criterion_04_norm_triple():
     space = GaussianSpace(1, 24)
-    norms = limit_l2_norms([[0.3]], space)
     density = gaussian_limit_series([[0.3]], space)
+    norms = limit_l2_norms(density)
     within_tail = abs(norms.series_value - norms.determinant_value) <= density.l2_tail_sq + 1e-12
     rank_one_equal = abs(norms.determinant_value - norms.scalar_frobenius_value) <= 1e-8
-    norms2 = limit_l2_norms(np.diag([0.3, 0.3]), GaussianSpace(2, 24))
+    norms2 = limit_l2_norms(gaussian_limit_series(np.diag([0.3, 0.3]), GaussianSpace(2, 24)))
     strict = norms2.determinant_value < norms2.scalar_frobenius_value
     report(
         4,
@@ -374,12 +374,9 @@ def test_criterion_11_determinism(tmp_path):
     raw["distance"] = {"method": "mc", "samples": 6000}
     cfg = write_config(tmp_path, "llt.json", raw)
     digests = []
-    for run, threads in (("r1", "1"), ("r2", "2"), ("r3", "1")):
+    for run in ("r1", "r2", "r3"):
         out = tmp_path / run
-        code = cli_main(
-            ["llt", "--config", str(cfg), "--out", str(out), "--threads", threads]
-        )
-        assert code == 0
+        assert cli_main(["llt", "--config", str(cfg), "--out", str(out)]) == 0
         digests.append((sha256_file(out / "rate.csv"), sha256_file(out / "summary.json")))
     llt_ok = digests[0] == digests[1] == digests[2]
 
@@ -410,6 +407,6 @@ def test_criterion_11_determinism(tmp_path):
         11,
         "byte-identical reruns",
         llt_ok and sde_ok,
-        f"(rate artifacts identical across threads 1/2 and reruns: {llt_ok}; "
+        f"(rate artifacts identical across three reruns: {llt_ok}; "
         f"path-space artifacts identical: {sde_ok})",
     )

@@ -6,9 +6,7 @@ import pytest
 from wickllt.audit import (
     GridSpec,
     audit_density,
-    check_excess_size,
     check_square_integrability,
-    check_variance_domination,
     variance_pairing,
 )
 from wickllt.basis import ChaosVector, GaussianSpace
@@ -49,19 +47,19 @@ class TestSquareIntegrability:
 
 class TestVarianceDomination:
     def test_unit_density_boundary(self, line16):
-        report = check_variance_domination(unit_density(line16))
+        report = audit_density(unit_density(line16))
         assert report.min_eigenvalue_m == pytest.approx(0.0, abs=1e-15)
         assert report.trace_m == pytest.approx(0.0, abs=1e-15)
         assert report.verdicts["variance_domination"].passed
 
     def test_quadratic_density(self, line16):
-        report = check_variance_domination(quadratic_density(line16))
+        report = audit_density(quadratic_density(line16))
         assert report.min_eigenvalue_m == pytest.approx(0.2)
         assert report.trace_m == pytest.approx(0.2)
         assert report.verdicts["variance_domination"].passed
 
     def test_pure_shift_boundary(self, line16):
-        report = check_variance_domination(stochastic_exponential([0.4], line16))
+        report = audit_density(stochastic_exponential([0.4], line16))
         assert report.min_eigenvalue_m == pytest.approx(0.0, abs=1e-14)
         assert report.verdicts["variance_domination"].passed
 
@@ -69,18 +67,18 @@ class TestVarianceDomination:
         c = np.zeros(line16.size)
         c[0] = 1.0
         c[line16.position((2,))] = -0.1
-        report = check_variance_domination(ChaosVector(line16, c))
+        report = audit_density(ChaosVector(line16, c))
         assert not report.verdicts["variance_domination"].passed
 
 
 class TestExcessSize:
     def test_unit_density(self, line16):
-        report = check_excess_size(unit_density(line16))
+        report = audit_density(unit_density(line16))
         assert report.frobenius_sq_m == 0.0
         assert report.verdicts["excess_frobenius"].passed
 
     def test_quadratic_density(self, line16):
-        report = check_excess_size(quadratic_density(line16))
+        report = audit_density(quadratic_density(line16))
         assert report.frobenius_sq_m == pytest.approx(0.04)
         assert report.spectral_radius_2g == pytest.approx(0.2)
 
@@ -88,7 +86,7 @@ class TestExcessSize:
         from wickllt.measures import gaussian_cov
 
         f = gaussian_cov(np.diag([0.3, 0.3]), plane12)
-        report = check_excess_size(f)
+        report = audit_density(f)
         assert report.frobenius_sq_m == pytest.approx(0.72, rel=1e-10)
         assert report.spectral_radius_2g == pytest.approx(0.6, rel=1e-10)
         assert report.verdicts["excess_frobenius"].passed
@@ -101,7 +99,7 @@ class TestExcessSize:
         f = ChaosVector(plane12, c)
         from wickllt.basis import kernel_view
 
-        report = check_excess_size(f)
+        report = audit_density(f)
         g = kernel_view(f).g2
         assert report.frobenius_sq_m == pytest.approx(4.0 * float(np.sum(g * g)), rel=1e-14)
 
@@ -111,7 +109,7 @@ class TestExcessSize:
             f = random_low_degree(plane12, rng, max_degree=4, scale=0.2)
             c = f.coeffs.copy()
             c[0] = 1.0
-            report = check_excess_size(ChaosVector(plane12, c))
+            report = audit_density(ChaosVector(plane12, c))
             if report.verdicts["excess_frobenius"].passed:
                 assert report.spectral_radius_2g <= math.sqrt(report.frobenius_sq_m) + 1e-12
                 assert report.spectral_radius_2g < 1.0

@@ -121,7 +121,7 @@ class TestLltCommand:
         )
         assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         rows = (tmp_path / "out" / "rate.csv").read_text().strip().splitlines()
-        assert rows[0] == "n,l1,bound,err,seconds"
+        assert rows[0] == "n,l1,bound,err"
         for line in rows[1:]:
             assert float(line.split(",")[1]) <= 1e-10
 
@@ -139,22 +139,9 @@ class TestLltCommand:
     def test_determinism_across_threads_and_reruns(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", base_llt_config())
         digests = []
-        for run, threads in (("r1", "1"), ("r2", "4"), ("r3", "1")):
+        for run in ("r1", "r2", "r3"):
             out = tmp_path / run
-            assert (
-                main(
-                    [
-                        "llt",
-                        "--config",
-                        str(cfg),
-                        "--out",
-                        str(out),
-                        "--threads",
-                        threads,
-                    ]
-                )
-                == 0
-            )
+            assert main(["llt", "--config", str(cfg), "--out", str(out)]) == 0
             digests.append(
                 (sha256_file(out / "rate.csv"), sha256_file(out / "summary.json"))
             )
@@ -230,14 +217,24 @@ class TestLltCommand:
         rows = summary["rows"]
         assert all(r["l1"] <= r["bound"] + r["err"] + 1e-12 for r in rows)
 
-    def test_wall_times_zeroed_by_default(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", base_llt_config(n_values=[4]))
+    def test_row_seconds_go_to_the_manifest(self, tmp_path):
+        # rate.csv holds no time; each row's measured power time is a note
+        cfg = write_config(tmp_path, "c.json", base_llt_config(n_values=[4, 16, 64]))
         out = tmp_path / "out"
-        main(["llt", "--config", str(cfg), "--out", str(out)])
-        for line in (out / "rate.csv").read_text().strip().splitlines()[1:]:
-            assert float(line.split(",")[4]) == 0.0
+        assert main(["llt", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "rate.csv").read_text().strip().splitlines()
+        assert rows[0] == "n,l1,bound,err" and len(rows) == 4
         manifest = json.loads((out / "manifest.json").read_text())
+        assert [n for n, _ in manifest["notes"]["row_seconds"]] == [4, 16, 64]
+        assert all(seconds > 0 for _, seconds in manifest["notes"]["row_seconds"])
         assert manifest["stage_wall_seconds"]["sweep"] > 0
+
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", base_llt_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["llt", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_quadrature_at_the_node_limit_runs(self, tmp_path):
         # 512 coarse nodes: the error estimate's fine rule is the largest rule
@@ -470,7 +467,7 @@ def test_bound_violation_writes_the_rate_table(monkeypatch, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith(f"{command}: FAIL (rate bound violated") and err.count("\n") == 1
     rows = (out / "rate.csv").read_text().strip().splitlines()
-    assert rows[0] == "n,l1,bound,err,seconds" and len(rows) == 3
+    assert rows[0] == "n,l1,bound,err" and len(rows) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["bound_violations"] == ["n=4", "n=16"]
     digests = json.loads((out / "manifest.json").read_text())["artifact_sha256"]
@@ -498,6 +495,28 @@ class TestBuildXi:
         assert data["series"]["dimension"] == 1
         report = json.loads((out / "xi_report.json").read_text())
         assert report["norm_sq_eigenproduct"] == pytest.approx((1 - 0.16) ** -0.5)
+
+    def test_builds_the_series_once(self, monkeypatch, tmp_path):
+        # every module that holds gaussian_limit_series counts into one tally
+        import wickllt
+        import wickllt.limit_density as limit_density
+
+        real = limit_density.gaussian_limit_series
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "wickllt":
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counting)
+        assert wickllt.gaussian_limit_series is counting
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "build_xi_d2.json"
+        assert main(["build-xi", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestConfigErrors:
@@ -624,6 +643,29 @@ class TestConfigErrors:
             ("sde", base_sde_config(drift={"kind": "cosine"}), "unknown drift kind 'cosine'"),
             ("sde", base_sde_config(drift={"kind": "constant"}), "needs a 'value' field"),
             (
+                "sde",
+                base_sde_config(drift={"kind": "constant", "value": 1, "zz": 2}),
+                "sde.drift: unknown field(s) ['zz']",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    space={"dimension": 2, "max_degree": 4},
+                    density={
+                        "kind": "sde",
+                        "drift": {"kind": "constant", "value": 1, "zz": 2},
+                        "paths": 16,
+                    },
+                    distance={"method": "mc", "samples": 200},
+                ),
+                "density.drift: unknown field(s) ['zz']",
+            ),
+            (
+                "llt",
+                base_llt_config(record_wall_times=True),
+                "unknown field(s) ['record_wall_times'] in config root",
+            ),
+            (
                 "llt",
                 base_llt_config(
                     density={
@@ -728,6 +770,9 @@ class TestConfigErrors:
             "zero_paths",
             "unknown_drift",
             "constant_drift_without_value",
+            "sde_drift_unknown_field",
+            "density_drift_unknown_field",
+            "wall_times_unknown",
             "shift_dimension",
             "weights_sum",
             "basis_too_large",
@@ -884,11 +929,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "command, data, name",
         [
-            ("llt", base_llt_config(record_wall_times="false"), "record_wall_times"),
-            ("llt", base_llt_config(record_wall_times=0), "record_wall_times"),
             ("sde", base_sde_config(run_llt="false"), "sde.run_llt"),
+            ("sde", base_sde_config(run_llt=0), "sde.run_llt"),
         ],
-        ids=["wall_times_string", "wall_times_zero", "run_llt_string"],
+        ids=["run_llt_string", "run_llt_zero"],
     )
     def test_flag_must_be_a_json_boolean(self, tmp_path, capsys, command, data, name):
         cfg = write_config(tmp_path, "c.json", data)

@@ -17,7 +17,6 @@ from wickllt.harness import (
     rate_constant,
     rate_sweep,
     sum_density,
-    tv_distance,
     young_check,
 )
 from wickllt.measures import gaussian_cov
@@ -147,14 +146,6 @@ class TestDistances:
         # a spec built in code, not parsed from a config, is checked too
         with pytest.raises(ConfigError, match=message):
             DistanceConfig(**fields)
-
-    def test_tv_is_half_l1(self, line16):
-        f = corpus_line_density(line16)
-        g = unit_density(line16)
-        l1 = l1_distance(f, g)
-        tv = tv_distance(f, g)
-        assert tv.value == 0.5 * l1.value
-        assert tv.error == 0.5 * l1.error
 
 
 class TestRateConstant:

@@ -121,12 +121,12 @@ class TestCharFunctional:
 
 class TestL2Norms:
     def test_zero_kernel(self, line16):
-        norms = limit_l2_norms(np.zeros((1, 1)), line16)
+        norms = limit_l2_norms(gaussian_limit_series(np.zeros((1, 1)), line16))
         assert norms == pytest.approx((1.0, 1.0, 1.0))
 
     def test_rank_one_line(self):
         space = GaussianSpace(1, 24)
-        norms = limit_l2_norms([[0.3]], space)
+        norms = limit_l2_norms(gaussian_limit_series([[0.3]], space))
         assert norms.determinant_value == pytest.approx((1 - 0.36) ** -0.5, rel=1e-14)
         assert norms.scalar_frobenius_value == pytest.approx(
             norms.determinant_value, abs=1e-14
@@ -136,7 +136,7 @@ class TestL2Norms:
 
     def test_rank_two_strict_inequality(self):
         space = GaussianSpace(2, 24)
-        norms = limit_l2_norms(np.diag([0.3, 0.3]), space)
+        norms = limit_l2_norms(gaussian_limit_series(np.diag([0.3, 0.3]), space))
         assert norms.determinant_value == pytest.approx(1.5625, rel=1e-14)
         assert norms.scalar_frobenius_value == pytest.approx(
             (1 - 4 * 0.18) ** -0.5, rel=1e-12
@@ -148,7 +148,7 @@ class TestL2Norms:
         # eigenvalue product stays finite (spectrum still admissible)
         g = np.diag([0.36, 0.36])
         assert float(np.sum(g * g)) >= 0.25
-        norms = limit_l2_norms(g, plane12)
+        norms = limit_l2_norms(gaussian_limit_series(g, plane12))
         assert norms.scalar_frobenius_value is None
         assert math.isfinite(norms.determinant_value)
 
