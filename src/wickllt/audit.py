@@ -26,8 +26,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import ChaosVector, eval_many, kernel_view
-from .quadrature import tensor_grid, tensor_rule
+from .quadrature import MAX_QUADRATURE_DIM, tensor_grid, tensor_rule
 from .streams import STREAM_AUDIT, substream
+
+# The nonnegativity screen passes a grid minimum down to -NEGATIVITY_FACTOR
+# times the L2 norm: truncated representatives may dip slightly below zero.
+NEGATIVITY_FACTOR = 1e-6
 
 
 class AssumptionViolationError(Exception):
@@ -98,14 +102,11 @@ class AssumptionReport:
         }
 
 
-def check_square_integrability(
-    f: ChaosVector, grid: GridSpec | None = None, negativity_factor: float = 1e-6
-) -> AssumptionReport:
+def check_square_integrability(f: ChaosVector, grid: GridSpec | None = None) -> AssumptionReport:
     """Unit mass, finite L2 norm, and a nonnegativity screen on the grid.
 
     The norm is always finite at truncation and recorded for the report. The
-    grid minimum may dip slightly below zero for truncated representatives;
-    the pass floor is -negativity_factor * ||f||_2.
+    pass floor of the grid minimum is -NEGATIVITY_FACTOR * ||f||_2.
     """
     grid = grid or GridSpec()
     report = AssumptionReport()
@@ -116,7 +117,7 @@ def check_square_integrability(
     report.verdicts["normalization"] = CheckResult(
         abs(report.normalization - 1.0) <= 1e-12, report.normalization, 1e-12
     )
-    floor = -negativity_factor * report.l2_norm
+    floor = -NEGATIVITY_FACTOR * report.l2_norm
     report.verdicts["nonnegativity"] = CheckResult(
         report.min_on_grid >= floor, report.min_on_grid, floor
     )
@@ -128,14 +129,12 @@ class VariancePairing(NamedTuple):
     quadrature_value: float | None
 
 
-def variance_pairing(
-    f: ChaosVector, h, max_quadrature_dim: int = 3
-) -> VariancePairing:
+def variance_pairing(f: ChaosVector, h) -> VariancePairing:
     """Var<X, h> two ways: the kernel formula h^T M h + |h|^2 and quadrature.
 
     The quadrature side integrates <w,h>^2 f and <w,h> f exactly (the
-    integrands are polynomials of degree max_degree + 2). Above the dimension
-    cut only the formula value is returned.
+    integrands are polynomials of degree max_degree + 2). Above
+    MAX_QUADRATURE_DIM only the formula value is returned.
     """
     h = np.asarray(h, dtype=float).reshape(-1)
     space = f.space
@@ -144,7 +143,7 @@ def variance_pairing(
     view = kernel_view(f)
     m = 2.0 * view.g2
     formula = float(h @ m @ h + h @ h)
-    if space.dimension > max_quadrature_dim:
+    if space.dimension > MAX_QUADRATURE_DIM:
         return VariancePairing(formula, None)
     nodes = (space.max_degree + 3) // 2 + 1
     pts, wts = tensor_rule(space.dimension, max(nodes, 8))

@@ -40,6 +40,9 @@ MAX_BASIS_SIZE = 2_000_000
 # Largest degree whose factorial a float holds: 171! overflows, and every
 # norm weighs a coefficient by alpha!.
 MAX_DEGREE = 170
+# Largest dimension (coordinates, or time steps of a path): enumerating a
+# basis takes time like its size times d^2, seconds at d = 256 and degree 2.
+MAX_DIMENSION = 256
 
 
 class ChaosError(Exception):
@@ -75,8 +78,8 @@ def enumerate_indices(
     Within one degree the order is by decreasing first coordinate, then
     recursively on the remainder; the full table has binom(d + K, K) rows.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
+    if not 1 <= dimension <= MAX_DIMENSION:
+        raise ValueError(f"dimension must lie in [1, {MAX_DIMENSION}], got {dimension}")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if max_degree > MAX_DEGREE:

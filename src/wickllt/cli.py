@@ -117,11 +117,9 @@ def _run(args, command: str):
 
 def cmd_audit(args) -> int:
     with _run(args, "audit") as (config, manifest):
-        if config.density is None:
-            raise ConfigError("audit needs a 'density' section")
         space = config.build_space()
         with manifest.stage("build_density"):
-            density = resolve_density(config.density, space, config.seed)
+            density = resolve_density(config.density, space)
         with manifest.stage("audit"):
             report = audit_density(density, config.audit_grid)
         payload = report.to_json_dict()
@@ -195,7 +193,7 @@ def cmd_llt(args) -> int:
         space = config.build_space()
         _note_evaluation(manifest, space)
         with manifest.stage("density"):
-            density = resolve_density(config.density, space, config.seed)
+            density = resolve_density(config.density, space)
         table = _sweep(manifest, config, density, None, args.override_audit)
     print(
         f"llt: PASS (C={table.constant:.6g}, n0={table.n0}, rows={len(table.rows)})"
@@ -236,7 +234,7 @@ def cmd_sde(args) -> int:
             raise ConfigError("sde needs an 'sde' section")
         if section.run_llt:
             # the sweep runs on the space of the path's steps
-            config.require_llt_fields(section.steps, section.max_degree, need_density=False)
+            config.require_llt_fields(section.steps, section.max_degree)
         manifest.notes["derived_seeds"] = {
             "path_stream_block0": child_seed(config.seed, STREAM_PATHS, 0)
         }
@@ -246,7 +244,7 @@ def cmd_sde(args) -> int:
         with manifest.stage("simulate"):
             shifts = simulate_drift_shifts(drift, grid, section.paths, seed=config.seed)
         with manifest.stage("novikov"):
-            novikov = novikov_from_shifts(shifts, ceiling=section.novikov_ceiling)
+            novikov = novikov_from_shifts(shifts)
         with manifest.stage("drift_energy"):
             energy = mean_square_drift_estimate(drift, grid, section.paths, seed=config.seed)
         _note_evaluation(manifest, space)

@@ -18,16 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from .audit import GridSpec
-from .basis import MAX_DEGREE, ChaosVector, GaussianSpace
+from .basis import MAX_DEGREE, MAX_DIMENSION, ChaosVector, GaussianSpace
 from .limit_density import LimitDensity, gaussian_limit_series
 from .measures import rank_one_quadratic, shift_mixture, WeightedShifts
-from .quadrature import MAX_RULE_NODES
-from .sde import PathGrid, drift_from_config, sde_density
+from .quadrature import MAX_QUADRATURE_DIM
+from .sde import drift_from_config
 
 SCHEMA_VERSION = 1
 # n enters the row scaling sqrt(alpha / n) and the bound C / sqrt(n) as a
 # float, which holds every integer only up to 2**53
 MAX_SUMMANDS = 2**53
+# Largest array of draws or points a config may ask for, in floats (800 MB):
+# paths times steps, distance points times dimension, KS samples.
+MAX_ENTRIES = 10**8
 
 
 class ConfigError(Exception):
@@ -123,25 +126,19 @@ def _section(cls, data, where: str, checks: dict):
 @dataclass(frozen=True)
 class DistanceConfig:
     method: str = field(default="quadrature", metadata=_REQUIRED)
-    nodes_per_axis: int | None = None
     samples: int = 20000
-    max_quadrature_dim: int = 3
 
     def __post_init__(self) -> None:
         if self.method not in ("quadrature", "mc"):
             raise ConfigError(
                 f"distance.method must be 'quadrature' or 'mc', got {self.method!r}"
             )
-        if self.nodes_per_axis is not None:
-            _number(self.nodes_per_axis, "distance.nodes_per_axis", int, 1)
         # the Monte-Carlo error bar is a sample standard deviation
         _number(self.samples, "distance.samples", int, 2)
-        _number(self.max_quadrature_dim, "distance.max_quadrature_dim", int, 1)
 
-    def coarse_nodes(self, max_degree: int) -> int:
+    @staticmethod
+    def coarse_nodes(max_degree: int) -> int:
         """Quadrature nodes per axis of the coarse rule; the fine rule doubles them."""
-        if self.nodes_per_axis is not None:
-            return self.nodes_per_axis
         return max(2 * max_degree, 8)
 
     def points(self, dimension: int, max_degree: int) -> int:
@@ -160,7 +157,6 @@ class SdeSection:
     paths: int
     max_degree: int
     run_llt: bool = False
-    novikov_ceiling: float = 1e15
 
 
 def _drift(data, where: str) -> dict:
@@ -213,39 +209,32 @@ class ExperimentConfig:
             raise ConfigError("config does not define a space section")
         return GaussianSpace(self.space_dimension, self.space_max_degree)
 
-    def require_llt_fields(
-        self, dimension: int | None, max_degree: int | None, need_density: bool = True
-    ) -> None:
+    def require_llt_fields(self, dimension: int | None, max_degree: int | None) -> None:
         """Check the fields a rate sweep reads; dimension and max_degree are
         those of the swept space (None when the config has no space section,
         which build_space reports)."""
-        if need_density and self.density is None:
-            raise ConfigError("this command needs a 'density' section")
         if self.alpha is None or not self.n_values:
             raise ConfigError("this command needs 'alpha' and 'n_values'")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if max_degree is not None and max_degree < 3:
+        if dimension is None or max_degree is None:
+            return
+        if max_degree < 3:
             raise ConfigError(
                 f"a rate sweep needs max_degree >= 3 (its rate constant is zero by "
                 f"construction below), but the swept space has max_degree {max_degree}"
             )
-        limit = self.distance.max_quadrature_dim
-        if self.distance.method == "quadrature" and dimension is not None and dimension > limit:
+        if self.distance.method == "quadrature" and dimension > MAX_QUADRATURE_DIM:
             raise ConfigError(
-                f"quadrature distance is limited to dimension <= {limit} "
-                f"(distance.max_quadrature_dim), but the swept space has dimension "
-                f"{dimension}; use distance.method 'mc'"
+                f"quadrature distance is limited to dimension <= {MAX_QUADRATURE_DIM}, but "
+                f"the swept space has dimension {dimension}; use distance.method 'mc'"
             )
-        if self.distance.method == "quadrature" and max_degree is not None:
-            nodes = self.distance.coarse_nodes(max_degree)
-            if 2 * nodes > MAX_RULE_NODES:
-                raise ConfigError(
-                    f"quadrature distance is limited to {MAX_RULE_NODES // 2} nodes per axis "
-                    f"(its error estimate doubles them, and the Gauss-Hermite rule stops at "
-                    f"{MAX_RULE_NODES}), but this sweep needs {nodes}; lower "
-                    f"distance.nodes_per_axis or use distance.method 'mc'"
-                )
+        points = self.distance.points(dimension, max_degree)
+        if points * dimension > MAX_ENTRIES:
+            raise ConfigError(
+                f"the {self.distance.method} distance evaluates {points} points of dimension "
+                f"{dimension}, {points * dimension} entries, more than {MAX_ENTRIES}"
+            )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -288,7 +277,7 @@ def parse_config(data) -> ExperimentConfig:
     dim = maxdeg = None
     if "space" in data:
         _take(data["space"], {"dimension": True, "max_degree": True}, "space")
-        dim = _number(data["space"]["dimension"], "space.dimension", int, 1)
+        dim = _number(data["space"]["dimension"], "space.dimension", int, 1, MAX_DIMENSION)
         maxdeg = _number(data["space"]["max_degree"], "space.max_degree", int, 0, MAX_DEGREE)
     alpha = _number(data["alpha"], "alpha", float) if "alpha" in data else None
     if alpha is not None and not 0.0 < alpha < 1.0:
@@ -311,20 +300,20 @@ def parse_config(data) -> ExperimentConfig:
             SdeSection,
             {
                 "drift": _drift,
-                "steps": _int(1),
+                "steps": _int(1, MAX_DIMENSION),
                 "paths": _int(1),
                 "max_degree": _int(0, MAX_DEGREE),
                 "run_llt": _flag,
-                "novikov_ceiling": _real,
             },
         ),
         "validate": (
             ValidateSection,
             {
-                "dimension": _int(1),
+                "dimension": _int(1, MAX_DIMENSION),
                 "max_degree": _int(0, MAX_DEGREE),
                 "inject_error": _identity,
-                "ks_samples": _int(1),
+                # the KS draws are one-dimensional, whatever the dimension
+                "ks_samples": _int(1, MAX_ENTRIES),
             },
         ),
     }
@@ -334,6 +323,11 @@ def parse_config(data) -> ExperimentConfig:
         if key in data
     }
     sde = sections.get("sde")
+    if sde is not None and sde.paths * sde.steps > MAX_ENTRIES:
+        raise ConfigError(
+            f"sde.paths times sde.steps is {sde.paths * sde.steps}, more than {MAX_ENTRIES} "
+            f"drift values"
+        )
     if sde is not None and dim is not None and (dim, maxdeg) != (sde.steps, sde.max_degree):
         raise ConfigError(
             f"space (dimension {dim}, max_degree {maxdeg}) disagrees with the space of the "
@@ -369,12 +363,14 @@ def gaussian_cov_limit(spec: dict | None, space: GaussianSpace) -> LimitDensity:
         raise ConfigError(f"density: {exc}") from exc
 
 
-def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
+def resolve_density(spec: dict | None, space: GaussianSpace) -> ChaosVector:
     """Build the density named by a config 'density' section.
 
     Raw coefficients are taken as given: the assumption audit, which every
     command runs on the result, screens normalization and nonnegativity.
     """
+    if spec is None:
+        raise ConfigError("this command needs a 'density' section")
     kind = spec.get("kind")
     if kind == "coefficients":
         _take(spec, {"kind": True, "terms": False, "coeffs": False}, "density")
@@ -424,9 +420,4 @@ def resolve_density(spec: dict, space: GaussianSpace, seed: int) -> ChaosVector:
         padded = np.zeros(space.max_degree + 1)
         padded[: min(base.size, padded.size)] = base[: padded.size]
         return ChaosVector(space, np.prod(padded[space.indices], axis=1))
-    if kind == "sde":
-        _take(spec, {"kind": True, "drift": True, "paths": True}, "density")
-        drift = drift_from_config(_drift(spec["drift"], "density.drift"))
-        paths = _number(spec["paths"], "density.paths", int, 1)
-        return sde_density(drift, PathGrid(space.dimension), paths, space, seed=seed)
     raise ConfigError(f"unknown density kind {kind!r}")

@@ -34,12 +34,12 @@ import numpy as np
 
 from .audit import AssumptionReport, AssumptionViolationError, audit_density
 from .basis import ChaosVector, eval_many, eval_stacked, kernel_view
-from .config import DistanceConfig, ExperimentConfig, resolve_density
+from .config import DistanceConfig, ExperimentConfig
 from .limit_density import gaussian_limit_series
 from .measures import sample
-from .quadrature import tensor_rule
+from .quadrature import MAX_QUADRATURE_DIM, tensor_rule
 from .streams import STREAM_DISTANCE, child_seed, substream
-from .wick import TruncationPolicy, center_density, gamma, wick_power, wick_product
+from .wick import center_density, gamma, wick_power, wick_product
 
 # The 1% point of the Kolmogorov distribution, scipy.special.kolmogi(0.01):
 # sqrt(n) times the two-sided KS statistic exceeds it with probability 0.01
@@ -65,7 +65,6 @@ def sum_density(
     f: ChaosVector,
     n: int,
     alpha: float,
-    policy: TruncationPolicy | None = None,
     report: AssumptionReport | None = None,
     override: bool = False,
 ) -> ChaosVector:
@@ -85,15 +84,13 @@ def sum_density(
         raise AssumptionViolationError(
             "assumption audit failed: " + ", ".join(report.failing())
         )
-    return _smoothed_power(center_density(f, policy), n, alpha, policy)
+    return _smoothed_power(center_density(f), n, alpha)
 
 
-def _smoothed_power(
-    centered: ChaosVector, n: int, alpha: float, policy: TruncationPolicy | None = None
-) -> ChaosVector:
+def _smoothed_power(centered: ChaosVector, n: int, alpha: float) -> ChaosVector:
     # sum_density from the centered density, which rate_sweep computes once
     # for all of its rows
-    return wick_power(gamma(math.sqrt(alpha / n), centered), n, policy)
+    return wick_power(gamma(math.sqrt(alpha / n), centered), n)
 
 
 def l1_distances(
@@ -104,9 +101,10 @@ def l1_distances(
 ) -> list[DistanceResult]:
     """Integral of |f - g| against the reference measure for every f in fs.
 
-    Quadrature route: evaluate at n and 2n Gauss-Hermite nodes per axis and
-    report the difference as the error (the integrand has a kink, so the rule
-    is not exact and the estimate matters). Monte-Carlo route: mean of
+    Quadrature route (dimension <= MAX_QUADRATURE_DIM): evaluate at n and 2n
+    Gauss-Hermite nodes per axis, n = max(2K, 8), and report the difference
+    as the error (the integrand has a kink, so the rule is not exact and the
+    estimate matters). Monte-Carlo route: mean of
     |f - g| over Gaussian samples with its standard error. Every f is
     measured on the same points (the same grids, or one sample drawn from
     the seed's distance stream), and the basis is evaluated there once for
@@ -116,10 +114,8 @@ def l1_distances(
     diffs = [f - g for f in fs]
     d = g.space.dimension
     if spec.method == "quadrature":
-        if d > spec.max_quadrature_dim:
-            raise ValueError(
-                f"quadrature distance limited to dimension <= {spec.max_quadrature_dim}"
-            )
+        if d > MAX_QUADRATURE_DIM:
+            raise ValueError(f"quadrature distance limited to dimension <= {MAX_QUADRATURE_DIM}")
         nodes = spec.coarse_nodes(g.space.max_degree)
         pts, wts = tensor_rule(d, nodes)
         coarse = [float(np.dot(wts, row)) for row in np.abs(eval_stacked(diffs, pts))]
@@ -202,35 +198,31 @@ class RateTable:
 
 def rate_sweep(
     config: ExperimentConfig,
-    density: ChaosVector | None = None,
+    density: ChaosVector,
     override_audit: bool = False,
     report: AssumptionReport | None = None,
 ) -> tuple[RateTable, AssumptionReport]:
     """Measure the L1 distance row per n and check each row against its bound.
 
-    The density is centered and the limit series built once per sweep; each
-    row's density is then one Wick power, and a row's seconds are the time
-    of that power. All rows are measured in one l1_distances call on the
+    The caller builds the density: llt from its density section, sde from
+    its simulated shifts. It is centered and the limit series built once per
+    sweep; each row's density is then one Wick power, and a row's seconds
+    are the time of that power. All rows are measured in one l1_distances call on the
     same points (common random numbers), so the measured distances of
     successive n share their Monte-Carlo noise. The density is audited
     against config.audit_grid unless the caller passes the report of that
     audit.
     """
-    if density is None:
-        config.require_llt_fields(config.space_dimension, config.space_max_degree)
-        space = config.build_space()
-        f = resolve_density(config.density, space, config.seed)
-    else:
-        space, f = density.space, density
-        config.require_llt_fields(space.dimension, space.max_degree, need_density=False)
+    space = density.space
+    config.require_llt_fields(space.dimension, space.max_degree)
     if report is None:
-        report = audit_density(f, config.audit_grid)
+        report = audit_density(density, config.audit_grid)
     if not report.all_passed and not override_audit:
         raise AssumptionViolationError(
             "assumption audit failed: " + ", ".join(report.failing())
         )
-    centered = center_density(f)
-    limit = gaussian_limit_series(kernel_view(f).g2, space).series
+    centered = center_density(density)
+    limit = gaussian_limit_series(kernel_view(density).g2, space).series
     constant = _rate_constant(centered, limit, config.alpha)
     target = gamma(math.sqrt(config.alpha), limit)
     distance_seed = child_seed(config.seed, STREAM_DISTANCE)
@@ -267,9 +259,7 @@ class YoungReport(NamedTuple):
     holds: bool
 
 
-def young_check(
-    fs: Sequence[ChaosVector], alphas: Sequence[float], policy: TruncationPolicy | None = None
-) -> YoungReport:
+def young_check(fs: Sequence[ChaosVector], alphas: Sequence[float]) -> YoungReport:
     """Product-norm inequality at exponent two.
 
     Verifies ||gamma(sqrt(a1)) f1 <> ... <> gamma(sqrt(an)) fn||_2 <=
@@ -286,7 +276,7 @@ def young_check(
     acc = None
     for vec, a in zip(fs, alphas):
         scaled = gamma(math.sqrt(a), vec)
-        acc = scaled if acc is None else wick_product(acc, scaled, policy)
+        acc = scaled if acc is None else wick_product(acc, scaled)
     lhs = acc.norm()
     rhs = 1.0
     for vec in fs:

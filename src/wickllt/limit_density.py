@@ -22,7 +22,7 @@ import numpy as np
 
 from .audit import AssumptionViolationError
 from .basis import ChaosVector, GaussianSpace, from_kernel_view
-from .wick import TruncationPolicy, gamma, wick_exp, wick_power
+from .wick import gamma, wick_exp, wick_power
 
 # Cramer's envelope |He_n(x)| <= C sqrt(n!) exp(x^2/4).
 CRAMER_CONSTANT = 1.086435
@@ -84,9 +84,7 @@ def _validated_kernel(g2, space: GaussianSpace | None = None) -> tuple[np.ndarra
     return g, np.clip(eig, 0.0, None)
 
 
-def gaussian_limit_series(
-    g2, space: GaussianSpace, policy: TruncationPolicy | None = None
-) -> LimitDensity:
+def gaussian_limit_series(g2, space: GaussianSpace) -> LimitDensity:
     """Build the truncated limit-density series as the Wick exponential of G.
 
     Each term (degree-2 of G)^{wick k}/k! sits exactly at degree 2k, so the
@@ -95,7 +93,7 @@ def gaussian_limit_series(
     """
     g, eig = _validated_kernel(g2, space)
     base = from_kernel_view(space, np.zeros(space.dimension), g, constant=0.0)
-    series = wick_exp(base, policy)
+    series = wick_exp(base)
     full_norm_sq = float(np.prod(1.0 / np.sqrt(1.0 - 4.0 * eig**2)))
     tail = max(full_norm_sq - series.norm_sq(), 0.0)
     return LimitDensity(g2=g, series=series, eigenvalues=eig, l2_tail_sq=tail)

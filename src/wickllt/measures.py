@@ -100,16 +100,11 @@ class WeightedShifts:
         )
 
 
-def from_coefficients(
-    coeffs,
-    space: GaussianSpace,
-    grid: GridSpec | None = None,
-    negativity_factor: float = 1e-6,
-) -> ChaosVector:
+def from_coefficients(coeffs, space: GaussianSpace, grid: GridSpec | None = None) -> ChaosVector:
     """Validate raw coefficients as a density: the unit-mass and grid screen
     of check_square_integrability, whose failed verdicts are raised."""
     vec = ChaosVector(space, np.asarray(coeffs, dtype=float))
-    verdicts = check_square_integrability(vec, grid, negativity_factor).verdicts
+    verdicts = check_square_integrability(vec, grid).verdicts
     violations = [
         f"{name}: measured {v.measured:.17g}, threshold {v.threshold:.6g}"
         for name, v in verdicts.items()

@@ -7,9 +7,12 @@ import math
 import numpy as np
 
 # The rule's eigenvalue problem costs O(n^3): 0.1-0.2 s at 1024 nodes and
-# about 1.3 s at 2048. A quadrature distance doubles its node count for the
-# error estimate, so a config may ask for at most half of this per axis.
+# about 1.3 s at 2048. A quadrature distance takes max(2K, 8) nodes per axis
+# and doubles them for its error estimate, so at K <= 170 it needs at most 680.
 MAX_RULE_NODES = 1024
+# A tensor rule has nodes**d points: quadrature distances stop at this
+# dimension, and Monte Carlo takes over above it.
+MAX_QUADRATURE_DIM = 3
 
 
 def gauss_hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,11 @@ coordinate i of the Gaussian space is the normalized increment
 the discrete Wiener measure, and the shift vector of a simulated drift path
 has component i equal to -sqrt(dt) * b1(B2_{t_{i-1}}) (left-point rule).
 
-Two Monte-Carlo estimates gate the construction: the exponential moment
-E[exp(int b1(B2)^2 dt / 2)] (finite by bounded drift here; overflow is an
-error, not a number) and the mean-square drift int_0^1 E[b1(B2_t)^2] dt,
+The shift_mixture of the simulated shifts is the law's density on the
+Gaussian space, whose rate the sde command sweeps. Two Monte-Carlo estimates
+gate the construction: the exponential moment E[exp(int b1(B2)^2 dt / 2)]
+(finite by bounded drift here; overflow or a value above NOVIKOV_CEILING is
+an error, not a number) and the mean-square drift int_0^1 E[b1(B2_t)^2] dt,
 which must sit strictly below one for the excess-size hypothesis.
 """
 
@@ -27,8 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import ChaosVector, GaussianSpace
-from .measures import WeightedShifts, shift_mixture
+from .measures import WeightedShifts
 from .streams import STREAM_PATHS, substream
 
 # Paths are simulated in blocks, one Philox sub-stream per block, so the
@@ -36,6 +37,8 @@ from .streams import STREAM_PATHS, substream
 PATH_BLOCK = 1024
 
 EXP_OVERFLOW = 700.0
+# An exponential-moment estimate above this is reported as a numeric failure.
+NOVIKOV_CEILING = 1e15
 
 
 class SdeNumericError(Exception):
@@ -59,11 +62,9 @@ class PathGrid:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift of the first equation; kappa is an optional scale echoed in reports."""
+    """Drift of the first equation."""
 
     b1: Callable[[np.ndarray], np.ndarray]
-    kappa: float | None = None
-    label: str = ""
 
 
 def _drift_values(spec: DriftSpec, x: np.ndarray) -> np.ndarray:
@@ -122,32 +123,28 @@ class MomentEstimate(NamedTuple):
 
 
 def novikov_estimate(
-    spec: DriftSpec,
-    grid: PathGrid,
-    paths: int,
-    seed: int = 0,
-    ceiling: float = 1e15,
+    spec: DriftSpec, grid: PathGrid, paths: int, seed: int = 0
 ) -> MomentEstimate:
     """Monte-Carlo exponential moment E[exp(sum_i dt b1(B2_{t_{i-1}})^2 / 2)].
 
     Uses the same path draws as simulate_drift_shifts for the same seed (the
     exponent of path j is |h_j|^2 / 2) but accumulates dt * b1^2 directly so
     a constant drift gives the closed value without rounding from sqrt(dt).
-    Exponent overflow or exceeding the ceiling is an error.
+    Exponent overflow or an estimate above NOVIKOV_CEILING is an error.
     """
     vals = _drift_at_left_points(spec, grid, paths, seed)
     exponents = 0.5 * grid.dt * np.sum(vals * vals, axis=1)
-    return _exponential_moment(np.full(paths, 1.0 / paths), exponents, ceiling)
+    return _exponential_moment(np.full(paths, 1.0 / paths), exponents)
 
 
-def novikov_from_shifts(nu: WeightedShifts, ceiling: float = 1e15) -> MomentEstimate:
+def novikov_from_shifts(nu: WeightedShifts) -> MomentEstimate:
     """Exponential moment of an already-simulated drift measure."""
     with np.errstate(over="ignore"):  # an infinite exponent is raised below
         exponents = 0.5 * np.sum(nu.shifts**2, axis=1)
-    return _exponential_moment(np.asarray(nu.weights), exponents, ceiling)
+    return _exponential_moment(np.asarray(nu.weights), exponents)
 
 
-def _exponential_moment(weights: np.ndarray, exponents: np.ndarray, ceiling: float) -> MomentEstimate:
+def _exponential_moment(weights: np.ndarray, exponents: np.ndarray) -> MomentEstimate:
     if exponents.max() > EXP_OVERFLOW:
         raise SdeNumericError(
             f"Novikov check failed (numeric): exponent {exponents.max():.3g} overflows"
@@ -159,9 +156,10 @@ def _exponential_moment(weights: np.ndarray, exponents: np.ndarray, ceiling: flo
     else:
         est = float(np.dot(weights, vals))
         se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    if est > ceiling:
+    if est > NOVIKOV_CEILING:
         raise SdeNumericError(
-            f"Novikov check failed (numeric): estimate {est:.3g} above ceiling {ceiling:.3g}"
+            f"Novikov check failed (numeric): estimate {est:.3g} above ceiling "
+            f"{NOVIKOV_CEILING:.3g}"
         )
     return MomentEstimate(est, se)
 
@@ -192,22 +190,6 @@ def mean_square_drift_estimate(
     return DriftEnergy(est, se, est + 3.0 * se < 1.0)
 
 
-def sde_density(
-    spec: DriftSpec,
-    grid: PathGrid,
-    paths: int,
-    space: GaussianSpace,
-    seed: int = 0,
-) -> ChaosVector:
-    """Empirical convolution density over the simulated drift measure."""
-    if space.dimension != grid.steps:
-        raise ValueError(
-            f"space dimension {space.dimension} must equal the grid steps {grid.steps}"
-        )
-    shifts = simulate_drift_shifts(spec, grid, paths, seed)
-    return shift_mixture(shifts, space)
-
-
 # each drift kind: the name of its one parameter s (None for none) and b1(x, s)
 DRIFT_KINDS: dict[str, tuple[str | None, Callable[[np.ndarray, float], np.ndarray]]] = {
     "zero": (None, lambda x, s: np.zeros_like(x)),
@@ -230,7 +212,5 @@ def drift_from_config(data: dict) -> DriftSpec:
     unknown = sorted(set(data) - {"kind", param})
     if unknown:
         raise ValueError(f"unknown field(s) {unknown} in a drift of kind {kind!r}")
-    if param is None:
-        return DriftSpec(lambda x: b1(x, 0.0), label=kind)
-    s = float(data[param])
-    return DriftSpec(lambda x: b1(x, s), kappa=s, label=kind)
+    s = 0.0 if param is None else float(data[param])
+    return DriftSpec(lambda x: b1(x, s))

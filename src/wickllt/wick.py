@@ -11,11 +11,13 @@ multiplies degree-k coefficients by lambda^k; gamma(exp(-t)) is the
 Ornstein-Uhlenbeck semigroup, and ou_apply provides an independent
 Monte-Carlo check of that identity through the Mehler integral form.
 
-Products are truncated at a cap degree and return a plain ChaosVector. The
-L2 mass a cap drops is not tracked per product; `discarded_mass` computes it
-on request by forming the product uncapped in a wide enough space. Wick
-powers and the Wick exponential are built one chaos degree at a time by one
-graded recurrence over the same pair table as the product.
+Products are truncated at a cap degree, the space's max_degree unless a
+TruncationPolicy sets a lower one, and return a plain ChaosVector. The L2
+mass a cap drops is not tracked per product; `discarded_mass` computes it on
+request by forming the product uncapped in a wide enough space. Wick powers
+and the Wick exponential are built one chaos degree at a time, up to the
+space's max_degree, by one graded recurrence over the same pair table as
+the product.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class NotNormalizedError(ChaosError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Degree cap for Wick products."""
+    """Degree cap for wick_product, below the space's max_degree."""
 
     cap_degree: int
 
@@ -93,13 +95,6 @@ def _pair_table(space: GaussianSpace):
     return space.cached("pair_table", build)
 
 
-def _cap_degree(space: GaussianSpace, policy: TruncationPolicy | None) -> int:
-    cap = space.max_degree if policy is None else policy.cap_degree
-    if cap > space.max_degree:
-        raise ValueError("cap_degree exceeds the space's max_degree")
-    return cap
-
-
 def wick_product(
     f: ChaosVector, g: ChaosVector, policy: TruncationPolicy | None = None
 ) -> ChaosVector:
@@ -109,7 +104,9 @@ def wick_product(
     the unit element is the constant one. H_alpha <> H_beta = H_{alpha+beta}.
     """
     space = _require_same_space(f, g)
-    cap = _cap_degree(space, policy)
+    cap = space.max_degree if policy is None else policy.cap_degree
+    if cap > space.max_degree:
+        raise ValueError("cap_degree exceeds the space's max_degree")
     i_idx, j_idx, out_idx, starts = _pair_table(space)
     stop = starts[cap + 1, 0]
     prod = np.bincount(
@@ -146,13 +143,13 @@ def discarded_mass(f: ChaosVector, g: ChaosVector, cap: int) -> float:
 
 
 def _graded_recurrence(
-    f: ChaosVector, g0: float, weight: Callable[[int, np.ndarray], np.ndarray], cap: int
+    f: ChaosVector, g0: float, weight: Callable[[int, np.ndarray], np.ndarray]
 ) -> ChaosVector:
-    """The g with g_0 = g0 and, for m = 1..cap,
+    """The g with g_0 = g0 and, for m = 1..K (the space's max_degree),
 
         g_m = (1/m) sum_{k=1..m} weight(m, k) f_k <> g_{m-k},
 
-    zero above cap; f_k is the degree-k part of f.
+    where f_k is the degree-k part of f.
 
     This is J.C.P. Miller's power-series recurrence (Knuth, TAOCP vol. 2,
     4.7) graded by chaos degree: the Euler operator (degree k times k) is a
@@ -171,7 +168,7 @@ def _graded_recurrence(
     if support.size == 0:
         return ChaosVector(space, g)
     k_lo, k_hi = int(support.min()), int(support.max())
-    for m in range(k_lo, cap + 1):
+    for m in range(k_lo, space.max_degree + 1):
         lo, hi = starts[m, k_lo], starts[m, min(m, k_hi) + 1]
         fw = f.coeffs * (weight(m, space.degrees) / m)
         sums = np.bincount(
@@ -183,57 +180,48 @@ def _graded_recurrence(
     return ChaosVector(space, g)
 
 
-def wick_power(
-    f: ChaosVector, n: int, policy: TruncationPolicy | None = None
-) -> ChaosVector:
-    """n-th Wick power, exact on every degree <= the cap and zero above it.
+def wick_power(f: ChaosVector, n: int) -> ChaosVector:
+    """n-th Wick power, exact on every degree the space represents.
 
     When the constant term dominates (the |c_alpha| of degrees >= 1 sum to at
     most |c_0|), the graded recurrence builds the power degree by degree from
     g_0 = c_0^n with weights ((n+1)k - m)/c_0: one pass over the pair table.
     The recurrence divides by c_0 and loses its accuracy when c_0 is small
     next to the rest, so every other input (c_0 = 0 among them) takes binary
-    exponentiation with per-step capping. Capped convolution never corrupts
-    degrees <= cap, so that route agrees with the n-fold product on every
-    represented degree regardless of the multiplication order.
+    exponentiation. Capped convolution never corrupts the degrees it keeps,
+    so that route agrees with the n-fold product on every represented degree
+    regardless of the multiplication order.
     """
     if n < 0:
         raise ValueError("Wick power needs a nonnegative exponent")
     if n == 0:
         return constant_vector(f.space)
     if n == 1:
-        if policy is None:
-            return f
-        keep = f.space.degrees <= _cap_degree(f.space, policy)
-        return ChaosVector(f.space, np.where(keep, f.coeffs, 0.0))
+        return f
     f0 = float(f.coeffs[0])
     if f0 != 0.0 and np.abs(f.coeffs[1:]).sum() <= abs(f0):
-        return _graded_recurrence(
-            f, f0**n, lambda m, k: ((n + 1.0) * k - m) / f0, _cap_degree(f.space, policy)
-        )
+        return _graded_recurrence(f, f0**n, lambda m, k: ((n + 1.0) * k - m) / f0)
     result: ChaosVector | None = None
     base = f
     remaining = n
     while True:
         if remaining & 1:
-            result = base if result is None else wick_product(result, base, policy)
+            result = base if result is None else wick_product(result, base)
         remaining >>= 1
         if remaining == 0:
             break
-        base = wick_product(base, base, policy)
+        base = wick_product(base, base)
     return result
 
 
-def wick_exp(f: ChaosVector, policy: TruncationPolicy | None = None) -> ChaosVector:
-    """Wick exponential sum_j f^{<>j} / j!, exact on every degree <= the cap.
+def wick_exp(f: ChaosVector) -> ChaosVector:
+    """Wick exponential sum_j f^{<>j} / j!, exact on every represented degree.
 
     The graded recurrence from g_0 = exp(c_0) with weights k. The weights are
     positive and nothing is divided by a coefficient of f, so every input
     takes this route.
     """
-    return _graded_recurrence(
-        f, math.exp(f.coeffs[0]), lambda m, k: k, _cap_degree(f.space, policy)
-    )
+    return _graded_recurrence(f, math.exp(f.coeffs[0]), lambda m, k: k)
 
 
 def gamma(lam: float, f: ChaosVector) -> ChaosVector:
@@ -311,23 +299,19 @@ def s_transform(f: ChaosVector, h) -> float:
     return float(np.dot(f.coeffs, monomial_powers(f.space, h)))
 
 
-def center_density(
-    f: ChaosVector, policy: TruncationPolicy | None = None
-) -> ChaosVector:
+def center_density(f: ChaosVector) -> ChaosVector:
     """Density of the centered variable: f Wick-multiplied by the opposite shift.
 
     Requires unit mass (degree-0 coefficient one). The result has zero
     degree-1 coefficients and its degree-2 kernel equals the excess kernel
     G = f2 - f1 f1^T / 2 of the input. A mean-free input is returned as it
-    is unless the policy caps it: the shift is then the unit, and f <> 1 = f
-    exactly.
+    is: the shift is then the unit, and f <> 1 = f exactly.
     """
     if abs(f.coeffs[0] - 1.0) > 1e-12:
         raise NotNormalizedError(
             f"not a normalized density: degree-0 coefficient is {float(f.coeffs[0]):.17g}"
         )
     mean = extract_mean(f)
-    if not mean.any() and (policy is None or policy.cap_degree >= f.space.max_degree):
+    if not mean.any():
         return f
-    shift = stochastic_exponential(-mean, f.space)
-    return wick_product(f, shift, policy)
+    return wick_product(f, stochastic_exponential(-mean, f.space))

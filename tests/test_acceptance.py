@@ -22,7 +22,7 @@ from wickllt.basis import (
     eval_many,
 )
 from wickllt.cli import main as cli_main
-from wickllt.config import load_config
+from wickllt.config import load_config, resolve_density
 from wickllt.harness import empirical_convolution_check, rate_sweep, young_check
 from wickllt.limit_density import (
     gaussian_limit_closed_form,
@@ -31,9 +31,15 @@ from wickllt.limit_density import (
     pointwise_tail_bound,
     self_similarity_defect,
 )
-from wickllt.measures import rank_one_closed_form, rank_one_quadratic
+from wickllt.measures import rank_one_closed_form, rank_one_quadratic, shift_mixture
 from wickllt.quadrature import tensor_grid
-from wickllt.sde import PathGrid, drift_from_config, mean_square_drift_estimate, novikov_estimate
+from wickllt.sde import (
+    PathGrid,
+    drift_from_config,
+    mean_square_drift_estimate,
+    novikov_estimate,
+    simulate_drift_shifts,
+)
 from wickllt.serialize import sha256_file
 from wickllt.wick import gamma, s_transform, stochastic_exponential, wick_product
 
@@ -66,7 +72,7 @@ CORPUS_D1 = {
     },
     "alpha": 0.5,
     "n_values": [4, 16, 64, 256],
-    "distance": {"method": "quadrature", "nodes_per_axis": 32},
+    "distance": {"method": "quadrature"},
 }
 
 CORPUS_D2 = {
@@ -80,14 +86,13 @@ CORPUS_D2 = {
     },
     "alpha": 0.5,
     "n_values": [4, 16, 64, 256],
-    "distance": {"method": "quadrature", "nodes_per_axis": 24},
+    "distance": {"method": "quadrature"},
 }
 
 CORPUS_D8 = {
     "schema_version": 1,
     "seed": MASTER_SEED,
     "space": {"dimension": 8, "max_degree": 8},
-    "density": {"kind": "sde", "drift": {"kind": "scaled_sin", "scale": 0.5}, "paths": 10000},
     "alpha": 0.5,
     "n_values": [4, 16, 64, 256],
     "distance": {"method": "mc", "samples": 20000},
@@ -102,9 +107,12 @@ def config_from(data, tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def d8_sweep(tmp_path_factory):
+    # the density of the drift measure of 0.5 sin over 8 steps, 10^4 paths
     config = config_from(CORPUS_D8, tmp_path_factory)
+    drift = drift_from_config({"kind": "scaled_sin", "scale": 0.5})
     start = time.perf_counter()
-    table, audit = rate_sweep(config)
+    shifts = simulate_drift_shifts(drift, PathGrid(8), 10000, seed=MASTER_SEED)
+    table, audit = rate_sweep(config, shift_mixture(shifts, config.build_space()))
     return {"table": table, "audit": audit, "seconds": time.perf_counter() - start}
 
 
@@ -250,7 +258,8 @@ def test_criterion_06_rate_corpus(tmp_path_factory, d8_sweep):
     start = time.perf_counter()
     results = {}
     for label, raw in (("d1", CORPUS_D1), ("d2", CORPUS_D2)):
-        table, _ = rate_sweep(config_from(raw, tmp_path_factory))
+        config = config_from(raw, tmp_path_factory)
+        table, _ = rate_sweep(config, resolve_density(config.density, config.build_space()))
         results[label] = _check_rate_table(table)
     results["d8"] = _check_rate_table(d8_sweep["table"])
     elapsed = time.perf_counter() - start + d8_sweep["seconds"]

@@ -56,6 +56,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_indices(0, 3)
 
+    def test_rejects_dimension_above_the_ceiling(self):
+        assert len(enumerate_indices(256, 0)) == 1
+        with pytest.raises(ValueError, match=r"dimension must lie in \[1, 256\], got 257"):
+            GaussianSpace(257, 0)
+
     def test_rejects_degree_whose_factorial_overflows(self):
         assert len(enumerate_indices(1, 170)) == 171
         with pytest.raises(ValueError, match="at most 170"):

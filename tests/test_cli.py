@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -11,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wickllt.cli import main
+from wickllt.config import load_config
 from wickllt.serialize import sha256_file
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path: Path, name: str, data: dict) -> Path:
@@ -31,7 +35,7 @@ def base_llt_config(**overrides):
         },
         "alpha": 0.5,
         "n_values": [4, 16],
-        "distance": {"method": "quadrature", "nodes_per_axis": 32},
+        "distance": {"method": "quadrature"},
     }
     data.update(overrides)
     return data
@@ -195,11 +199,7 @@ class TestLltCommand:
     def test_dimension_sweep_product_density(self, tmp_path, dim, method):
         # the same per-axis density replicated across dimensions; the bound
         # constant and the distances come out per dimension
-        distance = (
-            {"method": "quadrature", "nodes_per_axis": 20}
-            if method == "quadrature"
-            else {"method": "mc", "samples": 10000}
-        )
+        distance = {"method": "mc", "samples": 10000} if method == "mc" else {"method": method}
         cfg = write_config(
             tmp_path,
             "c.json",
@@ -237,10 +237,14 @@ class TestLltCommand:
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_quadrature_at_the_node_limit_runs(self, tmp_path):
-        # 512 coarse nodes: the error estimate's fine rule is the largest rule
-        data = base_llt_config(distance={"method": "quadrature", "nodes_per_axis": 512})
+        # the largest degree takes the most nodes: 340 coarse, 680 for the
+        # error estimate's fine rule
+        data = base_llt_config(space={"dimension": 1, "max_degree": 170}, n_values=[4])
         cfg = write_config(tmp_path, "c.json", data)
-        assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out"
+        assert main(["llt", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["notes"]["distance_points"] == 340 + 680
 
 
 class TestManifestNotes:
@@ -578,11 +582,13 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"distance": {"method": "quadrature", "nodes_per_axis": 0}}, "nodes_per_axis must be"),
-            ({"distance": {"method": "quadrature", "nodes_per_axis": 2.5}}, "got 2.5"),
             (
-                {"distance": {"method": "quadrature", "nodes_per_axis": 513}},
-                "limited to 512 nodes per axis",
+                {"distance": {"method": "quadrature", "nodes_per_axis": 32}},
+                "unknown field(s) ['nodes_per_axis'] in distance",
+            ),
+            (
+                {"distance": {"method": "quadrature", "max_quadrature_dim": 3}},
+                "unknown field(s) ['max_quadrature_dim'] in distance",
             ),
             ({"distance": {"method": "mc", "samples": 1}}, "samples must be at least 2"),
             (
@@ -591,26 +597,37 @@ class TestConfigErrors:
             ),
             (
                 {
-                    "space": {"dimension": 3, "max_degree": 4},
-                    "distance": {"method": "quadrature", "max_quadrature_dim": 2},
+                    "space": {"dimension": 4, "max_degree": 4},
                     "sde": {
                         "drift": {"kind": "zero"},
-                        "steps": 3,
+                        "steps": 4,
                         "paths": 64,
                         "max_degree": 4,
                         "run_llt": True,
                     },
                 },
-                "swept space has dimension 3",
+                "swept space has dimension 4",
+            ),
+            (
+                {"distance": {"method": "mc", "samples": 10**30}},
+                "evaluates 1000000000000000000000000000000 points of dimension 1",
+            ),
+            (
+                {
+                    "space": {"dimension": 3, "max_degree": 80},
+                    "density": {"kind": "coefficients"},
+                },
+                "entries, more than 100000000",
             ),
         ],
         ids=[
-            "zero_nodes",
-            "fractional_nodes",
-            "too_many_nodes",
+            "nodes_per_axis_field",
+            "max_quad_dim_field",
             "one_sample",
             "quadrature_space",
             "quadrature_sde_steps",
+            "mc_samples_huge",
+            "quadrature_points_huge",
         ],
     )
     def test_distance_config_rejected(self, tmp_path, capsys, overrides, message):
@@ -650,15 +667,39 @@ class TestConfigErrors:
             (
                 "llt",
                 base_llt_config(
-                    space={"dimension": 2, "max_degree": 4},
-                    density={
-                        "kind": "sde",
-                        "drift": {"kind": "constant", "value": 1, "zz": 2},
-                        "paths": 16,
-                    },
+                    density={"kind": "sde", "drift": {"kind": "zero"}, "paths": 16},
                     distance={"method": "mc", "samples": 200},
                 ),
-                "density.drift: unknown field(s) ['zz']",
+                "unknown density kind 'sde'",
+            ),
+            (
+                "sde",
+                base_sde_config(novikov_ceiling=1e15),
+                "unknown field(s) ['novikov_ceiling'] in sde",
+            ),
+            (
+                "llt",
+                base_llt_config(space={"dimension": 10**30, "max_degree": 0}),
+                "space.dimension must be at most 256",
+            ),
+            ("sde", base_sde_config(steps=10**30, max_degree=0), "sde.steps must be at most 256"),
+            ("sde", base_sde_config(steps=2**63, max_degree=0), "sde.steps must be at most 256"),
+            (
+                "validate",
+                base_validate_config(dimension=2**63),
+                "validate.dimension must be at most 256",
+            ),
+            ("sde", base_sde_config(paths=10**30), "sde.paths times sde.steps is"),
+            ("sde", base_sde_config(paths=2**63), "more than 100000000 drift values"),
+            (
+                "validate",
+                base_validate_config(ks_samples=10**30),
+                "validate.ks_samples must be at most 100000000",
+            ),
+            (
+                "validate",
+                base_validate_config(ks_samples=2**63),
+                "validate.ks_samples must be at most 100000000",
             ),
             (
                 "llt",
@@ -749,11 +790,6 @@ class TestConfigErrors:
                 "(steps 8, max_degree 8)",
             ),
             (
-                "sde",
-                base_sde_config(drift={"kind": "constant", "value": 30}, novikov_ceiling=math.nan),
-                "sde.novikov_ceiling must be finite, got nan",
-            ),
-            (
                 "llt",
                 base_llt_config(audit_grid={"halfwidth": math.nan}),
                 "audit_grid.halfwidth must be finite, got nan",
@@ -771,7 +807,16 @@ class TestConfigErrors:
             "unknown_drift",
             "constant_drift_without_value",
             "sde_drift_unknown_field",
-            "density_drift_unknown_field",
+            "density_kind_sde",
+            "novikov_ceiling_field",
+            "dimension_huge",
+            "steps_huge",
+            "steps_2_63",
+            "validate_dim_2_63",
+            "paths_huge",
+            "paths_2_63",
+            "ks_samples_huge",
+            "ks_samples_2_63",
             "wall_times_unknown",
             "shift_dimension",
             "weights_sum",
@@ -794,7 +839,6 @@ class TestConfigErrors:
             "unknown_identity",
             "identity_number",
             "space_disagrees_with_sde",
-            "nan_novikov_ceiling",
             "nan_halfwidth",
             "alpha_beyond_float",
         ],
@@ -1043,7 +1087,7 @@ def test_config_fuzz_exits_with_a_documented_code(field, value):
 
 # one field of the sde, validate or build-xi section: (command, its small
 # valid config, the section, the field)
-_SDE_FIELDS = ("drift", "steps", "paths", "max_degree", "run_llt", "novikov_ceiling")
+_SDE_FIELDS = ("drift", "steps", "paths", "max_degree", "run_llt")
 _VALIDATE_FIELDS = ("dimension", "max_degree", "inject_error", "ks_samples")
 _FUZZ_FIELDS = [
     *[("sde", base_sde_config(), "sde", f) for f in _SDE_FIELDS],
@@ -1056,7 +1100,8 @@ _FUZZ_FIELDS = [
     "command, config, section, field", _FUZZ_FIELDS, ids=[f"{c}-{f}" for c, _, _, f in _FUZZ_FIELDS]
 )
 @settings(max_examples=15, deadline=None)
-# integers stay small: a path count or a sample size is allocated as given
+# integers stay small: a path count or a sample size is allocated as given,
+# up to 10**8 entries
 @given(value=_fuzz_values(st.integers(min_value=-2, max_value=6)))
 def test_config_fuzz_of_other_commands(command, config, section, field, value):
     # as above, one field of another command's section at a time
@@ -1068,6 +1113,20 @@ def test_config_fuzz_of_other_commands(command, config, section, field, value):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), "c.json", data)
         assert main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")]) in (0, 1, 2)
+
+
+def test_every_shipped_config_loads_and_has_a_stage():
+    # a schema change that drops a field cannot leave a shipped config behind
+    # unparsed, nor the experiment battery without its config
+    spec = importlib.util.spec_from_file_location(
+        "run_experiments", REPO / "scripts" / "run_experiments.py"
+    )
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    shipped = sorted(path.name for path in (REPO / "configs").glob("*.json"))
+    assert shipped and shipped == sorted(name for _, name, _ in battery.STAGES)
+    for name in shipped:
+        load_config(REPO / "configs" / name)
 
 
 _SCIPY_PROBE = """

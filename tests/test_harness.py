@@ -6,7 +6,7 @@ from scipy import special, stats
 
 from wickllt.audit import AssumptionViolationError
 from wickllt.basis import ChaosVector, GaussianSpace, eval_many, kernel_view
-from wickllt.config import ConfigError, DistanceConfig, load_config
+from wickllt.config import ConfigError, DistanceConfig, load_config, resolve_density
 from wickllt.harness import (
     KOLMOGOROV_1PCT,
     BoundViolationError,
@@ -98,7 +98,7 @@ class TestDistances:
         # Gaussian CDFs gives 2 (Phi(h/2) - Phi(-h/2))
         f = unit_density(line20)
         g = stochastic_exponential([0.5], line20)
-        result = l1_distance(f, g, DistanceConfig(nodes_per_axis=256))
+        result = l1_distance(f, g, DistanceConfig())
         oracle = 2.0 * (stats.norm.cdf(0.25) - stats.norm.cdf(-0.25))
         assert abs(result.value - oracle) <= result.error + 2e-4
         assert result.value == pytest.approx(oracle, abs=2e-4)
@@ -107,13 +107,13 @@ class TestDistances:
         f = corpus_line_density(line16)
         target = gamma(math.sqrt(0.5), gaussian_cov(kernel_view(f).g2, line16))
         rho = sum_density(f, 4, 0.5)
-        quad = l1_distance(rho, target, DistanceConfig(nodes_per_axis=64))
+        quad = l1_distance(rho, target, DistanceConfig())
         mc = l1_distance(rho, target, DistanceConfig(method="mc", samples=200_000), seed=11)
         assert abs(mc.value - quad.value) <= 3 * mc.error + quad.error
 
     def test_triangle_inequality(self, plane8):
         rng = np.random.default_rng(3)
-        spec = DistanceConfig(nodes_per_axis=16)
+        spec = DistanceConfig()
         f = random_low_degree(plane8, rng)
         g = random_low_degree(plane8, rng)
         h = random_low_degree(plane8, rng)
@@ -124,7 +124,7 @@ class TestDistances:
 
     @pytest.mark.parametrize(
         "spec",
-        [DistanceConfig(nodes_per_axis=16), DistanceConfig(method="mc", samples=5000)],
+        [DistanceConfig(), DistanceConfig(method="mc", samples=5000)],
         ids=["quadrature", "mc"],
     )
     def test_batch_equals_one_at_a_time(self, plane8, spec):
@@ -214,12 +214,16 @@ def _config_for(density: dict, n_values, space=(1, 16), method="quadrature", **e
     return load_config(path)
 
 
+def _config_density(config):
+    return resolve_density(config.density, config.build_space())
+
+
 class TestRateSweep:
     def test_fixed_point_distances_vanish(self):
         config = _config_for(
             {"kind": "gaussian_cov", "g2": [[0.2]]}, [2, 5, 9], space=(1, 14)
         )
-        table, report = rate_sweep(config)
+        table, report = rate_sweep(config, _config_density(config))
         assert report.all_passed
         for row in table.rows:
             assert row.l1 <= 1e-10
@@ -232,7 +236,7 @@ class TestRateSweep:
             },
             [4, 16, 64, 256],
         )
-        table, _ = rate_sweep(config)
+        table, _ = rate_sweep(config, _config_density(config))
         values = [row.l1 for row in table.rows]
         assert all(b >= a for a, b in zip(values[1:], values))
         for row in table.rows:
@@ -243,14 +247,13 @@ class TestRateSweep:
     def test_one_basis_table_per_point_chunk(self, monkeypatch):
         import wickllt.basis as basis
         from wickllt.audit import audit_density
-        from wickllt.config import resolve_density
 
         config = _config_for(
             {"kind": "coefficients", "terms": [{"index": [2], "coeff": 0.1}]},
             [4, 16, 64],
             method="mc",
         )
-        f = resolve_density(config.density, config.build_space(), config.seed)
+        f = _config_density(config)
         report = audit_density(f, config.audit_grid)
         built = []
         real = basis._fill_table
@@ -270,7 +273,6 @@ class TestRateSweep:
         # by all rows: a sweep of one row and one of three fill alike.
         import wickllt.basis as basis
         from wickllt.audit import audit_density
-        from wickllt.config import resolve_density
 
         density = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.03]}
         real = basis._fill_table
@@ -283,7 +285,7 @@ class TestRateSweep:
         per_sweep = []
         for n_values in ([4], [4, 16, 64]):
             config = _config_for(density, n_values, space=(3, 6), method="mc")
-            f = resolve_density(config.density, config.build_space(), config.seed)
+            f = _config_density(config)
             report = audit_density(f, config.audit_grid)
             fills.clear()
             with monkeypatch.context() as patch:
@@ -312,7 +314,7 @@ class TestRateSweep:
 
         monkeypatch.setattr(harness, "_rate_constant", broken)
         with pytest.raises(BoundViolationError) as info:
-            rate_sweep(config)
+            rate_sweep(config, _config_density(config))
         assert info.value.rows and info.value.table is not None
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from wickllt.audit import audit_density, variance_pairing
 from wickllt.basis import GaussianSpace
+from wickllt.measures import shift_mixture
 from wickllt.sde import (
     DriftSpec,
     PathGrid,
@@ -13,7 +14,6 @@ from wickllt.sde import (
     mean_square_drift_estimate,
     novikov_estimate,
     novikov_from_shifts,
-    sde_density,
     simulate_drift_shifts,
 )
 
@@ -105,10 +105,15 @@ class TestMeanSquareDrift:
         assert est.passed
 
 
+def sde_density(spec, steps, paths, space, seed):
+    """The density of the drift measure, as the sde command builds it."""
+    return shift_mixture(simulate_drift_shifts(spec, PathGrid(steps), paths, seed), space)
+
+
 class TestSdeDensity:
     def test_zero_drift_unit_density(self):
         space = GaussianSpace(4, 6)
-        density = sde_density(ZERO, PathGrid(4), 100, space, seed=1)
+        density = sde_density(ZERO, 4, 100, space, seed=1)
         assert np.array_equal(density.coeffs, unit_density(space).coeffs)
 
     def test_constant_drift_is_shifted_gaussian(self):
@@ -116,18 +121,18 @@ class TestSdeDensity:
 
         space = GaussianSpace(4, 6)
         grid = PathGrid(4)
-        density = sde_density(HALF, grid, 50, space, seed=2)
+        density = sde_density(HALF, 4, 50, space, seed=2)
         shift = np.full(4, -math.sqrt(grid.dt) * 0.5)
         target = stochastic_exponential(shift, space)
         assert np.allclose(density.coeffs, target.coeffs, atol=1e-14)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="grid steps"):
-            sde_density(ZERO, PathGrid(8), 10, GaussianSpace(4, 4), seed=3)
+        with pytest.raises(ValueError, match="shifts have dimension 8, space has 4"):
+            sde_density(ZERO, 8, 10, GaussianSpace(4, 4), seed=3)
 
     def test_sin_density_audited(self):
         space = GaussianSpace(4, 6)
-        density = sde_density(SIN_HALF, PathGrid(4), 2000, space, seed=4)
+        density = sde_density(SIN_HALF, 4, 2000, space, seed=4)
         report = audit_density(density)
         assert report.all_passed
         assert report.frobenius_sq_m < 1.0
@@ -138,8 +143,6 @@ class TestSdeDensity:
         grid = PathGrid(4)
         paths = 4000
         shifts = simulate_drift_shifts(SIN_HALF, grid, paths, seed=7)
-        from wickllt.measures import shift_mixture
-
         density = shift_mixture(shifts, space)
         for i in range(4):
             h = np.zeros(4)
