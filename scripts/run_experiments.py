@@ -9,11 +9,10 @@ is a CLI invocation, so everything here is reproducible from the written
 configs alone.
 
 Usage:
-    python scripts/run_experiments.py [--out results] [--quick]
+    python scripts/run_experiments.py [--out results]
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -35,39 +34,17 @@ STAGES = [
 ]
 
 
-def shrink_for_quick(config_path: Path, scratch: Path) -> Path:
-    data = json.loads(config_path.read_text())
-    if "n_values" in data:
-        data["n_values"] = data["n_values"][:2]
-    if "sde" in data:
-        data["sde"]["paths"] = min(data["sde"].get("paths", 0), 2000)
-    if "distance" in data and data["distance"].get("method") == "mc":
-        data["distance"]["samples"] = min(data["distance"]["samples"], 8000)
-    if "validate" in data:
-        data["validate"]["ks_samples"] = min(data["validate"]["ks_samples"], 20000)
-    target = scratch / config_path.name
-    target.write_text(json.dumps(data, indent=1))
-    return target
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output root directory")
-    parser.add_argument(
-        "--quick", action="store_true", help="shrink sample counts for a fast pass"
-    )
     args = parser.parse_args()
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    scratch = out_root / "_configs"
-    scratch.mkdir(exist_ok=True)
 
     failures = []
     for command, config_name, label in STAGES:
         config = REPO / "configs" / config_name
-        if args.quick:
-            config = shrink_for_quick(config, scratch)
         stage_out = out_root / config_name.replace(".json", "")
         start = time.perf_counter()
         code = cli_main([command, "--config", str(config), "--out", str(stage_out)])

@@ -53,6 +53,12 @@ class GridSpec:
     mc_points: int = 4096
     seed: int = 2024
 
+    def points(self, dimension: int) -> int:
+        """Points of the screen in this dimension (build's row count)."""
+        if dimension <= 3:
+            return self.points_per_axis**dimension
+        return self.mc_points + 1
+
     def build(self, dimension: int) -> np.ndarray:
         if dimension <= 3:
             return tensor_grid(dimension, self.points_per_axis, self.halfwidth)

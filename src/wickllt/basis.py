@@ -34,9 +34,12 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-# Hard cap on the basis table; a full table of this size is ~100 MB of
-# bookkeeping and anything bigger is a config mistake, not a use case.
+# Hard caps on the basis: rows (16 MB for each per-row array such as the
+# degrees), and index-table entries, rows times d (80 MB of int64). Beyond
+# either, a space is a config mistake, not a use case: d = 200 at degree 3
+# would be a 2.2 GB table, while d = 20 at 6 and d = 256 at 2 fit.
 MAX_BASIS_SIZE = 2_000_000
+MAX_INDEX_ENTRIES = 10**7
 # Largest degree whose factorial a float holds: 171! overflows, and every
 # norm weighs a coefficient by alpha!.
 MAX_DEGREE = 170
@@ -87,10 +90,11 @@ def enumerate_indices(
             f"max_degree must be at most {MAX_DEGREE} ({MAX_DEGREE + 1}! overflows a float)"
         )
     size = math.comb(dimension + max_degree, max_degree)
-    if size > size_cap:
+    if size > size_cap or size * dimension > MAX_INDEX_ENTRIES:
         raise BasisTooLargeError(
-            f"basis too large: {size} indices for d={dimension}, K={max_degree} "
-            f"(cap {size_cap})"
+            f"basis too large: {size} indices for d={dimension}, K={max_degree}, "
+            f"{size * dimension} table entries (caps {size_cap} indices, "
+            f"{MAX_INDEX_ENTRIES} entries)"
         )
     # exact[n]: the indices of degree n over the trailing k coordinates, in
     # order; one more coordinate in front prepends each head from n down to 0.

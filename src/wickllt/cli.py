@@ -27,14 +27,7 @@ from .harness import BoundViolationError, RateTable, rate_sweep
 from .identities import run_identity_suite
 from .limit_density import limit_l2_norms
 from .measures import DensityValidationError, WeightedShifts, shift_mixture
-from .sde import (
-    PathGrid,
-    SdeNumericError,
-    drift_from_config,
-    mean_square_drift_estimate,
-    novikov_from_shifts,
-    simulate_drift_shifts,
-)
+from .sde import PathGrid, SdeNumericError, drift_from_config, simulate_drift_shifts
 from .serialize import chaos_to_json, csv_text, dumps_canonical, sha256_file, write_text
 from .streams import STREAM_DISTANCE, STREAM_PATHS, child_seed
 from .wick import NotNormalizedError
@@ -137,7 +130,7 @@ def cmd_audit(args) -> int:
 def _sweep(
     manifest: _Manifest, config: ExperimentConfig, density, report, override_audit: bool
 ) -> RateTable:
-    """The rate sweep of llt and of sde with run_llt, written to rate.csv and
+    """The rate sweep of llt and of sde with n_values, written to rate.csv and
     summary.json. A bound violation writes them too, listing its rows, and
     then propagates; report is the audit the caller already ran, or None."""
     space = density.space
@@ -232,46 +225,41 @@ def cmd_sde(args) -> int:
         section = config.sde
         if section is None:
             raise ConfigError("sde needs an 'sde' section")
-        if section.run_llt:
+        if config.n_values:
             # the sweep runs on the space of the path's steps
             config.require_llt_fields(section.steps, section.max_degree)
         manifest.notes["derived_seeds"] = {
             "path_stream_block0": child_seed(config.seed, STREAM_PATHS, 0)
         }
         space = GaussianSpace(section.steps, section.max_degree)
-        drift = drift_from_config(section.drift)
-        grid = PathGrid(section.steps)
+        drift, grid = drift_from_config(section.drift), PathGrid(section.steps)
         with manifest.stage("simulate"):
-            shifts = simulate_drift_shifts(drift, grid, section.paths, seed=config.seed)
-        with manifest.stage("novikov"):
-            novikov = novikov_from_shifts(shifts)
-        with manifest.stage("drift_energy"):
-            energy = mean_square_drift_estimate(drift, grid, section.paths, seed=config.seed)
+            draw = simulate_drift_shifts(drift, grid, section.paths, seed=config.seed)
         _note_evaluation(manifest, space)
         with manifest.stage("density"):
-            density = shift_mixture(shifts, space)
+            density = shift_mixture(draw.measure, space)
             report = audit_density(density, config.audit_grid)
         payload = {
             "drift": section.drift,
             "steps": section.steps,
             "paths": section.paths,
-            "novikov_estimate": novikov.estimate,
-            "novikov_standard_error": novikov.standard_error,
-            "drift_energy_estimate": energy.estimate,
-            "drift_energy_standard_error": energy.standard_error,
-            "drift_energy_passed": energy.passed,
-            "exponential_integrability": shifts.exponential_integrability(),
+            "novikov_estimate": draw.novikov.estimate,
+            "novikov_standard_error": draw.novikov.standard_error,
+            "drift_energy_estimate": draw.energy.estimate,
+            "drift_energy_standard_error": draw.energy.standard_error,
+            "drift_energy_passed": draw.energy_passed,
+            "exponential_integrability": draw.measure.exponential_integrability(),
             "audit": report.to_json_dict(),
         }
         manifest.artifact("sde_report.json", dumps_canonical(payload))
         manifest.artifact("density.json", chaos_to_json(density))
-        manifest.artifact("shifts.json", dumps_canonical(shifts.to_json_dict()))
-        ok = energy.passed and report.all_passed
-        if ok and section.run_llt:
+        manifest.artifact("shifts.json", dumps_canonical(draw.measure.to_json_dict()))
+        ok = draw.energy_passed and report.all_passed
+        if ok and config.n_values:
             _sweep(manifest, config, density, report, args.override_audit)
     print(
-        f"sde: {'PASS' if ok else 'FAIL'} (novikov={novikov.estimate:.6g}, "
-        f"drift_energy={energy.estimate:.6g} +- {energy.standard_error:.2g})"
+        f"sde: {'PASS' if ok else 'FAIL'} (novikov={draw.novikov.estimate:.6g}, "
+        f"drift_energy={draw.energy.estimate:.6g} +- {draw.energy.standard_error:.2g})"
     )
     return EXIT_OK if ok else EXIT_VIOLATION
 

@@ -29,7 +29,8 @@ SCHEMA_VERSION = 1
 # float, which holds every integer only up to 2**53
 MAX_SUMMANDS = 2**53
 # Largest array of draws or points a config may ask for, in floats (800 MB):
-# paths times steps, distance points times dimension, KS samples.
+# paths times steps, distance points and audit_grid points times dimension,
+# KS samples.
 MAX_ENTRIES = 10**8
 
 
@@ -83,12 +84,13 @@ def _int(minimum=None, maximum=None):
 _real = functools.partial(_number, kind=float)
 
 
-def _flag(value, name: str) -> bool:
-    """value if it is a JSON boolean; anything else (the string "false"
-    among them) is a ConfigError."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
+def _check_entries(what: str, points: int, dimension: int) -> None:
+    """A ConfigError if points of dimension are more than MAX_ENTRIES floats."""
+    if points * dimension > MAX_ENTRIES:
+        raise ConfigError(
+            f"{what} {points} points of dimension {dimension}, {points * dimension} entries, "
+            f"more than {MAX_ENTRIES}"
+        )
 
 
 def _finite(value, name: str) -> np.ndarray:
@@ -156,7 +158,6 @@ class SdeSection:
     steps: int
     paths: int
     max_degree: int
-    run_llt: bool = False
 
 
 def _drift(data, where: str) -> dict:
@@ -230,11 +231,7 @@ class ExperimentConfig:
                 f"the swept space has dimension {dimension}; use distance.method 'mc'"
             )
         points = self.distance.points(dimension, max_degree)
-        if points * dimension > MAX_ENTRIES:
-            raise ConfigError(
-                f"the {self.distance.method} distance evaluates {points} points of dimension "
-                f"{dimension}, {points * dimension} entries, more than {MAX_ENTRIES}"
-            )
+        _check_entries(f"the {self.distance.method} distance evaluates", points, dimension)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -303,7 +300,6 @@ def parse_config(data) -> ExperimentConfig:
                 "steps": _int(1, MAX_DIMENSION),
                 "paths": _int(1),
                 "max_degree": _int(0, MAX_DEGREE),
-                "run_llt": _flag,
             },
         ),
         "validate": (
@@ -333,6 +329,11 @@ def parse_config(data) -> ExperimentConfig:
             f"space (dimension {dim}, max_degree {maxdeg}) disagrees with the space of the "
             f"sde section (steps {sde.steps}, max_degree {sde.max_degree})"
         )
+    # the audit screens the space of the space section or of sde.steps
+    screened = dim if dim is not None else sde.steps if sde is not None else None
+    if screened is not None:
+        points = sections.get("audit_grid", GridSpec()).points(screened)
+        _check_entries("audit_grid screens", points, screened)
     if "density" in data and "kind" not in _object(data["density"], "density"):
         raise ConfigError("density section needs a 'kind' field")
     return ExperimentConfig(

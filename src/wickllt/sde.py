@@ -14,8 +14,8 @@ the discrete Wiener measure, and the shift vector of a simulated drift path
 has component i equal to -sqrt(dt) * b1(B2_{t_{i-1}}) (left-point rule).
 
 The shift_mixture of the simulated shifts is the law's density on the
-Gaussian space, whose rate the sde command sweeps. Two Monte-Carlo estimates
-gate the construction: the exponential moment E[exp(int b1(B2)^2 dt / 2)]
+Gaussian space, whose rate the sde command sweeps. Two Monte-Carlo gates are
+read off the same draw of paths: the exponential moment E[exp(|h|^2 / 2)]
 (finite by bounded drift here; overflow or a value above NOVIKOV_CEILING is
 an error, not a number) and the mean-square drift int_0^1 E[b1(B2_t)^2] dt,
 which must sit strictly below one for the excess-size hypothesis.
@@ -60,16 +60,13 @@ class PathGrid:
         return 1.0 / self.steps
 
 
-@dataclass(frozen=True)
-class DriftSpec:
-    """Drift of the first equation."""
-
-    b1: Callable[[np.ndarray], np.ndarray]
+# b1 of the first equation, applied elementwise to an array of positions
+Drift = Callable[[np.ndarray], np.ndarray]
 
 
-def _drift_values(spec: DriftSpec, x: np.ndarray) -> np.ndarray:
+def _drift_values(b1: Drift, x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        vals = np.asarray(spec.b1(x), dtype=float)
+        vals = np.asarray(b1(x), dtype=float)
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape).astype(float)
     finite_per_path = np.isfinite(vals).all(axis=-1)
@@ -79,9 +76,7 @@ def _drift_values(spec: DriftSpec, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _drift_at_left_points(
-    spec: DriftSpec, grid: PathGrid, paths: int, seed: int
-) -> np.ndarray:
+def _drift_at_left_points(b1: Drift, grid: PathGrid, paths: int, seed: int) -> np.ndarray:
     """b1 evaluated at the left grid points of `paths` independent paths.
 
     Row j holds b1(B2_{t_0, j}), ..., b1(B2_{t_{d-1}, j}) with B2_{t_0} = 0.
@@ -98,23 +93,8 @@ def _drift_at_left_points(
         left = np.concatenate(
             [np.zeros((stop - start, 1)), np.cumsum(increments, axis=1)[:, :-1]], axis=1
         )
-        out[start:stop] = _drift_values(spec, left)
+        out[start:stop] = _drift_values(b1, left)
     return out
-
-
-def simulate_drift_shifts(
-    spec: DriftSpec, grid: PathGrid, paths: int, seed: int = 0
-) -> WeightedShifts:
-    """Simulate the drift measure: one shift vector per Brownian path.
-
-    Path j contributes h_j[i] = -sqrt(dt) * b1(B2_{t_{i-1}, j}) with uniform
-    weight 1/paths; B2 is an independent Brownian motion evaluated at the
-    left endpoints (B2_{t_0} = 0).
-    """
-    vals = _drift_at_left_points(spec, grid, paths, seed)
-    shifts = -math.sqrt(grid.dt) * vals
-    weights = np.full(paths, 1.0 / paths)
-    return WeightedShifts(weights, shifts)
 
 
 class MomentEstimate(NamedTuple):
@@ -122,72 +102,54 @@ class MomentEstimate(NamedTuple):
     standard_error: float
 
 
-def novikov_estimate(
-    spec: DriftSpec, grid: PathGrid, paths: int, seed: int = 0
-) -> MomentEstimate:
-    """Monte-Carlo exponential moment E[exp(sum_i dt b1(B2_{t_{i-1}})^2 / 2)].
+def _mc_mean(sample: np.ndarray) -> MomentEstimate:
+    """Monte-Carlo mean of sample with its standard error; a constant sample
+    gives its common value exactly, with error 0."""
+    if np.all(sample == sample[0]):
+        return MomentEstimate(float(sample[0]), 0.0)
+    return MomentEstimate(float(sample.mean()), float(sample.std(ddof=1) / math.sqrt(sample.size)))
 
-    Uses the same path draws as simulate_drift_shifts for the same seed (the
-    exponent of path j is |h_j|^2 / 2) but accumulates dt * b1^2 directly so
-    a constant drift gives the closed value without rounding from sqrt(dt).
-    Exponent overflow or an estimate above NOVIKOV_CEILING is an error.
+
+class DriftDraw(NamedTuple):
+    """The drift measure of the simulated paths and the two gates read off them."""
+
+    measure: WeightedShifts
+    novikov: MomentEstimate
+    energy: MomentEstimate
+
+    @property
+    def energy_passed(self) -> bool:
+        """The strict excess-size gate, robust to Monte-Carlo noise: mean + 3 SE < 1."""
+        return self.energy.estimate + 3.0 * self.energy.standard_error < 1.0
+
+
+def simulate_drift_shifts(b1: Drift, grid: PathGrid, paths: int, seed: int = 0) -> DriftDraw:
+    """Simulate the drift measure and its two gates from one draw of the paths.
+
+    Path j contributes h_j[i] = -sqrt(dt) * b1(B2_{t_{i-1}, j}) with uniform
+    weight 1/paths; B2 is an independent Brownian motion evaluated at the
+    left endpoints (B2_{t_0} = 0). The Novikov moment is the mean of
+    exp(|h_j|^2 / 2); exponent overflow or an estimate above NOVIKOV_CEILING
+    raises SdeNumericError. The drift energy, int_0^1 E[b1(B2_t)^2] dt, is
+    the mean of dt * sum_i b1^2, accumulated from the drift values so that a
+    constant drift is exact.
     """
-    vals = _drift_at_left_points(spec, grid, paths, seed)
-    exponents = 0.5 * grid.dt * np.sum(vals * vals, axis=1)
-    return _exponential_moment(np.full(paths, 1.0 / paths), exponents)
-
-
-def novikov_from_shifts(nu: WeightedShifts) -> MomentEstimate:
-    """Exponential moment of an already-simulated drift measure."""
+    vals = _drift_at_left_points(b1, grid, paths, seed)
+    shifts = -math.sqrt(grid.dt) * vals
     with np.errstate(over="ignore"):  # an infinite exponent is raised below
-        exponents = 0.5 * np.sum(nu.shifts**2, axis=1)
-    return _exponential_moment(np.asarray(nu.weights), exponents)
-
-
-def _exponential_moment(weights: np.ndarray, exponents: np.ndarray) -> MomentEstimate:
+        exponents = 0.5 * np.sum(shifts**2, axis=1)
     if exponents.max() > EXP_OVERFLOW:
         raise SdeNumericError(
             f"Novikov check failed (numeric): exponent {exponents.max():.3g} overflows"
         )
-    vals = np.exp(exponents)
-    if np.all(vals == vals[0]):
-        # deterministic integrand: the mean is the common value, exactly
-        est, se = float(vals[0]), 0.0
-    else:
-        est = float(np.dot(weights, vals))
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    if est > NOVIKOV_CEILING:
+    novikov = _mc_mean(np.exp(exponents))
+    if novikov.estimate > NOVIKOV_CEILING:
         raise SdeNumericError(
-            f"Novikov check failed (numeric): estimate {est:.3g} above ceiling "
+            f"Novikov check failed (numeric): estimate {novikov.estimate:.3g} above ceiling "
             f"{NOVIKOV_CEILING:.3g}"
         )
-    return MomentEstimate(est, se)
-
-
-class DriftEnergy(NamedTuple):
-    estimate: float
-    standard_error: float
-    passed: bool
-
-
-def mean_square_drift_estimate(
-    spec: DriftSpec, grid: PathGrid, paths: int, seed: int = 0
-) -> DriftEnergy:
-    """Monte-Carlo estimate of int_0^1 E[b1(B2_t)^2] dt with a strict <1 gate.
-
-    Equals E|h|^2 over the simulated shift vectors (same paths for the same
-    seed), accumulated as dt * sum b1^2 so a constant drift is exact.
-    Passing requires estimate + 3 * standard_error < 1 so the verdict is
-    robust to the Monte-Carlo noise.
-    """
-    vals = _drift_at_left_points(spec, grid, paths, seed)
-    energies = grid.dt * np.sum(vals * vals, axis=1)
-    if np.all(energies == energies[0]):
-        est, se = float(energies[0]), 0.0
-    else:
-        est = float(energies.mean())
-        se = float(energies.std(ddof=1) / math.sqrt(energies.size)) if energies.size > 1 else 0.0
-    return DriftEnergy(est, se, est + 3.0 * se < 1.0)
+    energy = _mc_mean(grid.dt * np.sum(vals * vals, axis=1))
+    return DriftDraw(WeightedShifts(np.full(paths, 1.0 / paths), shifts), novikov, energy)
 
 
 # each drift kind: the name of its one parameter s (None for none) and b1(x, s)
@@ -199,7 +161,7 @@ DRIFT_KINDS: dict[str, tuple[str | None, Callable[[np.ndarray, float], np.ndarra
 }
 
 
-def drift_from_config(data: dict) -> DriftSpec:
+def drift_from_config(data: dict) -> Drift:
     """Build a drift from {'kind': ..., its parameter} config data.
 
     An unknown kind or any field beyond the kind's parameter is a ValueError;
@@ -213,4 +175,4 @@ def drift_from_config(data: dict) -> DriftSpec:
     if unknown:
         raise ValueError(f"unknown field(s) {unknown} in a drift of kind {kind!r}")
     s = 0.0 if param is None else float(data[param])
-    return DriftSpec(lambda x: b1(x, s))
+    return lambda x: b1(x, s)

@@ -70,6 +70,11 @@ class TestEnumeration:
         with pytest.raises(BasisTooLargeError, match="basis too large"):
             enumerate_indices(8, 8, size_cap=1000)
 
+    def test_rejects_table_with_too_many_entries(self):
+        # 1,373,701 rows pass the row cap, but the table would hold 2.2 GB
+        with pytest.raises(BasisTooLargeError, match="274740200 table entries"):
+            enumerate_indices(200, 3)
+
 
 # (d, K) pairs for the index core; (40, 2) has too many coordinates for a
 # mixed-radix key of base K + 1 to fit in 64 bits.

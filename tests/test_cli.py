@@ -295,7 +295,6 @@ class TestManifestNotes:
                 "steps": 4,
                 "paths": 500,
                 "max_degree": 4,
-                "run_llt": True,
             },
         }
         notes, points = self._run_counting(monkeypatch, tmp_path, "sde", data)
@@ -428,7 +427,6 @@ class TestSdeCommand:
                     "steps": 8,
                     "paths": 2000,
                     "max_degree": 8,
-                    "run_llt": True,
                 },
             },
         )
@@ -442,6 +440,33 @@ class TestSdeCommand:
         errs = [float(r.split(",")[3]) for r in rows]
         assert all(v <= b + e for v, b, e in zip(l1s, bounds, errs))
 
+    @pytest.mark.parametrize("sweep", [True, False], ids=["n_values", "no_n_values"])
+    def test_sweep_runs_exactly_with_n_values(self, tmp_path, sweep):
+        data = base_sde_config(drift={"kind": "scaled_sin", "scale": 0.5}, steps=4, paths=500)
+        if sweep:
+            data.update(alpha=0.5, n_values=[4, 16], distance={"method": "mc", "samples": 2000})
+        cfg = write_config(tmp_path, "s.json", data)
+        out = tmp_path / "out"
+        assert main(["sde", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "rate.csv").is_file() == sweep
+        assert (out / "summary.json").is_file() == sweep
+
+    def test_paths_are_drawn_once(self, monkeypatch, tmp_path):
+        # the shifts, the Novikov moment and the drift energy share one draw
+        import wickllt.sde as sde
+
+        calls = []
+        draw = sde._drift_at_left_points
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(sde, "_drift_at_left_points", counting)
+        cfg = write_config(tmp_path, "s.json", base_sde_config(drift={"kind": "constant", "value": 0.5}))
+        assert main(["sde", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
 
 @pytest.mark.parametrize(
     "command, data",
@@ -450,7 +475,7 @@ class TestSdeCommand:
         (
             "sde",
             {
-                **base_sde_config(drift={"kind": "scaled_sin", "scale": 0.5}, run_llt=True),
+                **base_sde_config(drift={"kind": "scaled_sin", "scale": 0.5}),
                 "alpha": 0.5,
                 "n_values": [4, 16],
                 "distance": {"method": "mc", "samples": 200},
@@ -603,7 +628,6 @@ class TestConfigErrors:
                         "steps": 4,
                         "paths": 64,
                         "max_degree": 4,
-                        "run_llt": True,
                     },
                 },
                 "swept space has dimension 4",
@@ -677,6 +701,7 @@ class TestConfigErrors:
                 base_sde_config(novikov_ceiling=1e15),
                 "unknown field(s) ['novikov_ceiling'] in sde",
             ),
+            ("sde", base_sde_config(run_llt=True), "unknown field(s) ['run_llt'] in sde"),
             (
                 "llt",
                 base_llt_config(space={"dimension": 10**30, "max_degree": 0}),
@@ -734,6 +759,39 @@ class TestConfigErrors:
                     space={"dimension": 30, "max_degree": 12}, distance={"method": "mc"}
                 ),
                 "basis too large",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    space={"dimension": 200, "max_degree": 3},
+                    density={"kind": "coefficients"},
+                    distance={"method": "mc"},
+                ),
+                "274740200 table entries",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    space={"dimension": 4, "max_degree": 4},
+                    density={"kind": "coefficients"},
+                    distance={"method": "mc"},
+                    audit_grid={"mc_points": 10**30},
+                ),
+                "audit_grid screens 1000000000000000000000000000001 points of dimension 4",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    space={"dimension": 3, "max_degree": 4},
+                    density={"kind": "coefficients"},
+                    audit_grid={"points_per_axis": 3000},
+                ),
+                "audit_grid screens 27000000000 points of dimension 3",
+            ),
+            (
+                "sde",
+                {**base_sde_config(steps=4), "audit_grid": {"mc_points": 10**8}},
+                "audit_grid screens 100000001 points of dimension 4",
             ),
             (
                 "llt",
@@ -809,6 +867,7 @@ class TestConfigErrors:
             "sde_drift_unknown_field",
             "density_kind_sde",
             "novikov_ceiling_field",
+            "run_llt_field",
             "dimension_huge",
             "steps_huge",
             "steps_2_63",
@@ -821,6 +880,10 @@ class TestConfigErrors:
             "shift_dimension",
             "weights_sum",
             "basis_too_large",
+            "index_table_too_large",
+            "audit_mc_points_huge",
+            "audit_points_per_axis_huge",
+            "audit_sde_steps",
             "kernel_not_square",
             "direction_length",
             "rank_one_too_large",
@@ -951,7 +1014,7 @@ class TestConfigErrors:
             (
                 "sde",
                 {
-                    **base_sde_config(run_llt=True, max_degree=2),
+                    **base_sde_config(max_degree=2),
                     "alpha": 0.5,
                     "n_values": [4, 16],
                 },
@@ -969,21 +1032,6 @@ class TestConfigErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "needs max_degree >= 3" in err and "max_degree 2" in err
         assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "command, data, name",
-        [
-            ("sde", base_sde_config(run_llt="false"), "sde.run_llt"),
-            ("sde", base_sde_config(run_llt=0), "sde.run_llt"),
-        ],
-        ids=["run_llt_string", "run_llt_zero"],
-    )
-    def test_flag_must_be_a_json_boolean(self, tmp_path, capsys, command, data, name):
-        cfg = write_config(tmp_path, "c.json", data)
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert f"{name} must be true or false" in err
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -1087,7 +1135,7 @@ def test_config_fuzz_exits_with_a_documented_code(field, value):
 
 # one field of the sde, validate or build-xi section: (command, its small
 # valid config, the section, the field)
-_SDE_FIELDS = ("drift", "steps", "paths", "max_degree", "run_llt")
+_SDE_FIELDS = ("drift", "steps", "paths", "max_degree")
 _VALIDATE_FIELDS = ("dimension", "max_degree", "inject_error", "ks_samples")
 _FUZZ_FIELDS = [
     *[("sde", base_sde_config(), "sde", f) for f in _SDE_FIELDS],

@@ -6,16 +6,7 @@ import pytest
 from wickllt.audit import audit_density, variance_pairing
 from wickllt.basis import GaussianSpace
 from wickllt.measures import shift_mixture
-from wickllt.sde import (
-    DriftSpec,
-    PathGrid,
-    SdeNumericError,
-    drift_from_config,
-    mean_square_drift_estimate,
-    novikov_estimate,
-    novikov_from_shifts,
-    simulate_drift_shifts,
-)
+from wickllt.sde import PathGrid, SdeNumericError, drift_from_config, simulate_drift_shifts
 
 from conftest import unit_density
 
@@ -27,7 +18,7 @@ SIN_HALF = drift_from_config({"kind": "scaled_sin", "scale": 0.5})
 
 class TestSimulateShifts:
     def test_zero_drift(self):
-        shifts = simulate_drift_shifts(ZERO, PathGrid(8), 64, seed=1)
+        shifts = simulate_drift_shifts(ZERO, PathGrid(8), 64, seed=1).measure
         assert np.all(shifts.shifts == 0.0)
         assert shifts.weights.sum() == pytest.approx(1.0)
 
@@ -35,79 +26,80 @@ class TestSimulateShifts:
         # every component equals -sqrt(dt) c and |h|^2 = c^2, path independent
         c = 0.5
         grid = PathGrid(8)
-        shifts = simulate_drift_shifts(HALF, grid, 32, seed=2)
+        shifts = simulate_drift_shifts(HALF, grid, 32, seed=2).measure
         assert np.allclose(shifts.shifts, -math.sqrt(grid.dt) * c)
         energies = np.sum(shifts.shifts**2, axis=1)
         assert np.allclose(energies, c * c, rtol=1e-14)
 
     def test_sin_drift_energy_below_quarter(self):
-        shifts = simulate_drift_shifts(SIN_HALF, PathGrid(8), 10_000, seed=3)
+        shifts = simulate_drift_shifts(SIN_HALF, PathGrid(8), 10_000, seed=3).measure
         total = float(np.mean(np.sum(shifts.shifts**2, axis=1)))
         assert total < 0.25 < 1.0
 
     def test_deterministic_and_block_invariant(self):
         a = simulate_drift_shifts(SIN_HALF, PathGrid(4), 2000, seed=4)
         b = simulate_drift_shifts(SIN_HALF, PathGrid(4), 2000, seed=4)
-        assert np.array_equal(a.shifts, b.shifts)
+        assert np.array_equal(a.measure.shifts, b.measure.shifts)
+        assert (a.novikov, a.energy) == (b.novikov, b.energy)
 
     def test_nonfinite_drift_reported(self):
-        bad = DriftSpec(lambda x: np.where(x > 0, np.inf, 0.0))
         with pytest.raises(SdeNumericError, match="non-finite"):
-            simulate_drift_shifts(bad, PathGrid(8), 256, seed=5)
+            simulate_drift_shifts(lambda x: np.where(x > 0, np.inf, 0.0), PathGrid(8), 256, seed=5)
 
 
 class TestNovikov:
     def test_zero_drift_exact_one(self):
-        est = novikov_estimate(ZERO, PathGrid(8), 128, seed=1)
+        est = simulate_drift_shifts(ZERO, PathGrid(8), 128, seed=1).novikov
         assert est.estimate == 1.0
         assert est.standard_error == 0.0
 
     def test_unit_drift_exact(self):
-        est = novikov_estimate(ONE, PathGrid(8), 1024, seed=2)
-        assert est.estimate == math.exp(0.5)
+        # the exponent |h|^2 / 2 sums eight rounded squares of sqrt(1/8)
+        est = simulate_drift_shifts(ONE, PathGrid(8), 1024, seed=2).novikov
+        assert est.estimate == pytest.approx(math.exp(0.5), rel=1e-15)
         assert est.standard_error == 0.0
 
     def test_sin_drift_bracket(self):
-        est = novikov_estimate(SIN_HALF, PathGrid(8), 10_000, seed=3)
+        est = simulate_drift_shifts(SIN_HALF, PathGrid(8), 10_000, seed=3).novikov
         assert 1.0 < est.estimate <= math.exp(0.125) + 3 * est.standard_error
 
     def test_overflow_reported(self):
-        blowup = DriftSpec(lambda x: np.full_like(x, 60.0))
         with pytest.raises(SdeNumericError, match="Novikov check failed"):
-            novikov_estimate(blowup, PathGrid(4), 16, seed=4)
+            simulate_drift_shifts(lambda x: np.full_like(x, 60.0), PathGrid(4), 16, seed=4)
 
     def test_from_shifts_matches(self):
-        shifts = simulate_drift_shifts(SIN_HALF, PathGrid(8), 4000, seed=6)
-        direct = novikov_estimate(SIN_HALF, PathGrid(8), 4000, seed=6)
-        via_shifts = novikov_from_shifts(shifts)
-        assert via_shifts.estimate == pytest.approx(direct.estimate, rel=1e-12)
+        # both gates are read off the draw that made the shifts
+        draw = simulate_drift_shifts(SIN_HALF, PathGrid(8), 4000, seed=6)
+        squares = np.sum(draw.measure.shifts**2, axis=1)
+        assert draw.novikov.estimate == float(np.mean(np.exp(0.5 * squares)))
+        assert draw.energy.estimate == pytest.approx(float(np.mean(squares)), rel=1e-12)
 
 
 class TestMeanSquareDrift:
     def test_zero_drift(self):
-        est = mean_square_drift_estimate(ZERO, PathGrid(8), 64, seed=1)
-        assert est.estimate == 0.0 and est.passed
+        draw = simulate_drift_shifts(ZERO, PathGrid(8), 64, seed=1)
+        assert draw.energy.estimate == 0.0 and draw.energy_passed
 
     def test_unit_drift_boundary_fails(self):
-        est = mean_square_drift_estimate(ONE, PathGrid(8), 1024, seed=2)
-        assert est.estimate == 1.0
-        assert est.standard_error == 0.0
-        assert not est.passed  # the condition is strict
+        draw = simulate_drift_shifts(ONE, PathGrid(8), 1024, seed=2)
+        assert draw.energy.estimate == 1.0
+        assert draw.energy.standard_error == 0.0
+        assert not draw.energy_passed  # the condition is strict
 
     def test_half_drift_exact_quarter(self):
-        est = mean_square_drift_estimate(HALF, PathGrid(8), 1024, seed=3)
-        assert est.estimate == 0.25
-        assert est.passed
+        draw = simulate_drift_shifts(HALF, PathGrid(8), 1024, seed=3)
+        assert draw.energy.estimate == 0.25
+        assert draw.energy_passed
 
     def test_sin_drift_passes(self):
-        est = mean_square_drift_estimate(SIN_HALF, PathGrid(8), 10_000, seed=4)
-        assert est.estimate + 3 * est.standard_error < 1.0
-        assert est.passed
+        draw = simulate_drift_shifts(SIN_HALF, PathGrid(8), 10_000, seed=4)
+        assert draw.energy.estimate + 3 * draw.energy.standard_error < 1.0
+        assert draw.energy_passed
 
 
-def sde_density(spec, steps, paths, space, seed):
+def sde_density(b1, steps, paths, space, seed):
     """The density of the drift measure, as the sde command builds it."""
-    return shift_mixture(simulate_drift_shifts(spec, PathGrid(steps), paths, seed), space)
+    return shift_mixture(simulate_drift_shifts(b1, PathGrid(steps), paths, seed).measure, space)
 
 
 class TestSdeDensity:
@@ -142,7 +134,7 @@ class TestSdeDensity:
         space = GaussianSpace(4, 6)
         grid = PathGrid(4)
         paths = 4000
-        shifts = simulate_drift_shifts(SIN_HALF, grid, paths, seed=7)
+        shifts = simulate_drift_shifts(SIN_HALF, grid, paths, seed=7).measure
         density = shift_mixture(shifts, space)
         for i in range(4):
             h = np.zeros(4)
@@ -154,7 +146,7 @@ class TestSdeDensity:
             assert abs(total - (1.0 + nu_var)) <= 3 * se
 
     def test_exponential_integrability_reported_finite(self):
-        shifts = simulate_drift_shifts(SIN_HALF, PathGrid(8), 5000, seed=8)
+        shifts = simulate_drift_shifts(SIN_HALF, PathGrid(8), 5000, seed=8).measure
         value = shifts.exponential_integrability()
         assert math.isfinite(value)
         assert value >= 1.0
