@@ -148,6 +148,7 @@ def _sweep(
     rows = [(r.n, r.l1, r.bound, r.error) for r in table.rows]
     manifest.artifact("rate.csv", csv_text(["n", "l1", "bound", "err"], rows))
     manifest.notes["row_seconds"] = [[r.n, r.seconds] for r in table.rows]
+    manifest.notes["power_ladder"] = table.power_ladder
     summary = {
         "constant": table.constant,
         "n0": table.n0,

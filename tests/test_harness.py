@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ class TestSumDensity:
     def test_alpha_domain(self, line16):
         with pytest.raises(ValueError):
             sum_density(unit_density(line16), 4, 1.0)
+
+    def test_huge_n_stays_finite(self):
+        # the row weights binom(n, j) (alpha/n)^j stay below alpha^j / j!
+        space = GaussianSpace(1, 170)
+        f = corpus_line_density(space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = sum_density(f, 2**53, 0.99)
+        assert np.isfinite(rho.coeffs).all()
+        assert rho.coeffs[space.position((2,))] == pytest.approx(0.099, rel=1e-15)
 
 
 class TestLowDegreeMatching:
@@ -296,6 +307,56 @@ class TestRateSweep:
         chunks = [2048] * 9 + [20_000 - 9 * 2048]
         # the head (1 coordinate) then the tail (2 coordinates) of each chunk
         assert per_sweep[0] == per_sweep[1] == [(d, m) for m in chunks for d in (1, 2)]
+
+    def test_rows_equal_sum_density(self, monkeypatch):
+        # the llt_wick_d5 density: every row is sum_density's, bit for bit
+        import wickllt.harness as harness
+        from wickllt.audit import audit_density
+
+        density = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.02]}
+        ns = [4**k for k in range(1, 10)]
+        config = _config_for(density, ns, space=(5, 14), method="mc")
+        f = _config_density(config)
+        report = audit_density(f, config.audit_grid)
+        rows = []
+
+        def measured(fs, g, spec=None, seed=0):
+            rows.extend(fs)
+            return [harness.DistanceResult(0.0, 0.0) for _ in fs]
+
+        monkeypatch.setattr(harness, "l1_distances", measured)
+        rate_sweep(config, density=f, report=report)
+        for n, row in zip(ns, rows, strict=True):
+            alone = sum_density(f, n, config.alpha, report=report)
+            assert np.array_equal(row.coeffs, alone.coeffs), n
+
+    def test_one_ladder_for_all_rows(self, monkeypatch):
+        import wickllt.harness as harness
+
+        real = harness.excess_powers
+        ladders = []
+
+        def counting(f, top=None):
+            ladder = real(f, top)
+            ladders.append(len(ladder))
+            return ladder
+
+        density = {
+            "kind": "coefficients",
+            "terms": [{"index": [2], "coeff": 0.1}, {"index": [3], "coeff": 0.05}],
+        }
+        per_sweep = []
+        for n_values in ([4], [4**k for k in range(1, 10)]):
+            config = _config_for(density, n_values)
+            ladders.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "excess_powers", counting)
+                table, _ = rate_sweep(config, _config_density(config))
+            assert len(table.rows) == len(n_values)
+            assert table.power_ladder["rungs"] == 8
+            per_sweep.append(list(ladders))
+        # one ladder of u, ..., u^{<>8} (K = 16, lo = 2): 7 passes whatever the rows
+        assert per_sweep[0] == per_sweep[1] == [9]
 
     def test_bound_violation_fails_loudly(self, monkeypatch):
         config = _config_for(

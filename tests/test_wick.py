@@ -49,7 +49,7 @@ def product_calls(monkeypatch):
 
 
 def _power_by_products(f, n, policy=None):
-    # repeated squaring with wick_product: the product route of wick_power
+    # repeated squaring with wick_product: the reference for the ladder
     result, base = None, f
     while True:
         if n & 1:
@@ -238,7 +238,7 @@ class TestWickPower:
         f = random_low_degree(line16, rng)
         assert np.array_equal(wick_power(f, 0).coeffs, unit_density(line16).coeffs)
 
-    def test_recurrence_matches_products_on_sweep_rows(self, product_calls):
+    def test_ladder_matches_products_on_sweep_rows(self, product_calls):
         # the rows of a d=5, K=14 sweep of a product density, n = 4 ... 4^9
         space = GaussianSpace(5, 14)
         spec = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.02]}
@@ -246,13 +246,13 @@ class TestWickPower:
         for n in [4**k for k in range(1, 10)]:
             row = gamma(math.sqrt(0.5 / n), centered)
             product_calls.clear()
-            by_recurrence = wick_power(row, n)
+            by_ladder = wick_power(row, n)
             assert product_calls == []
             by_products = _power_by_products(row, n)
-            assert np.abs(by_recurrence.coeffs - by_products.coeffs).max() <= 1e-15
+            assert np.abs(by_ladder.coeffs - by_products.coeffs).max() <= 1e-15
 
     def test_recurrence_respects_cap(self, plane8, product_calls):
-        # the recurrence in a space of max_degree 5 gives the power under
+        # the ladder in a space of max_degree 5 gives the power under
         # products capped at 5
         rng = np.random.default_rng(21)
         f = _dominant(random_low_degree(plane8, rng, max_degree=5))
@@ -263,26 +263,23 @@ class TestWickPower:
             capped.coeffs, expected.coeffs[: capped.space.size], rtol=1e-13, atol=1e-15
         )
 
-    def test_square_of_degree_one_takes_products(self, line16, product_calls):
-        # f_0 = 0: nothing dominates, and x^{<>2} = H_2 exactly
+    def test_square_of_degree_one_is_h2(self, line16):
+        # f_0 = 0: the ladder divides by nothing, and x^{<>2} = H_2 exactly
         x = basis_vector(line16, (1,))
         assert np.array_equal(wick_power(x, 2).coeffs, basis_vector(line16, (2,)).coeffs)
-        assert len(product_calls) == 1
 
-    def test_route_follows_dominance(self, line16, product_calls):
+    def test_power_continuous_below_dominance(self, line16):
+        # the constant term just below the sum of the rest changes nothing
         c = np.zeros(line16.size)
         c[:4] = [1.0, 0.25, -0.5, 0.25]  # the rest sums to exactly |c_0|
         at_edge = ChaosVector(line16, c)
-        wick_power(at_edge, 3)
-        assert product_calls == []
         c[0] = np.nextafter(1.0, 0.0)
         below = wick_power(ChaosVector(line16, c), 3)
-        assert len(product_calls) == 2
         assert np.allclose(below.coeffs, wick_power(at_edge, 3).coeffs, atol=1e-14)
 
     def test_recurrence_weight_does_not_wrap(self, line16, product_calls):
-        # (n + 1) * 16 passes 2**63 at n = 2**60, where int64 weights wrap;
-        # the degree-16 coefficient of (1 + eps H_16)^{<>n} is n * eps
+        # the weight binom(n, 1) = 2**60 is a float, not an int64 product
+        # that wraps; the degree-16 coefficient of (1 + eps H_16)^{<>n} is n * eps
         f = unit_density(line16) + basis_vector(line16, (16,)) * 2.0**-70
         power = wick_power(f, 2**60)
         assert product_calls == []
@@ -506,6 +503,13 @@ class TestCenterDensity:
         once = center_density(f)
         twice = center_density(once)
         assert np.abs(once.coeffs - twice.coeffs).max() <= 1e-12
+
+    def test_degree_one_exactly_zero_off_unit_mass(self, plane8):
+        rng = np.random.default_rng(24)
+        c = random_low_degree(plane8, rng, max_degree=4).coeffs.copy()
+        c[0] = 1.0 - 1e-13
+        centered = center_density(ChaosVector(plane8, c))
+        assert np.array_equal(centered.coeffs[plane8.degrees == 1], np.zeros(2))
 
     def test_rejects_unnormalized(self, line16):
         c = np.zeros(line16.size)
