@@ -139,7 +139,8 @@ class GaussianSpace:
     """Finite-dimensional Gaussian model: R^d, standard Gaussian, degree cap K.
 
     Holds the canonical graded enumeration of all multi-indices with
-    |alpha| <= max_degree as the read-only int array `indices`. The position
+    |alpha| <= max_degree as the read-only int array `indices`; the indices
+    of degree m are rows degree_bounds[m]:degree_bounds[m + 1]. The position
     of an index is its graded rank, computed in closed form: the number of
     indices of lower degree plus, for every coordinate i < d - 1, the number
     of same-degree indices that agree with alpha before i and are larger at
@@ -157,6 +158,8 @@ class GaussianSpace:
         indices.setflags(write=False)
         degrees = indices.sum(axis=1)
         degrees.setflags(write=False)
+        degree_bounds = np.searchsorted(degrees, np.arange(self.max_degree + 2))
+        degree_bounds.setflags(write=False)
         fact_1d = np.array(
             [factorial_float(n) for n in range(self.max_degree + 1)], dtype=float
         )
@@ -172,6 +175,7 @@ class GaussianSpace:
             binoms[k] = np.cumsum(binoms[k - 1])
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "degree_bounds", degree_bounds)
         object.__setattr__(self, "factorials", factorials)
         object.__setattr__(self, "_binoms", binoms.ravel())
         object.__setattr__(
@@ -326,12 +330,6 @@ class ChaosVector:
         w = self.space.factorials * self.coeffs * self.coeffs
         return np.bincount(self.space.degrees, weights=w, minlength=self.space.max_degree + 1)
 
-    def max_nonzero_degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        if nz.size == 0:
-            return 0
-        return int(self.space.degrees[nz].max())
-
     def __add__(self, other: "ChaosVector") -> "ChaosVector":
         space = _require_same_space(self, other)
         return ChaosVector(space, self.coeffs + other.coeffs)
@@ -433,15 +431,16 @@ def _build_split(space: GaussianSpace) -> SumSplit:
     else:
         head = GaussianSpace(s, k_max)
         tail = head if 2 * s == d else GaussianSpace(d - s, k_max)
-    heads = np.zeros((1, 0), dtype=np.int64) if head is None else head.indices
-    head_bounds = np.searchsorted(heads.sum(axis=1), np.arange(k_max + 2))
-    tail_counts = np.searchsorted(tail.degrees, np.arange(k_max + 1), side="right")
+    if head is None:
+        heads, head_bounds = np.zeros((1, 0), dtype=np.int64), [0] + [1] * (k_max + 1)
+    else:
+        heads, head_bounds = head.indices, head.degree_bounds
     blocks, order = [], []
     for k in range(k_max + 1):
         lo, hi = int(head_bounds[k]), int(head_bounds[k + 1])
         if lo == hi:
             continue
-        tails = int(tail_counts[k_max - k])
+        tails = int(tail.degree_bounds[k_max - k + 1])
         alpha = np.hstack(
             (np.repeat(heads[lo:hi], tails, axis=0), np.tile(tail.indices[:tails], (hi - lo, 1)))
         )

@@ -128,15 +128,15 @@ def cmd_audit(args) -> int:
 
 
 def _sweep(
-    manifest: _Manifest, config: ExperimentConfig, density, report, override_audit: bool
+    manifest: _Manifest, config: ExperimentConfig, density, report, override_audit: bool = False
 ) -> RateTable:
     """The rate sweep of llt and of sde with n_values, written to rate.csv and
     summary.json. A bound violation writes them too, listing its rows, and
-    then propagates; report is the audit the caller already ran, or None."""
+    then propagates; report is the audit the caller already ran, or None.
+    The outputs carry the audit_overridden watermark when the audit failed
+    and override_audit ran the sweep anyway."""
     space = density.space
     manifest.notes["distance_points"] = config.distance.points(space.dimension, space.max_degree)
-    if override_audit:
-        manifest.notes["audit_overridden"] = True
     violation = None
     try:
         with manifest.stage("sweep"):
@@ -144,7 +144,10 @@ def _sweep(
                 config, density=density, report=report, override_audit=override_audit
             )
     except BoundViolationError as exc:
-        violation, table = exc, exc.table
+        violation, table, report = exc, exc.table, exc.report
+    overridden = not report.all_passed
+    if overridden:
+        manifest.notes["audit_overridden"] = True
     rows = [(r.n, r.l1, r.bound, r.error) for r in table.rows]
     manifest.artifact("rate.csv", csv_text(["n", "l1", "bound", "err"], rows))
     manifest.notes["row_seconds"] = [[r.n, r.seconds] for r in table.rows]
@@ -157,8 +160,8 @@ def _sweep(
         "rows": [
             {"n": r.n, "l1": r.l1, "bound": r.bound, "err": r.error} for r in table.rows
         ],
-        "audit": report.to_json_dict() if report is not None else None,
-        "audit_overridden": override_audit,
+        "audit": report.to_json_dict(),
+        "audit_overridden": overridden,
         "bound_violations": [f"n={r.n}" for r in violation.rows] if violation else [],
         "config": config.raw,
     }
@@ -211,7 +214,7 @@ def cmd_validate(args) -> int:
         passed = all(r.passed for r in results)
         payload = {
             "inject_error": section.inject_error,
-            "identities": [r.to_json_dict() for r in results],
+            "identities": [r._asdict() for r in results],
             "all_passed": passed,
         }
         manifest.artifact("validate.json", dumps_canonical(payload))
@@ -257,7 +260,7 @@ def cmd_sde(args) -> int:
         manifest.artifact("shifts.json", dumps_canonical(draw.measure.to_json_dict()))
         ok = draw.energy_passed and report.all_passed
         if ok and config.n_values:
-            _sweep(manifest, config, density, report, args.override_audit)
+            _sweep(manifest, config, density, report)
     print(
         f"sde: {'PASS' if ok else 'FAIL'} (novikov={draw.novikov.estimate:.6g}, "
         f"drift_energy={draw.energy.estimate:.6g} +- {draw.energy.standard_error:.2g})"
@@ -302,11 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--override-audit",
-            action="store_true",
-            help="run even if the assumption audit fails (outputs are watermarked)",
-        )
+        if name == "llt":
+            p.add_argument(
+                "--override-audit",
+                action="store_true",
+                help="run even if the assumption audit fails (outputs are watermarked)",
+            )
         p.set_defaults(handler=fn)
     return parser
 

@@ -49,12 +49,16 @@ KOLMOGOROV_1PCT = 1.6276236115189504
 
 
 class BoundViolationError(Exception):
-    """A sweep row exceeded its theoretical bound beyond the distance error."""
+    """A sweep row exceeded its theoretical bound beyond the distance error.
 
-    def __init__(self, message: str, table: "RateTable | None" = None, rows=None):
+    Carries the sweep's table, its violating rows and the audit it ran on.
+    """
+
+    def __init__(self, message: str, table: "RateTable", rows, report: AssumptionReport):
         super().__init__(message)
         self.table = table
-        self.rows = rows or []
+        self.rows = rows
+        self.report = report
 
 
 class DistanceResult(NamedTuple):
@@ -252,7 +256,7 @@ def rate_sweep(
             f"n={row.n}: l1={row.l1:.6g} > bound={row.bound:.6g} + err={row.error:.6g}"
             for row in bad
         )
-        raise BoundViolationError(f"rate bound violated: {detail}", table=table, rows=bad)
+        raise BoundViolationError(f"rate bound violated: {detail}", table, bad, report)
     return table, report
 
 

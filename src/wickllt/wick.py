@@ -12,9 +12,8 @@ Ornstein-Uhlenbeck semigroup, and ou_apply provides an independent
 Monte-Carlo check of that identity through the Mehler integral form.
 
 Products are truncated at a cap degree, the space's max_degree unless a
-TruncationPolicy sets a lower one, and return a plain ChaosVector. The L2
-mass a cap drops is not tracked per product; `discarded_mass` computes it on
-request by forming the product uncapped in a wide enough space.
+TruncationPolicy sets a lower one, and return a plain ChaosVector: exact on
+every degree up to the cap, with nothing computed above it.
 
 Wick powers and the Wick exponential come from one ladder: with f = f_0 + u,
 u starting at degree lo, the rungs u, u^{<>2}, ..., u^{<>K//lo} are all a
@@ -72,8 +71,8 @@ def _pair_table(space: GaussianSpace):
     """
 
     def build(sp: GaussianSpace):
-        k_max = sp.max_degree
-        deg_pos = [np.nonzero(sp.degrees == m)[0] for m in range(k_max + 1)]
+        k_max, bounds = sp.max_degree, sp.degree_bounds
+        deg_pos = [np.arange(bounds[m], bounds[m + 1]) for m in range(k_max + 1)]
         chunks_i, chunks_j, chunks_out = [], [], []
         starts = np.zeros((k_max + 2, k_max + 2), dtype=np.int64)
         total = 0
@@ -120,31 +119,6 @@ def wick_product(
     return ChaosVector(space, prod)
 
 
-def discarded_mass(f: ChaosVector, g: ChaosVector, cap: int) -> float:
-    """Squared L2 norm of the part of f <> g above degree `cap`.
-
-    The product is formed uncapped in GaussianSpace(d, deg f + deg g), which
-    is cached on the operands' space with its pair table. The graded order
-    makes each space's table a prefix of every wider one, so zero-padding
-    (or dropping trailing zeros) carries the coefficients over unchanged.
-    """
-    space = _require_same_space(f, g)
-    top = f.max_nonzero_degree() + g.max_nonzero_degree()
-    if top <= cap:
-        return 0.0
-    wide = space.cached(f"padded_{top}", lambda sp: GaussianSpace(sp.dimension, top))
-    keep = min(wide.size, space.size)
-
-    def padded(v: ChaosVector) -> ChaosVector:
-        c = np.zeros(wide.size)
-        c[:keep] = v.coeffs[:keep]
-        return ChaosVector(wide, c)
-
-    above = wide.degrees > cap
-    tail = wick_product(padded(f), padded(g)).coeffs[above]
-    return float(np.dot(wide.factorials[above] * tail, tail))
-
-
 def excess_powers(f: ChaosVector, top: int | None = None) -> list[ChaosVector]:
     """Wick powers u^{<>0..J} of the excess u = f - f_0, J = min(top, K // lo).
 
@@ -161,7 +135,7 @@ def excess_powers(f: ChaosVector, top: int | None = None) -> list[ChaosVector]:
         return [constant_vector(space)]
     u, lo, hi = rungs[1], int(support.min()), int(support.max())
     i_idx, j_idx, out_idx, starts = _pair_table(space)
-    bounds = np.searchsorted(space.degrees, np.arange(k_max + 2))
+    bounds = space.degree_bounds
     for j in range(2, min(top or k_max, k_max // lo) + 1):
         rungs.append(np.zeros(space.size))
         for m in range(j * lo, min(k_max, j * hi) + 1):
@@ -182,17 +156,23 @@ def power_from_ladder(
     constant term. The weight binom(n, j) lam^(j lo) is a running float
     product, at most (n lam^2)^j / j! when lo >= 2, and rung j's degree m
     picks up the remaining lam^(m - j lo): nothing overflows for
-    lam = sqrt(alpha/n), whatever n is.
+    lam = sqrt(alpha/n), whatever n is. A power f0^(n-j) outside the float
+    range is a ValueError.
     """
     space, rungs = rungs[0].space, rungs[: n + 1]
     lo = int(space.degrees[np.flatnonzero(rungs[1].coeffs)[0]]) if len(rungs) > 1 else 1
-    bounds = np.searchsorted(space.degrees, np.arange(space.max_degree + 2))
     lam_pow = lam ** np.arange(space.max_degree + 1)
     total, weight = np.zeros(space.size), 1.0
     for j, rung in enumerate(rungs):
         weight *= (n - j + 1) / j * lam**lo if j else 1.0
-        b = bounds[j * lo]
-        scale = (weight * f0 ** (n - j)) * lam_pow[space.degrees[b:] - j * lo]
+        b = space.degree_bounds[j * lo]
+        try:
+            f0_pow = f0 ** (n - j)
+        except OverflowError:
+            raise ValueError(
+                f"Wick power overflows a float: constant term f0 = {f0!r}, n = {n}"
+            ) from None
+        scale = (weight * f0_pow) * lam_pow[space.degrees[b:] - j * lo]
         total[b:] += scale * rung.coeffs[b:]
     return ChaosVector(space, total)
 
@@ -223,8 +203,6 @@ def gamma(lam: float, f: ChaosVector) -> ChaosVector:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"scaling parameter must lie in [0, 1], got {lam}")
     scale = np.power(float(lam), f.space.degrees.astype(float))
-    if lam == 0.0:
-        scale = np.where(f.space.degrees == 0, 1.0, 0.0)
     return ChaosVector(f.space, f.coeffs * scale)
 
 

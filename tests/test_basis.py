@@ -52,6 +52,14 @@ class TestEnumeration:
         # no duplicates, every index accounted for
         assert len({tuple(row) for row in table}) == math.comb(7, 4)
 
+    def test_degree_bounds_delimit_each_degree(self):
+        # binom(d + m - 1, d) indices have degree below m
+        space = GaussianSpace(3, 4)
+        assert space.degree_bounds.tolist() == [math.comb(2 + m, 3) for m in range(6)]
+        for m in range(5):
+            rows = space.degrees[space.degree_bounds[m] : space.degree_bounds[m + 1]]
+            assert rows.size and (rows == m).all()
+
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
             enumerate_indices(0, 3)
