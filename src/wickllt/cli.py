@@ -172,12 +172,15 @@ def _sweep(
 
 
 def _note_evaluation(manifest: _Manifest, space: GaussianSpace) -> None:
-    """Record the row counts of the head/tail split basis evaluation runs at."""
+    """Record the row counts of the head/tail split basis evaluation runs at,
+    the rows of its partial table, and its points per chunk."""
     split = space.split()
     manifest.notes["basis_rows"] = {
         "head": split.head_rows,
         "tail": split.tail.size,
         "full": space.size,
+        "contracted": split.contracted,
+        "chunk": split.chunk,
     }
 
 

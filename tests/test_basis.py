@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wickllt.basis as basis
 from wickllt.basis import (
     BasisTooLargeError,
     ChaosVector,
@@ -21,8 +22,10 @@ from wickllt.basis import (
     eval_stacked,
     from_kernel_view,
     hermite_eval,
+    hermite_table,
     kernel_view,
     monomial_powers,
+    power_table,
 )
 from wickllt.quadrature import tensor_rule
 from wickllt.serialize import chaos_from_json, chaos_to_json
@@ -31,7 +34,33 @@ from wickllt.wick import stochastic_exponential
 from conftest import random_low_degree, unit_density
 
 
+def reference_indices(dimension, max_degree):
+    """The graded table by the former recursion: one more coordinate in front
+    prepends each head from n down to 0 to the indices of degree n."""
+    exact = [np.full((1, 1), n, dtype=np.int64) for n in range(max_degree + 1)]
+    for _ in range(dimension - 1):
+        exact = [
+            np.vstack(
+                [
+                    np.hstack((np.full((len(exact[n - head]), 1), head), exact[n - head]))
+                    for head in range(n, -1, -1)
+                ]
+            )
+            for n in range(max_degree + 1)
+        ]
+    return np.vstack(exact)
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize(
+        "dimension, degree",
+        [(1, 0), (1, 170), (2, 16), (3, 4), (4, 8), (5, 14), (8, 8), (13, 3), (40, 2), (256, 1)],
+    )
+    def test_matches_the_recursion(self, dimension, degree):
+        assert np.array_equal(
+            enumerate_indices(dimension, degree), reference_indices(dimension, degree)
+        )
+
     def test_line_degree_three(self):
         table = enumerate_indices(1, 3)
         assert table.tolist() == [[0], [1], [2], [3]]
@@ -258,6 +287,61 @@ def reference_eval(f, pts, chunk=2048):
     return out, scale
 
 
+def reference_fill(space, one_d, block):
+    """Row-by-row reference of basis._fill_table: one multiply per index."""
+    coord, entry, rest = space.plan()
+    tabs = [one_d(space.max_degree, block[:, i]) for i in range(space.dimension)]
+    table = np.empty((space.size, len(block)))
+    table[0] = 1.0
+    for p in range(1, space.size):
+        table[p] = tabs[coord[p]][entry[p]] * table[rest[p]]
+    return table
+
+
+class TestTableFill:
+    @pytest.mark.parametrize("one_d", [hermite_table, power_table])
+    @pytest.mark.parametrize("degree", [0, 1, 4, 8])
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 5, 8])
+    def test_runs_fill_bit_for_bit(self, dimension, degree, one_d):
+        # every entry is the product of the same two factors as row by row,
+        # over the head and tail tables of two chunks and the full space
+        space = GaussianSpace(dimension, degree)
+        split = space.split()
+        rng = np.random.default_rng(10 * dimension + degree)
+        pts = 1.5 * rng.standard_normal((split.chunk + 3, dimension))
+        s = dimension // 2
+        starts = []
+        for start, head, tail in basis._split_tables(split, one_d, pts, split.chunk):
+            block = pts[start : start + tail.shape[1]]
+            starts.append(start)
+            assert np.array_equal(tail, reference_fill(split.tail, one_d, block[:, s:]))
+            if split.head is not None:
+                assert np.array_equal(head, reference_fill(split.head, one_d, block[:, :s]))
+        assert starts == [0, split.chunk]
+        table = np.empty((space.size, 5))
+        basis._fill_table(space, one_d, pts[:5], table)
+        assert np.array_equal(table, reference_fill(space, one_d, pts[:5]))
+
+    @pytest.mark.parametrize("dimension, degree", [(1, 0), (1, 8), (2, 8), (4, 8), (5, 14)])
+    def test_runs_tile_the_plan(self, dimension, degree):
+        # runs cover rows 1.. in order, and read only rows of lower degree
+        space = GaussianSpace(dimension, degree)
+        coord, entry, rest = space.plan()
+        row = 1
+        for dst, c, e, src in space.runs():
+            dst = range(space.size)[dst] if isinstance(dst, slice) else range(dst, dst + 1)
+            src = range(space.size)[src] if isinstance(src, slice) else range(src, src + 1)
+            assert dst.start == row and len(src) == len(dst)
+            assert list(coord[dst.start : dst.stop]) == [c] * len(dst)
+            assert list(entry[dst.start : dst.stop]) == [e] * len(dst)
+            assert list(rest[dst.start : dst.stop]) == list(src)
+            assert src.stop <= space.degree_bounds[space.degrees[dst.start]]
+            row = dst.stop
+        assert row == space.size
+        if (dimension, degree) == (4, 8):
+            assert len(space.runs()) == 116
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("count", [1, 2047, 2049, 20_000])
     def test_rows_equal_eval_many_bit_for_bit(self, plane8, count):
@@ -298,11 +382,21 @@ class TestStackedEvaluation:
             for (lo, hi, tails), (lo2, _, _) in zip(split.blocks, split.blocks[1:]):
                 assert hi == lo2
             assert sum((hi - lo) * tails for lo, hi, tails in split.blocks) == space.size
+            # each block contracts over its longer side, into min(hi - lo,
+            # tails) consecutive rows of the partial table
+            over_tail, over_head = split.over_tail, split.over_head
+            assert over_tail + tuple(b[:3] for b in over_head) == split.blocks
+            assert all(hi - lo <= tails for lo, hi, tails in over_tail)
+            assert all(hi - lo > tails for lo, hi, tails, _ in over_head)
+            row = over_tail[-1][1]
+            for _, _, tails, start in over_head:
+                assert start == row
+                row += tails
+            assert row == split.contracted
 
     def test_tables_stay_small_at_d8(self, monkeypatch):
         # No fill has more rows than the tail space, binom(d - d//2 + K, K),
         # and the fills per chunk do not depend on the number of vectors.
-        import wickllt.basis as basis
         from wickllt.measures import WeightedShifts, shift_mixture
 
         space = GaussianSpace(8, 8)
@@ -324,10 +418,40 @@ class TestStackedEvaluation:
             eval_stacked(fs, pts)
             per_count.append(len(fills))
             assert max(fills) <= limit < space.size
-        assert per_count == [4, 4]  # head and tail table for each of 2 chunks
+        # a head and a tail table for each chunk of the split's size
+        chunks = math.ceil(3000 / space.split().chunk)
+        assert per_count == [2 * chunks, 2 * chunks]
         fills.clear()
+        # the monomial sums of a shift mixture keep chunks of 2048 atoms
         shift_mixture(WeightedShifts(np.full(3000, 1 / 3000), 0.1 * pts), space)
         assert len(fills) == 4 and max(fills) <= limit
+
+    def test_d8_contracts_over_the_longer_side_within_the_budget(self):
+        space = GaussianSpace(8, 8)
+        split = space.split()
+        # the heads of degree 5..8 outnumber their tails (56 > 35, ...,
+        # 165 > 1) and follow the 70 head rows of degrees 0..4
+        assert split.over_head == (
+            (70, 126, 35, 70), (126, 210, 15, 105), (210, 330, 5, 120), (330, 495, 1, 125)
+        )
+        assert split.contracted == sum(min(hi - lo, t) for lo, hi, t in split.blocks) == 126
+        rows = split.head_rows + split.tail.size + split.contracted
+        assert rows * 8 * split.chunk <= basis.TABLE_BYTES < rows * 8 * (split.chunk + 1)
+        rng = np.random.default_rng(88)
+        fs = [ChaosVector(space, rng.standard_normal(space.size)) for _ in range(2)]
+        pts = 0.7 * rng.standard_normal((split.chunk + 2, 8))
+        for f, row in zip(fs, eval_stacked(fs, pts)):
+            ref, scale = reference_eval(f, pts, chunk=64)
+            assert np.all(np.abs(row - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "dimension, degree", [(2, 8), (1, 12), (1, 14), (1, 16), (2, 12), (4, 8), (2, 16)]
+    )
+    def test_small_spaces_keep_full_chunks(self, dimension, degree):
+        # the spaces of the shipped configs other than sde_sin_d8, at most 495
+        # functions each
+        space = GaussianSpace(dimension, degree)
+        assert space.size <= 495 and space.split().chunk == basis.MAX_CHUNK == 2048
 
     def test_rejects_mixed_spaces(self, line16, plane8):
         with pytest.raises(IncompatibleBasisError):

@@ -292,7 +292,9 @@ class TestManifestNotes:
 
     def test_llt_quadrature_d1(self, monkeypatch, tmp_path):
         notes, points = self._run_counting(monkeypatch, tmp_path, "llt", base_llt_config())
-        assert notes["basis_rows"] == {"head": 1, "tail": 17, "full": 17}
+        assert notes["basis_rows"] == {
+            "head": 1, "tail": 17, "full": 17, "contracted": 1, "chunk": 2048
+        }
         assert notes["distance_points"] == points == 32 + 64
 
     def test_llt_mc_d3(self, monkeypatch, tmp_path):
@@ -302,7 +304,9 @@ class TestManifestNotes:
             distance={"method": "mc", "samples": 3000},
         )
         notes, points = self._run_counting(monkeypatch, tmp_path, "llt", data)
-        assert notes["basis_rows"] == {"head": 7, "tail": 28, "full": 84}
+        assert notes["basis_rows"] == {
+            "head": 7, "tail": 28, "full": 84, "contracted": 7, "chunk": 2048
+        }
         assert notes["distance_points"] == points == 3000
 
     def test_sde_sweep(self, monkeypatch, tmp_path):
@@ -320,7 +324,9 @@ class TestManifestNotes:
             },
         }
         notes, points = self._run_counting(monkeypatch, tmp_path, "sde", data)
-        assert notes["basis_rows"] == {"head": 15, "tail": 15, "full": 70}
+        assert notes["basis_rows"] == {
+            "head": 15, "tail": 15, "full": 70, "contracted": 10, "chunk": 2048
+        }
         assert notes["distance_points"] == points == 2000
         assert notes["power_ladder"]["rungs"] == 2
 

@@ -275,9 +275,12 @@ class TestRateSweep:
 
         monkeypatch.setattr(basis, "_fill_table", counting)
         table, _ = rate_sweep(config, density=f, report=report)
-        # 20,000 common samples in chunks of 2048, shared by all three rows
+        # 20,000 common samples in chunks of the split's size, shared by all
+        # three rows
+        chunk = f.space.split().chunk
+        full = 20_000 // chunk
         assert len(table.rows) == 3
-        assert built == [2048] * 9 + [20_000 - 9 * 2048]
+        assert built == [chunk] * full + [20_000 - full * chunk]
 
     def test_fills_per_chunk_do_not_depend_on_rows(self, monkeypatch):
         # Above d = 1 every chunk fills one head and one tail table, shared
@@ -304,7 +307,9 @@ class TestRateSweep:
                 table, _ = rate_sweep(config, density=f, report=report)
             assert len(table.rows) == len(n_values)
             per_sweep.append(list(fills))
-        chunks = [2048] * 9 + [20_000 - 9 * 2048]
+        chunk = f.space.split().chunk
+        full = 20_000 // chunk
+        chunks = [chunk] * full + [20_000 - full * chunk]
         # the head (1 coordinate) then the tail (2 coordinates) of each chunk
         assert per_sweep[0] == per_sweep[1] == [(d, m) for m in chunks for d in (1, 2)]
 
