@@ -35,7 +35,7 @@ NEGATIVITY_FACTOR = 1e-6
 
 
 class AssumptionViolationError(Exception):
-    """A standing hypothesis fails and no override was requested."""
+    """A standing hypothesis fails."""
 
 
 class CheckResult(NamedTuple):
@@ -84,9 +84,6 @@ class AssumptionReport:
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts.values())
 
-    def failing(self) -> list[str]:
-        return [name for name, v in self.verdicts.items() if not v.passed]
-
     def to_json_dict(self) -> dict:
         return {
             "l2_norm": self.l2_norm,
@@ -106,28 +103,6 @@ class AssumptionReport:
                 for name, v in self.verdicts.items()
             },
         }
-
-
-def check_square_integrability(f: ChaosVector, grid: GridSpec | None = None) -> AssumptionReport:
-    """Unit mass, finite L2 norm, and a nonnegativity screen on the grid.
-
-    The norm is always finite at truncation and recorded for the report. The
-    pass floor of the grid minimum is -NEGATIVITY_FACTOR * ||f||_2.
-    """
-    grid = grid or GridSpec()
-    report = AssumptionReport()
-    report.l2_norm = f.norm()
-    report.normalization = float(f.coeffs[0])
-    pts = grid.build(f.space.dimension)
-    report.min_on_grid = float(eval_many(f, pts).min())
-    report.verdicts["normalization"] = CheckResult(
-        abs(report.normalization - 1.0) <= 1e-12, report.normalization, 1e-12
-    )
-    floor = -NEGATIVITY_FACTOR * report.l2_norm
-    report.verdicts["nonnegativity"] = CheckResult(
-        report.min_on_grid >= floor, report.min_on_grid, floor
-    )
-    return report
 
 
 class VariancePairing(NamedTuple):
@@ -167,7 +142,18 @@ def audit_density(f: ChaosVector, grid: GridSpec | None = None) -> AssumptionRep
     whose spectral radius always satisfies rho(2G) <= |M|_F. A space of
     max_degree below 2 has no kernel and gets the first check only.
     """
-    report = check_square_integrability(f, grid)
+    grid = grid or GridSpec()
+    report = AssumptionReport()
+    report.l2_norm = f.norm()
+    report.normalization = float(f.coeffs[0])
+    report.min_on_grid = float(eval_many(f, grid.build(f.space.dimension)).min())
+    report.verdicts["normalization"] = CheckResult(
+        abs(report.normalization - 1.0) <= 1e-12, report.normalization, 1e-12
+    )
+    floor = -NEGATIVITY_FACTOR * report.l2_norm
+    report.verdicts["nonnegativity"] = CheckResult(
+        report.min_on_grid >= floor, report.min_on_grid, floor
+    )
     if f.space.max_degree < 2:
         return report
     m = 2.0 * kernel_view(f).g2
@@ -183,3 +169,15 @@ def audit_density(f: ChaosVector, grid: GridSpec | None = None) -> AssumptionRep
         report.frobenius_sq_m < 1.0, report.frobenius_sq_m, 1.0
     )
     return report
+
+
+def require_passed(report: AssumptionReport) -> None:
+    """Raise AssumptionViolationError naming each failed check of report with
+    its measured value and threshold: the one way a failed audit stops a run."""
+    failed = [
+        f"{name} (measured {v.measured!r}, threshold {v.threshold:.6g})"
+        for name, v in report.verdicts.items()
+        if not v.passed
+    ]
+    if failed:
+        raise AssumptionViolationError("assumption audit failed: " + "; ".join(failed))

@@ -32,6 +32,7 @@ tail and partial tables of one chunk stay within TABLE_BYTES.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -242,10 +243,16 @@ class GaussianSpace:
         return out
 
     def position(self, entries) -> int:
-        """Position of one multi-index; ValueError if it is not in the space."""
+        """Position of one multi-index; ValueError if it is not in the space.
+
+        Each entry must be a Python or numpy int: operator.index refuses a
+        float or a string, and a bool is refused here.
+        """
         try:
-            alpha = [int(e) for e in entries]
-        except (TypeError, ValueError) as exc:
+            if any(isinstance(e, bool) for e in entries):
+                raise TypeError("a bool entry")
+            alpha = [operator.index(e) for e in entries]
+        except TypeError as exc:
             raise ValueError(f"multi-index {entries!r} is not a list of integers") from exc
         if len(alpha) != self.dimension:
             reason = f"has length {len(alpha)}"

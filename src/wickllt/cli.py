@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .audit import AssumptionViolationError, audit_density
+from .audit import AssumptionViolationError, audit_density, require_passed
 from .basis import BasisTooLargeError, GaussianSpace, InsufficientDegreeError
 from .config import (
     ConfigError, ExperimentConfig, gaussian_cov_limit, load_config, parse_config, resolve_density
@@ -121,33 +121,23 @@ def cmd_audit(args) -> int:
             payload["shift_variance_total"] = nu.shift_variance_total()
             payload["exponential_integrability"] = nu.exponential_integrability()
         manifest.artifact("audit.json", dumps_canonical(payload))
-        if not report.all_passed:
-            raise AssumptionViolationError(", ".join(report.failing()))
+        require_passed(report)
     print("audit: PASS")
     return EXIT_OK
 
 
-def _sweep(
-    manifest: _Manifest, config: ExperimentConfig, density, report, override_audit: bool = False
-) -> RateTable:
+def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> RateTable:
     """The rate sweep of llt and of sde with n_values, written to rate.csv and
     summary.json. A bound violation writes them too, listing its rows, and
-    then propagates; report is the audit the caller already ran, or None.
-    The outputs carry the audit_overridden watermark when the audit failed
-    and override_audit ran the sweep anyway."""
+    then propagates; report is the audit the caller already ran, or None."""
     space = density.space
     manifest.notes["distance_points"] = config.distance.points(space.dimension, space.max_degree)
     violation = None
     try:
         with manifest.stage("sweep"):
-            table, report = rate_sweep(
-                config, density=density, report=report, override_audit=override_audit
-            )
+            table, report = rate_sweep(config, density=density, report=report)
     except BoundViolationError as exc:
         violation, table, report = exc, exc.table, exc.report
-    overridden = not report.all_passed
-    if overridden:
-        manifest.notes["audit_overridden"] = True
     rows = [(r.n, r.l1, r.bound, r.error) for r in table.rows]
     manifest.artifact("rate.csv", csv_text(["n", "l1", "bound", "err"], rows))
     manifest.notes["row_seconds"] = [[r.n, r.seconds] for r in table.rows]
@@ -161,7 +151,6 @@ def _sweep(
             {"n": r.n, "l1": r.l1, "bound": r.bound, "err": r.error} for r in table.rows
         ],
         "audit": report.to_json_dict(),
-        "audit_overridden": overridden,
         "bound_violations": [f"n={r.n}" for r in violation.rows] if violation else [],
         "config": config.raw,
     }
@@ -194,7 +183,7 @@ def cmd_llt(args) -> int:
         _note_evaluation(manifest, space)
         with manifest.stage("density"):
             density = resolve_density(config.density, space)
-        table = _sweep(manifest, config, density, None, args.override_audit)
+        table = _sweep(manifest, config, density, None)
     print(
         f"llt: PASS (C={table.constant:.6g}, n0={table.n0}, rows={len(table.rows)})"
     )
@@ -261,7 +250,8 @@ def cmd_sde(args) -> int:
         manifest.artifact("sde_report.json", dumps_canonical(payload))
         manifest.artifact("density.json", chaos_to_json(density))
         manifest.artifact("shifts.json", dumps_canonical(draw.measure.to_json_dict()))
-        ok = draw.energy_passed and report.all_passed
+        require_passed(report)
+        ok = draw.energy_passed
         if ok and config.n_values:
             _sweep(manifest, config, density, report)
     print(
@@ -308,12 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "llt":
-            p.add_argument(
-                "--override-audit",
-                action="store_true",
-                help="run even if the assumption audit fails (outputs are watermarked)",
-            )
         p.set_defaults(handler=fn)
     return parser
 

@@ -291,7 +291,7 @@ def parse_config(data) -> ExperimentConfig:
         "distance": (DistanceConfig, {}),
         "audit_grid": (
             GridSpec,
-            {"points_per_axis": _int(1), "halfwidth": _real, "mc_points": _int(1), "seed": _int()},
+            {"points_per_axis": _int(2), "halfwidth": _real, "mc_points": _int(1), "seed": _int()},
         ),
         "sde": (
             SdeSection,
@@ -329,11 +329,14 @@ def parse_config(data) -> ExperimentConfig:
             f"space (dimension {dim}, max_degree {maxdeg}) disagrees with the space of the "
             f"sde section (steps {sde.steps}, max_degree {sde.max_degree})"
         )
-    # the audit screens the space of the space section or of sde.steps
+    # the audit screens the space of the space section or of sde.steps; a
+    # grid of width zero, like one of a single point per axis, screens one point
+    grid = sections.get("audit_grid", GridSpec())
+    if not grid.halfwidth > 0.0:
+        raise ConfigError(f"audit_grid.halfwidth must be positive, got {grid.halfwidth!r}")
     screened = dim if dim is not None else sde.steps if sde is not None else None
     if screened is not None:
-        points = sections.get("audit_grid", GridSpec()).points(screened)
-        _check_entries("audit_grid screens", points, screened)
+        _check_entries("audit_grid screens", grid.points(screened), screened)
     if "density" in data and "kind" not in _object(data["density"], "density"):
         raise ConfigError("density section needs a 'kind' field")
     return ExperimentConfig(

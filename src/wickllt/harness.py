@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .audit import AssumptionReport, AssumptionViolationError, audit_density
+from .audit import AssumptionReport, audit_density, require_passed
 from .basis import ChaosVector, eval_many, eval_stacked, kernel_view
 from .config import DistanceConfig, ExperimentConfig
 from .limit_density import gaussian_limit_series
@@ -66,30 +66,19 @@ class DistanceResult(NamedTuple):
     error: float
 
 
-def sum_density(
-    f: ChaosVector,
-    n: int,
-    alpha: float,
-    report: AssumptionReport | None = None,
-    override: bool = False,
-) -> ChaosVector:
+def sum_density(f: ChaosVector, n: int, alpha: float) -> ChaosVector:
     """Density of the alpha-smoothed standardized sum of n copies of f.
 
     Centers f, applies the degreewise scaling sqrt(alpha/n), and takes the
     n-th Wick power (exact for all represented degrees) from the ladder of
     the centered density, as rate_sweep does. The degree-0 coefficient stays
-    exactly one.
+    exactly one. Like rate_constant it takes any unit-mass f: the audit of
+    the standing hypotheses is rate_sweep's.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    if report is None:
-        report = audit_density(f)
-    if not report.all_passed and not override:
-        raise AssumptionViolationError(
-            "assumption audit failed: " + ", ".join(report.failing())
-        )
     centered = center_density(f)
     ladder = excess_powers(centered, top=n)
     return power_from_ladder(float(centered.coeffs[0]), ladder, n, math.sqrt(alpha / n))
@@ -202,7 +191,6 @@ class RateTable:
 def rate_sweep(
     config: ExperimentConfig,
     density: ChaosVector,
-    override_audit: bool = False,
     report: AssumptionReport | None = None,
 ) -> tuple[RateTable, AssumptionReport]:
     """Measure the L1 distance row per n and check each row against its bound.
@@ -215,16 +203,13 @@ def rate_sweep(
     l1_distances call on the same points (common random numbers), so the
     measured distances of successive n share their Monte-Carlo noise. The density is audited
     against config.audit_grid unless the caller passes the report of that
-    audit.
+    audit, and a failed audit stops the sweep before any row.
     """
     space = density.space
     config.require_llt_fields(space.dimension, space.max_degree)
     if report is None:
         report = audit_density(density, config.audit_grid)
-    if not report.all_passed and not override_audit:
-        raise AssumptionViolationError(
-            "assumption audit failed: " + ", ".join(report.failing())
-        )
+    require_passed(report)
     centered = center_density(density)
     limit = gaussian_limit_series(kernel_view(density).g2, space).series
     constant = _rate_constant(centered, limit, config.alpha)

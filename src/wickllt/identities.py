@@ -19,7 +19,7 @@ import numpy as np
 from .basis import ChaosVector, GaussianSpace, basis_vector, chaos_inner, monomial_powers
 from .harness import empirical_convolution_check, ks_against_density, young_check
 from .limit_density import gaussian_limit_series, self_similarity_defect
-from .measures import from_coefficients, sample
+from .measures import sample
 from .streams import STREAM_VALIDATE, substream
 from .wick import gamma, s_transform, stochastic_exponential, wick_power, wick_product
 
@@ -162,7 +162,7 @@ def _check_empirical_convolution(
     coeffs = np.zeros(line.size)
     coeffs[0] = 1.0
     coeffs[line.position((2,))] = 0.1
-    f = from_coefficients(coeffs, line)
+    f = ChaosVector(line, coeffs)
     if mutate:
         # Drop the sqrt(1/2) scaling of the sum: X1 + X2 has twice the
         # variance of the equal-weight prediction, which the suite must flag.

@@ -1,7 +1,6 @@
 """Constructors for test densities and a rejection sampler.
 
 Families covered:
-  * raw coefficient vectors (validated: unit mass, nonnegativity screen);
   * finite mixtures of shifted Gaussians, the convolution of the reference
     measure with a finitely supported measure on the shift space;
   * the Gaussian limit density itself for a given excess kernel (fixed
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import GridSpec, check_square_integrability
 from .basis import ChaosVector, GaussianSpace, eval_many, monomial_sums
 from .limit_density import gaussian_limit_series
 from .quadrature import tensor_grid
@@ -29,11 +27,7 @@ from .streams import STREAM_SAMPLER, substream
 
 
 class DensityValidationError(Exception):
-    """Candidate coefficients do not describe an admissible density."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
+    """A density that sample cannot draw from: nonpositive on its envelope grid."""
 
 
 class EnvelopeBreachError(Exception):
@@ -98,21 +92,6 @@ class WeightedShifts:
             np.asarray(data["weights"], dtype=float),
             np.asarray(data["shifts"], dtype=float),
         )
-
-
-def from_coefficients(coeffs, space: GaussianSpace, grid: GridSpec | None = None) -> ChaosVector:
-    """Validate raw coefficients as a density: the unit-mass and grid screen
-    of check_square_integrability, whose failed verdicts are raised."""
-    vec = ChaosVector(space, np.asarray(coeffs, dtype=float))
-    verdicts = check_square_integrability(vec, grid).verdicts
-    violations = [
-        f"{name}: measured {v.measured:.17g}, threshold {v.threshold:.6g}"
-        for name, v in verdicts.items()
-        if not v.passed
-    ]
-    if violations:
-        raise DensityValidationError(violations)
-    return vec
 
 
 def shift_mixture(nu: WeightedShifts, space: GaussianSpace, chunk: int = 2048) -> ChaosVector:
@@ -202,7 +181,7 @@ def sample(
     grid = tensor_grid(d, _ENVELOPE_AXIS_POINTS[d], hw)
     envelope = envelope_factor * float(eval_many(f, grid).max())
     if envelope <= 0.0:
-        raise DensityValidationError(["density is nonpositive on the envelope grid"])
+        raise DensityValidationError("density is nonpositive on the envelope grid")
     out = np.empty((count, d))
     got = 0
     batch_index = 0

@@ -6,7 +6,6 @@ import pytest
 from wickllt.audit import (
     GridSpec,
     audit_density,
-    check_square_integrability,
     variance_pairing,
 )
 from wickllt.basis import ChaosVector, GaussianSpace
@@ -24,7 +23,7 @@ def quadratic_density(space, amount=0.1):
 
 class TestSquareIntegrability:
     def test_unit_density(self, line16):
-        report = check_square_integrability(unit_density(line16))
+        report = audit_density(unit_density(line16))
         assert report.l2_norm == pytest.approx(1.0)
         assert report.normalization == 1.0
         assert report.min_on_grid == pytest.approx(1.0)
@@ -32,17 +31,26 @@ class TestSquareIntegrability:
         assert report.verdicts["nonnegativity"].passed
 
     def test_exponential_norm_value(self, line20):
-        report = check_square_integrability(stochastic_exponential([0.5], line20))
+        report = audit_density(stochastic_exponential([0.5], line20))
         assert report.l2_norm == pytest.approx(math.exp(0.125), rel=1e-10)
         assert report.min_on_grid > 0.0
         assert report.verdicts["normalization"].passed
 
     def test_normalization_violation(self, line16):
-        c = np.zeros(line16.size)
-        c[0] = 0.9
-        report = check_square_integrability(ChaosVector(line16, c))
-        assert not report.verdicts["normalization"].passed
-        assert not report.all_passed
+        for mass in (0.9, 0.5):
+            c = np.zeros(line16.size)
+            c[0] = mass
+            report = audit_density(ChaosVector(line16, c))
+            assert report.normalization == mass
+            assert not report.verdicts["normalization"].passed
+            assert not report.all_passed
+
+    @pytest.mark.parametrize("amount, passes", [(0.6, True), (1.2, False)], ids=["moderate", "large"])
+    def test_nonnegativity_screen(self, line16, amount, passes):
+        # 1 + a He2 is smallest at the origin, a grid point, where it is 1 - a
+        report = audit_density(quadratic_density(line16, amount))
+        assert report.min_on_grid == pytest.approx(1.0 - amount)
+        assert report.verdicts["nonnegativity"].passed is passes
 
 
 class TestVarianceDomination:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wickllt.audit import audit_density
 from wickllt.cli import main
-from wickllt.config import load_config
+from wickllt.config import load_config, resolve_density
 from wickllt.identities import IDENTITY_NAMES
 from wickllt.serialize import sha256_file
 
@@ -136,7 +137,7 @@ class TestLltCommand:
         assert main(["llt", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["audit"]["all_passed"] is True
-        assert not summary["audit_overridden"]
+        assert "audit_overridden" not in summary
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["artifact_sha256"]) == {"rate.csv", "summary.json"}
         assert manifest["library_version"]
@@ -164,43 +165,6 @@ class TestLltCommand:
             ["llt", "--config", str(cfg), "--out", str(out_b), "--seed", "7"]
         ) == 0
         assert sha256_file(out_a / "rate.csv") != sha256_file(out_b / "rate.csv")
-
-    def test_override_audit_watermarks(self, tmp_path):
-        # the cubic corpus density dips negative near -3.9; a wide screening
-        # grid catches the dip and fails the audit, while the sweep itself is
-        # still mathematically sound
-        bad = base_llt_config(
-            n_values=[4],
-            audit_grid={"halfwidth": 6.0, "points_per_axis": 121},
-        )
-        cfg = write_config(tmp_path, "c.json", bad)
-        out = tmp_path / "out"
-        assert main(["llt", "--config", str(cfg), "--out", str(out)]) == 1
-        assert (
-            main(
-                [
-                    "llt",
-                    "--config",
-                    str(cfg),
-                    "--out",
-                    str(out),
-                    "--override-audit",
-                ]
-            )
-            == 0
-        )
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["audit_overridden"] is True
-        assert not summary["audit"]["all_passed"]
-
-    def test_override_on_a_passing_audit_is_no_watermark(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", base_llt_config(n_values=[4]))
-        out = tmp_path / "out"
-        assert main(["llt", "--config", str(cfg), "--out", str(out), "--override-audit"]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["audit_overridden"] is False
-        assert summary["audit"]["all_passed"] is True
-        assert "audit_overridden" not in json.loads((out / "manifest.json").read_text())["notes"]
 
     @pytest.mark.parametrize("command", ["audit", "validate", "sde", "build-xi"])
     def test_override_is_an_llt_flag(self, tmp_path, command):
@@ -522,10 +486,63 @@ def test_bound_violation_writes_the_rate_table(monkeypatch, tmp_path, capsys, co
     summary = json.loads((out / "summary.json").read_text())
     assert summary["bound_violations"] == ["n=4", "n=16"]
     assert summary["audit"]["all_passed"] is True
-    assert summary["audit_overridden"] is False
+    assert "audit_overridden" not in summary
     digests = json.loads((out / "manifest.json").read_text())["artifact_sha256"]
     for name in ("rate.csv", "summary.json"):
         assert digests[name] == sha256_file(out / name)
+
+
+# 1 + 0.1 He2 + 0.1 He3 is negative for every x < -3
+NEGATIVE_TAIL = base_llt_config(
+    space={"dimension": 1, "max_degree": 8},
+    density={
+        "kind": "coefficients",
+        "terms": [{"index": [2], "coeff": 0.1}, {"index": [3], "coeff": 0.1}],
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "command, data, written",
+    [
+        ("audit", NEGATIVE_TAIL, ["audit.json"]),
+        ("llt", NEGATIVE_TAIL, []),
+        (
+            "sde",
+            {
+                **base_sde_config(drift={"kind": "constant", "value": 0.99}, steps=1, max_degree=3),
+                "alpha": 0.5,
+                "n_values": [4, 16],
+            },
+            ["density.json", "sde_report.json", "shifts.json"],
+        ),
+    ],
+    ids=["audit", "llt", "sde"],
+)
+def test_failed_audit_stops_every_command(tmp_path, capsys, command, data, written):
+    # one gate: each command stops with exit 1 and one line naming the failed
+    # check, its measured value and threshold, before any sweep row; no flag
+    # lets the run go on
+    cfg = write_config(tmp_path, "c.json", data)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if command == "sde":
+        report = json.loads((out / "sde_report.json").read_text())["audit"]
+    else:
+        config = load_config(cfg)
+        density = resolve_density(config.density, config.build_space())
+        report = audit_density(density, config.audit_grid).to_json_dict()
+    check = report["verdicts"]["nonnegativity"]
+    assert [name for name, v in report["verdicts"].items() if not v["passed"]] == ["nonnegativity"]
+    assert err == (
+        f"{command}: FAIL (assumption audit failed: nonnegativity (measured {check['measured']!r}, "
+        f"threshold {check['threshold']:.6g}))\n"
+    )
+    assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == written
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--override-audit"])
+    assert info.value.code == 2
 
 
 class TestBuildXi:
@@ -877,6 +894,37 @@ class TestConfigErrors:
                 "audit_grid.halfwidth must be finite, got nan",
             ),
             ("llt", base_llt_config(alpha=10**400), "alpha must be finite"),
+            (
+                "llt",
+                base_llt_config(
+                    density={"kind": "coefficients", "terms": [{"index": [2.7], "coeff": 0.1}]}
+                ),
+                "multi-index [2.7] is not a list of integers",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    density={"kind": "coefficients", "terms": [{"index": ["2"], "coeff": 0.1}]}
+                ),
+                "multi-index ['2'] is not a list of integers",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    density={"kind": "coefficients", "terms": [{"index": [True], "coeff": 0.1}]}
+                ),
+                "multi-index [True] is not a list of integers",
+            ),
+            (
+                "llt",
+                base_llt_config(audit_grid={"halfwidth": 0}),
+                "audit_grid.halfwidth must be positive, got 0.0",
+            ),
+            (
+                "llt",
+                base_llt_config(audit_grid={"points_per_axis": 1}),
+                "audit_grid.points_per_axis must be at least 2, got 1",
+            ),
         ],
         ids=[
             "negative_degree",
@@ -928,6 +976,11 @@ class TestConfigErrors:
             "space_disagrees_with_sde",
             "nan_halfwidth",
             "alpha_beyond_float",
+            "index_float",
+            "index_string",
+            "index_bool",
+            "zero_halfwidth",
+            "one_point_per_axis",
         ],
     )
     def test_bad_value_exits_two_without_traceback(
@@ -941,31 +994,27 @@ class TestConfigErrors:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "command, data, flags, message",
+        "command, data, message",
         [
             (
                 "build-xi",
                 base_xi_config(g2=[[0.9, 0.0], [0.0, 0.1]]),
-                [],
                 "spectral radius of the doubled excess kernel is 1.800000 >= 1",
             ),
             (
                 "audit",
                 base_xi_config(g2=[[0.9]]),
-                [],
                 "spectral radius of the doubled excess kernel is 1.800000 >= 1",
             ),
-            ("audit", base_xi_config(g2=[[-0.2]]), [], "excess kernel is not positive semidefinite"),
+            ("audit", base_xi_config(g2=[[-0.2]]), "excess kernel is not positive semidefinite"),
             (
                 "sde",
                 base_sde_config(drift={"kind": "linear", "slope": 1e308}),
-                [],
                 "drift evaluation returned a non-finite value",
             ),
             (
                 "sde",
                 base_sde_config(drift={"kind": "linear", "slope": 1e200}),
-                [],
                 "exponent inf overflows",
             ),
             (
@@ -974,8 +1023,7 @@ class TestConfigErrors:
                     space={"dimension": 1, "max_degree": 4},
                     density={"kind": "coefficients", "coeffs": [1.5, 0.0, 0.0, 0.0, 0.0]},
                 ),
-                ["--override-audit"],
-                "not a normalized density: degree-0 coefficient is 1.5",
+                "assumption audit failed: normalization (measured 1.5, threshold 1e-12)",
             ),
         ],
         ids=[
@@ -988,12 +1036,12 @@ class TestConfigErrors:
         ],
     )
     def test_violation_exits_one_without_traceback(
-        self, tmp_path, capsys, command, data, flags, message
+        self, tmp_path, capsys, command, data, message
     ):
         # warnings are errors here: a numpy overflow warning would be a
         # second stderr line
         cfg = write_config(tmp_path, "c.json", data)
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 1
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"{command}: FAIL (") and err.count("\n") == 1
         assert message in err

@@ -12,7 +12,6 @@ from wickllt.measures import (
     DensityValidationError,
     EnvelopeBreachError,
     WeightedShifts,
-    from_coefficients,
     gaussian_cov,
     rank_one_closed_form,
     rank_one_quadratic,
@@ -45,36 +44,6 @@ class TestWeightedShifts:
         back = WeightedShifts.from_json_dict(data)
         assert np.array_equal(back.weights, nu.weights)
         assert np.array_equal(back.shifts, nu.shifts)
-
-
-class TestFromCoefficients:
-    def test_unit_accepted(self, line16):
-        c = np.zeros(line16.size)
-        c[0] = 1.0
-        vec = from_coefficients(c, line16)
-        assert vec.coeffs[0] == 1.0
-
-    def test_moderate_quadratic_accepted(self, line16):
-        # 1 + 0.6 He2 evaluates to 0.4 at the origin: nonnegative, accepted
-        c = np.zeros(line16.size)
-        c[0] = 1.0
-        c[line16.position((2,))] = 0.6
-        vec = from_coefficients(c, line16)
-        assert vec.coeffs[line16.position((2,))] == 0.6
-
-    def test_large_quadratic_rejected(self, line16):
-        # 1 + 1.2 He2 evaluates to -0.2 at the origin
-        c = np.zeros(line16.size)
-        c[0] = 1.0
-        c[line16.position((2,))] = 1.2
-        with pytest.raises(DensityValidationError, match="nonnegativity"):
-            from_coefficients(c, line16)
-
-    def test_normalization_rejected(self, line16):
-        c = np.zeros(line16.size)
-        c[0] = 0.5
-        with pytest.raises(DensityValidationError, match="normalization"):
-            from_coefficients(c, line16)
 
 
 class TestShiftMixture:
@@ -262,6 +231,10 @@ class TestSampler:
         f = ChaosVector(line16, c)
         with pytest.raises(EnvelopeBreachError, match="envelope"):
             sample(f, 20_000, seed=8, halfwidth=1.0)
+
+    def test_nonpositive_density_is_refused(self, line16):
+        with pytest.raises(DensityValidationError, match="nonpositive on the envelope grid"):
+            sample(-unit_density(line16), 10)
 
     def test_dimension_cap(self):
         space = GaussianSpace(5, 2)
