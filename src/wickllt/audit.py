@@ -35,13 +35,22 @@ NEGATIVITY_FACTOR = 1e-6
 
 
 class AssumptionViolationError(Exception):
-    """A standing hypothesis fails."""
+    """A checked verdict fails: a standing hypothesis of the audit, the sde
+    drift-energy gate, or an identity of the validation suite."""
 
 
 class CheckResult(NamedTuple):
+    """The one verdict type: whether a check held, the value it measured and
+    the threshold it compared that value with."""
+
     passed: bool
     measured: float
     threshold: float
+
+
+def verdicts_json(verdicts: dict[str, CheckResult]) -> dict:
+    """Verdicts in their artifact form, {name: {passed, measured, threshold}}."""
+    return {name: v._asdict() for name, v in verdicts.items()}
 
 
 @dataclass(frozen=True)
@@ -52,12 +61,6 @@ class GridSpec:
     halfwidth: float = 3.5
     mc_points: int = 4096
     seed: int = 2024
-
-    def points(self, dimension: int) -> int:
-        """Points of the screen in this dimension (build's row count)."""
-        if dimension <= 3:
-            return self.points_per_axis**dimension
-        return self.mc_points + 1
 
     def build(self, dimension: int) -> np.ndarray:
         if dimension <= 3:
@@ -94,14 +97,7 @@ class AssumptionReport:
             "frobenius_sq_m": self.frobenius_sq_m,
             "spectral_radius_2g": self.spectral_radius_2g,
             "all_passed": self.all_passed,
-            "verdicts": {
-                name: {
-                    "passed": v.passed,
-                    "measured": v.measured,
-                    "threshold": v.threshold,
-                }
-                for name, v in self.verdicts.items()
-            },
+            "verdicts": verdicts_json(self.verdicts),
         }
 
 
@@ -171,13 +167,13 @@ def audit_density(f: ChaosVector, grid: GridSpec | None = None) -> AssumptionRep
     return report
 
 
-def require_passed(report: AssumptionReport) -> None:
-    """Raise AssumptionViolationError naming each failed check of report with
-    its measured value and threshold: the one way a failed audit stops a run."""
+def require_passed(verdicts: dict[str, CheckResult], what: str = "assumption audit") -> None:
+    """Raise AssumptionViolationError naming each failed verdict with its
+    measured value and threshold: the one way a failed check stops a run."""
     failed = [
         f"{name} (measured {v.measured!r}, threshold {v.threshold:.6g})"
-        for name, v in report.verdicts.items()
+        for name, v in verdicts.items()
         if not v.passed
     ]
     if failed:
-        raise AssumptionViolationError("assumption audit failed: " + "; ".join(failed))
+        raise AssumptionViolationError(f"{what} failed: " + "; ".join(failed))

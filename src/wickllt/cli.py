@@ -1,12 +1,15 @@
 """Command-line front end: audit, llt, validate, sde, build-xi.
 
 Exit codes: 0 all checks pass; 1 a hypothesis or bound violation; 2 a usage
-or configuration error. Every run that writes an artifact writes a manifest
-with the config echo, derived seeds, per-stage wall times, and SHA-256
-digests of the artifacts. The artifacts themselves are byte-stable:
-rerunning with the same config and seed reproduces them exactly, because
-measured wall times, those of the rate rows among them, go to the manifest
-only.
+or configuration error. A command either returns 0 or raises, and main alone
+turns the exception into the exit code and one stderr line. A failed verdict
+of the assumption audit, of the sde drift-energy gate or of the identity
+suite raises through audit.require_passed. Every run that writes an
+artifact writes a manifest with the config echo, derived seeds, per-stage
+wall times, and SHA-256 digests of the artifacts. The artifacts themselves
+are byte-stable: rerunning with the same config and seed reproduces them
+exactly, because measured wall times, those of the rate rows among them, go
+to the manifest only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .audit import AssumptionViolationError, audit_density, require_passed
+from .audit import AssumptionViolationError, audit_density, require_passed, verdicts_json
 from .basis import BasisTooLargeError, GaussianSpace, InsufficientDegreeError
 from .config import (
     ConfigError, ExperimentConfig, gaussian_cov_limit, load_config, parse_config, resolve_density
@@ -114,14 +117,14 @@ def cmd_audit(args) -> int:
         with manifest.stage("build_density"):
             density = resolve_density(config.density, space)
         with manifest.stage("audit"):
-            report = audit_density(density, config.audit_grid)
+            report = audit_density(density)
         payload = report.to_json_dict()
         if config.density.get("kind") == "shift_mixture":
             nu = WeightedShifts.from_json_dict(config.density)
             payload["shift_variance_total"] = nu.shift_variance_total()
             payload["exponential_integrability"] = nu.exponential_integrability()
         manifest.artifact("audit.json", dumps_canonical(payload))
-        require_passed(report)
+        require_passed(report.verdicts)
     print("audit: PASS")
     return EXIT_OK
 
@@ -203,17 +206,17 @@ def cmd_validate(args) -> int:
                 inject_error=section.inject_error,
                 ks_samples=section.ks_samples,
             )
-        passed = all(r.passed for r in results)
         payload = {
             "inject_error": section.inject_error,
-            "identities": [r._asdict() for r in results],
-            "all_passed": passed,
+            "identities": verdicts_json(results),
+            "all_passed": all(v.passed for v in results.values()),
         }
         manifest.artifact("validate.json", dumps_canonical(payload))
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        print(f"identity {r.name}: {mark} (err={r.max_error:.3g}, tol={r.tolerance:.3g})")
-    return EXIT_OK if passed else EXIT_VIOLATION
+    for name, v in results.items():
+        mark = "PASS" if v.passed else "FAIL"
+        print(f"identity {name}: {mark} (err={v.measured:.3g}, tol={v.threshold:.3g})")
+    require_passed(results, "identity suite")
+    return EXIT_OK
 
 
 def cmd_sde(args) -> int:
@@ -234,7 +237,8 @@ def cmd_sde(args) -> int:
         _note_evaluation(manifest, space)
         with manifest.stage("density"):
             density = shift_mixture(draw.measure, space)
-            report = audit_density(density, config.audit_grid)
+            report = audit_density(density)
+        report.verdicts["drift_energy"] = draw.drift_energy
         payload = {
             "drift": section.drift,
             "steps": section.steps,
@@ -243,22 +247,21 @@ def cmd_sde(args) -> int:
             "novikov_standard_error": draw.novikov.standard_error,
             "drift_energy_estimate": draw.energy.estimate,
             "drift_energy_standard_error": draw.energy.standard_error,
-            "drift_energy_passed": draw.energy_passed,
+            "drift_energy_passed": report.verdicts["drift_energy"].passed,
             "exponential_integrability": draw.measure.exponential_integrability(),
             "audit": report.to_json_dict(),
         }
         manifest.artifact("sde_report.json", dumps_canonical(payload))
         manifest.artifact("density.json", chaos_to_json(density))
         manifest.artifact("shifts.json", dumps_canonical(draw.measure.to_json_dict()))
-        require_passed(report)
-        ok = draw.energy_passed
-        if ok and config.n_values:
+        require_passed(report.verdicts)
+        if config.n_values:
             _sweep(manifest, config, density, report)
     print(
-        f"sde: {'PASS' if ok else 'FAIL'} (novikov={draw.novikov.estimate:.6g}, "
+        f"sde: PASS (novikov={draw.novikov.estimate:.6g}, "
         f"drift_energy={draw.energy.estimate:.6g} +- {draw.energy.standard_error:.2g})"
     )
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_OK
 
 
 def cmd_build_xi(args) -> int:

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import GridSpec
 from .basis import MAX_DEGREE, MAX_DIMENSION, ChaosVector, GaussianSpace
 from .limit_density import LimitDensity, gaussian_limit_series
 from .measures import rank_one_quadratic, shift_mixture, WeightedShifts
@@ -29,8 +28,7 @@ SCHEMA_VERSION = 1
 # float, which holds every integer only up to 2**53
 MAX_SUMMANDS = 2**53
 # Largest array of draws or points a config may ask for, in floats (800 MB):
-# paths times steps, distance points and audit_grid points times dimension,
-# KS samples.
+# paths times steps, distance points times dimension, KS samples.
 MAX_ENTRIES = 10**8
 
 
@@ -79,18 +77,6 @@ def _number(value, name: str, kind: type = int, minimum=None, maximum=None):
 def _int(minimum=None, maximum=None):
     """A field check: an integer within [minimum, maximum] where given."""
     return functools.partial(_number, kind=int, minimum=minimum, maximum=maximum)
-
-
-_real = functools.partial(_number, kind=float)
-
-
-def _check_entries(what: str, points: int, dimension: int) -> None:
-    """A ConfigError if points of dimension are more than MAX_ENTRIES floats."""
-    if points * dimension > MAX_ENTRIES:
-        raise ConfigError(
-            f"{what} {points} points of dimension {dimension}, {points * dimension} entries, "
-            f"more than {MAX_ENTRIES}"
-        )
 
 
 def _finite(value, name: str) -> np.ndarray:
@@ -200,7 +186,6 @@ class ExperimentConfig:
     alpha: float | None = None
     n_values: tuple[int, ...] = ()
     distance: DistanceConfig = field(default_factory=DistanceConfig)
-    audit_grid: GridSpec = field(default_factory=GridSpec)
     sde: SdeSection | None = None
     validate: ValidateSection | None = None
     raw: dict = field(default_factory=dict)
@@ -231,7 +216,11 @@ class ExperimentConfig:
                 f"the swept space has dimension {dimension}; use distance.method 'mc'"
             )
         points = self.distance.points(dimension, max_degree)
-        _check_entries(f"the {self.distance.method} distance evaluates", points, dimension)
+        if points * dimension > MAX_ENTRIES:
+            raise ConfigError(
+                f"the {self.distance.method} distance evaluates {points} points of dimension "
+                f"{dimension}, {points * dimension} entries, more than {MAX_ENTRIES}"
+            )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -261,7 +250,6 @@ def parse_config(data) -> ExperimentConfig:
             "alpha": False,
             "n_values": False,
             "distance": False,
-            "audit_grid": False,
             "sde": False,
             "validate": False,
         },
@@ -289,10 +277,6 @@ def parse_config(data) -> ExperimentConfig:
     # dataclass and the checks of its fields (DistanceConfig vets itself)
     kinds = {
         "distance": (DistanceConfig, {}),
-        "audit_grid": (
-            GridSpec,
-            {"points_per_axis": _int(2), "halfwidth": _real, "mc_points": _int(1), "seed": _int()},
-        ),
         "sde": (
             SdeSection,
             {
@@ -329,14 +313,6 @@ def parse_config(data) -> ExperimentConfig:
             f"space (dimension {dim}, max_degree {maxdeg}) disagrees with the space of the "
             f"sde section (steps {sde.steps}, max_degree {sde.max_degree})"
         )
-    # the audit screens the space of the space section or of sde.steps; a
-    # grid of width zero, like one of a single point per axis, screens one point
-    grid = sections.get("audit_grid", GridSpec())
-    if not grid.halfwidth > 0.0:
-        raise ConfigError(f"audit_grid.halfwidth must be positive, got {grid.halfwidth!r}")
-    screened = dim if dim is not None else sde.steps if sde is not None else None
-    if screened is not None:
-        _check_entries("audit_grid screens", grid.points(screened), screened)
     if "density" in data and "kind" not in _object(data["density"], "density"):
         raise ConfigError("density section needs a 'kind' field")
     return ExperimentConfig(

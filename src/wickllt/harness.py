@@ -202,14 +202,14 @@ def rate_sweep(
     row's seconds are the time of that sum. All rows are measured in one
     l1_distances call on the same points (common random numbers), so the
     measured distances of successive n share their Monte-Carlo noise. The density is audited
-    against config.audit_grid unless the caller passes the report of that
-    audit, and a failed audit stops the sweep before any row.
+    unless the caller passes the report of that audit, and a failed verdict
+    of the report stops the sweep before any row.
     """
     space = density.space
     config.require_llt_fields(space.dimension, space.max_degree)
     if report is None:
-        report = audit_density(density, config.audit_grid)
-    require_passed(report)
+        report = audit_density(density)
+    require_passed(report.verdicts)
     centered = center_density(density)
     limit = gaussian_limit_series(kernel_view(density).g2, space).series
     constant = _rate_constant(centered, limit, config.alpha)

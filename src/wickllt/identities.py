@@ -11,11 +11,12 @@ product satisfies exactly.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
+from .audit import CheckResult
 from .basis import ChaosVector, GaussianSpace, basis_vector, chaos_inner, monomial_powers
 from .harness import empirical_convolution_check, ks_against_density, young_check
 from .limit_density import gaussian_limit_series, self_similarity_defect
@@ -35,13 +36,6 @@ IDENTITY_NAMES = (
 )
 
 
-class IdentityResult(NamedTuple):
-    name: str
-    passed: bool
-    max_error: float
-    tolerance: float
-
-
 def _random_vector(space: GaussianSpace, rng, max_degree: int, scale: float = 0.3) -> ChaosVector:
     degcap = min(max_degree, space.max_degree)
     coeffs = np.where(
@@ -50,7 +44,7 @@ def _random_vector(space: GaussianSpace, rng, max_degree: int, scale: float = 0.
     return ChaosVector(space, coeffs)
 
 
-def _check_orthogonality(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
+def _check_orthogonality(space: GaussianSpace, rng, mutate: bool) -> CheckResult:
     tol = 1e-10
     worst = 0.0
     for p in range(space.size):
@@ -61,10 +55,10 @@ def _check_orthogonality(space: GaussianSpace, rng, mutate: bool) -> IdentityRes
             right = basis_vector(space, space.indices[q])
             expected = space.factorials[p] if p == q else 0.0
             worst = max(worst, abs(chaos_inner(left, right) - expected))
-    return IdentityResult("orthogonality", worst <= tol, worst, tol)
+    return CheckResult(worst <= tol, worst, tol)
 
 
-def _check_functor(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
+def _check_functor(space: GaussianSpace, rng, mutate: bool) -> CheckResult:
     tol = 1e-10
     worst = 0.0
     for lam in (0.0, 0.3, 1.0):
@@ -74,10 +68,10 @@ def _check_functor(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
         lam_right = lam / 2.0 if mutate else lam
         right = wick_product(gamma(lam_right, f), gamma(lam, g))
         worst = max(worst, float(np.abs(left.coeffs - right.coeffs).max()))
-    return IdentityResult("functor", worst <= tol, worst, tol)
+    return CheckResult(worst <= tol, worst, tol)
 
 
-def _check_group_law(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
+def _check_group_law(space: GaussianSpace, rng, mutate: bool) -> CheckResult:
     tol = 1e-10
     worst = 0.0
     for _ in range(5):
@@ -88,10 +82,10 @@ def _check_group_law(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
         )
         target = stochastic_exponential(h - ell if mutate else h + ell, space)
         worst = max(worst, float(np.abs(prod.coeffs - target.coeffs).max()))
-    return IdentityResult("exponential_group_law", worst <= tol, worst, tol)
+    return CheckResult(worst <= tol, worst, tol)
 
 
-def _check_s_transform(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
+def _check_s_transform(space: GaussianSpace, rng, mutate: bool) -> CheckResult:
     # S(f <> g)(h) = S(f)(h) S(g)(h) degree by degree: with s_a(f) the degree-a
     # part of S(f)(h), a product capped at K keeps exactly the terms
     # s_a(f) s_b(g) with a + b <= K, so S(f <> g)(h) = sum_a s_a(f) sum_{b <= K-a} s_b(g).
@@ -110,10 +104,10 @@ def _check_s_transform(space: GaussianSpace, rng, mutate: bool) -> IdentityResul
         lhs = s_transform(wick_product(f, g), h)
         rhs = float(parts(f, at_h) @ np.cumsum(parts(g, at_g))[::-1])
         worst = max(worst, abs(lhs - rhs))
-    return IdentityResult("s_transform_factorization", worst <= tol, worst, tol)
+    return CheckResult(worst <= tol, worst, tol)
 
 
-def _check_gamma_contraction(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
+def _check_gamma_contraction(space: GaussianSpace, rng, mutate: bool) -> CheckResult:
     tol = 1e-12
     worst = -math.inf
     for lam in (0.0, 0.25, 0.7, 1.0):
@@ -122,10 +116,10 @@ def _check_gamma_contraction(space: GaussianSpace, rng, mutate: bool) -> Identit
         rhs = f.norm()
         excess = (rhs - lhs) if mutate else (lhs - rhs)  # mutated: demand expansion
         worst = max(worst, excess)
-    return IdentityResult("gamma_contraction", worst <= tol, max(worst, 0.0), tol)
+    return CheckResult(worst <= tol, max(worst, 0.0), tol)
 
 
-def _check_self_similarity(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
+def _check_self_similarity(space: GaussianSpace, rng, mutate: bool) -> CheckResult:
     tol = 1e-10
     g = np.zeros((space.dimension, space.dimension))
     g[0, 0] = 0.2
@@ -140,10 +134,10 @@ def _check_self_similarity(space: GaussianSpace, rng, mutate: bool) -> IdentityR
             worst = max(worst, float(np.abs(powered.coeffs - density.series.coeffs).max()))
         else:
             worst = max(worst, self_similarity_defect(g, n, space))
-    return IdentityResult("self_similarity", worst <= tol, worst, tol)
+    return CheckResult(worst <= tol, worst, tol)
 
 
-def _check_young(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
+def _check_young(space: GaussianSpace, rng, mutate: bool) -> CheckResult:
     tol = 1e-12
     worst = -math.inf
     for _ in range(50):
@@ -152,12 +146,12 @@ def _check_young(space: GaussianSpace, rng, mutate: bool) -> IdentityResult:
         report = young_check([f, g], [0.5, 0.5])
         excess = (report.rhs - report.lhs) if mutate else (report.lhs - report.rhs)
         worst = max(worst, excess)
-    return IdentityResult("young", worst <= tol, max(worst, 0.0), tol)
+    return CheckResult(worst <= tol, max(worst, 0.0), tol)
 
 
 def _check_empirical_convolution(
     space: GaussianSpace, rng, mutate: bool, ks_samples: int, seed: int
-) -> IdentityResult:
+) -> CheckResult:
     line = GaussianSpace(1, max(space.max_degree, 8))
     coeffs = np.zeros(line.size)
     coeffs[0] = 1.0
@@ -172,12 +166,7 @@ def _check_empirical_convolution(
         report = ks_against_density(x1 + x2, wick_product(half, half))
     else:
         report = empirical_convolution_check(f, f, (0.5, 0.5), samples=ks_samples, seed=seed)
-    return IdentityResult(
-        "empirical_convolution",
-        report.passed,
-        report.ks_statistic,
-        report.critical_value,
-    )
+    return CheckResult(report.passed, report.ks_statistic, report.critical_value)
 
 
 def run_identity_suite(
@@ -186,24 +175,27 @@ def run_identity_suite(
     seed: int = 0,
     inject_error: str | None = None,
     ks_samples: int = 20000,
-) -> list[IdentityResult]:
-    """Run every identity check; `inject_error` corrupts exactly one of them."""
+) -> dict[str, CheckResult]:
+    """Every identity check's verdict, keyed by IDENTITY_NAMES in that order;
+    `inject_error` corrupts exactly one of them."""
     if inject_error is not None and inject_error not in IDENTITY_NAMES:
         raise ValueError(
             f"unknown identity {inject_error!r}; choose one of {IDENTITY_NAMES}"
         )
     space = GaussianSpace(dimension, max_degree)
     rng = substream(seed, STREAM_VALIDATE)
-    results = [
-        _check_orthogonality(space, rng, inject_error == "orthogonality"),
-        _check_functor(space, rng, inject_error == "functor"),
-        _check_group_law(space, rng, inject_error == "exponential_group_law"),
-        _check_s_transform(space, rng, inject_error == "s_transform_factorization"),
-        _check_gamma_contraction(space, rng, inject_error == "gamma_contraction"),
-        _check_self_similarity(space, rng, inject_error == "self_similarity"),
-        _check_young(space, rng, inject_error == "young"),
-        _check_empirical_convolution(
-            space, rng, inject_error == "empirical_convolution", ks_samples, seed
-        ),
-    ]
-    return results
+    checks = (
+        _check_orthogonality,
+        _check_functor,
+        _check_group_law,
+        _check_s_transform,
+        _check_gamma_contraction,
+        _check_self_similarity,
+        _check_young,
+        functools.partial(_check_empirical_convolution, ks_samples=ks_samples, seed=seed),
+    )
+    # the checks share rng, so they run in this order
+    return {
+        name: check(space, rng, inject_error == name)
+        for name, check in zip(IDENTITY_NAMES, checks)
+    }

@@ -18,7 +18,8 @@ Gaussian space, whose rate the sde command sweeps. Two Monte-Carlo gates are
 read off the same draw of paths: the exponential moment E[exp(|h|^2 / 2)]
 (finite by bounded drift here; overflow or a value above NOVIKOV_CEILING is
 an error, not a number) and the mean-square drift int_0^1 E[b1(B2_t)^2] dt,
-which must sit strictly below one for the excess-size hypothesis.
+which must sit strictly below one for the excess-size hypothesis; its
+drift_energy verdict joins the density's audit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .audit import CheckResult
 from .measures import WeightedShifts
 from .streams import STREAM_PATHS, substream
 
@@ -118,9 +120,10 @@ class DriftDraw(NamedTuple):
     energy: MomentEstimate
 
     @property
-    def energy_passed(self) -> bool:
+    def drift_energy(self) -> CheckResult:
         """The strict excess-size gate, robust to Monte-Carlo noise: mean + 3 SE < 1."""
-        return self.energy.estimate + 3.0 * self.energy.standard_error < 1.0
+        upper = self.energy.estimate + 3.0 * self.energy.standard_error
+        return CheckResult(upper < 1.0, upper, 1.0)
 
 
 def simulate_drift_shifts(b1: Drift, grid: PathGrid, paths: int, seed: int = 0) -> DriftDraw:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .basis import ChaosVector, GaussianSpace
+from .basis import ChaosVector
 
 
 def fmt17(x: float) -> str:
@@ -72,21 +72,6 @@ def chaos_to_json(vec: ChaosVector) -> str:
         "coeffs": vec.coeffs.tolist(),
     }
     return dumps_canonical(payload)
-
-
-def chaos_from_json(text: str, space: GaussianSpace | None = None) -> ChaosVector:
-    data = json.loads(text)
-    d = int(data["dimension"])
-    k = int(data["max_degree"])
-    if space is None:
-        space = GaussianSpace(d, k)
-    elif space.dimension != d or space.max_degree != k:
-        raise ValueError(
-            f"serialized vector is (d={d}, K={k}), target space is "
-            f"(d={space.dimension}, K={space.max_degree})"
-        )
-    coeffs = np.asarray(data["coeffs"], dtype=float)
-    return ChaosVector(space, coeffs)
 
 
 def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:

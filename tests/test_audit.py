@@ -5,6 +5,7 @@ import pytest
 
 from wickllt.audit import (
     AssumptionViolationError,
+    CheckResult,
     GridSpec,
     audit_density,
     require_passed,
@@ -60,15 +61,23 @@ class TestRequirePassed:
         c[0] = 1.0
         report = audit_density(ChaosVector(line16, c))
         assert report.all_passed
-        require_passed(report)
+        require_passed(report.verdicts)
 
     def test_half_mass_is_refused(self, line16):
         c = np.zeros(line16.size)
         c[0] = 0.5
         report = audit_density(ChaosVector(line16, c))
         with pytest.raises(AssumptionViolationError, match=r"normalization \(measured 0\.5,") as err:
-            require_passed(report)
+            require_passed(report.verdicts)
         assert "nonnegativity" not in str(err.value)
+
+    def test_names_the_checked_set(self):
+        # any set of verdicts goes through the same gate, named by what
+        verdicts = {"held": CheckResult(True, 0.0, 1.0), "broke": CheckResult(False, 2.5, 1.0)}
+        with pytest.raises(AssumptionViolationError) as err:
+            require_passed(verdicts, "identity suite")
+        assert str(err.value) == "identity suite failed: broke (measured 2.5, threshold 1)"
+        require_passed({"held": verdicts["held"]}, "identity suite")
 
 
 class TestVarianceDomination:

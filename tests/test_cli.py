@@ -310,8 +310,7 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "validate.json").read_text())
         assert report["all_passed"] is True
-        names = {r["name"] for r in report["identities"]}
-        assert {"orthogonality", "functor", "exponential_group_law", "young"} <= names
+        assert list(report["identities"]) == sorted(IDENTITY_NAMES)
 
     @pytest.mark.parametrize("identity", IDENTITY_NAMES)
     def test_injected_error_detected(self, tmp_path, identity):
@@ -329,8 +328,19 @@ class TestValidateCommand:
             out = tmp_path / f"out{max_degree}"
             assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1, max_degree
             report = json.loads((out / "validate.json").read_text())
-            failing = [r["name"] for r in report["identities"] if not r["passed"]]
+            failing = [name for name, v in report["identities"].items() if not v["passed"]]
             assert failing == [identity], max_degree
+
+    def test_stdout_lists_every_identity(self, tmp_path, capsys):
+        # one line per identity in suite order, the injected one marked FAIL;
+        # the verdict of the command itself goes to stderr
+        cfg = write_config(tmp_path, "v.json", base_validate_config(inject_error="young"))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"identity {n}" for n in IDENTITY_NAMES]
+        assert [n for n, line in zip(IDENTITY_NAMES, lines) if ": FAIL (" in line] == ["young"]
+        assert captured.err.startswith("validate: FAIL (identity suite failed: young (measured ")
 
     def test_capped_products_factorize_exactly(self, tmp_path):
         # at d=2, K=4 the S-transform check compares capped products with no
@@ -343,10 +353,8 @@ class TestValidateCommand:
             out = tmp_path / f"out{code}"
             assert main(["validate", "--config", str(cfg), "--out", str(out)]) == code
             report = json.loads((out / "validate.json").read_text())
-            s_result = next(
-                r for r in report["identities"] if r["name"] == "s_transform_factorization"
-            )
-            assert set(s_result) == {"name", "passed", "max_error", "tolerance"}
+            s_result = report["identities"]["s_transform_factorization"]
+            assert set(s_result) == {"passed", "measured", "threshold"}
             assert s_result["passed"] is (inject is None)
 
 
@@ -396,6 +404,19 @@ class TestSdeCommand:
         assert report["novikov_estimate"] == pytest.approx(math.exp(0.125), rel=1e-15)
         assert report["drift_energy_estimate"] == 0.25
         assert report["drift_energy_passed"] is True
+
+    @pytest.mark.parametrize("value, passed", [(0.5, True), (1.0, False)])
+    def test_drift_energy_is_an_audit_verdict(self, tmp_path, value, passed):
+        # the gate's verdict sits among the density's in sde_report.json, and
+        # drift_energy_passed repeats it
+        data = base_sde_config(drift={"kind": "constant", "value": value}, steps=1, max_degree=16)
+        cfg = write_config(tmp_path, "s.json", data)
+        out = tmp_path / "out"
+        assert main(["sde", "--config", str(cfg), "--out", str(out)]) == (0 if passed else 1)
+        report = json.loads((out / "sde_report.json").read_text())
+        verdict = {"passed": passed, "measured": value * value, "threshold": 1.0}
+        assert report["audit"]["verdicts"]["drift_energy"] == verdict
+        assert report["drift_energy_passed"] is report["audit"]["all_passed"] is passed
 
     def test_sin_drift_with_llt(self, tmp_path):
         cfg = write_config(
@@ -502,11 +523,14 @@ NEGATIVE_TAIL = base_llt_config(
 )
 
 
+SDE_WRITES = ["density.json", "sde_report.json", "shifts.json"]
+
+
 @pytest.mark.parametrize(
-    "command, data, written",
+    "command, data, failed, written",
     [
-        ("audit", NEGATIVE_TAIL, ["audit.json"]),
-        ("llt", NEGATIVE_TAIL, []),
+        ("audit", NEGATIVE_TAIL, "nonnegativity", ["audit.json"]),
+        ("llt", NEGATIVE_TAIL, "nonnegativity", []),
         (
             "sde",
             {
@@ -514,31 +538,55 @@ NEGATIVE_TAIL = base_llt_config(
                 "alpha": 0.5,
                 "n_values": [4, 16],
             },
-            ["density.json", "sde_report.json", "shifts.json"],
+            "nonnegativity",
+            SDE_WRITES,
+        ),
+        (
+            "validate",
+            {
+                "schema_version": 1,
+                "seed": 99,
+                "validate": {
+                    "dimension": 2, "max_degree": 4, "ks_samples": 4000, "inject_error": "functor"
+                },
+            },
+            "functor",
+            ["validate.json"],
+        ),
+        (
+            "sde",
+            base_sde_config(drift={"kind": "constant", "value": 1.0}, steps=1, max_degree=16),
+            "drift_energy",
+            SDE_WRITES,
         ),
     ],
-    ids=["audit", "llt", "sde"],
+    ids=["audit", "llt", "sde", "validate", "sde_drift_energy"],
 )
-def test_failed_audit_stops_every_command(tmp_path, capsys, command, data, written):
-    # one gate: each command stops with exit 1 and one line naming the failed
-    # check, its measured value and threshold, before any sweep row; no flag
-    # lets the run go on
+def test_failed_audit_stops_every_command(tmp_path, capsys, command, data, failed, written):
+    # one gate: each command stops with exit 1 and one stderr line naming the
+    # failed check, its measured value and threshold, before any sweep row,
+    # and says nothing of the failure on stdout; no flag lets the run go on
     cfg = write_config(tmp_path, "c.json", data)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    if command == "sde":
-        report = json.loads((out / "sde_report.json").read_text())["audit"]
+    captured = capsys.readouterr()
+    what = "assumption audit"
+    if command == "validate":
+        what = "identity suite"
+        verdicts = json.loads((out / "validate.json").read_text())["identities"]
+    elif command == "sde":
+        verdicts = json.loads((out / "sde_report.json").read_text())["audit"]["verdicts"]
     else:
         config = load_config(cfg)
         density = resolve_density(config.density, config.build_space())
-        report = audit_density(density, config.audit_grid).to_json_dict()
-    check = report["verdicts"]["nonnegativity"]
-    assert [name for name, v in report["verdicts"].items() if not v["passed"]] == ["nonnegativity"]
-    assert err == (
-        f"{command}: FAIL (assumption audit failed: nonnegativity (measured {check['measured']!r}, "
+        verdicts = audit_density(density).to_json_dict()["verdicts"]
+    check = verdicts[failed]
+    assert [name for name, v in verdicts.items() if not v["passed"]] == [failed]
+    assert captured.err == (
+        f"{command}: FAIL ({what} failed: {failed} (measured {check['measured']!r}, "
         f"threshold {check['threshold']:.6g}))\n"
     )
+    assert f"{command}: FAIL" not in captured.out
     assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == written
     with pytest.raises(SystemExit) as info:
         main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--override-audit"])
@@ -812,30 +860,6 @@ class TestConfigErrors:
             ),
             (
                 "llt",
-                base_llt_config(
-                    space={"dimension": 4, "max_degree": 4},
-                    density={"kind": "coefficients"},
-                    distance={"method": "mc"},
-                    audit_grid={"mc_points": 10**30},
-                ),
-                "audit_grid screens 1000000000000000000000000000001 points of dimension 4",
-            ),
-            (
-                "llt",
-                base_llt_config(
-                    space={"dimension": 3, "max_degree": 4},
-                    density={"kind": "coefficients"},
-                    audit_grid={"points_per_axis": 3000},
-                ),
-                "audit_grid screens 27000000000 points of dimension 3",
-            ),
-            (
-                "sde",
-                {**base_sde_config(steps=4), "audit_grid": {"mc_points": 10**8}},
-                "audit_grid screens 100000001 points of dimension 4",
-            ),
-            (
-                "llt",
                 base_llt_config(density={"kind": "gaussian_cov", "g2": [[0.1, 0.0]]}),
                 "excess kernel must be a square matrix",
             ),
@@ -888,11 +912,6 @@ class TestConfigErrors:
                 "space (dimension 3, max_degree 4) disagrees with the space of the sde section "
                 "(steps 8, max_degree 8)",
             ),
-            (
-                "llt",
-                base_llt_config(audit_grid={"halfwidth": math.nan}),
-                "audit_grid.halfwidth must be finite, got nan",
-            ),
             ("llt", base_llt_config(alpha=10**400), "alpha must be finite"),
             (
                 "llt",
@@ -917,13 +936,9 @@ class TestConfigErrors:
             ),
             (
                 "llt",
-                base_llt_config(audit_grid={"halfwidth": 0}),
-                "audit_grid.halfwidth must be positive, got 0.0",
-            ),
-            (
-                "llt",
-                base_llt_config(audit_grid={"points_per_axis": 1}),
-                "audit_grid.points_per_axis must be at least 2, got 1",
+                # a screen this narrow was one point, which passed NEGATIVE_TAIL
+                {**NEGATIVE_TAIL, "audit_grid": {"halfwidth": 1e-300}},
+                "unknown field(s) ['audit_grid'] in config root",
             ),
         ],
         ids=[
@@ -953,9 +968,6 @@ class TestConfigErrors:
             "weights_sum",
             "basis_too_large",
             "index_table_too_large",
-            "audit_mc_points_huge",
-            "audit_points_per_axis_huge",
-            "audit_sde_steps",
             "kernel_not_square",
             "direction_length",
             "rank_one_too_large",
@@ -974,13 +986,11 @@ class TestConfigErrors:
             "unknown_identity",
             "identity_number",
             "space_disagrees_with_sde",
-            "nan_halfwidth",
             "alpha_beyond_float",
             "index_float",
             "index_string",
             "index_bool",
-            "zero_halfwidth",
-            "one_point_per_axis",
+            "audit_grid_unknown",
         ],
     )
     def test_bad_value_exits_two_without_traceback(
@@ -1178,7 +1188,7 @@ _FUZZ_VALUES = _fuzz_values(st.integers())
 @settings(max_examples=60, deadline=None)
 @given(
     field=st.sampled_from(
-        ["space", "density", "terms", "distance", "audit_grid", "alpha", "n_values", "seed"]
+        ["space", "density", "terms", "distance", "alpha", "n_values", "seed"]
     ),
     value=_FUZZ_VALUES,
 )
@@ -1193,7 +1203,6 @@ def test_config_fuzz_exits_with_a_documented_code(field, value):
         },
         n_values=[4, 16],
         distance={"method": "mc", "samples": 200},
-        audit_grid={"points_per_axis": 11},
     )
     section = data["density"] if field == "terms" else data
     if value is _REMOVED:

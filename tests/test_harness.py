@@ -258,7 +258,7 @@ class TestRateSweep:
             method="mc",
         )
         f = _config_density(config)
-        report = audit_density(f, config.audit_grid)
+        report = audit_density(f)
         built = []
         real = basis._fill_table
 
@@ -293,7 +293,7 @@ class TestRateSweep:
         for n_values in ([4], [4, 16, 64]):
             config = _config_for(density, n_values, space=(3, 6), method="mc")
             f = _config_density(config)
-            report = audit_density(f, config.audit_grid)
+            report = audit_density(f)
             fills.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(basis, "_fill_table", counting)
@@ -315,7 +315,7 @@ class TestRateSweep:
         ns = [4**k for k in range(1, 10)]
         config = _config_for(density, ns, space=(5, 14), method="mc")
         f = _config_density(config)
-        report = audit_density(f, config.audit_grid)
+        report = audit_density(f)
         rows = []
 
         def measured(fs, g, spec=None, seed=0):

@@ -78,23 +78,25 @@ class TestNovikov:
 class TestMeanSquareDrift:
     def test_zero_drift(self):
         draw = simulate_drift_shifts(ZERO, PathGrid(8), 64, seed=1)
-        assert draw.energy.estimate == 0.0 and draw.energy_passed
+        assert draw.energy.estimate == 0.0
+        assert draw.drift_energy == (True, 0.0, 1.0)
 
     def test_unit_drift_boundary_fails(self):
         draw = simulate_drift_shifts(ONE, PathGrid(8), 1024, seed=2)
         assert draw.energy.estimate == 1.0
         assert draw.energy.standard_error == 0.0
-        assert not draw.energy_passed  # the condition is strict
+        assert draw.drift_energy == (False, 1.0, 1.0)  # the condition is strict
 
     def test_half_drift_exact_quarter(self):
         draw = simulate_drift_shifts(HALF, PathGrid(8), 1024, seed=3)
         assert draw.energy.estimate == 0.25
-        assert draw.energy_passed
+        assert draw.drift_energy == (True, 0.25, 1.0)
 
     def test_sin_drift_passes(self):
         draw = simulate_drift_shifts(SIN_HALF, PathGrid(8), 10_000, seed=4)
-        assert draw.energy.estimate + 3 * draw.energy.standard_error < 1.0
-        assert draw.energy_passed
+        upper = draw.energy.estimate + 3 * draw.energy.standard_error
+        assert upper < 1.0
+        assert draw.drift_energy == (True, upper, 1.0)
 
 
 def sde_density(b1, steps, paths, space, seed):
