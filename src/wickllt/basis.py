@@ -24,9 +24,11 @@ Tables over the full space are never formed. Evaluation and the monomial
 sums of shift mixtures factor every index into a head over the first d // 2
 coordinates and a tail over the rest (`SumSplit`, sum factorization), so a
 chunk of points needs only the head and the tail table, joined by dense
-matrix products. Evaluation contracts each block of coefficients over its
-longer side into a partial table, and sizes its chunks so that the head,
-tail and partial tables of one chunk stay within TABLE_BYTES.
+matrix products. When the head and the tail share a space (every even d),
+one table of twice the columns holds both. Evaluation contracts each block
+of coefficients over its longer side into a partial table, and sizes its
+chunks so that the head, tail and partial tables of one chunk stay within
+TABLE_BYTES.
 """
 
 from __future__ import annotations
@@ -322,21 +324,38 @@ def hermite_eval(n: int, x):
     return cur if arr.shape else float(cur)
 
 
-def hermite_table(max_order: int, x: np.ndarray) -> np.ndarray:
-    """He_0..He_max_order evaluated at x; shape (max_order+1, *x.shape)."""
+def hermite_table(max_order: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """He_0..He_max_order evaluated at x; shape (max_order+1, *x.shape),
+    written into out when given."""
     arr = np.asarray(x, dtype=float)
-    out = np.empty((max_order + 1,) + arr.shape)
+    if out is None:
+        out = np.empty((max_order + 1,) + arr.shape)
     out[0] = 1.0
     if max_order >= 1:
         out[1] = arr
     for k in range(1, max_order):
-        out[k + 1] = arr * out[k] - k * out[k - 1]
+        np.multiply(arr, out[k], out=out[k + 1])
+        out[k + 1] -= k * out[k - 1]
     return out
 
 
-def power_table(max_power: int, x: np.ndarray) -> np.ndarray:
-    """x^0..x^max_power; shape (max_power+1, *x.shape)."""
-    return np.asarray(x, dtype=float) ** np.arange(max_power + 1).reshape((-1,) + (1,) * np.ndim(x))
+def power_table(max_power: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x^0..x^max_power; shape (max_power+1, *x.shape), written into out when
+    given.
+
+    A 2-D x is raised row by row: one power call over all of it takes
+    another SIMD path for part of the entries, which rounds some of them
+    differently (by 1.1e-16 at 2,048 points on AVX-512).
+    """
+    arr = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty((max_power + 1,) + arr.shape)
+    if arr.ndim == 2:
+        for c, row in enumerate(arr):
+            power_table(max_power, row, out[:, c])
+    else:
+        np.power(arr, np.arange(max_power + 1).reshape((-1,) + (1,) * arr.ndim), out=out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,22 +434,64 @@ def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
     return np.prod(h ** space.indices, axis=1)
 
 
-# A one-dimensional family t: one_d(K, x) gives t_0..t_K at x, shape (K+1, *x.shape).
-OneD = Callable[[int, np.ndarray], np.ndarray]
+# A one-dimensional family t: one_d(K, x, out) writes t_0..t_K at x into out,
+# shape (K+1, *x.shape).
+OneD = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _bind(space: GaussianSpace, tabs: np.ndarray, table: np.ndarray) -> list:
+    """Each run (dst, c, e, src) of the plan as the views (tabs[e, c],
+    table[src], table[dst]) that its multiply reads and writes."""
+    return [(tabs[e, c], table[src], table[dst]) for dst, c, e, src in space.runs()]
+
+
+def _fill(one_d: OneD, x: np.ndarray, tabs: np.ndarray, table: np.ndarray, bound: list) -> None:
+    """Write prod_i t_{alpha_i}(x[i, j]) into table[p, j] for every index alpha_p.
+
+    x holds one coordinate per row and one input per column. one_d is
+    hermite_table or power_table; it writes t_e(x[c]) into tabs[e, c]. The
+    table is then filled degree by degree through the strip recursion
+    T_alpha = t_{alpha_c}(x_c) * T_{alpha with c zeroed}, one broadcast
+    multiply per run of the plan (GaussianSpace.runs), bound to tabs and
+    table by _bind; each entry is the same product of the same two factors
+    as a row-by-row fill.
+    """
+    one_d(len(tabs) - 1, x, tabs)
+    table[0] = 1.0
+    for factor, src, dst in bound:
+        np.multiply(factor, src, out=dst)
 
 
 def _fill_table(space: GaussianSpace, one_d: OneD, block: np.ndarray, table: np.ndarray) -> None:
-    """Write prod_i t_{alpha_i}(block[j, i]) into table[p, j] for every index alpha_p.
+    """_fill at the points of block, one per row, into table."""
+    x = np.ascontiguousarray(block.T)
+    tabs = np.empty((space.max_degree + 1,) + x.shape)
+    _fill(one_d, x, tabs, table, _bind(space, tabs, table))
 
-    one_d is hermite_table or power_table. Fills degree by degree through the
-    strip recursion T_alpha = t_{alpha_c}(x_c) * T_{alpha with c zeroed}, one
-    broadcast multiply per run of the plan (GaussianSpace.runs); each entry is
-    the same product of the same two factors as a row-by-row fill.
+
+def _filler(space: GaussianSpace, one_d: OneD, columns: int) -> Callable[[np.ndarray], np.ndarray]:
+    """fill(x): _fill of the table of space at the m <= columns inputs of x,
+    returned as a view of a buffer that the next call overwrites.
+
+    The tables of m inputs are C-contiguous prefixes of two reused buffers,
+    the layout fresh tables would have, bound once per m. Fresh tables per
+    chunk made evaluation on small spaces about 1.4x slower.
     """
-    tabs = [one_d(space.max_degree, block[:, i]) for i in range(space.dimension)]
-    table[0] = 1.0
-    for dst, c, e, src in space.runs():
-        np.multiply(tabs[c][e], table[src], out=table[dst])
+    rows, width = space.size, (space.max_degree + 1) * space.dimension
+    table_buffer, tabs_buffer = np.empty(rows * columns), np.empty(width * columns)
+    bindings = {}
+
+    def fill(x: np.ndarray) -> np.ndarray:
+        m = x.shape[1]
+        if m not in bindings:
+            tabs = tabs_buffer[: width * m].reshape(-1, space.dimension, m)
+            table = table_buffer[: rows * m].reshape(rows, m)
+            bindings[m] = tabs, table, _bind(space, tabs, table)
+        tabs, table, bound = bindings[m]
+        _fill(one_d, x, tabs, table, bound)
+        return table
+
+    return fill
 
 
 # Bytes the head, tail and partial tables of one chunk of points may take
@@ -529,27 +590,38 @@ def _split_tables(
     tail table, shapes (head_rows, m) and (tail size, m); the head table of
     d = 1 is a row of ones.
 
-    Each table is one buffer refilled per chunk, valid (and free to
-    overwrite) until the next yield; the last, shorter chunk takes a
-    C-contiguous prefix, the layout a fresh table would have. Fresh tables
-    per chunk made evaluation on small spaces about 1.4x slower. The two
-    tables hold (head_rows + tail size) x chunk values; with eval_stacked's
-    partial table of split.contracted rows, chunk = split.chunk keeps the
-    three within TABLE_BYTES.
+    The tables are views of buffers refilled per chunk (see _filler), valid
+    (and free to overwrite) until the next yield, so a call binds views for
+    at most two chunk lengths: the full chunk and the last, shorter one. A
+    head and a tail that share a space (every even d) are one table of 2m
+    columns, the head coordinates of the chunk followed by its tail
+    coordinates, which halves the multiplies. The tables hold (head_rows +
+    tail size) x chunk values; with eval_stacked's partial table of
+    split.contracted rows, chunk = split.chunk keeps the three within
+    TABLE_BYTES.
     """
     s = points.shape[1] // 2
     m = min(chunk, len(points))
-    head_buffer = np.empty(split.head_rows * m)
-    tail_buffer = np.empty(split.tail.size * m)
+    shared = split.head is split.tail
+    tail_fill = _filler(split.tail, one_d, 2 * m if shared else m)
+    if split.head is None:
+        ones = np.empty(m)
+    elif not shared:
+        head_fill = _filler(split.head, one_d, m)
     for start in range(0, len(points), chunk):
         block = points[start : start + chunk]
-        head = head_buffer[: split.head_rows * len(block)].reshape(-1, len(block))
-        tail = tail_buffer[: split.tail.size * len(block)].reshape(-1, len(block))
-        if split.head is None:
-            head.fill(1.0)
+        k = len(block)
+        if shared:
+            table = tail_fill(np.ascontiguousarray(block.reshape(k, 2, s).T).reshape(s, 2 * k))
+            head, tail = table[:, :k], table[:, k:]
         else:
-            _fill_table(split.head, one_d, block[:, :s], head)
-        _fill_table(split.tail, one_d, block[:, s:], tail)
+            x = np.ascontiguousarray(block.T)
+            if split.head is None:
+                head = ones[:k].reshape(1, k)
+                head.fill(1.0)
+            else:
+                head = head_fill(x[:s])
+            tail = tail_fill(x[s:])
         yield start, head, tail
 
 

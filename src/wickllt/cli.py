@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .audit import AssumptionViolationError, audit_density, require_passed, verdicts_json
@@ -31,7 +33,7 @@ from .identities import run_identity_suite
 from .limit_density import limit_l2_norms
 from .measures import DensityValidationError, WeightedShifts, shift_mixture
 from .sde import PathGrid, SdeNumericError, drift_from_config, simulate_drift_shifts
-from .serialize import chaos_to_json, csv_text, dumps_canonical, sha256_file, write_text
+from .serialize import chaos_to_json, csv_text, dumps_canonical
 from .streams import STREAM_DISTANCE, STREAM_PATHS, child_seed
 from .wick import NotNormalizedError
 
@@ -71,11 +73,16 @@ class _Manifest:
         finally:
             self.stage_seconds[name] = time.perf_counter() - start
 
-    def artifact(self, name: str, text: str) -> None:
-        """Write text to the file name in the output directory and record its digest."""
-        path = self.out / name
-        write_text(path, text)
-        self.artifacts[name] = sha256_file(path)
+    def artifact(self, name: str, to_text: Callable[..., str], *args) -> None:
+        """Write to_text(*args) to the file name in the output directory and
+        record the digest of its bytes; the time taken, formatting included,
+        adds to the write stage."""
+        start = time.perf_counter()
+        data = to_text(*args).encode("utf-8")
+        (self.out / name).write_bytes(data)
+        self.artifacts[name] = hashlib.sha256(data).hexdigest()
+        elapsed = time.perf_counter() - start
+        self.stage_seconds["write"] = self.stage_seconds.get("write", 0.0) + elapsed
 
     def write(self) -> None:
         payload = {
@@ -87,7 +94,7 @@ class _Manifest:
             "artifact_sha256": self.artifacts,
             "notes": self.notes,
         }
-        write_text(self.out / "manifest.json", dumps_canonical(payload))
+        (self.out / "manifest.json").write_bytes(dumps_canonical(payload).encode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -123,7 +130,7 @@ def cmd_audit(args) -> int:
             nu = WeightedShifts.from_json_dict(config.density)
             payload["shift_variance_total"] = nu.shift_variance_total()
             payload["exponential_integrability"] = nu.exponential_integrability()
-        manifest.artifact("audit.json", dumps_canonical(payload))
+        manifest.artifact("audit.json", dumps_canonical, payload)
         require_passed(report.verdicts)
     print("audit: PASS")
     return EXIT_OK
@@ -142,7 +149,7 @@ def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> Ra
     except BoundViolationError as exc:
         violation, table, report = exc, exc.table, exc.report
     rows = [(r.n, r.l1, r.bound, r.error) for r in table.rows]
-    manifest.artifact("rate.csv", csv_text(["n", "l1", "bound", "err"], rows))
+    manifest.artifact("rate.csv", csv_text, ["n", "l1", "bound", "err"], rows)
     manifest.notes["row_seconds"] = [[r.n, r.seconds] for r in table.rows]
     manifest.notes["power_ladder"] = table.power_ladder
     summary = {
@@ -157,7 +164,7 @@ def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> Ra
         "bound_violations": [f"n={r.n}" for r in violation.rows] if violation else [],
         "config": config.raw,
     }
-    manifest.artifact("summary.json", dumps_canonical(summary))
+    manifest.artifact("summary.json", dumps_canonical, summary)
     if violation is not None:
         raise violation
     return table
@@ -211,7 +218,7 @@ def cmd_validate(args) -> int:
             "identities": verdicts_json(results),
             "all_passed": all(v.passed for v in results.values()),
         }
-        manifest.artifact("validate.json", dumps_canonical(payload))
+        manifest.artifact("validate.json", dumps_canonical, payload)
     for name, v in results.items():
         mark = "PASS" if v.passed else "FAIL"
         print(f"identity {name}: {mark} (err={v.measured:.3g}, tol={v.threshold:.3g})")
@@ -251,9 +258,9 @@ def cmd_sde(args) -> int:
             "exponential_integrability": draw.measure.exponential_integrability(),
             "audit": report.to_json_dict(),
         }
-        manifest.artifact("sde_report.json", dumps_canonical(payload))
-        manifest.artifact("density.json", chaos_to_json(density))
-        manifest.artifact("shifts.json", dumps_canonical(draw.measure.to_json_dict()))
+        manifest.artifact("sde_report.json", dumps_canonical, payload)
+        manifest.artifact("density.json", chaos_to_json, density)
+        manifest.artifact("shifts.json", dumps_canonical, draw.measure.to_json_dict())
         require_passed(report.verdicts)
         if config.n_values:
             _sweep(manifest, config, density, report)
@@ -270,7 +277,7 @@ def cmd_build_xi(args) -> int:
         with manifest.stage("series"):
             density = gaussian_cov_limit(config.density, space)
             norms = limit_l2_norms(density)
-        manifest.artifact("xi_series.json", dumps_canonical(density.to_json_dict()))
+        manifest.artifact("xi_series.json", dumps_canonical, density.to_json_dict())
         report = {
             "g2": density.g2,
             "eigenvalues": density.eigenvalues,
@@ -279,7 +286,7 @@ def cmd_build_xi(args) -> int:
             "norm_sq_eigenproduct": norms.determinant_value,
             "norm_sq_scalar_frobenius": norms.scalar_frobenius_value,
         }
-        manifest.artifact("xi_report.json", dumps_canonical(report))
+        manifest.artifact("xi_report.json", dumps_canonical, report)
     print(f"build-xi: wrote series with {space.size} coefficients")
     return EXIT_OK
 

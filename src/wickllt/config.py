@@ -155,7 +155,7 @@ def _drift(data, where: str) -> dict:
         raise ConfigError(
             f"{where} of kind {data.get('kind')!r} needs a {exc.args[0]!r} field"
         ) from exc
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return dict(data)
 

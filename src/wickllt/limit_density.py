@@ -51,11 +51,11 @@ class LimitDensity:
 
     def to_json_dict(self) -> dict:
         return {
-            "g2": self.g2.tolist(),
+            "g2": self.g2,
             "series": {
                 "dimension": self.series.space.dimension,
                 "max_degree": self.series.space.max_degree,
-                "coeffs": self.series.coeffs.tolist(),
+                "coeffs": self.series.coeffs,
             },
         }
 

@@ -82,8 +82,8 @@ class WeightedShifts:
 
     def to_json_dict(self) -> dict:
         return {
-            "weights": self.weights.tolist(),
-            "shifts": self.shifts.tolist(),
+            "weights": self.weights,
+            "shifts": self.shifts,
         }
 
     @staticmethod

@@ -168,8 +168,11 @@ def drift_from_config(data: dict) -> Drift:
     """Build a drift from {'kind': ..., its parameter} config data.
 
     An unknown kind or any field beyond the kind's parameter is a ValueError;
-    a missing parameter is a KeyError naming it.
+    a missing parameter is a KeyError naming it, and one that is not a finite
+    number (a string, a bool, NaN) a ConfigError.
     """
+    from .config import _number  # config imports this module
+
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in DRIFT_KINDS:
         raise ValueError(f"unknown drift kind {kind!r}")
@@ -177,5 +180,5 @@ def drift_from_config(data: dict) -> Drift:
     unknown = sorted(set(data) - {"kind", param})
     if unknown:
         raise ValueError(f"unknown field(s) {unknown} in a drift of kind {kind!r}")
-    s = 0.0 if param is None else float(data[param])
+    s = 0.0 if param is None else _number(data[param], param, float)
     return lambda x: b1(x, s)

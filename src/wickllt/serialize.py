@@ -33,6 +33,28 @@ def fmt17(x: float) -> str:
     return format(x, ".16e")
 
 
+# Values formatted per call by _finite_array: a block this size keeps the
+# Python floats and text alive at once near 100 KB each.
+BLOCK_VALUES = 4096
+
+
+def _finite_array(arr: np.ndarray) -> str:
+    """Canonical JSON of a finite float array of one or more dimensions.
+
+    "%.16e" is fmt17 on a finite value, so one format string of the nesting
+    of a block of rows formats the whole block in one call.
+    """
+    form = "%.16e"
+    for size in reversed(arr.shape[1:]):
+        form = "[" + ",".join([form] * size) + "]"
+    step = max(1, BLOCK_VALUES * len(arr) // max(1, arr.size))
+    texts = (
+        ",".join([form] * len(block)) % tuple(block.ravel().tolist())
+        for block in (arr[i : i + step] for i in range(0, len(arr), step))
+    )
+    return "[" + ",".join(texts) + "]"
+
+
 def _emit(obj) -> str:
     if obj is None:
         return "null"
@@ -45,13 +67,10 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return _finite_array(obj)
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):
-            # a flat float array (a float ndarray arrives here by tolist); "%.16e"
-            # is fmt17 on finite values, and only nan and inf put an "n" in it
-            text = ("%.16e," * len(obj)) % tuple(obj)
-            return "[" + (",".join(map(fmt17, obj)) if "n" in text else text[:-1]) + "]"
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
@@ -69,7 +88,7 @@ def chaos_to_json(vec: ChaosVector) -> str:
     payload = {
         "dimension": vec.space.dimension,
         "max_degree": vec.space.max_degree,
-        "coeffs": vec.coeffs.tolist(),
+        "coeffs": vec.coeffs,
     }
     return dumps_canonical(payload)
 
@@ -86,11 +105,6 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
                 cells.append(str(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_text(path, text: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
 
 
 def sha256_file(path) -> str:

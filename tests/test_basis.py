@@ -322,6 +322,24 @@ class TestTableFill:
         basis._fill_table(space, one_d, pts[:5], table)
         assert np.array_equal(table, reference_fill(space, one_d, pts[:5]))
 
+    @pytest.mark.parametrize("dimension, degree", [(1, 8), (2, 8), (3, 6), (8, 4)])
+    def test_calls_of_other_lengths_bind_their_own_views(self, dimension, degree):
+        # a call with a short last chunk, then one of a single point, on one
+        # space: each evaluates its own points, none reads a stale table
+        space = GaussianSpace(dimension, degree)
+        chunk = space.split().chunk
+        rng = np.random.default_rng(dimension)
+        fs = [ChaosVector(space, rng.standard_normal(space.size)) for _ in range(2)]
+        pts = rng.standard_normal((chunk + 3, dimension))
+        both = eval_stacked(fs, pts)
+        single = eval_stacked(fs, pts[1:2])
+        assert np.array_equal(both[:, :chunk], eval_stacked(fs, pts[:chunk]))
+        assert np.array_equal(both[:, chunk:], eval_stacked(fs, pts[chunk:]))
+        for f, row, one in zip(fs, both, single):
+            ref, scale = reference_eval(f, pts)
+            assert np.all(np.abs(row - ref) <= 1e-12 * scale)
+            assert abs(one[0] - ref[1]) <= 1e-12 * scale[1]
+
     @pytest.mark.parametrize("dimension, degree", [(1, 0), (1, 8), (2, 8), (4, 8), (5, 14)])
     def test_runs_tile_the_plan(self, dimension, degree):
         # runs cover rows 1.. in order, and read only rows of lower degree
@@ -402,29 +420,34 @@ class TestStackedEvaluation:
         space = GaussianSpace(8, 8)
         limit = math.comb(8 - 8 // 2 + 8, 8)
         fills = []
-        real = basis._fill_table
+        real = basis._fill
 
-        def counting(sp, one_d, block, table):
-            fills.append(len(table))
-            real(sp, one_d, block, table)
+        def counting(one_d, x, tabs, table, bound):
+            fills.append(table.shape)
+            real(one_d, x, tabs, table, bound)
 
-        monkeypatch.setattr(basis, "_fill_table", counting)
+        monkeypatch.setattr(basis, "_fill", counting)
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((3000, 8))
+        chunk = space.split().chunk
         per_count = []
         for count in (1, 4):
             fills.clear()
             fs = [ChaosVector(space, rng.standard_normal(space.size)) for _ in range(count)]
             eval_stacked(fs, pts)
             per_count.append(len(fills))
-            assert max(fills) <= limit < space.size
-        # a head and a tail table for each chunk of the split's size
-        chunks = math.ceil(3000 / space.split().chunk)
-        assert per_count == [2 * chunks, 2 * chunks]
+            assert max(rows for rows, _ in fills) <= limit < space.size
+        # the head and the tail share a space at d = 8: one table of a chunk's
+        # head and tail columns for each chunk of the split's size
+        chunks = math.ceil(3000 / chunk)
+        assert per_count == [chunks, chunks]
+        assert [columns for _, columns in fills] == [2 * chunk] * (chunks - 1) + [
+            2 * (3000 - (chunks - 1) * chunk)
+        ]
         fills.clear()
         # the monomial sums of a shift mixture keep chunks of 2048 atoms
         shift_mixture(WeightedShifts(np.full(3000, 1 / 3000), 0.1 * pts), space)
-        assert len(fills) == 4 and max(fills) <= limit
+        assert fills == [(limit, 2 * 2048), (limit, 2 * (3000 - 2048))]
 
     def test_d8_contracts_over_the_longer_side_within_the_budget(self):
         space = GaussianSpace(8, 8)
@@ -539,8 +562,35 @@ class TestSerialization:
             mixed = [0.5, special, -0.0, 1e308]
             expected = "[" + ",".join(map(fmt17, mixed)) + "]\n"
             assert dumps_canonical(mixed) == expected == dumps_canonical(np.array(mixed))
-        # a list that is not all Python floats keeps the per-element path
+        # a list takes the per-element path
         assert dumps_canonical([1, 2.0, True, None]) == "[1,2.0000000000000000e+00,true,null]\n"
+
+    # (700, 7) and (5000,) span two blocks of serialize.BLOCK_VALUES
+    @pytest.mark.parametrize(
+        "shape", [(5, 3), (4, 1), (1, 6), (0, 4), (3, 0), (0,), (700, 7), (5000,)]
+    )
+    def test_float_arrays_of_any_shape_match_per_element_path(self, shape):
+        from wickllt.serialize import dumps_canonical, fmt17
+
+        def per_element(obj):
+            if isinstance(obj, list):
+                return "[" + ",".join(per_element(v) for v in obj) + "]"
+            return fmt17(obj) if isinstance(obj, float) else str(obj)
+
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        assert dumps_canonical(a) == per_element(a.tolist()) + "\n"
+        assert dumps_canonical(a.T) == per_element(a.T.tolist()) + "\n"
+        if a.size:
+            # a row holding nan, +inf or -inf takes the per-element path
+            for special in (math.nan, math.inf, -math.inf):
+                b = a.copy()
+                b.reshape(len(b), -1)[-1, 0] = special  # a view of the copy
+                assert dumps_canonical(b) == per_element(b.tolist()) + "\n"
+                assert ("NaN" if special != special else "Infinity") in dumps_canonical(b)
+        # an int array still emits ints
+        ints = np.arange(math.prod(shape), dtype=np.int64).reshape(shape) - 3
+        assert dumps_canonical(ints) == per_element(ints.tolist()) + "\n"
 
     def test_space_mismatch_rejected(self, line16, plane8):
         # the coefficients of one space's wire text are no vector of another

@@ -382,6 +382,14 @@ class TestSdeCommand:
         density = json.loads((out / "density.json").read_text())
         assert density["coeffs"][0] == 1.0
         assert all(c == 0.0 for c in density["coeffs"][1:])
+        manifest = json.loads((out / "manifest.json").read_text())
+        # writing the artifacts, formatting included, is a stage of its own,
+        # and each digest is that of the file on disk
+        assert manifest["stage_wall_seconds"]["write"] > 0
+        digests = manifest["artifact_sha256"]
+        assert sorted(digests) == ["density.json", "sde_report.json", "shifts.json"]
+        for name, digest in digests.items():
+            assert digest == sha256_file(out / name)
 
     def test_constant_half_drift_values(self, tmp_path):
         cfg = write_config(
@@ -778,6 +786,21 @@ class TestConfigErrors:
                 "sde.drift: unknown field(s) ['zz']",
             ),
             (
+                "sde",
+                base_sde_config(drift={"kind": "constant", "value": "0.25"}),
+                "sde.drift: value must be a number, got '0.25'",
+            ),
+            (
+                "sde",
+                base_sde_config(drift={"kind": "constant", "value": True}),
+                "sde.drift: value must be a number, got True",
+            ),
+            (
+                "sde",
+                base_sde_config(drift={"kind": "constant", "value": math.nan}),
+                "sde.drift: value must be finite, got nan",
+            ),
+            (
                 "llt",
                 base_llt_config(
                     density={"kind": "sde", "drift": {"kind": "zero"}, "paths": 16},
@@ -952,6 +975,9 @@ class TestConfigErrors:
             "unknown_drift",
             "constant_drift_without_value",
             "sde_drift_unknown_field",
+            "sde_drift_string",
+            "sde_drift_bool",
+            "sde_drift_nan",
             "density_kind_sde",
             "novikov_ceiling_field",
             "run_llt_field",

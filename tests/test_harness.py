@@ -260,13 +260,13 @@ class TestRateSweep:
         f = _config_density(config)
         report = audit_density(f)
         built = []
-        real = basis._fill_table
+        real = basis._fill
 
-        def counting(space, one_d, block, table):
-            built.append(len(block))
-            real(space, one_d, block, table)
+        def counting(one_d, x, tabs, table, bound):
+            built.append(x.shape[1])
+            real(one_d, x, tabs, table, bound)
 
-        monkeypatch.setattr(basis, "_fill_table", counting)
+        monkeypatch.setattr(basis, "_fill", counting)
         table, _ = rate_sweep(config, density=f, report=report)
         # 20,000 common samples in chunks of the split's size, shared by all
         # three rows
@@ -282,12 +282,13 @@ class TestRateSweep:
         from wickllt.audit import audit_density
 
         density = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.03]}
-        real = basis._fill_table
+        real = basis._fill
         fills = []
 
-        def counting(space, one_d, block, table):
-            fills.append((space.dimension, len(block)))
-            real(space, one_d, block, table)
+        def counting(one_d, x, tabs, table, bound):
+            # x holds one coordinate per row and one point per column
+            fills.append(x.shape)
+            real(one_d, x, tabs, table, bound)
 
         per_sweep = []
         for n_values in ([4], [4, 16, 64]):
@@ -296,7 +297,7 @@ class TestRateSweep:
             report = audit_density(f)
             fills.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(basis, "_fill_table", counting)
+                patch.setattr(basis, "_fill", counting)
                 table, _ = rate_sweep(config, density=f, report=report)
             assert len(table.rows) == len(n_values)
             per_sweep.append(list(fills))

@@ -39,11 +39,20 @@ class TestWeightedShifts:
         assert nu.shift_variance_total() == pytest.approx(0.16)
 
     def test_json_round_trip(self):
-        nu = WeightedShifts([0.25, 0.75], [[0.1, 0.2], [-0.3, 0.05]])
-        data = json.loads(dumps_canonical(nu.to_json_dict()))
-        back = WeightedShifts.from_json_dict(data)
-        assert np.array_equal(back.weights, nu.weights)
-        assert np.array_equal(back.shifts, nu.shifts)
+        # the arrays go to canonical JSON whole, a block of rows per format
+        # call, and come back exactly: one row, one column, and 10^3 rows
+        rng = np.random.default_rng(12)
+        measures = [WeightedShifts([0.25, 0.75], [[0.1, 0.2], [-0.3, 0.05]])]
+        extra = (np.ones((1, 4)), rng.standard_normal((5, 1)), rng.standard_normal((1000, 8)) / 3)
+        for shifts in extra:
+            weights = rng.random(len(shifts))
+            measures.append(WeightedShifts(weights / weights.sum(), shifts))
+        for nu in measures:
+            text = dumps_canonical(nu.to_json_dict())
+            back = WeightedShifts.from_json_dict(json.loads(text))
+            assert np.array_equal(back.weights, nu.weights)
+            assert np.array_equal(back.shifts, nu.shifts)
+            assert dumps_canonical(back.to_json_dict()) == text
 
 
 class TestShiftMixture:
