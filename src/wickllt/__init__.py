@@ -41,7 +41,7 @@ from .limit_density import (
     limit_l2_norms,
     self_similarity_defect,
 )
-from .audit import AssumptionReport, AssumptionViolationError, GridSpec, audit_density
+from .audit import AssumptionReport, AssumptionViolationError, audit_density
 
 __all__ = [
     "ChaosVector",
@@ -71,7 +71,6 @@ __all__ = [
     "self_similarity_defect",
     "AssumptionReport",
     "AssumptionViolationError",
-    "GridSpec",
     "audit_density",
     "__version__",
 ]

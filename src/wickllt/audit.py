@@ -32,6 +32,10 @@ from .streams import STREAM_AUDIT, substream
 # The nonnegativity screen passes a grid minimum down to -NEGATIVITY_FACTOR
 # times the L2 norm: truncated representatives may dip slightly below zero.
 NEGATIVITY_FACTOR = 1e-6
+SCREEN_AXIS_POINTS = 41
+SCREEN_HALFWIDTH = 3.5
+SCREEN_MC_POINTS = 4096
+SCREEN_SEED = 2024
 
 
 class AssumptionViolationError(Exception):
@@ -53,21 +57,14 @@ def verdicts_json(verdicts: dict[str, CheckResult]) -> dict:
     return {name: v._asdict() for name, v in verdicts.items()}
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Screening grid: tensor grid for d <= 3, Gaussian Monte Carlo beyond."""
-
-    points_per_axis: int = 41
-    halfwidth: float = 3.5
-    mc_points: int = 4096
-    seed: int = 2024
-
-    def build(self, dimension: int) -> np.ndarray:
-        if dimension <= 3:
-            return tensor_grid(dimension, self.points_per_axis, self.halfwidth)
-        rng = substream(self.seed, STREAM_AUDIT)
-        pts = rng.standard_normal((self.mc_points, dimension))
-        return np.vstack([np.zeros((1, dimension)), pts])
+def screen_grid(dimension: int) -> np.ndarray:
+    """The nonnegativity screen: SCREEN_AXIS_POINTS per axis on
+    [-SCREEN_HALFWIDTH, SCREEN_HALFWIDTH] up to dimension 3; above, the
+    origin and SCREEN_MC_POINTS Gaussian draws of seed SCREEN_SEED."""
+    if dimension <= 3:
+        return tensor_grid(dimension, SCREEN_AXIS_POINTS, SCREEN_HALFWIDTH)
+    pts = substream(SCREEN_SEED, STREAM_AUDIT).standard_normal((SCREEN_MC_POINTS, dimension))
+    return np.vstack([np.zeros((1, dimension)), pts])
 
 
 @dataclass
@@ -131,18 +128,17 @@ def variance_pairing(f: ChaosVector, h) -> VariancePairing:
     return VariancePairing(formula, second - first * first)
 
 
-def audit_density(f: ChaosVector, grid: GridSpec | None = None) -> AssumptionReport:
+def audit_density(f: ChaosVector) -> AssumptionReport:
     """Run all standing-hypothesis checks in one report.
 
     The two second-order checks share one M and one eigendecomposition,
     whose spectral radius always satisfies rho(2G) <= |M|_F. A space of
     max_degree below 2 has no kernel and gets the first check only.
     """
-    grid = grid or GridSpec()
     report = AssumptionReport()
     report.l2_norm = f.norm()
     report.normalization = float(f.coeffs[0])
-    report.min_on_grid = float(eval_many(f, grid.build(f.space.dimension)).min())
+    report.min_on_grid = float(eval_many(f, screen_grid(f.space.dimension)).min())
     report.verdicts["normalization"] = CheckResult(
         abs(report.normalization - 1.0) <= 1e-12, report.normalization, 1e-12
     )

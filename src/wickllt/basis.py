@@ -17,8 +17,9 @@ A space has one index representation: the rows of its read-only int array
 `indices`, in graded order. Every lookup of an index goes through its
 closed-form graded rank (`GaussianSpace.positions`), and the one
 one-multiply-per-row recursion over the table, which builds Hermite and
-monomial tables alike, reads one cached `IndexPlan`, filled one broadcast
-multiply per run of rows (`GaussianSpace.runs`).
+monomial tables alike, reads one cached fill plan (`_fill_plan`): the rows
+of the pure powers, which hold the one-dimensional values, and one
+broadcast multiply per run of the other rows.
 
 Tables over the full space are never formed. Evaluation and the monomial
 sums of shift mixtures factor every index into a head over the first d // 2
@@ -119,52 +120,6 @@ def enumerate_indices(
         level[np.arange(len(level)), last] += 1
         degrees.append(level)
     return np.vstack(degrees)
-
-
-class IndexPlan(NamedTuple):
-    """Per index p > 0: first nonzero coordinate c, its entry alpha_c, and the
-    position of alpha with coordinate c zeroed; row 0 is zero.
-
-    Lets a product over coordinates be built with one multiply per row.
-    """
-
-    coord: np.ndarray
-    entry: np.ndarray
-    zeroed: np.ndarray
-
-
-def _build_plan(space: "GaussianSpace") -> IndexPlan:
-    alpha = space.indices[1:]
-    rows = np.arange(len(alpha))
-    coord = np.argmax(alpha > 0, axis=1)
-    zeroed = alpha.copy()
-    zeroed[rows, coord] = 0
-    columns = (coord, alpha[rows, coord], space.positions(zeroed))
-    return IndexPlan(*(np.concatenate(([0], col)).astype(np.int64) for col in columns))
-
-
-# One multiply of a table fill, (dst, c, e, src): table[dst] = t_e(x_c) *
-# table[src]. dst and src are rows, or slices for a run of several.
-Run = tuple[int | slice, int, int, int | slice]
-
-
-def _build_runs(space: "GaussianSpace") -> tuple[Run, ...]:
-    # Maximal runs of plan rows sharing (coord, entry) whose zeroed rows are
-    # consecutive; a run of one row indexes by int, a cheaper view of it.
-    coord, entry, zeroed = (col[1:] for col in space.plan())
-    new = np.ones(len(coord), dtype=bool)
-    new[1:] = (coord[1:] != coord[:-1]) | (entry[1:] != entry[:-1]) | (zeroed[1:] != zeroed[:-1] + 1)
-    starts = np.flatnonzero(new)
-    stops = np.append(starts[1:], len(coord))
-    runs = []
-    for start, stop, c, e, src in zip(
-        *(col.tolist() for col in (starts + 1, stops + 1, coord[starts], entry[starts], zeroed[starts]))
-    ):
-        if stop - start == 1:
-            runs.append((start, c, e, src))
-        else:
-            runs.append((slice(start, stop), c, e, slice(src, src + stop - start)))
-    return tuple(runs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,15 +224,6 @@ class GaussianSpace:
             f"(d={self.dimension}, K={self.max_degree})"
         )
 
-    def plan(self) -> IndexPlan:
-        """The cached one-multiply-per-row recursion plan of this space."""
-        return self.cached("plan", _build_plan)
-
-    def runs(self) -> tuple[Run, ...]:
-        """The cached runs of the plan, in order: rows that share (coord,
-        entry) and whose zeroed rows are consecutive, one multiply each."""
-        return self.cached("runs", _build_runs)
-
     def split(self) -> "SumSplit":
         """The cached head/tail factorization of this space (see SumSplit)."""
         return self.cached("split", _build_split)
@@ -307,54 +253,43 @@ def _require_same_space(f: "ChaosVector", g: "ChaosVector") -> GaussianSpace:
 
 
 def hermite_eval(n: int, x):
-    """He_n(x) for the probabilists' Hermite polynomials.
-
-    Uses the three-term recurrence He_{n+1} = x He_n - n He_{n-1} with
-    He_0 = 1, He_1 = x. Accepts scalars or arrays.
-    """
+    """He_n(x) for the probabilists' Hermite polynomials: row n of
+    hermite_table. Accepts scalars or arrays; a scalar gives a float."""
     if n < 0:
         raise ValueError("Hermite order must be nonnegative")
-    arr = np.asarray(x, dtype=float)
-    prev = np.ones_like(arr)
-    if n == 0:
-        return prev if arr.shape else float(prev)
-    cur = arr.copy()
-    for k in range(1, n):
-        prev, cur = cur, arr * cur - k * prev
-    return cur if arr.shape else float(cur)
+    value = hermite_table(n, x)[n]
+    return value if value.shape else float(value)
 
 
-def hermite_table(max_order: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """He_0..He_max_order evaluated at x; shape (max_order+1, *x.shape),
-    written into out when given."""
+def hermite_table(max_order: int, x) -> np.ndarray:
+    """He_0..He_max_order evaluated at x, a scalar or an array; shape
+    (max_order+1, *x.shape), by the three-term recurrence He_{k+1} =
+    x He_k - k He_{k-1} with He_0 = 1, He_1 = x."""
     arr = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty((max_order + 1,) + arr.shape)
+    out = np.empty((max_order + 1,) + arr.shape)
     out[0] = 1.0
     if max_order >= 1:
         out[1] = arr
     for k in range(1, max_order):
-        np.multiply(arr, out[k], out=out[k + 1])
-        out[k + 1] -= k * out[k - 1]
+        # out[k + 1, ...] is an array view even for a scalar x
+        np.multiply(arr, out[k], out=out[k + 1, ...])
+        out[k + 1, ...] -= k * out[k - 1]
     return out
 
 
-def power_table(max_power: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x^0..x^max_power; shape (max_power+1, *x.shape), written into out when
-    given.
+def power_table(max_power: int, x) -> np.ndarray:
+    """x^0..x^max_power; shape (max_power+1, *x.shape).
 
     A 2-D x is raised row by row: one power call over all of it takes
     another SIMD path for part of the entries, which rounds some of them
     differently (by 1.1e-16 at 2,048 points on AVX-512).
     """
     arr = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty((max_power + 1,) + arr.shape)
-    if arr.ndim == 2:
-        for c, row in enumerate(arr):
-            power_table(max_power, row, out[:, c])
-    else:
-        np.power(arr, np.arange(max_power + 1).reshape((-1,) + (1,) * arr.ndim), out=out)
+    if arr.ndim != 2:
+        return np.power(arr, np.arange(max_power + 1).reshape((-1,) + (1,) * arr.ndim))
+    out = np.empty((max_power + 1,) + arr.shape)
+    for c, row in enumerate(arr):
+        np.power(row, np.arange(max_power + 1)[:, None], out=out[:, c])
     return out
 
 
@@ -434,61 +369,77 @@ def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
     return np.prod(h ** space.indices, axis=1)
 
 
-# A one-dimensional family t: one_d(K, x, out) writes t_0..t_K at x into out,
-# shape (K+1, *x.shape).
-OneD = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+# A one-dimensional family t: one_d(K, x) returns t_0..t_K at x, shape
+# (K+1, *x.shape).
+OneD = Callable[[int, np.ndarray], np.ndarray]
 
 
-def _bind(space: GaussianSpace, tabs: np.ndarray, table: np.ndarray) -> list:
-    """Each run (dst, c, e, src) of the plan as the views (tabs[e, c],
-    table[src], table[dst]) that its multiply reads and writes."""
-    return [(tabs[e, c], table[src], table[dst]) for dst, c, e, src in space.runs()]
+def _fill_plan(space: GaussianSpace) -> tuple[np.ndarray, tuple]:
+    """The fill plan of a space: (pure, runs).
+
+    pure[e, c] is the row of the pure power e * e_c, shape (K+1, d); row 0
+    for e = 0. Every other row alpha is the row of alpha_c * e_c times the
+    row of alpha with c zeroed, c its first nonzero coordinate. runs holds
+    those multiplies in row order as (dst, factor, src), table[dst] =
+    table[factor] * table[src], each over a maximal run of consecutive rows
+    that share the factor row and whose zeroed rows are consecutive. dst and
+    src are slices, or ints for a run of one row, a cheaper view of it.
+    """
+    alpha = space.indices
+    coord = np.argmax(alpha > 0, axis=1)
+    entry = alpha[np.arange(space.size), coord]
+    powers = np.arange(space.max_degree + 1)[:, None, None]
+    pure = space.positions(powers * np.eye(space.dimension, dtype=np.int64))
+    # all rows but the zero row and the pure powers, whose entry is their degree
+    dst = np.flatnonzero(entry < space.degrees)
+    factor = pure[entry[dst], coord[dst]]
+    src = space.positions(alpha[dst] - alpha[factor])
+    new = np.ones(len(dst), dtype=bool)
+    new[1:] = (dst[1:] != dst[:-1] + 1) | (factor[1:] != factor[:-1]) | (src[1:] != src[:-1] + 1)
+    starts = np.flatnonzero(new)
+    columns = (dst[starts], np.diff(np.append(starts, len(dst))), factor[starts], src[starts])
+    return pure, tuple(
+        (a, f, s) if n == 1 else (slice(a, a + n), f, slice(s, s + n))
+        for a, n, f, s in zip(*(col.tolist() for col in columns))
+    )
 
 
-def _fill(one_d: OneD, x: np.ndarray, tabs: np.ndarray, table: np.ndarray, bound: list) -> None:
+def _fill(one_d: OneD, x: np.ndarray, pure: np.ndarray, table: np.ndarray, bound: list) -> None:
     """Write prod_i t_{alpha_i}(x[i, j]) into table[p, j] for every index alpha_p.
 
     x holds one coordinate per row and one input per column. one_d is
-    hermite_table or power_table; it writes t_e(x[c]) into tabs[e, c]. The
-    table is then filled degree by degree through the strip recursion
-    T_alpha = t_{alpha_c}(x_c) * T_{alpha with c zeroed}, one broadcast
-    multiply per run of the plan (GaussianSpace.runs), bound to tabs and
-    table by _bind; each entry is the same product of the same two factors
-    as a row-by-row fill.
+    hermite_table or power_table; its values t_e(x[c]) are the rows pure[e, c]
+    of the pure powers (see _fill_plan). Every other row follows degree by
+    degree through the strip recursion T_alpha = T_{alpha_c e_c} *
+    T_{alpha with c zeroed}, one broadcast multiply per run of the plan,
+    bound as the views (table[factor], table[src], table[dst]); each entry
+    is the same product of the same two factors as a row-by-row fill.
     """
-    one_d(len(tabs) - 1, x, tabs)
-    table[0] = 1.0
+    table[pure] = one_d(len(pure) - 1, x)
     for factor, src, dst in bound:
         np.multiply(factor, src, out=dst)
-
-
-def _fill_table(space: GaussianSpace, one_d: OneD, block: np.ndarray, table: np.ndarray) -> None:
-    """_fill at the points of block, one per row, into table."""
-    x = np.ascontiguousarray(block.T)
-    tabs = np.empty((space.max_degree + 1,) + x.shape)
-    _fill(one_d, x, tabs, table, _bind(space, tabs, table))
 
 
 def _filler(space: GaussianSpace, one_d: OneD, columns: int) -> Callable[[np.ndarray], np.ndarray]:
     """fill(x): _fill of the table of space at the m <= columns inputs of x,
     returned as a view of a buffer that the next call overwrites.
 
-    The tables of m inputs are C-contiguous prefixes of two reused buffers,
-    the layout fresh tables would have, bound once per m. Fresh tables per
-    chunk made evaluation on small spaces about 1.4x slower.
+    The table of m inputs is the C-contiguous prefix of one reused buffer,
+    the layout a fresh table would have, its runs bound once per m. Fresh
+    tables per chunk made evaluation on small spaces about 1.4x slower.
     """
-    rows, width = space.size, (space.max_degree + 1) * space.dimension
-    table_buffer, tabs_buffer = np.empty(rows * columns), np.empty(width * columns)
+    pure, runs = space.cached("fill_plan", _fill_plan)
+    rows = space.size
+    buffer = np.empty(rows * columns)
     bindings = {}
 
     def fill(x: np.ndarray) -> np.ndarray:
         m = x.shape[1]
         if m not in bindings:
-            tabs = tabs_buffer[: width * m].reshape(-1, space.dimension, m)
-            table = table_buffer[: rows * m].reshape(rows, m)
-            bindings[m] = tabs, table, _bind(space, tabs, table)
-        tabs, table, bound = bindings[m]
-        _fill(one_d, x, tabs, table, bound)
+            table = buffer[: rows * m].reshape(rows, m)
+            bindings[m] = table, [(table[f], table[src], table[dst]) for dst, f, src in runs]
+        table, bound = bindings[m]
+        _fill(one_d, x, pure, table, bound)
         return table
 
     return fill
@@ -685,19 +636,17 @@ def eval_at(f: ChaosVector, w) -> float:
     return float(eval_many(f, w[None, :])[0])
 
 
-def monomial_sums(
-    space: GaussianSpace, points: np.ndarray, weights: np.ndarray, chunk: int = MAX_CHUNK
-) -> np.ndarray:
+def monomial_sums(space: GaussianSpace, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_j weights[j] * points[j]^alpha for every table index alpha.
 
-    Per chunk of points one head and one tail table of powers are filled
-    (see SumSplit), and each block of sums accumulates
+    Per chunk of MAX_CHUNK points one head and one tail table of powers are
+    filled (see SumSplit), and each block of sums accumulates
     (T_head[heads of degree k] * weights) @ T_tail[:tails].T.
     """
     split = space.split()
     flat = np.zeros(space.size)
     sums = split.views(flat)
-    for start, head, tail in _split_tables(split, power_table, points, chunk):
+    for start, head, tail in _split_tables(split, power_table, points, MAX_CHUNK):
         head *= weights[start : start + head.shape[1]]
         for acc, (lo, hi, tails) in zip(sums, split.blocks):
             acc += head[lo:hi] @ tail[:tails].T

@@ -46,6 +46,9 @@ from .wick import wick_power  # noqa: F401  perfbench's tests wrap harness.wick_
 # sqrt(n) times the two-sided KS statistic exceeds it with probability 0.01
 # as n grows.
 KOLMOGOROV_1PCT = 1.6276236115189504
+# ks_against_density integrates its reference CDF on [-10, 10]; the
+# Gaussian weight beyond is below 1e-22.
+KS_GRID_HALFWIDTH = 10.0
 
 
 class BoundViolationError(Exception):
@@ -284,7 +287,7 @@ class ConvolutionReport(NamedTuple):
     samples: int
 
 
-def ks_against_density(values: np.ndarray, predicted: ChaosVector, grid_halfwidth: float = 10.0) -> ConvolutionReport:
+def ks_against_density(values: np.ndarray, predicted: ChaosVector) -> ConvolutionReport:
     """KS statistic of scalar samples against a one-dimensional chaos density.
 
     The reference CDF comes from a fine trapezoid integration of the density
@@ -293,7 +296,7 @@ def ks_against_density(values: np.ndarray, predicted: ChaosVector, grid_halfwidt
     """
     if predicted.space.dimension != 1:
         raise ValueError("KS comparison needs a one-dimensional density")
-    grid = np.linspace(-grid_halfwidth, grid_halfwidth, 8001)
+    grid = np.linspace(-KS_GRID_HALFWIDTH, KS_GRID_HALFWIDTH, 8001)
     weight = np.exp(-grid**2 / 2.0) / np.sqrt(2 * np.pi)
     dens = np.clip(eval_many(predicted, grid[:, None]), 0.0, None) * weight
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])

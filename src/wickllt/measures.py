@@ -94,7 +94,7 @@ class WeightedShifts:
         )
 
 
-def shift_mixture(nu: WeightedShifts, space: GaussianSpace, chunk: int = 2048) -> ChaosVector:
+def shift_mixture(nu: WeightedShifts, space: GaussianSpace) -> ChaosVector:
     """Density of the reference measure convolved with the atomic measure nu.
 
     Coefficientwise this is sum_j p_j h_j^alpha / alpha!, a convex
@@ -108,7 +108,7 @@ def shift_mixture(nu: WeightedShifts, space: GaussianSpace, chunk: int = 2048) -
         raise ValueError(
             f"shifts have dimension {nu.dimension}, space has {space.dimension}"
         )
-    acc = monomial_sums(space, nu.shifts, nu.weights, chunk)
+    acc = monomial_sums(space, nu.shifts, nu.weights)
     acc /= acc[0]
     return ChaosVector(space, acc / space.factorials)
 
@@ -155,19 +155,16 @@ def _envelope_halfwidth(count: int, max_degree: int) -> float:
 
 
 _ENVELOPE_AXIS_POINTS = {1: 4097, 2: 193, 3: 41, 4: 21}
+# Headroom of the envelope over the grid maximum, for peaks between grid points.
+ENVELOPE_FACTOR = 1.05
+# Proposals per batch; batch i draws from sampler sub-stream i.
+SAMPLE_BATCH = 8192
 
 
-def sample(
-    f: ChaosVector,
-    count: int,
-    seed: int = 0,
-    envelope_factor: float = 1.05,
-    halfwidth: float | None = None,
-    batch: int = 8192,
-) -> np.ndarray:
+def sample(f: ChaosVector, count: int, seed: int = 0, halfwidth: float | None = None) -> np.ndarray:
     """Draw from the measure f dmu by rejection against the reference Gaussian.
 
-    The envelope is envelope_factor times the maximum of f on a dense tensor
+    The envelope is ENVELOPE_FACTOR times the maximum of f on a dense tensor
     grid whose halfwidth covers the plausible sample range for this count and
     degree. A proposal that evaluates above the envelope aborts the run with
     a diagnostic instead of silently clipping.
@@ -179,13 +176,13 @@ def sample(
         raise ValueError("need a positive sample count")
     hw = halfwidth if halfwidth is not None else _envelope_halfwidth(count, f.space.max_degree)
     grid = tensor_grid(d, _ENVELOPE_AXIS_POINTS[d], hw)
-    envelope = envelope_factor * float(eval_many(f, grid).max())
+    envelope = ENVELOPE_FACTOR * float(eval_many(f, grid).max())
     if envelope <= 0.0:
         raise DensityValidationError("density is nonpositive on the envelope grid")
     out = np.empty((count, d))
     got = 0
     batch_index = 0
-    max_batches = 2000 + 200 * count // batch
+    max_batches = 2000 + 200 * count // SAMPLE_BATCH
     while got < count:
         if batch_index > max_batches:
             raise EnvelopeBreachError(
@@ -194,7 +191,7 @@ def sample(
             )
         rng = substream(seed, STREAM_SAMPLER, batch_index)
         batch_index += 1
-        pts = rng.standard_normal((batch, d))
+        pts = rng.standard_normal((SAMPLE_BATCH, d))
         vals = eval_many(f, pts)
         breach = vals > envelope
         if np.any(breach):
@@ -202,9 +199,9 @@ def sample(
             raise EnvelopeBreachError(
                 f"envelope too small: density value {vals[k]:.6g} at point "
                 f"{pts[k].tolist()} exceeds envelope {envelope:.6g}; enlarge the "
-                "grid halfwidth or envelope factor"
+                "grid halfwidth or ENVELOPE_FACTOR"
             )
-        accept = rng.random(batch) * envelope <= np.clip(vals, 0.0, None)
+        accept = rng.random(SAMPLE_BATCH) * envelope <= np.clip(vals, 0.0, None)
         taken = pts[accept]
         take = min(taken.shape[0], count - got)
         out[got : got + take] = taken[:take]

@@ -6,7 +6,6 @@ import pytest
 from wickllt.audit import (
     AssumptionViolationError,
     CheckResult,
-    GridSpec,
     audit_density,
     require_passed,
     variance_pairing,
@@ -201,11 +200,11 @@ class TestFullAudit:
 
     def test_deterministic(self, line16):
         f = quadratic_density(line16)
-        a = audit_density(f, GridSpec(seed=5)).to_json_dict()
-        b = audit_density(f, GridSpec(seed=5)).to_json_dict()
+        a = audit_density(f).to_json_dict()
+        b = audit_density(f).to_json_dict()
         assert a == b
 
     def test_mc_grid_high_dimension(self):
         space = GaussianSpace(5, 4)
-        report = audit_density(unit_density(space), GridSpec(mc_points=512))
+        report = audit_density(unit_density(space))
         assert report.all_passed

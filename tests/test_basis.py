@@ -128,15 +128,26 @@ class TestIndexCore:
 
     @pytest.mark.parametrize("d, k", CORE_SHAPES)
     def test_plan_columns(self, d, k):
+        # row e e_c of the pure powers is pure[e, c]; every other row is
+        # written once, as the row of alpha_c e_c times the row of alpha
+        # with its first nonzero coordinate c zeroed
         space = GaussianSpace(d, k)
-        plan = space.plan()
-        for p in range(1, space.size):
-            alpha = space.indices[p]
-            c = next(i for i, e in enumerate(alpha) if e > 0)
-            assert (plan.coord[p], plan.entry[p]) == (c, alpha[c])
-            zeroed = alpha.copy()
-            zeroed[c] = 0
-            assert np.array_equal(space.indices[plan.zeroed[p]], zeroed)
+        pure, runs = basis._fill_plan(space)
+        assert pure.shape == (k + 1, d)
+        for e in range(k + 1):
+            for c in range(d):
+                assert space.indices[pure[e, c]].tolist() == [e * (i == c) for i in range(d)]
+        written = {}
+        for dst, factor, src in runs:
+            for p, q in zip(rows_of(space, dst), rows_of(space, src)):
+                assert p not in written
+                written[p] = (factor, q)
+        for p, (c, e, zeroed) in enumerate(strip_columns(space), start=1):
+            if zeroed == 0:
+                assert p not in written and pure[e, c] == p
+            else:
+                assert written[p] == (pure[e, c], zeroed)
+        assert len(written) + len(set(pure.ravel().tolist())) == space.size
 
     @pytest.mark.parametrize(
         "entries, reason",
@@ -194,6 +205,23 @@ class TestHermite:
         coeffs = [0.0] * n + [1.0]
         expected = np.polynomial.hermite_e.hermeval(x, coeffs)
         assert hermite_eval(n, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_table_of_a_scalar(self):
+        # He_0..He_3 at 0.5: 1, x, x^2 - 1, x^3 - 3x
+        table = hermite_table(3, 0.5)
+        assert table.shape == (4,) and table.tolist() == [1.0, 0.5, -0.75, -1.375]
+        for x in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(hermite_eval(3, x)) is float and hermite_eval(3, x) == -1.375
+
+    def test_matches_three_term_loop_bit_for_bit(self):
+        # reference: He_{k+1} = x He_k - k He_{k-1}, one order at a time
+        x = 3.0 * np.random.default_rng(40).standard_normal(10_000)
+        prev, cur = np.ones_like(x), x.copy()
+        assert np.array_equal(hermite_eval(0, x), prev)
+        for n in range(1, 40):
+            assert np.array_equal(hermite_eval(n, x), cur)
+            assert hermite_eval(n, float(x[n])) == cur[n]
+            prev, cur = cur, x * cur - n * prev
 
 
 class TestInnerProduct:
@@ -266,6 +294,23 @@ class TestEvaluation:
             eval_at(unit_density(plane8), [1.0])
 
 
+def strip_columns(space):
+    """Per row p > 0: the first nonzero coordinate c of alpha_p, alpha_c, and
+    the row of alpha_p with c zeroed, found by a search of space.indices."""
+    table = space.indices.tolist()
+    rows = {tuple(alpha): p for p, alpha in enumerate(table)}
+    columns = []
+    for alpha in table[1:]:
+        c = next(i for i, e in enumerate(alpha) if e > 0)
+        columns.append((c, alpha[c], rows[tuple(alpha[:c] + [0] + alpha[c + 1 :])]))
+    return columns
+
+
+def rows_of(space, rows):
+    """The rows an int or a slice of a fill run indexes."""
+    return range(space.size)[rows] if isinstance(rows, slice) else range(rows, rows + 1)
+
+
 def reference_eval(f, pts, chunk=2048):
     """Loop reference: a fresh full basis table per chunk, one GEMV per chunk.
 
@@ -273,28 +318,27 @@ def reference_eval(f, pts, chunk=2048):
     error of any order of summing the terms c_alpha H_alpha.
     """
     space = f.space
-    coord, order, rest = space.plan()
+    columns = strip_columns(space)
     out = np.empty(len(pts))
     scale = np.empty(len(pts))
     for start in range(0, len(pts), chunk):
         block = pts[start : start + chunk]
         vals = np.empty((space.size, len(block)))
         vals[0] = 1.0
-        for p in range(1, space.size):
-            vals[p] = hermite_eval(int(order[p]), block[:, coord[p]]) * vals[rest[p]]
+        for p, (c, e, rest) in enumerate(columns, start=1):
+            vals[p] = hermite_eval(e, block[:, c]) * vals[rest]
         out[start : start + len(block)] = f.coeffs @ vals
         scale[start : start + len(block)] = np.abs(f.coeffs) @ np.abs(vals)
     return out, scale
 
 
 def reference_fill(space, one_d, block):
-    """Row-by-row reference of basis._fill_table: one multiply per index."""
-    coord, entry, rest = space.plan()
+    """Row-by-row reference of a table fill: one multiply per index."""
     tabs = [one_d(space.max_degree, block[:, i]) for i in range(space.dimension)]
     table = np.empty((space.size, len(block)))
     table[0] = 1.0
-    for p in range(1, space.size):
-        table[p] = tabs[coord[p]][entry[p]] * table[rest[p]]
+    for p, (c, e, rest) in enumerate(strip_columns(space), start=1):
+        table[p] = tabs[c][e] * table[rest]
     return table
 
 
@@ -318,9 +362,20 @@ class TestTableFill:
             if split.head is not None:
                 assert np.array_equal(head, reference_fill(split.head, one_d, block[:, :s]))
         assert starts == [0, split.chunk]
-        table = np.empty((space.size, 5))
-        basis._fill_table(space, one_d, pts[:5], table)
+        table = basis._filler(space, one_d, 5)(np.ascontiguousarray(pts[:5].T))
         assert np.array_equal(table, reference_fill(space, one_d, pts[:5]))
+
+    @pytest.mark.parametrize("one_d", [hermite_table, power_table])
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 8])
+    def test_pure_power_rows_are_the_one_d_values(self, dimension, one_d):
+        # row e e_c holds t_e(x_c) bit for bit, as one_d gives it for the
+        # coordinate alone
+        space = GaussianSpace(dimension, 8)
+        pure, _ = basis._fill_plan(space)
+        x = 1.5 * np.random.default_rng(dimension).standard_normal((dimension, 300))
+        table = basis._filler(space, one_d, 300)(x)
+        for c in range(dimension):
+            assert np.array_equal(table[pure[:, c]], one_d(8, x[c]))
 
     @pytest.mark.parametrize("dimension, degree", [(1, 8), (2, 8), (3, 6), (8, 4)])
     def test_calls_of_other_lengths_bind_their_own_views(self, dimension, degree):
@@ -342,22 +397,24 @@ class TestTableFill:
 
     @pytest.mark.parametrize("dimension, degree", [(1, 0), (1, 8), (2, 8), (4, 8), (5, 14)])
     def test_runs_tile_the_plan(self, dimension, degree):
-        # runs cover rows 1.. in order, and read only rows of lower degree
+        # runs cover the rows that are not pure powers in order, each once,
+        # and read only rows of lower degree
         space = GaussianSpace(dimension, degree)
-        coord, entry, rest = space.plan()
-        row = 1
-        for dst, c, e, src in space.runs():
-            dst = range(space.size)[dst] if isinstance(dst, slice) else range(dst, dst + 1)
-            src = range(space.size)[src] if isinstance(src, slice) else range(src, src + 1)
-            assert dst.start == row and len(src) == len(dst)
-            assert list(coord[dst.start : dst.stop]) == [c] * len(dst)
-            assert list(entry[dst.start : dst.stop]) == [e] * len(dst)
-            assert list(rest[dst.start : dst.stop]) == list(src)
-            assert src.stop <= space.degree_bounds[space.degrees[dst.start]]
-            row = dst.stop
-        assert row == space.size
+        pure, runs = basis._fill_plan(space)
+        pure_rows = set(pure.ravel().tolist())
+        expected = [p for p in range(space.size) if p not in pure_rows]
+        written = []
+        for dst, factor, src in runs:
+            dst, src = rows_of(space, dst), rows_of(space, src)
+            assert len(src) == len(dst)
+            assert factor in pure_rows
+            lowest = space.degree_bounds[space.degrees[dst.start]]
+            assert src.stop <= lowest and factor < lowest
+            written.extend(dst)
+        assert written == expected
         if (dimension, degree) == (4, 8):
-            assert len(space.runs()) == 116
+            # besides the zero row and the 32 pure powers, 462 rows in 84 runs
+            assert len(written) == 462 and len(runs) == 84
 
 
 class TestStackedEvaluation:
@@ -422,9 +479,9 @@ class TestStackedEvaluation:
         fills = []
         real = basis._fill
 
-        def counting(one_d, x, tabs, table, bound):
+        def counting(one_d, x, pure, table, bound):
             fills.append(table.shape)
-            real(one_d, x, tabs, table, bound)
+            real(one_d, x, pure, table, bound)
 
         monkeypatch.setattr(basis, "_fill", counting)
         rng = np.random.default_rng(8)

@@ -262,9 +262,9 @@ class TestRateSweep:
         built = []
         real = basis._fill
 
-        def counting(one_d, x, tabs, table, bound):
+        def counting(one_d, x, pure, table, bound):
             built.append(x.shape[1])
-            real(one_d, x, tabs, table, bound)
+            real(one_d, x, pure, table, bound)
 
         monkeypatch.setattr(basis, "_fill", counting)
         table, _ = rate_sweep(config, density=f, report=report)
@@ -285,10 +285,10 @@ class TestRateSweep:
         real = basis._fill
         fills = []
 
-        def counting(one_d, x, tabs, table, bound):
+        def counting(one_d, x, pure, table, bound):
             # x holds one coordinate per row and one point per column
             fills.append(x.shape)
-            real(one_d, x, tabs, table, bound)
+            real(one_d, x, pure, table, bound)
 
         per_sweep = []
         for n_values in ([4], [4, 16, 64]):

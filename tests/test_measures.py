@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import wickllt.basis as basis
 from wickllt.audit import audit_density
 from wickllt.basis import ChaosVector, GaussianSpace, eval_many, kernel_view
 from wickllt.limit_density import gaussian_limit_series, limit_l2_norms
@@ -94,14 +95,16 @@ class TestShiftMixture:
         report = audit_density(shift_mixture(nu, plane12))
         assert report.all_passed
 
-    def test_chunking_consistent(self):
+    def test_chunking_consistent(self, monkeypatch):
         space = GaussianSpace(2, 6)
         rng = np.random.default_rng(18)
         shifts = 0.3 * rng.standard_normal((40, 2))
         w = np.full(40, 1.0 / 40)
         nu = WeightedShifts(w, shifts)
-        a = shift_mixture(nu, space, chunk=7)
-        b = shift_mixture(nu, space, chunk=512)
+        monkeypatch.setattr(basis, "MAX_CHUNK", 7)
+        a = shift_mixture(nu, space)
+        monkeypatch.setattr(basis, "MAX_CHUNK", 512)
+        b = shift_mixture(nu, space)
         assert np.allclose(a.coeffs, b.coeffs, atol=1e-15)
 
 
