@@ -15,6 +15,14 @@ Products are truncated at a cap degree, the space's max_degree unless a
 TruncationPolicy sets a lower one, and return a plain ChaosVector: exact on
 every degree up to the cap, with nothing computed above it.
 
+Every convolution reads one cached table of the space: the output position
+of each ordered pair (alpha, beta) with |alpha| + |beta| <= K, C(2d + K, K)
+int64s in all. Its rows are the left indices of one degree a and its
+columns the right indices of degree <= K - a, so the products of a block
+are the outer product of two contiguous coefficient slices and no index is
+gathered. Each block is added into the output as it is formed, so a
+product never holds an array as long as the table.
+
 Wick powers and the Wick exponential come from one ladder: with f = f_0 + u,
 u starting at degree lo, the rungs u, u^{<>2}, ..., u^{<>K//lo} are all a
 space of max_degree K holds, f^{<>n} = sum_j binom(n, j) f_0^(n-j) u^{<>j}
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -59,42 +68,97 @@ class TruncationPolicy:
             raise ValueError("cap_degree must be nonnegative")
 
 
-def _pair_table(space: GaussianSpace):
-    """All ordered index pairs with |alpha|+|beta| <= K, grouped by out degree.
+class PairTable(NamedTuple):
+    """Output positions of every ordered index pair with |alpha|+|beta| <= K.
 
-    Within out degree m the pairs are grouped by the degree a of the left
-    index, a = 0..m. Returns (i_idx, j_idx, out_idx, starts) where
-    starts[m, a] is the first pair of block (m, a) and starts[m, m+1] =
-    starts[m+1, 0] ends degree m, so every run of consecutive blocks is a
-    slice. Slicing at starts[cap+1, 0] restricts a convolution to outputs of
-    degree <= cap.
+    groups[a] holds the pairs whose left index has degree a: a row-major
+    (bounds[a + 1] - bounds[a]) x bounds[K - a + 1] view of out, one row per
+    left index of degree a and one column per right index of degree
+    <= K - a, whose entries are the positions of alpha + beta (bounds being
+    the space's degree_bounds). The left and right index of an entry are
+    its row and column, and are not stored. Read group by group, rows
+    first, the table meets the pairs of any one output position in the
+    order left degree, left index, right index.
     """
 
-    def build(sp: GaussianSpace):
-        k_max, bounds = sp.max_degree, sp.degree_bounds
-        deg_pos = [np.arange(bounds[m], bounds[m + 1]) for m in range(k_max + 1)]
-        chunks_i, chunks_j, chunks_out = [], [], []
-        starts = np.zeros((k_max + 2, k_max + 2), dtype=np.int64)
-        total = 0
-        for m in range(k_max + 1):
-            for a in range(m + 1):
-                starts[m, a] = total
-                ia, ib = deg_pos[a], deg_pos[m - a]
-                out = sp.positions_of_sums(ia, ib)
-                chunks_i.append(np.repeat(ia, ib.size))
-                chunks_j.append(np.tile(ib, ia.size))
-                chunks_out.append(out.reshape(-1))
-                total += out.size
-            starts[m, m + 1] = total
-        starts[k_max + 1, 0] = total
-        return (
-            np.concatenate(chunks_i),
-            np.concatenate(chunks_j),
-            np.concatenate(chunks_out),
-            starts,
+    out: np.ndarray
+    groups: tuple[np.ndarray, ...]
+    bounds: tuple[int, ...]
+
+
+def _pair_table(space: GaussianSpace) -> PairTable:
+    """The space's cached PairTable, one int64 position per pair.
+
+    Row alpha of group a comes from the row of its parent alpha - e_k in
+    group a - 1, k the last nonzero coordinate of alpha: the position of
+    alpha + beta is that of (alpha - e_k + beta) + e_k, one lookup per entry
+    in a table of unit steps. Rows are filled in chunks of about 2^14
+    entries, so the temporaries stay in cache and the build holds little
+    beyond the table itself.
+    """
+
+    def build(sp: GaussianSpace) -> PairTable:
+        k_max, bounds, d = sp.max_degree, sp.degree_bounds.tolist(), sp.dimension
+        rows = [bounds[a + 1] - bounds[a] for a in range(k_max + 1)]
+        widths = bounds[k_max + 1 : 0 : -1]
+        starts = list(accumulate((r * w for r, w in zip(rows, widths)), initial=0))
+        out = np.empty(starts[-1], dtype=np.int64)
+        groups = tuple(
+            out[s:e].reshape(r, w) for s, e, r, w in zip(starts, starts[1:], rows, widths)
         )
+        table = PairTable(out, groups, tuple(bounds))
+        out[: sp.size] = np.arange(sp.size)
+        if k_max == 0:
+            return table
+        # step[k * bounds[K] + p] is the position of indices[p] + e_k, |indices[p]| < K
+        low, unit = sp.indices[: bounds[k_max]], np.eye(d, dtype=sp.indices.dtype)
+        step = np.concatenate([sp.positions(low + unit[k]) for k in range(d)])
+        upper = sp.indices[1:]
+        last = d - 1 - np.argmax(upper[:, ::-1] > 0, axis=1)
+        parent, offset = sp.positions(upper - unit[last]), last * bounds[k_max]
+        for a in range(1, k_max + 1):
+            prev, cur = groups[a - 1], groups[a]
+            mine = slice(bounds[a] - 1, bounds[a + 1] - 1)
+            par, off = parent[mine] - bounds[a - 1], offset[mine]
+            chunk = max(1, (1 << 14) // widths[a])
+            for r in range(0, rows[a], chunk):
+                sl = slice(r, r + chunk)
+                np.take(step, prev[par[sl], : widths[a]] + off[sl, None], out=cur[sl])
+        return table
 
     return space.cached("pair_table", build)
+
+
+def pair_count(space: GaussianSpace) -> int:
+    """Ordered index pairs in the space's cached pair table, C(2d + K, K)."""
+    return _pair_table(space).out.size
+
+
+def _convolve(
+    left: np.ndarray, right: np.ndarray, table: PairTable, a_range: range, b_range: range, top: int
+) -> np.ndarray:
+    """sum_{alpha + beta = gamma} left_alpha right_beta over |alpha| in a_range,
+    |beta| in b_range and |gamma| <= top; every other output bin is zero.
+
+    Left degree a contributes one block: the outer product of left's
+    degree-a slice with right's slice of degrees b_range.start to
+    min(b_range.stop - 1, top - a), added into the output by np.add.at at
+    the block's positions, a view of the table when the block spans whole
+    rows of its group. Only one block's products and positions are held at a
+    time. np.add.at adds in index order, and the blocks go in ascending a,
+    each row by row, so every output bin receives its terms in one fixed
+    order: left degree, then left index, then right index. A bincount over a
+    flat pair list sorted by output degree, left degree, left index and right
+    index sums in the same order, and gives the same bits.
+    """
+    bounds, acc = table.bounds, np.zeros(left.size)
+    for a in a_range:
+        c0, c1 = bounds[b_range.start], bounds[min(b_range.stop, top - a + 1)]
+        if c1 <= c0:  # every larger a leaves fewer right degrees
+            break
+        prods = left[bounds[a] : bounds[a + 1], None] * right[None, c0:c1]
+        np.add.at(acc, table.groups[a][:, c0:c1].ravel(), prods.ravel())
+    return acc
 
 
 def wick_product(
@@ -109,13 +173,8 @@ def wick_product(
     cap = space.max_degree if policy is None else policy.cap_degree
     if cap > space.max_degree:
         raise ValueError("cap_degree exceeds the space's max_degree")
-    i_idx, j_idx, out_idx, starts = _pair_table(space)
-    stop = starts[cap + 1, 0]
-    prod = np.bincount(
-        out_idx[:stop],
-        weights=f.coeffs[i_idx[:stop]] * g.coeffs[j_idx[:stop]],
-        minlength=space.size,
-    )
+    degrees = range(cap + 1)
+    prod = _convolve(f.coeffs, g.coeffs, _pair_table(space), degrees, degrees, cap)
     return ChaosVector(space, prod)
 
 
@@ -123,9 +182,9 @@ def excess_powers(f: ChaosVector, top: int | None = None) -> list[ChaosVector]:
     """Wick powers u^{<>0..J} of the excess u = f - f_0, J = min(top, K // lo).
 
     u lives in degrees lo >= 1 to hi, so u^{<>j} lives in j lo to j hi. Rung
-    j = u <> u^{<>(j-1)} reads, per out degree m, the pair blocks whose left
-    index (from u) has a degree in [max(lo, m - (j-1) hi), min(hi, m - (j-1) lo)]:
-    one slice of the pair table. Nothing is divided by f_0.
+    j = u <> u^{<>(j-1)} convolves u's degrees [lo, hi] with the degrees
+    [(j-1) lo, (j-1) hi] of the rung below, up to degree K. Nothing is
+    divided by f_0.
     """
     space, k_max = f.space, f.space.max_degree
     rungs = [constant_vector(space).coeffs, f.coeffs.copy()]
@@ -134,16 +193,10 @@ def excess_powers(f: ChaosVector, top: int | None = None) -> list[ChaosVector]:
     if support.size == 0 or top == 0:
         return [constant_vector(space)]
     u, lo, hi = rungs[1], int(support.min()), int(support.max())
-    i_idx, j_idx, out_idx, starts = _pair_table(space)
-    bounds = space.degree_bounds
+    table = _pair_table(space)
     for j in range(2, min(top or k_max, k_max // lo) + 1):
-        rungs.append(np.zeros(space.size))
-        for m in range(j * lo, min(k_max, j * hi) + 1):
-            s = starts[m, max(lo, m - (j - 1) * hi)]
-            e = starts[m, min(hi, m - (j - 1) * lo) + 1]
-            prods = u[i_idx[s:e]] * rungs[-2][j_idx[s:e]]
-            sums = np.bincount(out_idx[s:e], weights=prods, minlength=bounds[m + 1])
-            rungs[-1][bounds[m] : bounds[m + 1]] = sums[bounds[m] :]
+        below = range((j - 1) * lo, (j - 1) * hi + 1)
+        rungs.append(_convolve(u, rungs[-1], table, range(lo, hi + 1), below, k_max))
     return [ChaosVector(space, r) for r in rungs]
 
 
@@ -272,9 +325,10 @@ def center_density(f: ChaosVector) -> ChaosVector:
     Requires unit mass (degree-0 coefficient one). The result has zero
     degree-1 coefficients and its degree-2 kernel equals the excess kernel
     G = f2 - f1 f1^T / 2 of the input. A mean-free input is returned as it
-    is: the shift is then the unit, and f <> 1 = f exactly.
+    is: the shift is then the unit, and f <> 1 = f exactly. A NaN or infinite
+    degree-0 coefficient is refused like any other mass off one.
     """
-    if abs(f.coeffs[0] - 1.0) > 1e-12:
+    if not abs(f.coeffs[0] - 1.0) <= 1e-12:
         raise NotNormalizedError(
             f"not a normalized density: degree-0 coefficient is {float(f.coeffs[0]):.17g}"
         )

@@ -260,6 +260,7 @@ class TestManifestNotes:
             "head": 1, "tail": 17, "full": 17, "contracted": 1, "chunk": 2048
         }
         assert notes["distance_points"] == points == 32 + 64
+        assert notes["pairs"] == math.comb(2 + 16, 16)
 
     def test_llt_mc_d3(self, monkeypatch, tmp_path):
         data = base_llt_config(
@@ -272,6 +273,7 @@ class TestManifestNotes:
             "head": 7, "tail": 28, "full": 84, "contracted": 7, "chunk": 2048
         }
         assert notes["distance_points"] == points == 3000
+        assert notes["pairs"] == math.comb(6 + 6, 6)
 
     def test_sde_sweep(self, monkeypatch, tmp_path):
         data = {
@@ -293,6 +295,7 @@ class TestManifestNotes:
         }
         assert notes["distance_points"] == points == 2000
         assert notes["power_ladder"]["rungs"] == 2
+        assert notes["pairs"] == math.comb(8 + 4, 4)
 
 
 class TestValidateCommand:

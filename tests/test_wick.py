@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wickllt.wick import (
     NotNormalizedError,
     TruncationPolicy,
     center_density,
+    excess_powers,
     gamma,
     ou_apply,
     s_transform,
@@ -85,6 +87,118 @@ def _product_series(base, cap):
         term = wick_product(term, base, TruncationPolicy(cap)) * (1.0 / k)
         series = series + term
     return series
+
+
+def _flat_pair_list(space):
+    # the explicit (i, j, out) pair list: out degree m, then left degree a,
+    # then left index, then right index; starts[m] is the first pair of
+    # degree m and starts[m, a] that of block (m, a)
+    k_max, bounds = space.max_degree, space.degree_bounds
+    chunks, starts, total = [], np.zeros((k_max + 2, k_max + 2), dtype=np.int64), 0
+    for m in range(k_max + 1):
+        for a in range(m + 1):
+            starts[m, a] = total
+            ia = np.arange(bounds[a], bounds[a + 1])
+            ib = np.arange(bounds[m - a], bounds[m - a + 1])
+            i, j = np.repeat(ia, ib.size), np.tile(ib, ia.size)
+            chunks.append((i, j, space.positions(space.indices[i] + space.indices[j])))
+            total += i.size
+        starts[m, m + 1] = total
+    starts[k_max + 1, 0] = total
+    i, j, out = (np.concatenate(c) for c in zip(*chunks))
+    return i, j, out, starts
+
+
+def _gathered_product(f, g, cap):
+    # gather both factors per pair, one bincount over the pairs of degree <= cap
+    i, j, out, starts = _flat_pair_list(f.space)
+    stop = starts[cap + 1, 0]
+    return np.bincount(
+        out[:stop], weights=f.coeffs[i[:stop]] * g.coeffs[j[:stop]], minlength=f.space.size
+    )
+
+
+def _gathered_excess_powers(f):
+    # rung j by one bincount per out degree m over the blocks (m, a) with a
+    # in [max(lo, m - (j-1) hi), min(hi, m - (j-1) lo)]
+    space, k_max, bounds = f.space, f.space.max_degree, f.space.degree_bounds
+    i, j_idx, out, starts = _flat_pair_list(space)
+    rungs = [constant_vector(space).coeffs, f.coeffs.copy()]
+    rungs[1][0] = 0.0
+    support = space.degrees[rungs[1] != 0]
+    u, lo, hi = rungs[1], int(support.min()), int(support.max())
+    for j in range(2, k_max // lo + 1):
+        rungs.append(np.zeros(space.size))
+        for m in range(j * lo, min(k_max, j * hi) + 1):
+            s = starts[m, max(lo, m - (j - 1) * hi)]
+            e = starts[m, min(hi, m - (j - 1) * lo) + 1]
+            prods = u[i[s:e]] * rungs[-2][j_idx[s:e]]
+            sums = np.bincount(out[s:e], weights=prods, minlength=bounds[m + 1])
+            rungs[-1][bounds[m] : bounds[m + 1]] = sums[bounds[m] :]
+    return rungs
+
+
+EQUIVALENCE_SPACES = [(1, 16), (2, 8), (3, 6), (4, 8), (8, 4)]
+
+
+class TestPairTable:
+    """The table of output positions gives the same bits as the explicit
+    gather-and-bincount pair list, and holds one int64 per pair."""
+
+    @pytest.mark.parametrize("d, k", EQUIVALENCE_SPACES)
+    def test_product_bit_identical_to_pair_list(self, d, k):
+        space = GaussianSpace(d, k)
+        rng = np.random.default_rng(d * 100 + k)
+        f = ChaosVector(space, rng.standard_normal(space.size))
+        g = ChaosVector(space, rng.standard_normal(space.size))
+        caps = [k] + ([k // 2, k - 1] if d >= 2 else [])
+        for cap in caps:
+            policy = None if cap == k else TruncationPolicy(cap)
+            assert np.array_equal(wick_product(f, g, policy).coeffs, _gathered_product(f, g, cap))
+
+    @pytest.mark.parametrize("d, k", EQUIVALENCE_SPACES)
+    @pytest.mark.parametrize("shape", ["from_degree_1", "from_degree_2", "degree_2_only"])
+    def test_excess_powers_bit_identical_to_pair_list(self, d, k, shape):
+        space = GaussianSpace(d, k)
+        rng = np.random.default_rng(d * 100 + k)
+        c = rng.standard_normal(space.size) / space.factorials
+        if shape != "from_degree_1":
+            c[space.degrees == 1] = 0.0
+        if shape == "degree_2_only":
+            c[space.degrees > 2] = 0.0
+        f = ChaosVector(space, c)
+        rungs = excess_powers(f)
+        expected = _gathered_excess_powers(f)
+        assert len(rungs) == len(expected)
+        for rung, want in zip(rungs, expected):
+            assert np.array_equal(rung.coeffs, want)
+
+    @pytest.mark.parametrize("d, k", [(1, 16), (2, 6), (3, 5), (5, 10), (8, 4)])
+    def test_holds_one_position_per_pair(self, d, k):
+        space = GaussianSpace(d, k)
+        table = wick._pair_table(space)
+        assert table is space.cached("pair_table", None)
+        assert table.out.dtype == np.int64
+        assert table.out.nbytes == 8 * math.comb(2 * d + k, k)
+
+    @pytest.mark.parametrize("d, k", [(2, 6), (3, 5)])
+    def test_entries_are_positions_of_sums(self, d, k):
+        space = GaussianSpace(d, k)
+        table, bounds = wick._pair_table(space), space.degree_bounds
+        for a in range(k + 1):
+            left = space.indices[bounds[a] : bounds[a + 1], None, :]
+            right = space.indices[None, : bounds[k - a + 1], :]
+            assert np.array_equal(table.groups[a], space.positions(left + right))
+
+    def test_build_peak_stays_near_the_table(self):
+        space = GaussianSpace(5, 10)
+        tracemalloc.start()
+        try:
+            table = wick._pair_table(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.out.nbytes
 
 
 class TestWickProduct:
@@ -521,4 +635,13 @@ class TestCenterDensity:
         c = np.zeros(line16.size)
         c[0] = 0.9
         with pytest.raises(NotNormalizedError, match="not a normalized density"):
+            center_density(ChaosVector(line16, c))
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mass(self, line16, mass):
+        # a NaN mass compares false against any tolerance and must still fail
+        c = np.zeros(line16.size)
+        c[0] = mass
+        c[1] = 0.1
+        with pytest.raises(NotNormalizedError, match=f"coefficient is {mass}"):
             center_density(ChaosVector(line16, c))
