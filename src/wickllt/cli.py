@@ -73,12 +73,14 @@ class _Manifest:
         finally:
             self.stage_seconds[name] = time.perf_counter() - start
 
-    def artifact(self, name: str, to_text: Callable[..., str], *args) -> None:
-        """Write to_text(*args) to the file name in the output directory and
-        record the digest of its bytes; the time taken, formatting included,
-        adds to the write stage."""
+    def artifact(self, name: str, to_data: Callable[..., str | bytes], *args) -> None:
+        """Write to_data(*args), text (as UTF-8) or bytes, to the file name in
+        the output directory and record the digest of its bytes; the time
+        taken, formatting included, adds to the write stage."""
         start = time.perf_counter()
-        data = to_text(*args).encode("utf-8")
+        data = to_data(*args)
+        if isinstance(data, str):
+            data = data.encode("utf-8")
         (self.out / name).write_bytes(data)
         self.artifacts[name] = hashlib.sha256(data).hexdigest()
         elapsed = time.perf_counter() - start
@@ -255,13 +257,17 @@ def cmd_sde(args) -> int:
             "novikov_standard_error": draw.novikov.standard_error,
             "drift_energy_estimate": draw.energy.estimate,
             "drift_energy_standard_error": draw.energy.standard_error,
+            # repeats the audit's drift_energy verdict; perfbench/checks.py reads it
             "drift_energy_passed": report.verdicts["drift_energy"].passed,
-            "exponential_integrability": draw.measure.exponential_integrability(),
             "audit": report.to_json_dict(),
         }
         manifest.artifact("sde_report.json", dumps_canonical, payload)
         manifest.artifact("density.json", chaos_to_json, density)
-        manifest.artifact("shifts.json", dumps_canonical, draw.measure.to_json_dict())
+        nu = draw.measure
+        manifest.artifact("shifts.f64", nu.to_f64_bytes)
+        header = {"dtype": "<f8", "file": "shifts.f64", "shape": [nu.count, 1 + nu.dimension]}
+        header["sha256"] = manifest.artifacts["shifts.f64"]
+        manifest.artifact("shifts.json", dumps_canonical, header)
         require_passed(report.verdicts)
         if config.n_values:
             _sweep(manifest, config, density, report)

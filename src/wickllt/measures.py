@@ -86,6 +86,10 @@ class WeightedShifts:
             "shifts": self.shifts,
         }
 
+    def to_f64_bytes(self) -> bytes:
+        """Raw little-endian float64, one row (weight, shift) per atom, row-major."""
+        return np.column_stack([self.weights, self.shifts]).astype("<f8").tobytes()
+
     @staticmethod
     def from_json_dict(data: dict) -> "WeightedShifts":
         return WeightedShifts(

@@ -8,7 +8,6 @@ dict keys are sorted, line endings are '\\n'.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from typing import Iterable
@@ -106,10 +105,3 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()

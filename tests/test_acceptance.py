@@ -38,8 +38,9 @@ from wickllt.sde import (
     drift_from_config,
     simulate_drift_shifts,
 )
-from wickllt.serialize import sha256_file
 from wickllt.wick import gamma, s_transform, stochastic_exponential, wick_product
+
+from helpers import sha256_file
 
 MASTER_SEED = 20250811
 
@@ -408,6 +409,7 @@ def test_criterion_11_determinism(tmp_path):
                 sha256_file(out / "sde_report.json"),
                 sha256_file(out / "density.json"),
                 sha256_file(out / "shifts.json"),
+                sha256_file(out / "shifts.f64"),
             )
         )
     sde_ok = sde_digests[0] == sde_digests[1]

@@ -224,6 +224,24 @@ class TestHermite:
             prev, cur = cur, x * cur - n * prev
 
 
+class TestPowerTable:
+    @pytest.mark.parametrize("shape", [(300,), (4, 300)])
+    def test_is_the_repeated_product(self, shape):
+        # row k is bit for bit the loop p_k = x * p_{k-1} from p_0 = 1, and
+        # within k rounding steps of np.power
+        x = 1.7 * np.random.default_rng(len(shape)).standard_normal(shape)
+        table = power_table(12, x)
+        assert table.shape == (13,) + shape
+        p = np.ones(shape)
+        for k, row in enumerate(table):
+            assert np.array_equal(row, p)
+            assert np.all(np.abs(row - np.power(x, k)) <= k * 2.0**-52 * np.abs(x) ** k)
+            p = x * p
+
+    def test_scalar(self):
+        assert power_table(3, -0.5).tolist() == [1.0, -0.5, 0.25, -0.125]
+
+
 class TestInnerProduct:
     def test_basis_self_inner_is_factorial(self, line16):
         f = basis_vector(line16, (2,))
@@ -355,7 +373,7 @@ class TestTableFill:
         pts = 1.5 * rng.standard_normal((split.chunk + 3, dimension))
         s = dimension // 2
         starts = []
-        for start, head, tail in basis._split_tables(split, one_d, pts, split.chunk):
+        for start, head, tail in basis._split_tables(split, one_d, pts):
             block = pts[start : start + tail.shape[1]]
             starts.append(start)
             assert np.array_equal(tail, reference_fill(split.tail, one_d, block[:, s:]))
@@ -502,9 +520,11 @@ class TestStackedEvaluation:
             2 * (3000 - (chunks - 1) * chunk)
         ]
         fills.clear()
-        # the monomial sums of a shift mixture keep chunks of 2048 atoms
+        # the monomial sums of a shift mixture take chunks of the same size
         shift_mixture(WeightedShifts(np.full(3000, 1 / 3000), 0.1 * pts), space)
-        assert fills == [(limit, 2 * 2048), (limit, 2 * (3000 - 2048))]
+        assert fills == [(limit, 2 * chunk)] * (chunks - 1) + [
+            (limit, 2 * (3000 - (chunks - 1) * chunk))
+        ]
 
     def test_d8_contracts_over_the_longer_side_within_the_budget(self):
         space = GaussianSpace(8, 8)

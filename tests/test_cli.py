@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from wickllt.audit import audit_density
 from wickllt.cli import main
 from wickllt.config import load_config, resolve_density
 from wickllt.identities import IDENTITY_NAMES
-from wickllt.serialize import sha256_file
+from wickllt.sde import PathGrid, drift_from_config, simulate_drift_shifts
+
+from helpers import sha256_file
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -390,9 +393,26 @@ class TestSdeCommand:
         # and each digest is that of the file on disk
         assert manifest["stage_wall_seconds"]["write"] > 0
         digests = manifest["artifact_sha256"]
-        assert sorted(digests) == ["density.json", "sde_report.json", "shifts.json"]
+        assert sorted(digests) == ["density.json", "sde_report.json", "shifts.f64", "shifts.json"]
         for name, digest in digests.items():
             assert digest == sha256_file(out / name)
+
+    def test_shifts_are_raw_float64_rows(self, tmp_path):
+        # shifts.f64 holds the draw's atoms bit for bit, one (weight, shift)
+        # row per path, and shifts.json is its header
+        data = base_sde_config(drift={"kind": "scaled_sin", "scale": 0.5}, steps=3, paths=50)
+        cfg = write_config(tmp_path, "s.json", data)
+        out = tmp_path / "out"
+        assert main(["sde", "--config", str(cfg), "--out", str(out)]) == 0
+        header = json.loads((out / "shifts.json").read_text())
+        digest = sha256_file(out / "shifts.f64")
+        assert header == {"dtype": "<f8", "file": "shifts.f64", "sha256": digest, "shape": [50, 4]}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifact_sha256"]["shifts.f64"] == digest
+        drift = drift_from_config(load_config(cfg).sde.drift)
+        nu = simulate_drift_shifts(drift, PathGrid(3), 50, seed=data["seed"]).measure
+        atoms = np.frombuffer((out / "shifts.f64").read_bytes(), "<f8").reshape(header["shape"])
+        assert atoms.tobytes() == np.column_stack([nu.weights, nu.shifts]).tobytes()
 
     def test_constant_half_drift_values(self, tmp_path):
         cfg = write_config(
@@ -534,7 +554,7 @@ NEGATIVE_TAIL = base_llt_config(
 )
 
 
-SDE_WRITES = ["density.json", "sde_report.json", "shifts.json"]
+SDE_WRITES = ["density.json", "sde_report.json", "shifts.f64", "shifts.json"]
 
 
 @pytest.mark.parametrize(

@@ -96,17 +96,42 @@ class TestShiftMixture:
         assert report.all_passed
 
     def test_chunking_consistent(self, monkeypatch):
-        space = GaussianSpace(2, 6)
+        # a space's split reads MAX_CHUNK once, when it is built
         rng = np.random.default_rng(18)
         shifts = 0.3 * rng.standard_normal((40, 2))
         w = np.full(40, 1.0 / 40)
         nu = WeightedShifts(w, shifts)
-        monkeypatch.setattr(basis, "MAX_CHUNK", 7)
-        a = shift_mixture(nu, space)
-        monkeypatch.setattr(basis, "MAX_CHUNK", 512)
-        b = shift_mixture(nu, space)
+        mixtures = []
+        for chunk in (7, 512):
+            monkeypatch.setattr(basis, "MAX_CHUNK", chunk)
+            space = GaussianSpace(2, 6)
+            assert space.split().chunk == chunk
+            mixtures.append(shift_mixture(nu, space))
+        a, b = mixtures
         assert np.allclose(a.coeffs, b.coeffs, atol=1e-15)
 
+    def test_matches_np_power_at_d8(self):
+        # 10^4 atoms at (8, 8), the space of sde_sin_d8: powers by repeated
+        # multiplication, summed in chunks of split.chunk atoms, against every
+        # power by np.power and each monomial as the product of its head and
+        # tail part, summed in chunks of 1,000 atoms
+        space = GaussianSpace(8, 8)
+        half = space.split().head
+        rng = np.random.default_rng(26)
+        w = rng.random(10_000)
+        nu = WeightedShifts(w / w.sum(), 0.3 * rng.standard_normal((10_000, 8)))
+        sums = np.zeros((half.size, half.size))
+        for start in range(0, nu.count, 1000):
+            x = nu.shifts[start : start + 1000].T
+            head, tail = (
+                np.prod(np.power(part[None], half.indices[:, :, None]), axis=1)
+                for part in (x[:4], x[4:])
+            )
+            sums += (head * nu.weights[start : start + 1000]) @ tail.T
+        ref = sums[half.positions(space.indices[:, :4]), half.positions(space.indices[:, 4:])]
+        ref = ref / ref[0] / space.factorials
+        got = shift_mixture(nu, space).coeffs
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref).max())
 
     def test_matches_parent_recursion(self):
         # Reference: the full-space loop the head/tail split replaced, h^alpha
