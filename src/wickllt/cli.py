@@ -35,7 +35,7 @@ from .measures import DensityValidationError, WeightedShifts, shift_mixture
 from .sde import PathGrid, SdeNumericError, drift_from_config, simulate_drift_shifts
 from .serialize import chaos_to_json, csv_text, dumps_canonical
 from .streams import STREAM_DISTANCE, STREAM_PATHS, child_seed
-from .wick import NotNormalizedError, pair_count
+from .wick import NotNormalizedError, pair_footprint
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -154,7 +154,7 @@ def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> Ra
     manifest.artifact("rate.csv", csv_text, ["n", "l1", "bound", "err"], rows)
     manifest.notes["row_seconds"] = [[r.n, r.seconds] for r in table.rows]
     manifest.notes["power_ladder"] = table.power_ladder
-    manifest.notes["pairs"] = pair_count(space)
+    manifest.notes["pairs"], manifest.notes["pair_bytes"] = pair_footprint(space)
     summary = {
         "constant": table.constant,
         "n0": table.n0,

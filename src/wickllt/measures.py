@@ -80,12 +80,6 @@ class WeightedShifts:
         second = float(np.dot(self.weights, np.sum(self.shifts**2, axis=1)))
         return second - float(mean @ mean)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": self.weights,
-            "shifts": self.shifts,
-        }
-
     def to_f64_bytes(self) -> bytes:
         """Raw little-endian float64, one row (weight, shift) per atom, row-major."""
         return np.column_stack([self.weights, self.shifts]).astype("<f8").tobytes()

@@ -17,11 +17,12 @@ every degree up to the cap, with nothing computed above it.
 
 Every convolution reads one cached table of the space: the output position
 of each ordered pair (alpha, beta) with |alpha| + |beta| <= K, C(2d + K, K)
-int64s in all. Its rows are the left indices of one degree a and its
-columns the right indices of degree <= K - a, so the products of a block
-are the outer product of two contiguous coefficient slices and no index is
-gathered. Each block is added into the output as it is formed, so a
-product never holds an array as long as the table.
+entries in all, each in the narrowest unsigned type that holds size - 1
+(uint16 up to 65,536 basis functions). Its rows are the left indices of one
+degree a and its columns the right indices of degree <= K - a, so the
+products of a block are the outer product of two contiguous coefficient
+slices and no index is gathered. Each block is added into the output as it
+is formed, so a product never holds an array as long as the table.
 
 Wick powers and the Wick exponential come from one ladder: with f = f_0 + u,
 u starting at degree lo, the rungs u, u^{<>2}, ..., u^{<>K//lo} are all a
@@ -87,14 +88,17 @@ class PairTable(NamedTuple):
 
 
 def _pair_table(space: GaussianSpace) -> PairTable:
-    """The space's cached PairTable, one int64 position per pair.
+    """The space's cached PairTable, one position per pair in the narrowest
+    unsigned type that holds size - 1 (uint16 up to 65,536 rows).
 
     Row alpha of group a comes from the row of its parent alpha - e_k in
     group a - 1, k the last nonzero coordinate of alpha: the position of
     alpha + beta is that of (alpha - e_k + beta) + e_k, one lookup per entry
-    in a table of unit steps. Rows are filled in chunks of about 2^14
-    entries, so the temporaries stay in cache and the build holds little
-    beyond the table itself.
+    in a table of unit steps. The step table and the parents are built
+    before the table, and rows are filled in chunks of about 2^14 entries,
+    so the build holds little beyond the table itself. A chunk's lookups run
+    to d * bounds[K], which may not fit the position type, so they are
+    formed in the narrowest type that holds that.
     """
 
     def build(sp: GaussianSpace) -> PairTable:
@@ -102,20 +106,18 @@ def _pair_table(space: GaussianSpace) -> PairTable:
         rows = [bounds[a + 1] - bounds[a] for a in range(k_max + 1)]
         widths = bounds[k_max + 1 : 0 : -1]
         starts = list(accumulate((r * w for r, w in zip(rows, widths)), initial=0))
-        out = np.empty(starts[-1], dtype=np.int64)
+        position, lookup = np.min_scalar_type(sp.size - 1), np.min_scalar_type(d * bounds[k_max])
+        # step[k * bounds[K] + p] is the position of indices[p] + e_k, |indices[p]| < K
+        low, unit = sp.indices[: bounds[k_max]], np.eye(d, dtype=sp.indices.dtype)
+        step = np.concatenate([sp.positions(low + unit[k]) for k in range(d)]).astype(position)
+        upper = sp.indices[1:]
+        last = d - 1 - np.argmax(upper[:, ::-1] > 0, axis=1)
+        parent, offset = sp.positions(upper - unit[last]), (last * bounds[k_max]).astype(lookup)
+        out = np.empty(starts[-1], dtype=position)
         groups = tuple(
             out[s:e].reshape(r, w) for s, e, r, w in zip(starts, starts[1:], rows, widths)
         )
-        table = PairTable(out, groups, tuple(bounds))
         out[: sp.size] = np.arange(sp.size)
-        if k_max == 0:
-            return table
-        # step[k * bounds[K] + p] is the position of indices[p] + e_k, |indices[p]| < K
-        low, unit = sp.indices[: bounds[k_max]], np.eye(d, dtype=sp.indices.dtype)
-        step = np.concatenate([sp.positions(low + unit[k]) for k in range(d)])
-        upper = sp.indices[1:]
-        last = d - 1 - np.argmax(upper[:, ::-1] > 0, axis=1)
-        parent, offset = sp.positions(upper - unit[last]), last * bounds[k_max]
         for a in range(1, k_max + 1):
             prev, cur = groups[a - 1], groups[a]
             mine = slice(bounds[a] - 1, bounds[a + 1] - 1)
@@ -124,14 +126,16 @@ def _pair_table(space: GaussianSpace) -> PairTable:
             for r in range(0, rows[a], chunk):
                 sl = slice(r, r + chunk)
                 np.take(step, prev[par[sl], : widths[a]] + off[sl, None], out=cur[sl])
-        return table
+        return PairTable(out, groups, tuple(bounds))
 
     return space.cached("pair_table", build)
 
 
-def pair_count(space: GaussianSpace) -> int:
-    """Ordered index pairs in the space's cached pair table, C(2d + K, K)."""
-    return _pair_table(space).out.size
+def pair_footprint(space: GaussianSpace) -> tuple[int, int]:
+    """Ordered index pairs in the space's cached pair table, C(2d + K, K),
+    and the bytes their positions take."""
+    out = _pair_table(space).out
+    return out.size, out.nbytes
 
 
 def _convolve(
@@ -143,21 +147,28 @@ def _convolve(
     Left degree a contributes one block: the outer product of left's
     degree-a slice with right's slice of degrees b_range.start to
     min(b_range.stop - 1, top - a), added into the output by np.add.at at
-    the block's positions, a view of the table when the block spans whole
-    rows of its group. Only one block's products and positions are held at a
-    time. np.add.at adds in index order, and the blocks go in ascending a,
-    each row by row, so every output bin receives its terms in one fixed
-    order: left degree, then left index, then right index. A bincount over a
-    flat pair list sorted by output degree, left degree, left index and right
-    index sums in the same order, and gives the same bits.
+    the block's positions, its columns of the table. Each block writes its
+    products and positions into one pair of buffers, allocated per call at
+    the size of the call's largest block. np.add.at adds in index order, and
+    the blocks go in ascending a, each row by row, so every output bin
+    receives its terms in one fixed order: left degree, then left index,
+    then right index. A bincount over a flat pair list sorted by output
+    degree, left degree, left index and right index sums in the same order,
+    and gives the same bits.
     """
-    bounds, acc = table.bounds, np.zeros(left.size)
+    bounds, blocks = table.bounds, []
     for a in a_range:
         c0, c1 = bounds[b_range.start], bounds[min(b_range.stop, top - a + 1)]
         if c1 <= c0:  # every larger a leaves fewer right degrees
             break
-        prods = left[bounds[a] : bounds[a + 1], None] * right[None, c0:c1]
-        np.add.at(acc, table.groups[a][:, c0:c1].ravel(), prods.ravel())
+        blocks.append((a, c0, c1, (bounds[a + 1] - bounds[a]) * (c1 - c0)))
+    most = max((n for *_, n in blocks), default=0)
+    acc, prods, where = np.zeros(left.size), np.empty(most), np.empty(most, table.out.dtype)
+    for a, c0, c1, n in blocks:
+        block = prods[:n].reshape(-1, c1 - c0)
+        np.multiply(left[bounds[a] : bounds[a + 1], None], right[None, c0:c1], out=block)
+        where[:n].reshape(-1, c1 - c0)[...] = table.groups[a][:, c0:c1]
+        np.add.at(acc, where[:n], prods[:n])
     return acc
 
 

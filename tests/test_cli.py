@@ -264,6 +264,7 @@ class TestManifestNotes:
         }
         assert notes["distance_points"] == points == 32 + 64
         assert notes["pairs"] == math.comb(2 + 16, 16)
+        assert notes["pair_bytes"] == math.comb(2 + 16, 16)  # 17 rows: uint8 positions
 
     def test_llt_mc_d3(self, monkeypatch, tmp_path):
         data = base_llt_config(
@@ -277,6 +278,7 @@ class TestManifestNotes:
         }
         assert notes["distance_points"] == points == 3000
         assert notes["pairs"] == math.comb(6 + 6, 6)
+        assert notes["pair_bytes"] == math.comb(6 + 6, 6)  # 84 rows: uint8 positions
 
     def test_sde_sweep(self, monkeypatch, tmp_path):
         data = {
@@ -299,6 +301,7 @@ class TestManifestNotes:
         assert notes["distance_points"] == points == 2000
         assert notes["power_ladder"]["rungs"] == 2
         assert notes["pairs"] == math.comb(8 + 4, 4)
+        assert notes["pair_bytes"] == math.comb(8 + 4, 4)  # 70 rows: uint8 positions
 
 
 class TestValidateCommand:

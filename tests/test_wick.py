@@ -143,7 +143,8 @@ EQUIVALENCE_SPACES = [(1, 16), (2, 8), (3, 6), (4, 8), (8, 4)]
 
 class TestPairTable:
     """The table of output positions gives the same bits as the explicit
-    gather-and-bincount pair list, and holds one int64 per pair."""
+    gather-and-bincount pair list, and holds one position per pair in the
+    narrowest unsigned type that holds size - 1."""
 
     @pytest.mark.parametrize("d, k", EQUIVALENCE_SPACES)
     def test_product_bit_identical_to_pair_list(self, d, k):
@@ -156,7 +157,8 @@ class TestPairTable:
             policy = None if cap == k else TruncationPolicy(cap)
             assert np.array_equal(wick_product(f, g, policy).coeffs, _gathered_product(f, g, cap))
 
-    @pytest.mark.parametrize("d, k", EQUIVALENCE_SPACES)
+    # (16, 5): a uint16 table whose build looks up step entries past 65,535
+    @pytest.mark.parametrize("d, k", EQUIVALENCE_SPACES + [(16, 5)])
     @pytest.mark.parametrize("shape", ["from_degree_1", "from_degree_2", "degree_2_only"])
     def test_excess_powers_bit_identical_to_pair_list(self, d, k, shape):
         space = GaussianSpace(d, k)
@@ -173,13 +175,26 @@ class TestPairTable:
         for rung, want in zip(rungs, expected):
             assert np.array_equal(rung.coeffs, want)
 
-    @pytest.mark.parametrize("d, k", [(1, 16), (2, 6), (3, 5), (5, 10), (8, 4)])
+    @pytest.mark.parametrize("d, k", [(1, 16), (2, 6), (3, 5), (5, 10), (8, 4), (16, 5), (16, 6)])
     def test_holds_one_position_per_pair(self, d, k):
         space = GaussianSpace(d, k)
         table = wick._pair_table(space)
         assert table is space.cached("pair_table", None)
-        assert table.out.dtype == np.int64
-        assert table.out.nbytes == 8 * math.comb(2 * d + k, k)
+        assert table.out.dtype == np.min_scalar_type(space.size - 1)
+        assert table.out.nbytes == table.out.itemsize * math.comb(2 * d + k, k)
+
+    @pytest.mark.parametrize("d, k, dtype", [(16, 5, np.uint16), (16, 6, np.uint32)])
+    def test_sampled_rows_of_wide_spaces_are_positions_of_sums(self, d, k, dtype):
+        # (16, 5): uint16 positions, but its step lookups run to
+        # d * bounds[K] = 77,520; (16, 6): 74,613 rows, so uint32 positions
+        space = GaussianSpace(d, k)
+        table, bounds = wick._pair_table(space), space.degree_bounds
+        assert table.out.dtype == dtype
+        rng = np.random.default_rng(d * 100 + k)
+        for a in range(k + 1):
+            rows = rng.integers(bounds[a + 1] - bounds[a], size=4)
+            want = space.positions_of_sums(bounds[a] + rows, np.arange(bounds[k - a + 1]))
+            assert np.array_equal(table.groups[a][rows], want)
 
     @pytest.mark.parametrize("d, k", [(2, 6), (3, 5)])
     def test_entries_are_positions_of_sums(self, d, k):
