@@ -229,12 +229,16 @@ class GaussianSpace:
         return self.cached("split", _build_split)
 
     def cached(self, key: str, builder: Callable[["GaussianSpace"], object]) -> object:
-        """Memoize a derived structure, built at most once; a builder may itself
-        call cached for another key."""
+        """Memoize a derived structure, built at most once until released; a
+        builder may itself call cached for another key."""
         cache = self._cache
         if key not in cache:
             cache[key] = builder(self)
         return cache[key]
+
+    def release(self, key: str) -> None:
+        """Drop what cached holds under key, if any; the next call builds it."""
+        self._cache.pop(key, None)
 
     def is_compatible(self, other: "GaussianSpace") -> bool:
         return (
@@ -534,32 +538,34 @@ def _build_split(space: GaussianSpace) -> SumSplit:
 
 
 def _split_tables(
-    split: SumSplit, one_d: OneD, points: np.ndarray
+    split: SumSplit, one_d: OneD, points
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (start, head, tail) for each chunk of split.chunk points: the
-    head and the tail table, shapes (head_rows, m) and (tail size, m); the
-    head table of d = 1 is a row of ones.
+    """Yield (start, head, tail) for each chunk of points, an array cut into
+    chunks of split.chunk rows or an iterable of such chunks, all but the
+    last full: the head and the tail table, shapes (head_rows, m) and (tail
+    size, m); the head table of d = 1 is a row of ones.
 
-    The tables are views of buffers refilled per chunk (see _filler), valid
-    (and free to overwrite) until the next yield, so a call binds views for
-    at most two chunk lengths: the full chunk and the last, shorter one. A
-    head and a tail that share a space (every even d) are one table of 2m
-    columns, the head coordinates of the chunk followed by its tail
-    coordinates, which halves the multiplies. The tables hold (head_rows +
-    tail size) x chunk values; with eval_stacked's partial table of
-    split.contracted rows, the three stay within TABLE_BYTES.
+    The tables are views of buffers sized at the first chunk and refilled
+    per chunk (see _filler), valid (and free to overwrite) until the next
+    yield, so a call binds views for at most two chunk lengths: the full
+    chunk and the last, shorter one. A head and a tail that share a space
+    (every even d) are one table of 2m columns, the head coordinates of the
+    chunk followed by its tail coordinates, which halves the multiplies. The
+    tables hold (head_rows + tail size) x chunk values; with eval_stacked's
+    partial table of split.contracted rows, the three stay within TABLE_BYTES.
     """
-    s, chunk = points.shape[1] // 2, split.chunk
-    m = min(chunk, len(points))
-    shared = split.head is split.tail
-    tail_fill = _filler(split.tail, one_d, 2 * m if shared else m)
-    if split.head is None:
-        ones = np.empty(m)
-    elif not shared:
-        head_fill = _filler(split.head, one_d, m)
-    for start in range(0, len(points), chunk):
-        block = points[start : start + chunk]
+    if isinstance(points, np.ndarray):
+        points = [points[i : i + split.chunk] for i in range(0, len(points), split.chunk)]
+    start, shared = 0, split.head is split.tail
+    for block in points:
         k = len(block)
+        if start == 0:  # buffers for the first chunk, the longest
+            s = block.shape[1] // 2
+            tail_fill = _filler(split.tail, one_d, 2 * k if shared else k)
+            if split.head is None:
+                ones = np.empty(k)
+            elif not shared:
+                head_fill = _filler(split.head, one_d, k)
         if shared:
             table = tail_fill(np.ascontiguousarray(block.reshape(k, 2, s).T).reshape(s, 2 * k))
             head, tail = table[:, :k], table[:, k:]
@@ -572,13 +578,16 @@ def _split_tables(
                 head = head_fill(x[:s])
             tail = tail_fill(x[s:])
         yield start, head, tail
+        start += k
 
 
-def eval_stacked(fs, points: np.ndarray) -> np.ndarray:
+def eval_stacked(fs, points, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate sum_alpha c_alpha H_alpha for several vectors of one space.
 
-    Returns shape (len(fs), len(points)). The full basis table is never
-    formed (sum factorization, Orszag 1980): per chunk of split.chunk points
+    Returns shape (len(fs), n) for n points: an (n, d) array, or an iterator
+    of chunks as _split_tables takes them, drawn only as they are evaluated,
+    which needs out, the (len(fs), n) array to fill. The full basis table is
+    never formed (sum factorization, Orszag 1980): per chunk of points
     one head and one tail table are filled for all vectors together (see
     SumSplit), and each vector is contracted on its own. For its coefficient
     block C_k, a block with no more heads than tails gives R = C_k @
@@ -586,27 +595,26 @@ def eval_stacked(fs, points: np.ndarray) -> np.ndarray:
     times T_tail[:tails]; values = the sum over the partial table of these
     rows. Row i therefore does not depend on the other vectors. Memory is
     bounded by the head, tail and partial tables, (head_rows + tail size +
-    contracted) x chunk values, about TABLE_BYTES.
+    contracted) x chunk values, about TABLE_BYTES, besides out.
     """
     if not fs:
         raise ValueError("need at least one vector to evaluate")
     for g in fs[1:]:
         _require_same_space(fs[0], g)
     space = fs[0].space
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != space.dimension:
-        raise ValueError(
-            f"points have dimension {pts.shape[1]}, expected {space.dimension}"
-        )
+    if not isinstance(points, Iterator):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != space.dimension:
+            raise ValueError(f"points have dimension {points.shape[1]}, expected {space.dimension}")
+    out = np.empty((len(fs), len(points))) if out is None else out
     split = space.split()
     n, heads = len(split.over_tail), split.over_tail[-1][1]
     coeff_blocks = []
     for g in fs:
         cs = split.views(g.coeffs[split.order])
         coeff_blocks.append((cs[:n], [c.T for c in cs[n:]]))
-    out = np.empty((len(fs), pts.shape[0]))
-    buffer = np.empty(split.contracted * min(split.chunk, len(pts)))
-    for start, head, tail in _split_tables(split, hermite_table, pts):
+    buffer = np.empty(split.contracted * min(split.chunk, out.shape[1]))
+    for start, head, tail in _split_tables(split, hermite_table, points):
         m = head.shape[1]
         partial = buffer[: split.contracted * m].reshape(-1, m)
         for values, (over_tail, over_head) in zip(out, coeff_blocks):

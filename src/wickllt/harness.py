@@ -102,7 +102,8 @@ def l1_distances(
     |f - g| over Gaussian samples with its standard error. Every f is
     measured on the same points (the same grids, or one sample drawn from
     the seed's distance stream), and the basis is evaluated there once for
-    all of them; each result equals l1_distance(f, g, spec, seed).
+    all of them; each result equals l1_distance(f, g, spec, seed). The
+    samples are drawn per evaluation chunk, which equals one draw of all.
     """
     spec = spec or DistanceConfig()
     diffs = [f - g for f in fs]
@@ -116,11 +117,12 @@ def l1_distances(
         pts2, wts2 = tensor_rule(d, 2 * nodes)
         fine = [float(np.dot(wts2, row)) for row in np.abs(eval_stacked(diffs, pts2))]
         return [DistanceResult(b, abs(b - a)) for a, b in zip(coarse, fine)]
-    rng = substream(seed, STREAM_DISTANCE)
-    pts = rng.standard_normal((spec.samples, d))
+    rng, chunk, total = substream(seed, STREAM_DISTANCE), g.space.split().chunk, spec.samples
+    chunks = (rng.standard_normal((min(chunk, total - i), d)) for i in range(0, total, chunk))
+    values = eval_stacked(diffs, chunks, out=np.empty((len(diffs), total)))
     return [
-        DistanceResult(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(spec.samples)))
-        for vals in np.abs(eval_stacked(diffs, pts))
+        DistanceResult(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(total)))
+        for vals in np.abs(values, out=values)
     ]
 
 
@@ -206,7 +208,8 @@ def rate_sweep(
     l1_distances call on the same points (common random numbers), so the
     measured distances of successive n share their Monte-Carlo noise. The density is audited
     unless the caller passes the report of that audit, and a failed verdict
-    of the report stops the sweep before any row.
+    of the report stops the sweep before any row. The ladder and the space's
+    pair table are freed before the distances; a later product rebuilds it.
     """
     space = density.space
     config.require_llt_fields(space.dimension, space.max_degree)
@@ -222,6 +225,7 @@ def rate_sweep(
     start = time.perf_counter()
     ladder = excess_powers(centered)
     power_ladder = {"rungs": len(ladder) - 1, "seconds": time.perf_counter() - start}
+    space.release("pair_table")  # the ladder was the sweep's last product
     ns = sorted(config.n_values)
     densities, seconds = [], []
     for n in ns:
@@ -229,6 +233,7 @@ def rate_sweep(
         lam = math.sqrt(config.alpha / n)
         densities.append(power_from_ladder(float(centered.coeffs[0]), ladder, n, lam))
         seconds.append(time.perf_counter() - start)
+    del ladder
     distances = l1_distances(densities, target, config.distance, seed=distance_seed)
     rows = [
         RateRow(n=n, l1=dist, bound=constant.c / math.sqrt(n), error=err, seconds=s)

@@ -94,11 +94,14 @@ def _pair_table(space: GaussianSpace) -> PairTable:
     Row alpha of group a comes from the row of its parent alpha - e_k in
     group a - 1, k the last nonzero coordinate of alpha: the position of
     alpha + beta is that of (alpha - e_k + beta) + e_k, one lookup per entry
-    in a table of unit steps. The step table and the parents are built
-    before the table, and rows are filled in chunks of about 2^14 entries,
-    so the build holds little beyond the table itself. A chunk's lookups run
-    to d * bounds[K], which may not fit the position type, so they are
-    formed in the narrowest type that holds that.
+    in a table of unit steps. Both come from the suffix sums s_j of alpha, of
+    which the first k + 1 are nonzero: rank(alpha + e_k) - rank(alpha) =
+    sum_{j <= k} binom(s_j + d - j - 1, d - j - 1) for any k, and rank(alpha)
+    minus rank(alpha - e_k) is sum_j binom(s_j + d - j - 2, d - j - 1). Rows
+    are filled in chunks of about 2^14 entries and at most 2^12 / d rows,
+    their parents found per chunk, so the build holds little beyond the
+    table. A chunk's lookups run to d * bounds[K], which may not fit the
+    position type, so they are formed in the narrowest type that holds that.
     """
 
     def build(sp: GaussianSpace) -> PairTable:
@@ -107,35 +110,37 @@ def _pair_table(space: GaussianSpace) -> PairTable:
         widths = bounds[k_max + 1 : 0 : -1]
         starts = list(accumulate((r * w for r, w in zip(rows, widths)), initial=0))
         position, lookup = np.min_scalar_type(sp.size - 1), np.min_scalar_type(d * bounds[k_max])
+        # _binoms[_suffix_rows(alpha) - K - 1 + c][j] = binom(s_j + c + d - j - 2, d - j - 1)
+        steps = np.cumsum(sp._binoms[sp._suffix_rows(sp.indices[: bounds[k_max]]) - k_max], axis=1)
+        steps += np.arange(bounds[k_max])[:, None]
         # step[k * bounds[K] + p] is the position of indices[p] + e_k, |indices[p]| < K
-        low, unit = sp.indices[: bounds[k_max]], np.eye(d, dtype=sp.indices.dtype)
-        step = np.concatenate([sp.positions(low + unit[k]) for k in range(d)]).astype(position)
-        upper = sp.indices[1:]
-        last = d - 1 - np.argmax(upper[:, ::-1] > 0, axis=1)
-        parent, offset = sp.positions(upper - unit[last]), (last * bounds[k_max]).astype(lookup)
+        step = np.ascontiguousarray(steps.T, dtype=position).ravel()
+        del steps
         out = np.empty(starts[-1], dtype=position)
         groups = tuple(
             out[s:e].reshape(r, w) for s, e, r, w in zip(starts, starts[1:], rows, widths)
         )
         out[: sp.size] = np.arange(sp.size)
         for a in range(1, k_max + 1):
-            prev, cur = groups[a - 1], groups[a]
-            mine = slice(bounds[a] - 1, bounds[a + 1] - 1)
-            par, off = parent[mine] - bounds[a - 1], offset[mine]
-            chunk = max(1, (1 << 14) // widths[a])
-            for r in range(0, rows[a], chunk):
-                sl = slice(r, r + chunk)
-                np.take(step, prev[par[sl], : widths[a]] + off[sl, None], out=cur[sl])
+            prev, cur, width = groups[a - 1], groups[a], widths[a]
+            chunk = max(1, min((1 << 14) // width, (1 << 12) // d))
+            for r in range(bounds[a], bounds[a + 1], chunk):
+                e = min(r + chunk, bounds[a + 1])
+                suffix = sp._suffix_rows(sp.indices[r:e])
+                parent = np.arange(r, e) - sp._binoms[suffix - k_max - 1].sum(axis=1)
+                offset = ((suffix > sp._binom_rows).sum(axis=1) - 1) * bounds[k_max]
+                lookups = prev[parent - bounds[a - 1], :width] + offset.astype(lookup)[:, None]
+                np.take(step, lookups, out=cur[r - bounds[a] : e - bounds[a]])
         return PairTable(out, groups, tuple(bounds))
 
     return space.cached("pair_table", build)
 
 
 def pair_footprint(space: GaussianSpace) -> tuple[int, int]:
-    """Ordered index pairs in the space's cached pair table, C(2d + K, K),
-    and the bytes their positions take."""
-    out = _pair_table(space).out
-    return out.size, out.nbytes
+    """Ordered index pairs of the space's pair table, C(2d + K, K), and the
+    bytes their positions take, from the sizes alone: no table is built."""
+    pairs = math.comb(2 * space.dimension + space.max_degree, space.max_degree)
+    return pairs, pairs * np.min_scalar_type(space.size - 1).itemsize
 
 
 def _convolve(

@@ -157,6 +157,19 @@ class TestIndexCore:
         with pytest.raises(ValueError, match=rf"{reason}.*\(d=2, K=8\)"):
             plane8.position(entries)
 
+    def test_release_drops_a_cached_structure(self):
+        space = GaussianSpace(1, 2)
+        built = []
+
+        def build(sp):
+            built.append(sp)
+            return len(built)
+
+        assert space.cached("x", build) == space.cached("x", build) == 1
+        space.release("x")
+        space.release("x")  # releasing what is not cached is a no-op
+        assert space.cached("x", build) == 2
+
     def test_builder_may_call_cached(self):
         # a builder that reads another cached structure of the same space
         # must not wait on the cache lock it already holds

@@ -247,8 +247,13 @@ class TestManifestNotes:
         real = harness.eval_stacked
 
         def counting(fs, pts, *args, **kwargs):
-            points.append(len(pts))
-            return real(fs, pts, *args, **kwargs)
+            if isinstance(pts, np.ndarray):  # a quadrature grid
+                points.append(len(pts))
+                return real(fs, pts, *args, **kwargs)
+            # the Monte-Carlo route's iterator of point chunks
+            chunks = list(pts)
+            points.extend(len(chunk) for chunk in chunks)
+            return real(fs, iter(chunks), *args, **kwargs)
 
         monkeypatch.setattr(harness, "eval_stacked", counting)
         cfg = write_config(tmp_path, "c.json", data)

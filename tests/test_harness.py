@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from wickllt.basis import ChaosVector, GaussianSpace, eval_many, kernel_view
+from wickllt.basis import ChaosVector, GaussianSpace, eval_many, eval_stacked, kernel_view
 from wickllt.config import ConfigError, DistanceConfig, load_config, resolve_density
 from wickllt.harness import (
     KOLMOGOROV_1PCT,
     BoundViolationError,
+    DistanceResult,
     empirical_convolution_check,
     ks_against_density,
     l1_distance,
@@ -20,6 +22,7 @@ from wickllt.harness import (
     young_check,
 )
 from wickllt.measures import gaussian_cov
+from wickllt.streams import STREAM_DISTANCE, substream
 from wickllt.wick import center_density, gamma, stochastic_exponential, wick_product
 
 from conftest import random_low_degree, unit_density
@@ -150,6 +153,53 @@ class TestDistances:
         # a spec built in code, not parsed from a config, is checked too
         with pytest.raises(ConfigError, match=message):
             DistanceConfig(**fields)
+
+
+class TestDistanceStream:
+    """The Monte-Carlo route draws its points one evaluation chunk at a time."""
+
+    @pytest.fixture(scope="class")
+    def cube8(self):
+        return GaussianSpace(8, 8)
+
+    @staticmethod
+    def _rows(space, count):
+        rng = np.random.default_rng(count)
+        g = unit_density(space)
+        noise = [1e-3 * rng.standard_normal(space.size) / space.factorials for _ in range(count)]
+        return [ChaosVector(space, g.coeffs + c) for c in noise], g
+
+    @pytest.mark.parametrize("case", ["ragged_last_chunk", "below_one_chunk"])
+    def test_equals_one_draw_of_all_points(self, cube8, case):
+        chunk = cube8.split().chunk
+        samples = 20_000 if case == "ragged_last_chunk" else chunk - 1
+        assert samples % chunk
+        fs, g = self._rows(cube8, 3)
+        pts = substream(41, STREAM_DISTANCE).standard_normal((samples, 8))
+        values = np.abs(eval_stacked([f - g for f in fs], pts))
+        want = [
+            DistanceResult(float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples)))
+            for v in values
+        ]
+        spec = DistanceConfig(method="mc", samples=samples)
+        assert l1_distances(fs, g, spec, seed=41) == want
+
+    def test_peak_grows_by_the_values_not_the_points(self, cube8):
+        fs, g = self._rows(cube8, 2)
+        peaks = []
+        for samples in (10_000, 20_000):
+            spec = DistanceConfig(method="mc", samples=samples)
+            l1_distances(fs, g, spec)  # the space's cached plans are built untraced
+            tracemalloc.start()
+            try:
+                l1_distances(fs, g, spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 10,000 more samples add one float each to the 2 rows of |values|;
+        # all the points at once would add 8 (d) more each
+        added = 10_000 * 8
+        assert 1.5 * added <= peaks[1] - peaks[0] <= 3 * added
 
 
 class TestRateConstant:
@@ -356,6 +406,17 @@ class TestRateSweep:
             per_sweep.append(list(ladders))
         # one ladder of u, ..., u^{<>8} (K = 16, lo = 2): 7 passes whatever the rows
         assert per_sweep[0] == per_sweep[1] == [9]
+
+    def test_sweep_frees_the_pair_table(self):
+        config = _config_for(
+            {"kind": "coefficients", "terms": [{"index": [2], "coeff": 0.1}]}, [4, 16]
+        )
+        f = _config_density(config)
+        before = wick_product(f, f)
+        rate_sweep(config, f)
+        assert "pair_table" not in f.space._cache
+        # a later product builds the table again, with the same result
+        assert np.array_equal(wick_product(f, f).coeffs, before.coeffs)
 
     def test_bound_violation_fails_loudly(self, monkeypatch):
         config = _config_for(

@@ -175,13 +175,20 @@ class TestPairTable:
         for rung, want in zip(rungs, expected):
             assert np.array_equal(rung.coeffs, want)
 
-    @pytest.mark.parametrize("d, k", [(1, 16), (2, 6), (3, 5), (5, 10), (8, 4), (16, 5), (16, 6)])
+    # (1, 8) and (2, 8): uint8 positions; (16, 6): uint32
+    @pytest.mark.parametrize(
+        "d, k",
+        [(1, 16), (2, 6), (3, 5), (5, 10), (8, 4), (16, 5), (16, 6), (1, 8), (2, 8), (5, 14), (8, 8)],
+    )
     def test_holds_one_position_per_pair(self, d, k):
         space = GaussianSpace(d, k)
+        footprint = wick.pair_footprint(space)
+        assert "pair_table" not in space._cache  # the footprint builds no table
         table = wick._pair_table(space)
         assert table is space.cached("pair_table", None)
         assert table.out.dtype == np.min_scalar_type(space.size - 1)
         assert table.out.nbytes == table.out.itemsize * math.comb(2 * d + k, k)
+        assert footprint == (table.out.size, table.out.nbytes)
 
     @pytest.mark.parametrize("d, k, dtype", [(16, 5, np.uint16), (16, 6, np.uint32)])
     def test_sampled_rows_of_wide_spaces_are_positions_of_sums(self, d, k, dtype):
@@ -206,14 +213,17 @@ class TestPairTable:
             assert np.array_equal(table.groups[a], space.positions(left + right))
 
     def test_build_peak_stays_near_the_table(self):
-        space = GaussianSpace(5, 10)
-        tracemalloc.start()
-        try:
-            table = wick._pair_table(space)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * table.out.nbytes
+        # (16, 5): few pairs per basis function, so per-row lookups of the
+        # whole space would outweigh the table
+        for d, k in [(5, 10), (16, 5)]:
+            space = GaussianSpace(d, k)
+            tracemalloc.start()
+            try:
+                table = wick._pair_table(space)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * table.out.nbytes, (d, k)
 
 
 class TestWickProduct:
