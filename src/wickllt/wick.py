@@ -16,13 +16,13 @@ TruncationPolicy sets a lower one, and return a plain ChaosVector: exact on
 every degree up to the cap, with nothing computed above it.
 
 Every convolution reads one cached table of the space: the output position
-of each ordered pair (alpha, beta) with |alpha| + |beta| <= K, C(2d + K, K)
-entries in all, each in the narrowest unsigned type that holds size - 1
-(uint16 up to 65,536 basis functions). Its rows are the left indices of one
-degree a and its columns the right indices of degree <= K - a, so the
-products of a block are the outer product of two contiguous coefficient
-slices and no index is gathered. Each block is added into the output as it
-is formed, so a product never holds an array as long as the table.
+of each index pair (alpha, beta) with |alpha| <= |beta| and
+|alpha| + |beta| <= K, read in both orders, in the narrowest unsigned type
+that holds size - 1 (uint16 up to 65,536 basis functions). Its rows are the
+indices of one degree a and its columns those of degree a to K - a, so a
+block's products are the outer product of two contiguous coefficient slices.
+Blocks fill one fixed-size buffer pair, added into the output when full, so a
+product never holds an array as long as the table.
 
 Wick powers and the Wick exponential come from one ladder: with f = f_0 + u,
 u starting at degree lo, the rungs u, u^{<>2}, ..., u^{<>K//lo} are all a
@@ -70,16 +70,15 @@ class TruncationPolicy:
 
 
 class PairTable(NamedTuple):
-    """Output positions of every ordered index pair with |alpha|+|beta| <= K.
+    """Output positions of the index pairs (alpha, beta) with |alpha| <= |beta|
+    and |alpha| + |beta| <= K, one per pair.
 
-    groups[a] holds the pairs whose left index has degree a: a row-major
-    (bounds[a + 1] - bounds[a]) x bounds[K - a + 1] view of out, one row per
-    left index of degree a and one column per right index of degree
-    <= K - a, whose entries are the positions of alpha + beta (bounds being
-    the space's degree_bounds). The left and right index of an entry are
-    its row and column, and are not stored. Read group by group, rows
-    first, the table meets the pairs of any one output position in the
-    order left degree, left index, right index.
+    groups[a], for a <= K // 2, is a row-major (bounds[a + 1] - bounds[a]) x
+    (bounds[K - a + 1] - bounds[a]) view of out, one row per index of degree
+    a and one column per index of degree a to K - a, whose entries are the
+    positions of alpha + beta (bounds being the space's degree_bounds). The
+    two indices of an entry are its row and column, and are not stored. A
+    pair with |alpha| > |beta| is read as (beta, alpha).
     """
 
     out: np.ndarray
@@ -94,53 +93,63 @@ def _pair_table(space: GaussianSpace) -> PairTable:
     Row alpha of group a comes from the row of its parent alpha - e_k in
     group a - 1, k the last nonzero coordinate of alpha: the position of
     alpha + beta is that of (alpha - e_k + beta) + e_k, one lookup per entry
-    in a table of unit steps. Both come from the suffix sums s_j of alpha, of
-    which the first k + 1 are nonzero: rank(alpha + e_k) - rank(alpha) =
+    in a table of unit steps, from the parent row's columns of degree a on.
+    Both come from the suffix sums s_j of alpha, of which the first k + 1 are
+    nonzero: rank(alpha + e_k) - rank(alpha) =
     sum_{j <= k} binom(s_j + d - j - 1, d - j - 1) for any k, and rank(alpha)
-    minus rank(alpha - e_k) is sum_j binom(s_j + d - j - 2, d - j - 1). Rows
-    are filled in chunks of about 2^14 entries and at most 2^12 / d rows,
-    their parents found per chunk, so the build holds little beyond the
-    table. A chunk's lookups run to d * bounds[K], which may not fit the
-    position type, so they are formed in the narrowest type that holds that.
+    minus rank(alpha - e_k) is sum_j binom(s_j + d - j - 2, d - j - 1). Steps
+    are formed 2^12 / d indices at a time and each group's parents at once,
+    and the lookups in row chunks of about 2^13 entries, so the build holds
+    little beyond the table. The lookups run to d * bounds[K], which may not
+    fit the position type, so they are formed in the narrowest type that
+    holds that.
     """
 
     def build(sp: GaussianSpace) -> PairTable:
         k_max, bounds, d = sp.max_degree, sp.degree_bounds.tolist(), sp.dimension
-        rows = [bounds[a + 1] - bounds[a] for a in range(k_max + 1)]
-        widths = bounds[k_max + 1 : 0 : -1]
+        rows = [bounds[a + 1] - bounds[a] for a in range(k_max // 2 + 1)]
+        widths = [bounds[k_max - a + 1] - bounds[a] for a in range(k_max // 2 + 1)]
         starts = list(accumulate((r * w for r, w in zip(rows, widths)), initial=0))
         position, lookup = np.min_scalar_type(sp.size - 1), np.min_scalar_type(d * bounds[k_max])
-        # _binoms[_suffix_rows(alpha) - K - 1 + c][j] = binom(s_j + c + d - j - 2, d - j - 1)
-        steps = np.cumsum(sp._binoms[sp._suffix_rows(sp.indices[: bounds[k_max]]) - k_max], axis=1)
-        steps += np.arange(bounds[k_max])[:, None]
-        # step[k * bounds[K] + p] is the position of indices[p] + e_k, |indices[p]| < K
-        step = np.ascontiguousarray(steps.T, dtype=position).ravel()
-        del steps
+        # step[k, p] is the position of indices[p] + e_k, |indices[p]| < K
+        step, chunk = np.empty((d, bounds[k_max]), dtype=position), max(1, (1 << 12) // d)
+        for r in range(0, bounds[k_max], chunk):
+            e = min(r + chunk, bounds[k_max])
+            # _binoms[_suffix_rows(alpha) - K - 1 + c][j] = binom(s_j + c + d - j - 2, d - j - 1)
+            steps = np.cumsum(sp._binoms[sp._suffix_rows(sp.indices[r:e]) - k_max], axis=1)
+            step[:, r:e] = (steps + np.arange(r, e)[:, None]).T
+        step = step.ravel()
         out = np.empty(starts[-1], dtype=position)
         groups = tuple(
             out[s:e].reshape(r, w) for s, e, r, w in zip(starts, starts[1:], rows, widths)
         )
         out[: sp.size] = np.arange(sp.size)
-        for a in range(1, k_max + 1):
-            prev, cur, width = groups[a - 1], groups[a], widths[a]
-            chunk = max(1, min((1 << 14) // width, (1 << 12) // d))
-            for r in range(bounds[a], bounds[a + 1], chunk):
-                e = min(r + chunk, bounds[a + 1])
-                suffix = sp._suffix_rows(sp.indices[r:e])
-                parent = np.arange(r, e) - sp._binoms[suffix - k_max - 1].sum(axis=1)
-                offset = ((suffix > sp._binom_rows).sum(axis=1) - 1) * bounds[k_max]
-                lookups = prev[parent - bounds[a - 1], :width] + offset.astype(lookup)[:, None]
-                np.take(step, lookups, out=cur[r - bounds[a] : e - bounds[a]])
+        for a in range(1, k_max // 2 + 1):
+            skip, cur, width = bounds[a] - bounds[a - 1], groups[a], widths[a]
+            # group a - 1 from its first column of degree a on
+            prev, chunk = groups[a - 1][:, skip : skip + width], max(1, (1 << 13) // width)
+            suffix = sp._suffix_rows(sp.indices[bounds[a] : bounds[a + 1]])
+            # the row of alpha - e_k in prev, and the block of step that adds e_k
+            parent = np.arange(skip, skip + rows[a]) - sp._binoms[suffix - k_max - 1].sum(axis=1)
+            offset = (((suffix > sp._binom_rows).sum(axis=1) - 1) * bounds[k_max]).astype(lookup)
+            for r in range(0, rows[a], chunk):
+                lookups = prev[parent[r : r + chunk]] + offset[r : r + chunk, None]
+                np.take(step, lookups, out=cur[r : r + chunk], mode="clip")
         return PairTable(out, groups, tuple(bounds))
 
     return space.cached("pair_table", build)
 
 
 def pair_footprint(space: GaussianSpace) -> tuple[int, int]:
-    """Ordered index pairs of the space's pair table, C(2d + K, K), and the
-    bytes their positions take, from the sizes alone: no table is built."""
-    pairs = math.comb(2 * space.dimension + space.max_degree, space.max_degree)
+    """Index pairs the space's pair table stores and the bytes their
+    positions take, from the sizes alone: no table is built."""
+    b, k_max = space.degree_bounds.tolist(), space.max_degree
+    pairs = sum((b[a + 1] - b[a]) * (b[k_max - a + 1] - b[a]) for a in range(k_max // 2 + 1))
     return pairs, pairs * np.min_scalar_type(space.size - 1).itemsize
+
+
+# Entries of _convolve's float and position buffers, 512 KB for the pair
+_CAPACITY = 1 << 15
 
 
 def _convolve(
@@ -149,31 +158,46 @@ def _convolve(
     """sum_{alpha + beta = gamma} left_alpha right_beta over |alpha| in a_range,
     |beta| in b_range and |gamma| <= top; every other output bin is zero.
 
-    Left degree a contributes one block: the outer product of left's
-    degree-a slice with right's slice of degrees b_range.start to
-    min(b_range.stop - 1, top - a), added into the output by np.add.at at
-    the block's positions, its columns of the table. Each block writes its
-    products and positions into one pair of buffers, allocated per call at
-    the size of the call's largest block. np.add.at adds in index order, and
-    the blocks go in ascending a, each row by row, so every output bin
-    receives its terms in one fixed order: left degree, then left index,
-    then right index. A bincount over a flat pair list sorted by output
-    degree, left degree, left index and right index sums in the same order,
-    and gives the same bits.
+    Pairs with |alpha| <= |beta| come from group |alpha| in ascending |alpha|,
+    rows alpha by columns beta, as left_alpha * right_beta; then the others
+    from group |beta| in descending |beta|, rows beta reversed by columns
+    alpha, as right_beta * left_alpha (an IEEE multiply commutes). Row chunks
+    fill one float and one intp buffer of _CAPACITY entries (or one row, or
+    the call's pairs), and np.add.at adds each full one in index order. So a
+    bin of degree m gets its terms in one fixed order, left degree then left
+    index: a <= m / 2 before a > m / 2, and within a block it meets each alpha
+    once, with beta = gamma - alpha, where alpha -> gamma - alpha reverses a
+    degree's descending lexicographic order. A bincount over a flat pair list
+    sorted by output degree, left degree, left index and right index sums in
+    the same order, and gives the same bits.
     """
     bounds, blocks = table.bounds, []
-    for a in a_range:
-        c0, c1 = bounds[b_range.start], bounds[min(b_range.stop, top - a + 1)]
-        if c1 <= c0:  # every larger a leaves fewer right degrees
-            break
-        blocks.append((a, c0, c1, (bounds[a + 1] - bounds[a]) * (c1 - c0)))
-    most = max((n for *_, n in blocks), default=0)
-    acc, prods, where = np.zeros(left.size), np.empty(most), np.empty(most, table.out.dtype)
-    for a, c0, c1, n in blocks:
-        block = prods[:n].reshape(-1, c1 - c0)
-        np.multiply(left[bounds[a] : bounds[a + 1], None], right[None, c0:c1], out=block)
-        where[:n].reshape(-1, c1 - c0)[...] = table.groups[a][:, c0:c1]
-        np.add.at(acc, where[:n], prods[:n])
+
+    def add_block(g, rows, cols, lo, hi, step):
+        # group g's rows, in the direction step, against its columns of degrees lo..hi
+        if lo <= hi:
+            c0, c1 = bounds[lo] - bounds[g], bounds[hi + 1] - bounds[g]
+            own, other = rows[bounds[g] : bounds[g + 1]][::step], cols[bounds[lo] : bounds[hi + 1]]
+            blocks.append((own, other, table.groups[g][::step, c0:c1]))
+
+    for a in range(a_range.start, min(a_range.stop, top // 2 + 1)):
+        add_block(a, left, right, max(a, b_range.start), min(b_range.stop - 1, top - a), 1)
+    for b in reversed(range(b_range.start, min(b_range.stop, (top + 1) // 2))):
+        add_block(b, right, left, max(b + 1, a_range.start), min(a_range.stop - 1, top - b), -1)
+    size = max([min(sum(p.size for *_, p in blocks), _CAPACITY)] + [c.size for _, c, _ in blocks])
+    acc, prods, where, n = np.zeros(left.size), np.empty(size), np.empty(size, np.intp), 0
+    for rows, cols, positions in blocks:
+        width, r = cols.size, 0
+        while r < rows.size:
+            if n + width > size:
+                np.add.at(acc, where[:n], prods[:n])
+                n = 0
+            k = min(rows.size - r, (size - n) // width)
+            m = n + k * width
+            np.multiply(rows[r : r + k, None], cols, out=prods[n:m].reshape(k, width))
+            where[n:m].reshape(k, width)[...] = positions[r : r + k]
+            n, r = m, r + k
+    np.add.at(acc, where[:n], prods[:n])
     return acc
 
 
@@ -203,17 +227,18 @@ def excess_powers(f: ChaosVector, top: int | None = None) -> list[ChaosVector]:
     divided by f_0.
     """
     space, k_max = f.space, f.space.max_degree
-    rungs = [constant_vector(space).coeffs, f.coeffs.copy()]
-    rungs[1][0] = 0.0
-    support = space.degrees[rungs[1] != 0]
+    u = f.coeffs.copy()
+    u[0] = 0.0
+    support = space.degrees[u != 0]
     if support.size == 0 or top == 0:
         return [constant_vector(space)]
-    u, lo, hi = rungs[1], int(support.min()), int(support.max())
-    table = _pair_table(space)
+    lo, hi = int(support.min()), int(support.max())
+    rungs, table = [constant_vector(space), ChaosVector(space, u)], _pair_table(space)
     for j in range(2, min(top or k_max, k_max // lo) + 1):
         below = range((j - 1) * lo, (j - 1) * hi + 1)
-        rungs.append(_convolve(u, rungs[-1], table, range(lo, hi + 1), below, k_max))
-    return [ChaosVector(space, r) for r in rungs]
+        rung = _convolve(u, rungs[-1].coeffs, table, range(lo, hi + 1), below, k_max)
+        rungs.append(ChaosVector(space, rung))  # a copy: rung goes with the next one
+    return rungs
 
 
 def power_from_ladder(

@@ -268,8 +268,9 @@ class TestManifestNotes:
             "head": 1, "tail": 17, "full": 17, "contracted": 1, "chunk": 2048
         }
         assert notes["distance_points"] == points == 32 + 64
-        assert notes["pairs"] == math.comb(2 + 16, 16)
-        assert notes["pair_bytes"] == math.comb(2 + 16, 16)  # 17 rows: uint8 positions
+        # pairs with |alpha| <= |beta|: (C(2d + K, K) + sum_a C(a + d - 1, d - 1)^2) / 2
+        assert notes["pairs"] == (math.comb(2 + 16, 16) + 9) // 2 == 81
+        assert notes["pair_bytes"] == 81  # 17 rows: uint8 positions
 
     def test_llt_mc_d3(self, monkeypatch, tmp_path):
         data = base_llt_config(
@@ -282,8 +283,8 @@ class TestManifestNotes:
             "head": 7, "tail": 28, "full": 84, "contracted": 7, "chunk": 2048
         }
         assert notes["distance_points"] == points == 3000
-        assert notes["pairs"] == math.comb(6 + 6, 6)
-        assert notes["pair_bytes"] == math.comb(6 + 6, 6)  # 84 rows: uint8 positions
+        assert notes["pairs"] == (math.comb(6 + 6, 6) + 1 + 9 + 36 + 100) // 2 == 535
+        assert notes["pair_bytes"] == 535  # 84 rows: uint8 positions
 
     def test_sde_sweep(self, monkeypatch, tmp_path):
         data = {
@@ -305,8 +306,8 @@ class TestManifestNotes:
         }
         assert notes["distance_points"] == points == 2000
         assert notes["power_ladder"]["rungs"] == 2
-        assert notes["pairs"] == math.comb(8 + 4, 4)
-        assert notes["pair_bytes"] == math.comb(8 + 4, 4)  # 70 rows: uint8 positions
+        assert notes["pairs"] == (math.comb(8 + 4, 4) + 1 + 16 + 100) // 2 == 306
+        assert notes["pair_bytes"] == 306  # 70 rows: uint8 positions
 
 
 class TestValidateCommand:

@@ -138,13 +138,15 @@ def _gathered_excess_powers(f):
     return rungs
 
 
-EQUIVALENCE_SPACES = [(1, 16), (2, 8), (3, 6), (4, 8), (8, 4)]
+# (3, 7) and (2, 9): odd K, so the middle degrees (K - 1) / 2 and (K + 1) / 2 differ
+EQUIVALENCE_SPACES = [(1, 16), (2, 8), (3, 6), (4, 8), (8, 4), (3, 7), (2, 9)]
 
 
 class TestPairTable:
     """The table of output positions gives the same bits as the explicit
-    gather-and-bincount pair list, and holds one position per pair in the
-    narrowest unsigned type that holds size - 1."""
+    gather-and-bincount pair list, and holds one position per pair
+    (alpha, beta) with |alpha| <= |beta| in the narrowest unsigned type that
+    holds size - 1."""
 
     @pytest.mark.parametrize("d, k", EQUIVALENCE_SPACES)
     def test_product_bit_identical_to_pair_list(self, d, k):
@@ -187,7 +189,12 @@ class TestPairTable:
         table = wick._pair_table(space)
         assert table is space.cached("pair_table", None)
         assert table.out.dtype == np.min_scalar_type(space.size - 1)
-        assert table.out.nbytes == table.out.itemsize * math.comb(2 * d + k, k)
+        # C(2d + K, K) ordered pairs with |alpha| + |beta| <= K: those of equal
+        # degrees once, every other one in one order only
+        equal = sum(math.comb(a + d - 1, d - 1) ** 2 for a in range(k // 2 + 1))
+        assert table.out.size == (math.comb(2 * d + k, k) + equal) // 2
+        assert len(table.groups) == k // 2 + 1
+        assert sum(group.size for group in table.groups) == table.out.size
         assert footprint == (table.out.size, table.out.nbytes)
 
     @pytest.mark.parametrize("d, k, dtype", [(16, 5, np.uint16), (16, 6, np.uint32)])
@@ -198,19 +205,21 @@ class TestPairTable:
         table, bounds = wick._pair_table(space), space.degree_bounds
         assert table.out.dtype == dtype
         rng = np.random.default_rng(d * 100 + k)
-        for a in range(k + 1):
+        assert len(table.groups) == k // 2 + 1
+        for a, group in enumerate(table.groups):
             rows = rng.integers(bounds[a + 1] - bounds[a], size=4)
-            want = space.positions_of_sums(bounds[a] + rows, np.arange(bounds[k - a + 1]))
-            assert np.array_equal(table.groups[a][rows], want)
+            right = np.arange(bounds[a], bounds[k - a + 1])
+            assert np.array_equal(group[rows], space.positions_of_sums(bounds[a] + rows, right))
 
     @pytest.mark.parametrize("d, k", [(2, 6), (3, 5)])
     def test_entries_are_positions_of_sums(self, d, k):
         space = GaussianSpace(d, k)
         table, bounds = wick._pair_table(space), space.degree_bounds
-        for a in range(k + 1):
+        assert sum(group.size for group in table.groups) == table.out.size
+        for a, group in enumerate(table.groups):
             left = space.indices[bounds[a] : bounds[a + 1], None, :]
-            right = space.indices[None, : bounds[k - a + 1], :]
-            assert np.array_equal(table.groups[a], space.positions(left + right))
+            right = space.indices[None, bounds[a] : bounds[k - a + 1], :]
+            assert np.array_equal(group, space.positions(left + right))
 
     def test_build_peak_stays_near_the_table(self):
         # (16, 5): few pairs per basis function, so per-row lookups of the
@@ -224,6 +233,62 @@ class TestPairTable:
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * table.out.nbytes, (d, k)
+
+    def test_ladder_holds_its_rungs_and_two_buffers(self):
+        # (5, 14): the ladder's blocks reach 4 * 10^5 pairs, its buffers hold
+        # at most _CAPACITY of them
+        space = GaussianSpace(5, 14)
+        rng = np.random.default_rng(5)
+        f = ChaosVector(space, rng.standard_normal(space.size) / space.factorials)
+        wick._pair_table(space)
+        tracemalloc.start()
+        try:
+            rungs = excess_powers(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = wick._CAPACITY * (8 + np.dtype(np.intp).itemsize)
+        assert len(rungs) == 15
+        assert peak <= sum(rung.coeffs.nbytes for rung in rungs) + 2 * buffers
+
+    def test_small_product_adds_once(self, monkeypatch):
+        # every pair of a (2, 8) product fits one buffer: one np.add.at call
+        space = GaussianSpace(2, 8)
+        rng = np.random.default_rng(28)
+        f = ChaosVector(space, rng.standard_normal(space.size))
+        g = ChaosVector(space, rng.standard_normal(space.size))
+        added = []
+
+        class Add:
+            def at(self, acc, where, values):
+                added.append(where.size)
+                np.add.at(acc, where, values)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        want = wick_product(f, g).coeffs
+        monkeypatch.setattr(wick, "np", Numpy())
+        assert np.array_equal(wick_product(f, g).coeffs, want)
+        assert added == [math.comb(2 * 2 + 8, 8)]
+
+    @pytest.mark.parametrize("capacity", [1, 5, 64])
+    @pytest.mark.parametrize("d, k", [(2, 8), (3, 7), (4, 8)])
+    def test_any_buffer_capacity_gives_the_same_bits(self, monkeypatch, d, k, capacity):
+        # capacities below one row (raised to it) and below one block: many
+        # flushes, the same order of terms in every bin
+        space = GaussianSpace(d, k)
+        rng = np.random.default_rng(d * 100 + k)
+        f = ChaosVector(space, rng.standard_normal(space.size) / space.factorials)
+        g = ChaosVector(space, rng.standard_normal(space.size))
+        monkeypatch.setattr(wick, "_CAPACITY", capacity)
+        assert np.array_equal(wick_product(f, g).coeffs, _gathered_product(f, g, k))
+        expected = _gathered_excess_powers(f)
+        for rung, want in zip(excess_powers(f), expected, strict=True):
+            assert np.array_equal(rung.coeffs, want)
 
 
 class TestWickProduct:
