@@ -235,8 +235,8 @@ class TestPairTable:
             assert peak <= 2 * table.out.nbytes, (d, k)
 
     def test_ladder_holds_its_rungs_and_two_buffers(self):
-        # (5, 14): the ladder's blocks reach 4 * 10^5 pairs, its buffers hold
-        # at most _CAPACITY of them
+        # (5, 14): one group's block of a rung reaches 3 * 10^5 pairs, the
+        # buffers hold at most _CAPACITY of them
         space = GaussianSpace(5, 14)
         rng = np.random.default_rng(5)
         f = ChaosVector(space, rng.standard_normal(space.size) / space.factorials)
