@@ -98,11 +98,9 @@ def _pair_table(space: GaussianSpace) -> PairTable:
     nonzero: rank(alpha + e_k) - rank(alpha) =
     sum_{j <= k} binom(s_j + d - j - 1, d - j - 1) for any k, and rank(alpha)
     minus rank(alpha - e_k) is sum_j binom(s_j + d - j - 2, d - j - 1). Steps
-    are formed 2^12 / d indices at a time and each group's parents at once,
-    and the lookups in row chunks of about 2^13 entries, so the build holds
-    little beyond the table. The lookups run to d * bounds[K], which may not
-    fit the position type, so they are formed in the narrowest type that
-    holds that.
+    are formed 2^12 / d indices at a time and the lookups in row chunks of
+    about 2^13 entries, in the narrowest type that holds d * bounds[K], so
+    the build holds little beyond the table.
     """
 
     def build(sp: GaussianSpace) -> PairTable:
@@ -111,14 +109,13 @@ def _pair_table(space: GaussianSpace) -> PairTable:
         widths = [bounds[k_max - a + 1] - bounds[a] for a in range(k_max // 2 + 1)]
         starts = list(accumulate((r * w for r, w in zip(rows, widths)), initial=0))
         position, lookup = np.min_scalar_type(sp.size - 1), np.min_scalar_type(d * bounds[k_max])
-        # step[k, p] is the position of indices[p] + e_k, |indices[p]| < K
+        # step[k, p] is the position of indices[p] + e_k, |indices[p]| < K; np.take reads it flat
         step, chunk = np.empty((d, bounds[k_max]), dtype=position), max(1, (1 << 12) // d)
         for r in range(0, bounds[k_max], chunk):
             e = min(r + chunk, bounds[k_max])
             # _binoms[_suffix_rows(alpha) - K - 1 + c][j] = binom(s_j + c + d - j - 2, d - j - 1)
             steps = np.cumsum(sp._binoms[sp._suffix_rows(sp.indices[r:e]) - k_max], axis=1)
             step[:, r:e] = (steps + np.arange(r, e)[:, None]).T
-        step = step.ravel()
         out = np.empty(starts[-1], dtype=position)
         groups = tuple(
             out[s:e].reshape(r, w) for s, e, r, w in zip(starts, starts[1:], rows, widths)
@@ -161,15 +158,14 @@ def _convolve(
     Pairs with |alpha| <= |beta| come from group |alpha| in ascending |alpha|,
     rows alpha by columns beta, as left_alpha * right_beta; then the others
     from group |beta| in descending |beta|, rows beta reversed by columns
-    alpha, as right_beta * left_alpha (an IEEE multiply commutes). Row chunks
+    alpha, as right_beta * left_alpha (an IEEE multiply commutes). Whole rows
     fill one float and one intp buffer of _CAPACITY entries (or one row, or
-    the call's pairs), and np.add.at adds each full one in index order. So a
+    the call's pairs), and np.add.at adds it in index order when full. So a
     bin of degree m gets its terms in one fixed order, left degree then left
     index: a <= m / 2 before a > m / 2, and within a block it meets each alpha
     once, with beta = gamma - alpha, where alpha -> gamma - alpha reverses a
-    degree's descending lexicographic order. A bincount over a flat pair list
-    sorted by output degree, left degree, left index and right index sums in
-    the same order, and gives the same bits.
+    degree's descending lexicographic order. A bincount over the pairs sorted
+    by output degree, left degree and left index sums in the same order.
     """
     bounds, blocks = table.bounds, []
 
@@ -177,8 +173,8 @@ def _convolve(
         # group g's rows, in the direction step, against its columns of degrees lo..hi
         if lo <= hi:
             c0, c1 = bounds[lo] - bounds[g], bounds[hi + 1] - bounds[g]
-            own, other = rows[bounds[g] : bounds[g + 1]][::step], cols[bounds[lo] : bounds[hi + 1]]
-            blocks.append((own, other, table.groups[g][::step, c0:c1]))
+            own = rows[bounds[g] : bounds[g + 1], None][::step]  # a column
+            blocks.append((own, cols[bounds[lo] : bounds[hi + 1]], table.groups[g][::step, c0:c1]))
 
     for a in range(a_range.start, min(a_range.stop, top // 2 + 1)):
         add_block(a, left, right, max(a, b_range.start), min(b_range.stop - 1, top - a), 1)
@@ -188,15 +184,17 @@ def _convolve(
     acc, prods, where, n = np.zeros(left.size), np.empty(size), np.empty(size, np.intp), 0
     for rows, cols, positions in blocks:
         width, r = cols.size, 0
-        while r < rows.size:
-            if n + width > size:
-                np.add.at(acc, where[:n], prods[:n])
-                n = 0
-            k = min(rows.size - r, (size - n) // width)
+        while n + (len(rows) - r) * width > size:  # fill the buffer with rows that fit, add it
+            k = (size - n) // width
             m = n + k * width
-            np.multiply(rows[r : r + k, None], cols, out=prods[n:m].reshape(k, width))
+            np.multiply(rows[r : r + k], cols, out=prods[n:m].reshape(k, width))
             where[n:m].reshape(k, width)[...] = positions[r : r + k]
-            n, r = m, r + k
+            np.add.at(acc, where[:m], prods[:m])
+            n, r = 0, r + k
+        m = n + (len(rows) - r) * width
+        np.multiply(rows[r:], cols, out=prods[n:m].reshape(-1, width))
+        where[n:m].reshape(-1, width)[...] = positions[r:]
+        n = m
     np.add.at(acc, where[:n], prods[:n])
     return acc
 
