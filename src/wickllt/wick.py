@@ -173,7 +173,7 @@ def _convolve(
         # group g's rows, in the direction step, against its columns of degrees lo..hi
         if lo <= hi:
             c0, c1 = bounds[lo] - bounds[g], bounds[hi + 1] - bounds[g]
-            own = rows[bounds[g] : bounds[g + 1], None][::step]  # a column
+            own = rows[bounds[g] : bounds[g + 1], None][::step]  # a column of coefficients
             blocks.append((own, cols[bounds[lo] : bounds[hi + 1]], table.groups[g][::step, c0:c1]))
 
     for a in range(a_range.start, min(a_range.stop, top // 2 + 1)):
