@@ -300,14 +300,17 @@ class ChaosVector:
 
     Immutable after construction; arithmetic returns new vectors. The
     coefficient at position p multiplies H_{alpha_p} in the space's table
-    order.
+    order. It takes a 1-d float64 array as it is and marks it read-only, so
+    its maker must not write to it after; anything else is copied.
     """
 
     space: GaussianSpace
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=float)
+        arr = self.coeffs
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1):
+            arr = np.array(arr, dtype=float)
         if arr.shape != (self.space.size,):
             raise ValueError(
                 f"expected {self.space.size} coefficients, got {arr.shape}"
@@ -348,6 +351,15 @@ def constant_vector(space: GaussianSpace, value: float = 1.0) -> ChaosVector:
     c = np.zeros(space.size)
     c[0] = value
     return ChaosVector(space, c)
+
+
+def axis_product(axis: np.ndarray, space: GaussianSpace) -> ChaosVector:
+    """The product over the space's coordinates of one axis series, cut at
+    total degree K: the coefficient of H_alpha is prod_i axis[alpha_i], with
+    axis padded by zeros or cut to degrees 0..K."""
+    padded = np.zeros(space.max_degree + 1)
+    padded[: min(axis.size, padded.size)] = axis[: padded.size]
+    return ChaosVector(space, np.prod(padded[space.indices], axis=1))
 
 
 def basis_vector(space: GaussianSpace, entries: tuple[int, ...]) -> ChaosVector:

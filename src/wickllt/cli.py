@@ -22,20 +22,21 @@ import time
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .audit import AssumptionViolationError, audit_density, require_passed, verdicts_json
 from .basis import BasisTooLargeError, GaussianSpace, InsufficientDegreeError
-from .config import (
-    ConfigError, ExperimentConfig, gaussian_cov_limit, load_config, parse_config, resolve_density
-)
+from .config import ConfigError, ExperimentConfig, gaussian_cov_limit, load_config, parse_config
+from .config import require_finite, resolve_density
 from .harness import BoundViolationError, RateTable, rate_sweep
 from .identities import run_identity_suite
 from .limit_density import limit_l2_norms
-from .measures import DensityValidationError, WeightedShifts, shift_mixture
+from .measures import DensityValidationError, shift_mixture
 from .sde import PathGrid, SdeNumericError, drift_from_config, simulate_drift_shifts
 from .serialize import chaos_to_json, csv_text, dumps_canonical
 from .streams import STREAM_DISTANCE, STREAM_PATHS, child_seed
-from .wick import NotNormalizedError, pair_footprint
+from .wick import NotNormalizedError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -126,10 +127,10 @@ def cmd_audit(args) -> int:
         with manifest.stage("build_density"):
             density = resolve_density(config.density, space)
         with manifest.stage("audit"):
-            report = audit_density(density)
+            report = audit_density(density.vector)
         payload = report.to_json_dict()
-        if config.density.get("kind") == "shift_mixture":
-            nu = WeightedShifts.from_json_dict(config.density)
+        if density.kind == "shift_mixture":
+            nu = density.structure
             payload["shift_variance_total"] = nu.shift_variance_total()
             payload["exponential_integrability"] = nu.exponential_integrability()
         manifest.artifact("audit.json", dumps_canonical, payload)
@@ -142,7 +143,7 @@ def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> Ra
     """The rate sweep of llt and of sde with n_values, written to rate.csv and
     summary.json. A bound violation writes them too, listing its rows, and
     then propagates; report is the audit the caller already ran, or None."""
-    space = density.space
+    space = getattr(density, "vector", density).space
     manifest.notes["distance_points"] = config.distance.points(space.dimension, space.max_degree)
     violation = None
     try:
@@ -154,7 +155,7 @@ def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> Ra
     manifest.artifact("rate.csv", csv_text, ["n", "l1", "bound", "err"], rows)
     manifest.notes["row_seconds"] = [[r.n, r.seconds] for r in table.rows]
     manifest.notes["power_ladder"] = table.power_ladder
-    manifest.notes["pairs"], manifest.notes["pair_bytes"] = pair_footprint(space)
+    manifest.notes["pairs"], manifest.notes["pair_bytes"] = table.pairs
     summary = {
         "constant": table.constant,
         "n0": table.n0,
@@ -246,7 +247,8 @@ def cmd_sde(args) -> int:
             draw = simulate_drift_shifts(drift, grid, section.paths, seed=config.seed)
         _note_evaluation(manifest, space)
         with manifest.stage("density"):
-            density = shift_mixture(draw.measure, space)
+            with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
+                density = require_finite(shift_mixture(draw.measure, space))
             report = audit_density(density)
         report.verdicts["drift_energy"] = draw.drift_energy
         payload = {

@@ -14,10 +14,11 @@ import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .basis import MAX_DEGREE, MAX_DIMENSION, ChaosVector, GaussianSpace
+from .basis import MAX_DEGREE, MAX_DIMENSION, ChaosVector, GaussianSpace, axis_product
 from .limit_density import LimitDensity, gaussian_limit_series
 from .measures import rank_one_quadratic, shift_mixture, WeightedShifts
 from .quadrature import MAX_QUADRATURE_DIM
@@ -80,10 +81,10 @@ def _int(minimum=None, maximum=None):
 
 
 def _finite(value, name: str) -> np.ndarray:
-    """value as a float array whose entries are all finite numbers; a NaN, an
-    infinity or a non-number is a ConfigError."""
+    """value as a new float array whose entries are all finite numbers; a
+    NaN, an infinity or a non-number is a ConfigError."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be numbers: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(arr))
@@ -282,7 +283,7 @@ def parse_config(data) -> ExperimentConfig:
             {
                 "drift": _drift,
                 "steps": _int(1, MAX_DIMENSION),
-                "paths": _int(1),
+                "paths": _int(2),
                 "max_degree": _int(0, MAX_DEGREE),
             },
         ),
@@ -343,12 +344,42 @@ def gaussian_cov_limit(spec: dict | None, space: GaussianSpace) -> LimitDensity:
         raise ConfigError(f"density: {exc}") from exc
 
 
-def resolve_density(spec: dict | None, space: GaussianSpace) -> ChaosVector:
+class Density(NamedTuple):
+    """A resolved density section: its vector, its kind, and the structure the
+    vector loses: the axis coefficients of product_hermite, the
+    WeightedShifts of shift_mixture or the g2 of gaussian_cov, else None."""
+
+    vector: ChaosVector
+    kind: str = "coefficients"
+    structure: object = None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def require_finite(f: ChaosVector) -> ChaosVector:
+    """f if its coefficients and norm are finite, else a ConfigError naming
+    the first degree where its L2 mass, summed without warnings, is not."""
+    bad = np.flatnonzero(~np.isfinite(np.cumsum(f.degree_norms_sq())))
+    if bad.size:
+        raise ConfigError(
+            f"density is not finite: its coefficients or L2 mass overflow at degree {bad[0]}"
+        )
+    return f
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def resolve_density(spec: dict | None, space: GaussianSpace) -> Density:
     """Build the density named by a config 'density' section.
 
     Raw coefficients are taken as given: the assumption audit, which every
-    command runs on the result, screens normalization and nonnegativity.
+    command runs on the result, screens normalization and nonnegativity. An
+    overflow, built without warnings, is a ConfigError (require_finite).
     """
+    density = _build_density(spec, space)
+    require_finite(density.vector)
+    return density
+
+
+def _build_density(spec: dict | None, space: GaussianSpace) -> Density:
     if spec is None:
         raise ConfigError("this command needs a 'density' section")
     kind = spec.get("kind")
@@ -375,19 +406,21 @@ def resolve_density(spec: dict | None, space: GaussianSpace) -> ChaosVector:
                     )
                 except ValueError as exc:
                     raise ConfigError(f"density.terms entry: {exc}") from exc
-        return ChaosVector(space, coeffs)
+        return Density(ChaosVector(space, coeffs))
     if kind == "shift_mixture":
         _take(spec, {"kind": True, "weights": True, "shifts": True}, "density")
         try:
-            return shift_mixture(WeightedShifts.from_json_dict(spec), space)
+            nu = WeightedShifts.from_json_dict(spec)
+            return Density(shift_mixture(nu, space), kind, nu)
         except ValueError as exc:
             raise ConfigError(f"density: {exc}") from exc
     if kind == "gaussian_cov":
-        return gaussian_cov_limit(spec, space).series
+        limit = gaussian_cov_limit(spec, space)
+        return Density(limit.series, kind, limit.g2)
     if kind == "rank_one_quadratic":
         _take(spec, {"kind": True, "g": True}, "density")
         try:
-            return rank_one_quadratic(_finite(spec["g"], "density.g"), space)
+            return Density(rank_one_quadratic(_finite(spec["g"], "density.g"), space), kind)
         except ValueError as exc:
             raise ConfigError(f"density: {exc}") from exc
     if kind == "product_hermite":
@@ -397,7 +430,5 @@ def resolve_density(spec: dict | None, space: GaussianSpace) -> ChaosVector:
             raise ConfigError("density.axis_coeffs must be a non-empty list of numbers")
         if base[0] != 1.0:
             raise ConfigError("product_hermite axis_coeffs must start with 1.0")
-        padded = np.zeros(space.max_degree + 1)
-        padded[: min(base.size, padded.size)] = base[: padded.size]
-        return ChaosVector(space, np.prod(padded[space.indices], axis=1))
+        return Density(axis_product(base, space), kind, base)
     raise ConfigError(f"unknown density kind {kind!r}")

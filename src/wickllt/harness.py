@@ -33,14 +33,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .audit import AssumptionReport, audit_density, require_passed
-from .basis import ChaosVector, eval_many, eval_stacked, kernel_view
-from .config import DistanceConfig, ExperimentConfig
+from .basis import ChaosVector, GaussianSpace, axis_product, eval_many, eval_stacked, kernel_view
+from .config import Density, DistanceConfig, ExperimentConfig
 from .limit_density import gaussian_limit_series
 from .measures import sample
 from .quadrature import MAX_QUADRATURE_DIM, tensor_rule
 from .streams import STREAM_DISTANCE, child_seed, substream
-from .wick import center_density, excess_powers, gamma, power_from_ladder, wick_product
-from .wick import wick_power  # noqa: F401  perfbench's tests wrap harness.wick_power
+from .wick import center_density, excess_powers, gamma, pair_footprint, power_from_ladder
+from .wick import wick_power, wick_product  # noqa: F401  perfbench's tests wrap harness.wick_power
 
 # The 1% point of the Kolmogorov distribution, scipy.special.kolmogi(0.01):
 # sqrt(n) times the two-sided KS statistic exceeds it with probability 0.01
@@ -190,48 +190,62 @@ class RateTable:
     constant: float
     n0: int
     beta: float
-    power_ladder: dict  # {"rungs": J, "seconds": time to build u ... u^{<>J}}
+    # {"rungs": J, "seconds": time to build u ... u^{<>J}, "dimension": of its space}
+    power_ladder: dict
+    pairs: tuple[int, int]  # pair_footprint of the space the ladder ran in
 
 
 def rate_sweep(
     config: ExperimentConfig,
-    density: ChaosVector,
+    density: Density | ChaosVector,
     report: AssumptionReport | None = None,
 ) -> tuple[RateTable, AssumptionReport]:
     """Measure the L1 distance row per n and check each row against its bound.
 
     The caller builds the density: llt from its density section, sde from
-    its simulated shifts. It is centered, the limit series built and the
-    ladder of Wick powers of its excess (excess_powers) climbed once per
-    sweep; each row's density is then a weighted sum of the rungs, and a
-    row's seconds are the time of that sum. All rows are measured in one
-    l1_distances call on the same points (common random numbers), so the
-    measured distances of successive n share their Monte-Carlo noise. The density is audited
-    unless the caller passes the report of that audit, and a failed verdict
-    of the report stops the sweep before any row. The ladder and the space's
-    pair table are freed before the distances; a later product rebuilds it.
+    its simulated shifts (a bare ChaosVector, which counts as kind
+    coefficients). It is centered, the limit series built and the ladder of
+    Wick powers of its excess (excess_powers) climbed once per sweep; each
+    row's density is then a weighted sum of the rungs, and a row's seconds
+    are the time of that sum. A product_hermite density takes these steps
+    on its axis factor in GaussianSpace(1, K), since each acts coordinate by
+    coordinate and commutes with the cut at total degree K, and lifts each
+    result with axis_product; other kinds take them in their own space. All
+    rows are measured in one l1_distances call on the same points (common
+    random numbers), so the measured distances of successive n share their
+    Monte-Carlo noise. The density is audited unless the caller passes the
+    report of that audit, and a failed verdict of the report stops the
+    sweep before any row. The ladder and its space's pair table are freed
+    before the distances; a later product rebuilds it.
     """
-    space = density.space
+    if isinstance(density, ChaosVector):
+        density = Density(density)
+    space = density.vector.space
     config.require_llt_fields(space.dimension, space.max_degree)
     if report is None:
-        report = audit_density(density)
+        report = audit_density(density.vector)
     require_passed(report.verdicts)
-    centered = center_density(density)
-    limit = gaussian_limit_series(kernel_view(density).g2, space).series
-    constant = _rate_constant(centered, limit, config.alpha)
+    algebra, f, lift = space, density.vector, lambda v: v
+    if density.kind == "product_hermite":
+        algebra = GaussianSpace(1, space.max_degree)
+        f, lift = axis_product(density.structure, algebra), lambda v: axis_product(v.coeffs, space)
+    centered = center_density(f)
+    limit = lift(gaussian_limit_series(kernel_view(f).g2, algebra).series)
+    constant = _rate_constant(lift(centered), limit, config.alpha)
     target = gamma(math.sqrt(config.alpha), limit)
     distance_seed = child_seed(config.seed, STREAM_DISTANCE)
 
     start = time.perf_counter()
     ladder = excess_powers(centered)
-    power_ladder = {"rungs": len(ladder) - 1, "seconds": time.perf_counter() - start}
-    space.release("pair_table")  # the ladder was the sweep's last product
+    elapsed = time.perf_counter() - start
+    power_ladder = {"rungs": len(ladder) - 1, "seconds": elapsed, "dimension": algebra.dimension}
+    algebra.release("pair_table")  # the ladder was the sweep's last product
     ns = sorted(config.n_values)
     densities, seconds = [], []
     for n in ns:
         start = time.perf_counter()
         lam = math.sqrt(config.alpha / n)
-        densities.append(power_from_ladder(float(centered.coeffs[0]), ladder, n, lam))
+        densities.append(lift(power_from_ladder(float(centered.coeffs[0]), ladder, n, lam)))
         seconds.append(time.perf_counter() - start)
     del ladder
     distances = l1_distances(densities, target, config.distance, seed=distance_seed)
@@ -239,7 +253,7 @@ def rate_sweep(
         RateRow(n=n, l1=dist, bound=constant.c / math.sqrt(n), error=err, seconds=s)
         for n, s, (dist, err) in zip(ns, seconds, distances)
     ]
-    table = RateTable(tuple(rows), constant.c, constant.n0, constant.beta, power_ladder)
+    table = RateTable(tuple(rows), *constant[:3], power_ladder, pair_footprint(algebra))
     # absolute floor below which a measured distance is evaluation noise
     # (coefficients agree to roundoff, e.g. the fixed-point density)
     noise = 1e-12

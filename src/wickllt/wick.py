@@ -235,7 +235,7 @@ def excess_powers(f: ChaosVector, top: int | None = None) -> list[ChaosVector]:
     for j in range(2, min(top or k_max, k_max // lo) + 1):
         below = range((j - 1) * lo, (j - 1) * hi + 1)
         rung = _convolve(u, rungs[-1].coeffs, table, range(lo, hi + 1), below, k_max)
-        rungs.append(ChaosVector(space, rung))  # a copy, so rung is freed at once
+        rungs.append(ChaosVector(space, rung))
     return rungs
 
 

@@ -14,6 +14,7 @@ from wickllt.basis import (
     GaussianSpace,
     IncompatibleBasisError,
     InsufficientDegreeError,
+    axis_product,
     basis_vector,
     chaos_inner,
     enumerate_indices,
@@ -253,6 +254,29 @@ class TestPowerTable:
 
     def test_scalar(self):
         assert power_table(3, -0.5).tolist() == [1.0, -0.5, 0.25, -0.125]
+
+
+class TestChaosVector:
+    def test_takes_a_float64_vector_and_copies_anything_else(self, line16):
+        owned = np.zeros(line16.size)
+        f = ChaosVector(line16, owned)
+        assert f.coeffs is owned and not owned.flags.writeable
+        for given in (np.zeros(17, dtype=np.float32), np.zeros(17, dtype=np.int64), [0.0] * 17):
+            g = ChaosVector(line16, given)
+            assert g.coeffs is not given and not g.coeffs.flags.writeable
+            assert g.coeffs.dtype == np.float64 and g.coeffs.shape == (line16.size,)
+            if isinstance(given, np.ndarray):
+                assert given.flags.writeable
+
+    def test_axis_product(self):
+        # prod_i axis[alpha_i], with the axis cut or padded to degrees 0..K
+        axis = np.array([1.0, 0.5, 0.25, 0.125, 2.0])
+        space = GaussianSpace(3, 3)
+        f = axis_product(axis, space)
+        for p, index in enumerate(space.indices):
+            assert f.coeffs[p] == np.prod([axis[a] for a in index])
+        line = GaussianSpace(1, 6)
+        assert axis_product(axis, line).coeffs.tolist() == axis.tolist() + [0.0, 0.0]
 
 
 class TestInnerProduct:

@@ -283,8 +283,10 @@ class TestManifestNotes:
             "head": 7, "tail": 28, "full": 84, "contracted": 7, "chunk": 2048
         }
         assert notes["distance_points"] == points == 3000
-        assert notes["pairs"] == (math.comb(6 + 6, 6) + 1 + 9 + 36 + 100) // 2 == 535
-        assert notes["pair_bytes"] == 535  # 84 rows: uint8 positions
+        # a product density climbs its ladder on the axis factor, in (1, 6)
+        assert notes["power_ladder"]["dimension"] == 1
+        assert notes["pairs"] == (math.comb(2 + 6, 6) + 4) // 2 == 16
+        assert notes["pair_bytes"] == 16  # 7 rows: uint8 positions
 
     def test_sde_sweep(self, monkeypatch, tmp_path):
         data = {
@@ -306,6 +308,7 @@ class TestManifestNotes:
         }
         assert notes["distance_points"] == points == 2000
         assert notes["power_ladder"]["rungs"] == 2
+        assert notes["power_ladder"]["dimension"] == 4
         assert notes["pairs"] == (math.comb(8 + 4, 4) + 1 + 16 + 100) // 2 == 306
         assert notes["pair_bytes"] == 306  # 70 rows: uint8 positions
 
@@ -618,7 +621,7 @@ def test_failed_audit_stops_every_command(tmp_path, capsys, command, data, faile
         verdicts = json.loads((out / "sde_report.json").read_text())["audit"]["verdicts"]
     else:
         config = load_config(cfg)
-        density = resolve_density(config.density, config.build_space())
+        density = resolve_density(config.density, config.build_space()).vector
         verdicts = audit_density(density).to_json_dict()["verdicts"]
     check = verdicts[failed]
     assert [name for name, v in verdicts.items() if not v["passed"]] == [failed]
@@ -809,7 +812,9 @@ class TestConfigErrors:
                 base_llt_config(space={"dimension": "two", "max_degree": 4}),
                 "space.dimension must be an integer",
             ),
-            ("sde", base_sde_config(paths=0), "sde.paths must be at least 1"),
+            ("sde", base_sde_config(paths=0), "sde.paths must be at least 2, got 0"),
+            # a standard error needs two paths
+            ("sde", base_sde_config(paths=1), "sde.paths must be at least 2, got 1"),
             ("sde", base_sde_config(drift={"kind": "cosine"}), "unknown drift kind 'cosine'"),
             ("sde", base_sde_config(drift={"kind": "constant"}), "needs a 'value' field"),
             (
@@ -1004,6 +1009,7 @@ class TestConfigErrors:
             "n_values_huge",
             "dimension_string",
             "zero_paths",
+            "one_path",
             "unknown_drift",
             "constant_drift_without_value",
             "sde_drift_unknown_field",
@@ -1356,3 +1362,37 @@ def test_cli_runs_without_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "clean"
+
+
+@pytest.mark.parametrize(
+    "density, degree",
+    [
+        (
+            {"kind": "shift_mixture", "weights": [0.5, 0.5], "shifts": [[1e200, 0.0], [-1e200, 0.0]]},
+            2,
+        ),
+        ({"kind": "coefficients", "terms": [{"index": [0, 3], "coeff": 1e308}]}, 3),
+        ({"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 1e200]}, 2),
+    ],
+    ids=["shifts_1e200", "coefficient_1e308", "axis_1e200"],
+)
+def test_overflowing_density_is_one_config_error(tmp_path, density, degree):
+    # finite inputs whose density overflows: exit 2 and one stderr line, with
+    # no RuntimeWarning, in a fresh process (numpy warns once per process)
+    import wickllt
+
+    src = str(Path(wickllt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    data = base_llt_config(space={"dimension": 2, "max_degree": 6}, density=density)
+    cfg = write_config(tmp_path, "c.json", data)
+    result = subprocess.run(
+        [sys.executable, "-m", "wickllt.cli", "llt", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"config error: density is not finite: its coefficients or L2 mass overflow at degree {degree}"
+    ]

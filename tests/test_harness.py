@@ -269,7 +269,7 @@ def _config_for(density: dict, n_values, space=(1, 16), method="quadrature", **e
 
 
 def _config_density(config):
-    return resolve_density(config.density, config.build_space())
+    return resolve_density(config.density, config.build_space()).vector
 
 
 class TestRateSweep:
@@ -437,6 +437,70 @@ class TestRateSweep:
         with pytest.raises(BoundViolationError) as info:
             rate_sweep(config, _config_density(config))
         assert info.value.rows and info.value.table is not None
+
+
+
+class TestProductRoute:
+    """A product_hermite sweep runs its algebra on the axis factor in
+    GaussianSpace(1, K) and lifts the results; the general route, taken by
+    the bare vector, is the reference."""
+
+    def _sweep(self, monkeypatch, config, density):
+        # the table, rows and target of a sweep, and the dimensions of the
+        # spaces whose pair table it built
+        import wickllt.harness as harness
+        import wickllt.wick as wick
+
+        seen, tables = {}, []
+        real_distances, real_table = harness.l1_distances, wick._pair_table
+
+        def recording(fs, g, spec=None, seed=0):
+            seen.update(rows=list(fs), target=g)
+            return real_distances(fs, g, spec, seed)
+
+        def table(space):
+            tables.append(space.dimension)
+            return real_table(space)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "l1_distances", recording)
+            patch.setattr(wick, "_pair_table", table)
+            result, _ = rate_sweep(config, density)
+        return result, seen["rows"], seen["target"], set(tables)
+
+    @pytest.mark.parametrize(
+        "axis, space, distance",
+        [
+            ([1.0, 0.0, 0.1], (2, 8), {"method": "quadrature"}),
+            ([1.0, 0.2, 0.1, 0.02], (3, 8), {"method": "mc", "samples": 4000}),
+            ([1.0, 0.0, 0.1, 0.02], (5, 14), {"method": "mc", "samples": 2000}),
+        ],
+        ids=["d2_quadrature", "d3_mean", "llt_wick_d5"],
+    )
+    def test_matches_the_general_route(self, monkeypatch, axis, space, distance):
+        spec = {"kind": "product_hermite", "axis_coeffs": axis}
+        config = _config_for(spec, [4**k for k in range(1, 10)], space=space, distance=distance)
+        density = resolve_density(config.density, config.build_space())
+        assert density.kind == "product_hermite"
+        product, rows, target, built = self._sweep(monkeypatch, config, density)
+        general, ref_rows, ref_target, ref_built = self._sweep(monkeypatch, config, density.vector)
+        # no d-space pair table on the product route; the general route builds one
+        assert built == {1} and ref_built == {space[0]}
+        assert product.power_ladder["dimension"] == 1
+        assert general.power_ladder["dimension"] == space[0]
+        scale = density.vector.norm()
+        for got, want in zip(rows + [target], ref_rows + [ref_target], strict=True):
+            assert got.space is want.space is density.vector.space
+            assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * scale
+        assert product.constant == pytest.approx(general.constant, rel=1e-14, abs=0.0)
+        for got, want, a, b in zip(product.rows, general.rows, rows, ref_rows, strict=True):
+            # 1e-12 relative, or what the rows' own roundoff allows: a distance
+            # moves by at most ||a - b||_2 (Cauchy-Schwarz; exactly so on a
+            # quadrature rule, which integrates (a - b)^2), and err, the gap of
+            # two distances, by twice that
+            slack = (a - b).norm()
+            assert abs(got.l1 - want.l1) <= 1e-12 * want.l1 + slack
+            assert abs(got.error - want.error) <= 1e-12 * want.error + 2 * slack
 
 
 class TestYoung:

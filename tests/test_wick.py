@@ -447,7 +447,7 @@ class TestWickPower:
         # the rows of a d=5, K=14 sweep of a product density, n = 4 ... 4^9
         space = GaussianSpace(5, 14)
         spec = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.02]}
-        centered = center_density(resolve_density(spec, space))
+        centered = center_density(resolve_density(spec, space).vector)
         for n in [4**k for k in range(1, 10)]:
             row = gamma(math.sqrt(0.5 / n), centered)
             product_calls.clear()
@@ -477,7 +477,7 @@ class TestWickPower:
         # the constant term just below the sum of the rest changes nothing
         c = np.zeros(line16.size)
         c[:4] = [1.0, 0.25, -0.5, 0.25]  # the rest sums to exactly |c_0|
-        at_edge = ChaosVector(line16, c)
+        at_edge = ChaosVector(line16, c.copy())
         c[0] = np.nextafter(1.0, 0.0)
         below = wick_power(ChaosVector(line16, c), 3)
         assert np.allclose(below.coeffs, wick_power(at_edge, 3).coeffs, atol=1e-14)
@@ -528,7 +528,7 @@ class TestWickExp:
         f = random_low_degree(plane8, rng, max_degree=3)
         c = f.coeffs.copy()
         c[0] = 0.0
-        f = ChaosVector(plane8, c)
+        f = ChaosVector(plane8, c.copy())
         total = unit_density(plane8)
         term = unit_density(plane8)
         for j in range(1, plane8.max_degree + 1):
