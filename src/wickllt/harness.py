@@ -207,16 +207,16 @@ def rate_sweep(
     coefficients). It is centered, the limit series built and the ladder of
     Wick powers of its excess (excess_powers) climbed once per sweep; each
     row's density is then a weighted sum of the rungs, and a row's seconds
-    are the time of that sum. A product_hermite density takes these steps
-    on its axis factor in GaussianSpace(1, K), since each acts coordinate by
-    coordinate and commutes with the cut at total degree K, and lifts each
-    result with axis_product; other kinds take them in their own space. All
-    rows are measured in one l1_distances call on the same points (common
-    random numbers), so the measured distances of successive n share their
-    Monte-Carlo noise. The density is audited unless the caller passes the
-    report of that audit, and a failed verdict of the report stops the
-    sweep before any row. The ladder and its space's pair table are freed
-    before the distances; a later product rebuilds it.
+    are the time of that sum and its lift. A product_hermite density takes
+    these steps on its axis factor in GaussianSpace(1, K), since each acts
+    coordinate by coordinate and commutes with the cut at total degree K,
+    and lifts each result with axis_product; other kinds take them in their
+    own space, where the lift is the identity. All rows are measured in one
+    l1_distances call on the same points (common random numbers), so the
+    measured distances of successive n share their Monte-Carlo noise. The
+    density is audited unless the caller passes the report of that audit,
+    and a failed verdict of the report stops the sweep before any row. The
+    ladder and its space's pair table are freed before the distances.
     """
     if isinstance(density, ChaosVector):
         density = Density(density)
