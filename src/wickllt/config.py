@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -29,7 +30,8 @@ SCHEMA_VERSION = 1
 # float, which holds every integer only up to 2**53
 MAX_SUMMANDS = 2**53
 # Largest array of draws or points a config may ask for, in floats (800 MB):
-# paths times steps, distance points times dimension, KS samples.
+# paths times steps, distance points times dimension, KS samples, and the
+# square of the validate space's size, which its orthogonality check holds.
 MAX_ENTRIES = 10**8
 
 
@@ -293,8 +295,9 @@ def parse_config(data) -> ExperimentConfig:
                 "dimension": _int(1, MAX_DIMENSION),
                 "max_degree": _int(0, MAX_DEGREE),
                 "inject_error": _identity,
-                # the KS draws are one-dimensional, whatever the dimension
-                "ks_samples": _int(1, MAX_ENTRIES),
+                # the KS draws are one-dimensional, whatever the dimension; with
+                # fewer than 1,000 the injected convolution error escapes some seeds
+                "ks_samples": _int(1000, MAX_ENTRIES),
             },
         ),
     }
@@ -308,6 +311,14 @@ def parse_config(data) -> ExperimentConfig:
         raise ConfigError(
             f"sde.paths times sde.steps is {sde.paths * sde.steps}, more than {MAX_ENTRIES} "
             f"drift values"
+        )
+    check = sections.get("validate")
+    size = math.comb(check.dimension + check.max_degree, check.max_degree) if check else 0
+    if size * size > MAX_ENTRIES:
+        raise ConfigError(
+            f"validate space (dimension {check.dimension}, max_degree {check.max_degree}) has "
+            f"{size} basis functions; its orthogonality check holds {size}**2 = {size * size} "
+            f"entries, more than {MAX_ENTRIES}"
         )
     if sde is not None and dim is not None and (dim, maxdeg) != (sde.steps, sde.max_degree):
         raise ConfigError(

@@ -1,4 +1,4 @@
-"""Constructors for test densities and a rejection sampler.
+"""Constructors for test densities, and a sampler for one-dimensional ones.
 
 Families covered:
   * finite mixtures of shifted Gaussians, the convolution of the reference
@@ -8,9 +8,9 @@ Families covered:
   * the rank-one quadratic exponential, which admits an independent closed
     form for cross-checking.
 
-Sampling is by rejection against the standard Gaussian with a grid-based
-envelope; Philox sub-streams keyed by batch index make the output a function
-of the seed alone.
+A one-dimensional density has one grid CDF, grid_cdf, which the KS check of
+the identity suite compares against; sample draws from the same CDF by
+inversion of uniforms from the seed's sampler stream.
 """
 
 from __future__ import annotations
@@ -22,16 +22,11 @@ import numpy as np
 
 from .basis import ChaosVector, GaussianSpace, eval_many, monomial_sums
 from .limit_density import gaussian_limit_series
-from .quadrature import tensor_grid
 from .streams import STREAM_SAMPLER, substream
 
 
 class DensityValidationError(Exception):
-    """A density that sample cannot draw from: nonpositive on its envelope grid."""
-
-
-class EnvelopeBreachError(Exception):
-    """Rejection sampling hit a density value above its envelope."""
+    """A density with no positive mass on the grid of grid_cdf."""
 
 
 @dataclass(frozen=True)
@@ -146,62 +141,31 @@ def rank_one_closed_form(g, w) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def _envelope_halfwidth(count: int, max_degree: int) -> float:
-    # Wide enough that a standard normal sample of this size stays inside
-    # with overwhelming probability, padded for polynomial growth.
-    return math.sqrt(2.0 * math.log(10.0 * max(count, 2))) + 1.0 + 0.25 * math.sqrt(max_degree)
+def grid_cdf(f: ChaosVector) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, cdf): the CDF of the one-dimensional measure f dmu on 8,001
+    points of [-10, 10], beyond which the Gaussian weight is below 1e-22.
 
-
-_ENVELOPE_AXIS_POINTS = {1: 4097, 2: 193, 3: 41, 4: 21}
-# Headroom of the envelope over the grid maximum, for peaks between grid points.
-ENVELOPE_FACTOR = 1.05
-# Proposals per batch; batch i draws from sampler sub-stream i.
-SAMPLE_BATCH = 8192
-
-
-def sample(f: ChaosVector, count: int, seed: int = 0, halfwidth: float | None = None) -> np.ndarray:
-    """Draw from the measure f dmu by rejection against the reference Gaussian.
-
-    The envelope is ENVELOPE_FACTOR times the maximum of f on a dense tensor
-    grid whose halfwidth covers the plausible sample range for this count and
-    degree. A proposal that evaluates above the envelope aborts the run with
-    a diagnostic instead of silently clipping.
+    A trapezoid integral of f against the Gaussian weight, with f clipped at
+    zero where truncation dips negative, normalized to end at one.
     """
-    d = f.space.dimension
-    if d > 4:
-        raise ValueError("rejection sampling is limited to dimension <= 4")
-    if count < 1:
-        raise ValueError("need a positive sample count")
-    hw = halfwidth if halfwidth is not None else _envelope_halfwidth(count, f.space.max_degree)
-    grid = tensor_grid(d, _ENVELOPE_AXIS_POINTS[d], hw)
-    envelope = ENVELOPE_FACTOR * float(eval_many(f, grid).max())
-    if envelope <= 0.0:
-        raise DensityValidationError("density is nonpositive on the envelope grid")
-    out = np.empty((count, d))
-    got = 0
-    batch_index = 0
-    max_batches = 2000 + 200 * count // SAMPLE_BATCH
-    while got < count:
-        if batch_index > max_batches:
-            raise EnvelopeBreachError(
-                "rejection sampling stalled; acceptance rate too low for envelope "
-                f"{envelope:.6g}"
-            )
-        rng = substream(seed, STREAM_SAMPLER, batch_index)
-        batch_index += 1
-        pts = rng.standard_normal((SAMPLE_BATCH, d))
-        vals = eval_many(f, pts)
-        breach = vals > envelope
-        if np.any(breach):
-            k = int(np.argmax(breach))
-            raise EnvelopeBreachError(
-                f"envelope too small: density value {vals[k]:.6g} at point "
-                f"{pts[k].tolist()} exceeds envelope {envelope:.6g}; enlarge the "
-                "grid halfwidth or ENVELOPE_FACTOR"
-            )
-        accept = rng.random(SAMPLE_BATCH) * envelope <= np.clip(vals, 0.0, None)
-        taken = pts[accept]
-        take = min(taken.shape[0], count - got)
-        out[got : got + take] = taken[:take]
-        got += take
-    return out
+    if f.space.dimension != 1:
+        raise ValueError(f"a grid CDF needs a one-dimensional density, not {f.space.dimension}")
+    grid = np.linspace(-10.0, 10.0, 8001)
+    weight = np.exp(-grid**2 / 2.0) / np.sqrt(2 * np.pi)
+    dens = np.clip(eval_many(f, grid[:, None]), 0.0, None) * weight
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
+    if not cdf[-1] > 0.0:
+        raise DensityValidationError("density has no positive mass on the CDF grid [-10, 10]")
+    cdf /= cdf[-1]
+    return grid, cdf
+
+
+def sample(f: ChaosVector, count: int, seed: int = 0) -> np.ndarray:
+    """count draws from the one-dimensional measure f dmu, shape (count, 1).
+
+    Inverts grid_cdf at uniforms from the sampler stream of seed (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. 2), so the draws follow
+    exactly the CDF that ks_against_density tests against.
+    """
+    grid, cdf = grid_cdf(f)
+    return np.interp(substream(seed, STREAM_SAMPLER).random(count), cdf, grid)[:, None]

@@ -10,7 +10,7 @@ Registry of stream tags (first path element):
     1  audit grids (Monte Carlo screening points)
     2  Brownian path simulation, sub-keyed by path block
     3  distance estimation samples
-    4  rejection sampler, sub-keyed by batch
+    4  measures.sample: uniforms inverted through the grid CDF
     5  Ornstein-Uhlenbeck Monte Carlo checks
     6  identity-suite randomness
 """

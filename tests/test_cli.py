@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wickllt.basis as basis
 from wickllt.audit import audit_density
 from wickllt.cli import main
-from wickllt.config import load_config, resolve_density
+from wickllt.config import ConfigError, load_config, parse_config, resolve_density
 from wickllt.identities import IDENTITY_NAMES
 from wickllt.sde import PathGrid, drift_from_config, simulate_drift_shifts
 
@@ -62,7 +63,7 @@ def base_xi_config(g2=((0.1, 0.0), (0.0, 0.1)), max_degree=4, **density_override
 
 
 def base_validate_config(**overrides):
-    section = {"dimension": 1, "max_degree": 4, "ks_samples": 200, **overrides}
+    section = {"dimension": 1, "max_degree": 4, "ks_samples": 1000, **overrides}
     return {"schema_version": 1, "seed": 1, "validate": section}
 
 
@@ -359,6 +360,16 @@ class TestValidateCommand:
         assert [line.split(":")[0] for line in lines] == [f"identity {n}" for n in IDENTITY_NAMES]
         assert [n for n, line in zip(IDENTITY_NAMES, lines) if ": FAIL (" in line] == ["young"]
         assert captured.err.startswith("validate: FAIL (identity suite failed: young (measured ")
+
+    @pytest.mark.parametrize("dimension, max_degree", [(16, 5), (8, 8)])
+    def test_space_cap_refuses_before_any_space_is_built(self, monkeypatch, dimension, max_degree):
+        # the orthogonality check would hold 3.3 GB (16, 5) or 1.3 GB (8, 8) per array
+        def no_space(*args):
+            raise AssertionError("a space was built")
+
+        monkeypatch.setattr(basis.GaussianSpace, "__init__", no_space)
+        with pytest.raises(ConfigError, match="its orthogonality check holds"):
+            parse_config(base_validate_config(dimension=dimension, max_degree=max_degree))
 
     def test_capped_products_factorize_exactly(self, tmp_path):
         # at d=2, K=4 the S-transform check compares capped products with no
@@ -876,6 +887,21 @@ class TestConfigErrors:
                 "validate.ks_samples must be at most 100000000",
             ),
             (
+                "validate",
+                base_validate_config(ks_samples=999),
+                "validate.ks_samples must be at least 1000, got 999",
+            ),
+            (
+                "validate",
+                base_validate_config(dimension=16, max_degree=5),
+                "(dimension 16, max_degree 5) has 20349 basis functions",
+            ),
+            (
+                "validate",
+                base_validate_config(dimension=8, max_degree=8),
+                "12870**2 = 165636900 entries, more than 100000000",
+            ),
+            (
                 "llt",
                 base_llt_config(record_wall_times=True),
                 "unknown field(s) ['record_wall_times'] in config root",
@@ -1027,6 +1053,9 @@ class TestConfigErrors:
             "paths_2_63",
             "ks_samples_huge",
             "ks_samples_2_63",
+            "ks_samples_999",
+            "validate_space_16_5",
+            "validate_space_8_8",
             "wall_times_unknown",
             "shift_dimension",
             "weights_sum",

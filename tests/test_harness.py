@@ -21,7 +21,8 @@ from wickllt.harness import (
     sum_density,
     young_check,
 )
-from wickllt.measures import gaussian_cov
+from wickllt.identities import run_identity_suite
+from wickllt.measures import DensityValidationError, gaussian_cov
 from wickllt.streams import STREAM_DISTANCE, substream
 from wickllt.wick import center_density, gamma, stochastic_exponential, wick_product
 
@@ -578,6 +579,18 @@ class TestEmpiricalConvolution:
         expected = stats.ks_1samp(values, lambda x: np.interp(x, grid, cdf)).statistic
         assert report.ks_statistic == float(expected)
         assert report.critical_value == float(stats.kstwobign.isf(0.01) / math.sqrt(3000))
+
+    def test_nonpositive_prediction_is_refused(self, line16):
+        # no positive mass to normalize the CDF by: an error, not a NaN statistic
+        values = np.random.default_rng(5).standard_normal(100)
+        with pytest.raises(DensityValidationError, match="no positive mass"):
+            ks_against_density(values, -unit_density(line16))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_injected_error_caught_at_the_smallest_sample(self, seed):
+        # 1,000 draws is the fewest a validate config takes
+        results = run_identity_suite(seed=seed, inject_error="empirical_convolution", ks_samples=1000)
+        assert not results["empirical_convolution"].passed
 
     def test_stored_kolmogorov_point_matches_scipy(self):
         assert KOLMOGOROV_1PCT == float(special.kolmogi(0.01))
