@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .audit import AssumptionViolationError, audit_density, require_passed, verdicts_json
 from .basis import BasisTooLargeError, GaussianSpace, InsufficientDegreeError
-from .config import ConfigError, ExperimentConfig, gaussian_cov_limit, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .config import require_finite, resolve_density
 from .harness import BoundViolationError, RateTable, rate_sweep
 from .identities import run_identity_suite
@@ -284,9 +284,11 @@ def cmd_sde(args) -> int:
 
 def cmd_build_xi(args) -> int:
     with _run(args, "build-xi") as (config, manifest):
+        if (config.density or {}).get("kind") != "gaussian_cov":
+            raise ConfigError("this command needs a density of kind 'gaussian_cov'")
         space = config.build_space()
         with manifest.stage("series"):
-            density = gaussian_cov_limit(config.density, space)
+            density = resolve_density(config.density, space).structure
             norms = limit_l2_norms(density)
         manifest.artifact("xi_series.json", dumps_canonical, density.to_json_dict())
         report = {

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import MAX_DEGREE, MAX_DIMENSION, ChaosVector, GaussianSpace, axis_product
-from .limit_density import LimitDensity, gaussian_limit_series
+from .limit_density import gaussian_limit_series
 from .measures import rank_one_quadratic, shift_mixture, WeightedShifts
 from .quadrature import MAX_QUADRATURE_DIM
 from .sde import drift_from_config
@@ -30,8 +30,8 @@ SCHEMA_VERSION = 1
 # float, which holds every integer only up to 2**53
 MAX_SUMMANDS = 2**53
 # Largest array of draws or points a config may ask for, in floats (800 MB):
-# paths times steps, distance points times dimension, KS samples, and the
-# square of the validate space's size, which its orthogonality check holds.
+# paths times steps, distance points times dimension, six KS sample arrays,
+# and the square of the validate space's size (its orthogonality check).
 MAX_ENTRIES = 10**8
 
 
@@ -293,11 +293,11 @@ def parse_config(data) -> ExperimentConfig:
             ValidateSection,
             {
                 "dimension": _int(1, MAX_DIMENSION),
-                "max_degree": _int(0, MAX_DEGREE),
+                "max_degree": _int(2, MAX_DEGREE),  # the suite places degree-2 kernels
                 "inject_error": _identity,
-                # the KS draws are one-dimensional, whatever the dimension; with
-                # fewer than 1,000 the injected convolution error escapes some seeds
-                "ks_samples": _int(1000, MAX_ENTRIES),
+                # one-dimensional draws: below 1,000 the injected convolution error
+                # escapes some seeds, and the KS check holds six arrays of them
+                "ks_samples": _int(1000, MAX_ENTRIES // 6),
             },
         ),
     }
@@ -339,26 +339,10 @@ def parse_config(data) -> ExperimentConfig:
     )
 
 
-def gaussian_cov_limit(spec: dict | None, space: GaussianSpace) -> LimitDensity:
-    """The limit density that a density section of kind 'gaussian_cov' names.
-
-    A missing or non-finite g2, or one that is not a symmetric kernel of the
-    space's dimension, is a ConfigError; a kernel that breaks the standing
-    hypotheses raises AssumptionViolationError.
-    """
-    if spec is None or spec.get("kind") != "gaussian_cov":
-        raise ConfigError("this command needs a density of kind 'gaussian_cov'")
-    _take(spec, {"kind": True, "g2": True}, "density")
-    try:
-        return gaussian_limit_series(_finite(spec["g2"], "density.g2"), space)
-    except ValueError as exc:
-        raise ConfigError(f"density: {exc}") from exc
-
-
 class Density(NamedTuple):
     """A resolved density section: its vector, its kind, and the structure the
-    vector loses: the axis coefficients of product_hermite, the
-    WeightedShifts of shift_mixture or the g2 of gaussian_cov, else None."""
+    vector loses: the axis coefficients of product_hermite, the WeightedShifts
+    of shift_mixture or the whole LimitDensity of gaussian_cov, else None."""
 
     vector: ChaosVector
     kind: str = "coefficients"
@@ -382,10 +366,14 @@ def resolve_density(spec: dict | None, space: GaussianSpace) -> Density:
     """Build the density named by a config 'density' section.
 
     Raw coefficients are taken as given: the assumption audit, which every
-    command runs on the result, screens normalization and nonnegativity. An
-    overflow, built without warnings, is a ConfigError (require_finite).
+    command runs on the result, screens normalization and nonnegativity. A
+    parameter its constructor rejects, or an overflow, built without
+    warnings, is a ConfigError (require_finite).
     """
-    density = _build_density(spec, space)
+    try:
+        density = _build_density(spec, space)
+    except ValueError as exc:
+        raise ConfigError(f"density: {exc}") from exc
     require_finite(density.vector)
     return density
 
@@ -420,20 +408,15 @@ def _build_density(spec: dict | None, space: GaussianSpace) -> Density:
         return Density(ChaosVector(space, coeffs))
     if kind == "shift_mixture":
         _take(spec, {"kind": True, "weights": True, "shifts": True}, "density")
-        try:
-            nu = WeightedShifts.from_json_dict(spec)
-            return Density(shift_mixture(nu, space), kind, nu)
-        except ValueError as exc:
-            raise ConfigError(f"density: {exc}") from exc
+        nu = WeightedShifts(spec["weights"], spec["shifts"])
+        return Density(shift_mixture(nu, space), kind, nu)
     if kind == "gaussian_cov":
-        limit = gaussian_cov_limit(spec, space)
-        return Density(limit.series, kind, limit.g2)
+        _take(spec, {"kind": True, "g2": True}, "density")
+        limit = gaussian_limit_series(_finite(spec["g2"], "density.g2"), space)
+        return Density(limit.series, kind, limit)
     if kind == "rank_one_quadratic":
         _take(spec, {"kind": True, "g": True}, "density")
-        try:
-            return Density(rank_one_quadratic(_finite(spec["g"], "density.g"), space), kind)
-        except ValueError as exc:
-            raise ConfigError(f"density: {exc}") from exc
+        return Density(rank_one_quadratic(_finite(spec["g"], "density.g"), space), kind)
     if kind == "product_hermite":
         _take(spec, {"kind": True, "axis_coeffs": True}, "density")
         base = _finite(spec["axis_coeffs"], "density.axis_coeffs")

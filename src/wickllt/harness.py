@@ -34,7 +34,7 @@ import numpy as np
 
 from .audit import AssumptionReport, audit_density, require_passed
 from .basis import ChaosVector, GaussianSpace, axis_product, eval_stacked, kernel_view
-from .config import Density, DistanceConfig, ExperimentConfig
+from .config import ConfigError, Density, DistanceConfig, ExperimentConfig
 from .limit_density import gaussian_limit_series
 from .measures import grid_cdf, sample
 from .quadrature import MAX_QUADRATURE_DIM, tensor_rule
@@ -146,7 +146,8 @@ def rate_constant(f: ChaosVector, alpha: float) -> RateConstant:
     keeping the scaling argument inside [0, 1]; the tail sum runs over
     degrees 3..max_degree of the scaled difference between the centered
     density and the limit series. A space of max_degree below 3 has no such
-    degree, and is a ValueError.
+    degree, and is a ValueError; an alpha so small that a nonzero difference
+    there underflows to a zero tail is a ConfigError.
     """
     limit = gaussian_limit_series(kernel_view(f).g2, f.space).series
     return _rate_constant(center_density(f), limit, alpha)
@@ -170,6 +171,12 @@ def _rate_constant(centered: ChaosVector, limit: ChaosVector, alpha: float) -> R
     lam = min(1.0, math.sqrt(beta / n0))
     diff = gamma(lam, centered) - gamma(lam, limit)
     tail = float(diff.degree_norms_sq()[3:].sum())
+    if tail == 0.0 and (centered - limit).degree_norms_sq()[3:].sum() > 0.0:
+        # lam**k flushed a nonzero difference to zero: C = 0 is a fixed point's
+        raise ConfigError(
+            f"alpha {alpha!r} is too small: the scaled degree >= 3 difference "
+            "from the limit underflows to zero"
+        )
     return RateConstant(n0**1.5 * math.sqrt(tail), n0, beta, tail)
 
 

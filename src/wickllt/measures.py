@@ -3,8 +3,6 @@
 Families covered:
   * finite mixtures of shifted Gaussians, the convolution of the reference
     measure with a finitely supported measure on the shift space;
-  * the Gaussian limit density itself for a given excess kernel (fixed
-    point of the standardized-sum dynamics);
   * the rank-one quadratic exponential, which admits an independent closed
     form for cross-checking.
 
@@ -79,13 +77,6 @@ class WeightedShifts:
         """Raw little-endian float64, one row (weight, shift) per atom, row-major."""
         return np.column_stack([self.weights, self.shifts]).astype("<f8").tobytes()
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "WeightedShifts":
-        return WeightedShifts(
-            np.asarray(data["weights"], dtype=float),
-            np.asarray(data["shifts"], dtype=float),
-        )
-
 
 def shift_mixture(nu: WeightedShifts, space: GaussianSpace) -> ChaosVector:
     """Density of the reference measure convolved with the atomic measure nu.
@@ -104,11 +95,6 @@ def shift_mixture(nu: WeightedShifts, space: GaussianSpace) -> ChaosVector:
     acc = monomial_sums(space, nu.shifts, nu.weights)
     acc /= acc[0]
     return ChaosVector(space, acc / space.factorials)
-
-
-def gaussian_cov(g2, space: GaussianSpace) -> ChaosVector:
-    """The limit density itself as a test density (fixed point of the sweep)."""
-    return gaussian_limit_series(g2, space).series
 
 
 def rank_one_quadratic(g, space: GaussianSpace) -> ChaosVector:

@@ -48,8 +48,6 @@ def gauss_hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def tensor_rule(dimension: int, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Product rule on R^d: points (n^d, d) and matching probability weights."""
     x, w = gauss_hermite_rule(nodes_per_axis)
-    if dimension == 1:
-        return x[:, None], w
     grids = np.meshgrid(*([x] * dimension), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     wgrids = np.meshgrid(*([w] * dimension), indexing="ij")
@@ -62,7 +60,5 @@ def tensor_rule(dimension: int, nodes_per_axis: int) -> tuple[np.ndarray, np.nda
 def tensor_grid(dimension: int, points_per_axis: int, halfwidth: float) -> np.ndarray:
     """Uniform tensor grid on [-halfwidth, halfwidth]^d, shape (n^d, d)."""
     axis = np.linspace(-halfwidth, halfwidth, points_per_axis)
-    if dimension == 1:
-        return axis[:, None]
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)

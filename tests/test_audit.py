@@ -117,9 +117,9 @@ class TestExcessSize:
         assert report.spectral_radius_2g == pytest.approx(0.2)
 
     def test_two_dimensional_diagonal(self, plane12):
-        from wickllt.measures import gaussian_cov
+        from wickllt.limit_density import gaussian_limit_series
 
-        f = gaussian_cov(np.diag([0.3, 0.3]), plane12)
+        f = gaussian_limit_series(np.diag([0.3, 0.3]), plane12).series
         report = audit_density(f)
         assert report.frobenius_sq_m == pytest.approx(0.72, rel=1e-10)
         assert report.spectral_radius_2g == pytest.approx(0.6, rel=1e-10)

@@ -17,6 +17,7 @@ from wickllt.audit import audit_density
 from wickllt.cli import main
 from wickllt.config import ConfigError, load_config, parse_config, resolve_density
 from wickllt.identities import IDENTITY_NAMES
+from wickllt.limit_density import LimitDensity, gaussian_limit_series
 from wickllt.sde import PathGrid, drift_from_config, simulate_drift_shifts
 
 from helpers import sha256_file
@@ -690,6 +691,19 @@ class TestBuildXi:
         assert main(["build-xi", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
 
+    def test_resolved_gaussian_cov_carries_its_limit_density(self):
+        g2 = [[0.1, 0.05], [0.05, 0.2]]
+        space = basis.GaussianSpace(2, 8)
+        density = resolve_density({"kind": "gaussian_cov", "g2": g2}, space)
+        limit = density.structure
+        assert density.kind == "gaussian_cov" and isinstance(limit, LimitDensity)
+        assert limit.series is density.vector
+        expected = gaussian_limit_series(np.array(g2), space)
+        assert np.array_equal(limit.series.coeffs, expected.series.coeffs)
+        assert np.array_equal(limit.g2, g2)
+        assert np.array_equal(limit.eigenvalues, expected.eigenvalues)
+        assert limit.l2_tail_sq == expected.l2_tail_sq
+
 
 class TestConfigErrors:
     def test_unknown_field_exit_two(self, tmp_path, capsys):
@@ -879,17 +893,33 @@ class TestConfigErrors:
             (
                 "validate",
                 base_validate_config(ks_samples=10**30),
-                "validate.ks_samples must be at most 100000000",
+                "validate.ks_samples must be at most 16666666",
             ),
             (
                 "validate",
                 base_validate_config(ks_samples=2**63),
-                "validate.ks_samples must be at most 100000000",
+                "validate.ks_samples must be at most 16666666",
             ),
             (
                 "validate",
                 base_validate_config(ks_samples=999),
                 "validate.ks_samples must be at least 1000, got 999",
+            ),
+            (
+                "validate",
+                # the KS check holds about six arrays of ks_samples floats
+                base_validate_config(ks_samples=10**8 // 6 + 1),
+                "validate.ks_samples must be at most 16666666, got 16666667",
+            ),
+            (
+                "validate",
+                base_validate_config(max_degree=0),
+                "validate.max_degree must be at least 2, got 0",
+            ),
+            (
+                "validate",
+                base_validate_config(max_degree=1),
+                "validate.max_degree must be at least 2, got 1",
             ),
             (
                 "validate",
@@ -986,6 +1016,33 @@ class TestConfigErrors:
             ("build-xi", base_xi_config(g2="abc"), "density.g2 must be numbers"),
             ("build-xi", base_xi_config(max_degree=1), "kernel placement needs max_degree >= 2"),
             ("build-xi", base_xi_config(zzz=1), "unknown field(s) ['zzz'] in density"),
+            (
+                "build-xi",
+                {k: v for k, v in base_xi_config().items() if k != "density"},
+                "this command needs a density of kind 'gaussian_cov'",
+            ),
+            (
+                "build-xi",
+                {**base_xi_config(), "density": {"kind": "product_hermite", "axis_coeffs": [1.0]}},
+                "this command needs a density of kind 'gaussian_cov'",
+            ),
+            (
+                "llt",
+                base_llt_config(
+                    density={
+                        "kind": "shift_mixture",
+                        "weights": [0.5, 0.5],
+                        "shifts": [[0.1], [0.2, 0.3]],
+                    }
+                ),
+                "config error: density: ",
+            ),
+            (
+                "llt",
+                # every scaled degree >= 3 term underflows, so C would read 0
+                base_llt_config(alpha=1e-300),
+                "config error: alpha 1e-300 is too small",
+            ),
             ("audit", base_xi_config(g2=[[0.1]], max_degree=1), "needs max_degree >= 2"),
             ("validate", base_validate_config(inject_error="bogus"), "inject_error must be null or"),
             ("validate", base_validate_config(inject_error=5), "inject_error must be null or"),
@@ -1054,6 +1111,9 @@ class TestConfigErrors:
             "ks_samples_huge",
             "ks_samples_2_63",
             "ks_samples_999",
+            "ks_samples_cap_plus_one",
+            "validate_degree_zero",
+            "validate_degree_one",
             "validate_space_16_5",
             "validate_space_8_8",
             "wall_times_unknown",
@@ -1075,6 +1135,10 @@ class TestConfigErrors:
             "xi_g2_string",
             "xi_degree_one",
             "xi_unknown_field",
+            "xi_without_density",
+            "xi_product_hermite",
+            "ragged_shifts",
+            "alpha_underflows",
             "audit_degree_one",
             "unknown_identity",
             "identity_number",

@@ -22,7 +22,8 @@ from wickllt.harness import (
     young_check,
 )
 from wickllt.identities import run_identity_suite
-from wickllt.measures import DensityValidationError, gaussian_cov
+from wickllt.limit_density import gaussian_limit_series
+from wickllt.measures import DensityValidationError
 from wickllt.streams import STREAM_DISTANCE, substream
 from wickllt.wick import center_density, gamma, stochastic_exponential, wick_product
 
@@ -43,7 +44,7 @@ class TestSumDensity:
         assert np.array_equal(rho.coeffs, unit_density(line16).coeffs)
 
     def test_limit_density_is_fixed_point(self, line16):
-        xi = gaussian_cov([[0.2]], line16)
+        xi = gaussian_limit_series([[0.2]], line16).series
         rho = sum_density(xi, 5, 0.5)
         target = gamma(math.sqrt(0.5), xi)
         assert np.abs(rho.coeffs - target.coeffs).max() <= 1e-10
@@ -91,7 +92,7 @@ class TestLowDegreeMatching:
             if np.linalg.eigvalsh(g).min() < 0:
                 continue
             centered = center_density(f)
-            limit = gaussian_cov(g, plane8)
+            limit = gaussian_limit_series(g, plane8).series
             low = plane8.degrees <= 2
             assert np.abs(centered.coeffs[low] - limit.coeffs[low]).max() <= 1e-12
 
@@ -113,7 +114,7 @@ class TestDistances:
 
     def test_mc_route_matches_quadrature(self, line16):
         f = corpus_line_density(line16)
-        target = gamma(math.sqrt(0.5), gaussian_cov(kernel_view(f).g2, line16))
+        target = gamma(math.sqrt(0.5), gaussian_limit_series(kernel_view(f).g2, line16).series)
         rho = sum_density(f, 4, 0.5)
         quad = l1_distance(rho, target, DistanceConfig())
         mc = l1_distance(rho, target, DistanceConfig(method="mc", samples=200_000), seed=11)
@@ -205,13 +206,13 @@ class TestDistanceStream:
 
 class TestRateConstant:
     def test_fixed_point_gives_zero(self, line16):
-        xi = gaussian_cov([[0.2]], line16)
+        xi = gaussian_limit_series([[0.2]], line16).series
         result = rate_constant(xi, 0.5)
         assert result.c <= 1e-12
         assert result.n0 == 1 and result.beta == 1.0
 
     def test_single_degree_three_term(self, line16):
-        xi = gaussian_cov([[0.2]], line16)
+        xi = gaussian_limit_series([[0.2]], line16).series
         eps = 0.01
         c = xi.coeffs.copy()
         c[line16.position((3,))] += eps
@@ -238,6 +239,14 @@ class TestRateConstant:
         result = rate_constant(f, 0.8)
         assert result.beta == pytest.approx(4.0)
         assert result.n0 == 4
+
+    def test_underflowing_scale_is_not_a_zero_constant(self, line16):
+        # at alpha = 1e-300 every lam**k with k >= 3 is 0, so the tail would
+        # read 0 for any density; only a true fixed point may report C = 0
+        with pytest.raises(ConfigError, match="alpha 1e-300 is too small"):
+            rate_constant(corpus_line_density(line16), 1e-300)
+        xi = gaussian_limit_series([[0.2]], line16).series
+        assert rate_constant(xi, 1e-300).c == 0.0
 
     def test_low_degree_raises(self):
         space = GaussianSpace(1, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from wickllt.quadrature import MAX_RULE_NODES, gauss_hermite_rule
+from wickllt.quadrature import MAX_RULE_NODES, gauss_hermite_rule, tensor_grid, tensor_rule
 
 
 # every coarse and fine count a shipped config reaches, and the largest rule
@@ -38,3 +38,15 @@ def test_rule_refuses_counts_outside_its_range():
         gauss_hermite_rule(0)
     with pytest.raises(ValueError, match=f"limited to {MAX_RULE_NODES} nodes"):
         gauss_hermite_rule(MAX_RULE_NODES + 1)
+
+
+@pytest.mark.parametrize("nodes", [1, 8, 56])
+def test_one_dimensional_tensor_rule_is_the_rule(nodes):
+    # the general product route at d = 1 returns the rule itself, bit for bit
+    x, w = gauss_hermite_rule(nodes)
+    pts, wts = tensor_rule(1, nodes)
+    assert pts.shape == (nodes, 1) and np.array_equal(pts, x[:, None])
+    assert np.array_equal(wts, w)
+    axis = np.linspace(-3.0, 3.0, nodes)
+    grid = tensor_grid(1, nodes, 3.0)
+    assert grid.shape == (nodes, 1) and np.array_equal(grid, axis[:, None])
