@@ -372,7 +372,7 @@ def resolve_density(spec: dict | None, space: GaussianSpace) -> Density:
     """
     try:
         density = _build_density(spec, space)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # an object among shift_mixture's numbers: TypeError
         raise ConfigError(f"density: {exc}") from exc
     require_finite(density.vector)
     return density

@@ -1039,6 +1039,13 @@ class TestConfigErrors:
             ),
             (
                 "llt",
+                base_llt_config(
+                    density={"kind": "shift_mixture", "weights": {"a": 1.0}, "shifts": [[0.1]]}
+                ),
+                "config error: density: float() argument must be",
+            ),
+            (
+                "llt",
                 # every scaled degree >= 3 term underflows, so C would read 0
                 base_llt_config(alpha=1e-300),
                 "config error: alpha 1e-300 is too small",
@@ -1138,6 +1145,7 @@ class TestConfigErrors:
             "xi_without_density",
             "xi_product_hermite",
             "ragged_shifts",
+            "weights_object",
             "alpha_underflows",
             "audit_degree_one",
             "unknown_identity",
