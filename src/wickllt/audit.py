@@ -21,13 +21,16 @@ quadrature oracle in low dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .basis import ChaosVector, eval_many, kernel_view
+from .basis import ChaosVector, eval_many, eval_products, kernel_view
 from .quadrature import MAX_QUADRATURE_DIM, tensor_grid, tensor_rule
 from .streams import STREAM_AUDIT, substream
+
+if TYPE_CHECKING:  # config imports this module through limit_density
+    from .config import Density
 
 # The nonnegativity screen passes a grid minimum down to -NEGATIVITY_FACTOR
 # times the L2 norm: truncated representatives may dip slightly below zero.
@@ -128,17 +131,23 @@ def variance_pairing(f: ChaosVector, h) -> VariancePairing:
     return VariancePairing(formula, second - first * first)
 
 
-def audit_density(f: ChaosVector) -> AssumptionReport:
+def audit_density(density: Density | ChaosVector) -> AssumptionReport:
     """Run all standing-hypothesis checks in one report.
 
-    The two second-order checks share one M and one eigendecomposition,
-    whose spectral radius always satisfies rho(2G) <= |M|_F. A space of
-    max_degree below 2 has no kernel and gets the first check only.
+    A bare ChaosVector counts as kind coefficients, and product_hermite is
+    screened from its axis factor. The two second-order checks share one M
+    and one eigendecomposition, whose spectral radius always satisfies
+    rho(2G) <= |M|_F. A space of max_degree below 2 has no kernel and gets
+    the first check only.
     """
+    f = getattr(density, "vector", density)
+    grid = screen_grid(f.space.dimension)
+    product = getattr(density, "kind", None) == "product_hermite"
+    values = eval_products([density.structure], f.space, grid) if product else eval_many(f, grid)
     report = AssumptionReport()
     report.l2_norm = f.norm()
     report.normalization = float(f.coeffs[0])
-    report.min_on_grid = float(eval_many(f, screen_grid(f.space.dimension)).min())
+    report.min_on_grid = float(values.min())
     report.verdicts["normalization"] = CheckResult(
         abs(report.normalization - 1.0) <= 1e-12, report.normalization, 1e-12
     )

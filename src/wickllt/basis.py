@@ -375,11 +375,24 @@ def chaos_inner(f: ChaosVector, g: ChaosVector) -> float:
 
 
 def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
-    """h^alpha for every table index: the monomial sums of h with weight one."""
+    """h^alpha for every table index: the monomial sums of h with weight one,
+    bit for bit, from one-point head and tail fillers cached by the space."""
     h = np.asarray(h, dtype=float)
     if h.shape != (space.dimension,):
         raise ValueError(f"expected vector of length {space.dimension}")
-    return monomial_sums(space, h[None, :], np.ones(1))
+    fill_head, fill_tail, rows = space.cached("point_powers", _point_powers)
+    s = space.dimension // 2
+    return fill_head(h[:s, None])[rows[0], 0] * fill_tail(h[s:, None])[rows[1], 0]
+
+
+def _point_powers(space: GaussianSpace) -> tuple[Callable, Callable, np.ndarray]:
+    # one-point fillers of the head and the tail, and the rows of each index in them
+    split, rows = space.split(), np.empty((2, space.size), dtype=np.intp)
+    rows[:, split.order] = np.hstack(
+        [(np.indices((hi - lo, t)) + [[[lo]], [[0]]]).reshape(2, -1) for lo, hi, t in split.blocks]
+    )
+    head = (lambda x: np.ones((1, 1))) if split.head is None else _filler(split.head, power_table, 1)
+    return head, _filler(split.tail, power_table, 1), rows
 
 
 # A one-dimensional family t: one_d(K, x) returns t_0..t_K at x, shape
@@ -638,6 +651,36 @@ def eval_stacked(fs, points, out: np.ndarray | None = None) -> np.ndarray:
                 np.matmul(ct, head[lo:hi], out=rows)
                 rows *= tail[:tails]
             values[start : start + m] = partial.sum(axis=0)
+    return out
+
+
+def eval_products(axes, space: GaussianSpace, points, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate axis_product(a, space) for each row a of axes, never forming it.
+
+    Points are an (n, d) array or chunks as eval_stacked takes them. Returns
+    the values of the V rows, or writes the first V - 1 minus the last to an
+    out of V - 1 rows. Each block C_k of SumSplit is rank one, a_head[lo:hi]
+    (x) a_tail[:tails] for the axis products onto split.head and split.tail,
+    so a value is the sum over head degrees k of H_k L_{K-k}, with H_k =
+    a_head[:, lo:hi] @ T_head[lo:hi] and L_m = a_tail @ T_tail summed over
+    tail degrees up to m. A chunk holds three (V, chunk) arrays and tables.
+    """
+    split, count = space.split(), len(axes)
+    a_head, a_tail = (
+        np.array([axis_product(a, part).coeffs for a in axes]) if part else np.ones((count, 1))
+        for part in (split.head, split.tail)
+    )
+    out = np.empty((count, len(points))) if out is None else out
+    buffers = np.empty((3, count * min(split.chunk, out.shape[1])))
+    for start, head, tail in _split_tables(split, hermite_table, points):
+        m = head.shape[1]
+        acc, run, term = (b[: count * m].reshape(count, m) for b in buffers)
+        acc[...] = run[...] = done = 0
+        for lo, hi, tails in reversed(split.blocks):  # tails grow as k falls
+            run += np.matmul(a_tail[:, done:tails], tail[done:tails], out=term)
+            acc += np.multiply(np.matmul(a_head[:, lo:hi], head[lo:hi], out=term), run, out=term)
+            done = tails
+        out[:, start : start + m] = acc if len(out) == count else acc[:-1] - acc[-1]
     return out
 
 

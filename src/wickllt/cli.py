@@ -127,7 +127,7 @@ def cmd_audit(args) -> int:
         with manifest.stage("build_density"):
             density = resolve_density(config.density, space)
         with manifest.stage("audit"):
-            report = audit_density(density.vector)
+            report = audit_density(density)
         payload = report.to_json_dict()
         if density.kind == "shift_mixture":
             nu = density.structure

@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .audit import AssumptionReport, audit_density, require_passed
-from .basis import ChaosVector, GaussianSpace, axis_product, eval_stacked, kernel_view
+from .basis import ChaosVector, GaussianSpace, axis_product, eval_products, eval_stacked, kernel_view
 from .config import ConfigError, Density, DistanceConfig, ExperimentConfig
 from .limit_density import gaussian_limit_series
 from .measures import grid_cdf, sample
@@ -47,6 +48,9 @@ from .basis import eval_many  # noqa: F401  perfbench's tests wrap harness.eval_
 # sqrt(n) times the two-sided KS statistic exceeds it with probability 0.01
 # as n grows.
 KOLMOGOROV_1PCT = 1.6276236115189504
+# Absolute floor below which a measured distance is evaluation noise
+# (coefficients agree to roundoff, e.g. the fixed-point density).
+NOISE_FLOOR = 1e-12
 
 
 class BoundViolationError(Exception):
@@ -101,23 +105,30 @@ def l1_distances(
     measured on the same points (the same grids, or one sample drawn from
     the seed's distance stream), and the basis is evaluated there once for
     all of them; each result equals l1_distance(f, g, spec, seed). The
-    samples are drawn per evaluation chunk, which equals one draw of all.
+    samples are drawn per evaluation chunk, which equals one draw of all;
+    rate_sweep's product route draws them through the same _distances.
     """
-    spec = spec or DistanceConfig()
     diffs = [f - g for f in fs]
-    d = g.space.dimension
+    return _distances(partial(eval_stacked, diffs), g.space, len(diffs), spec, seed)
+
+
+def _distances(evaluate, space: GaussianSpace, count: int, spec, seed: int) -> list[DistanceResult]:
+    # l1_distances from evaluate(points, out), which writes count differences
+    spec = spec or DistanceConfig()
+    d = space.dimension
     if spec.method == "quadrature":
         if d > MAX_QUADRATURE_DIM:
             raise ValueError(f"quadrature distance limited to dimension <= {MAX_QUADRATURE_DIM}")
-        nodes = spec.coarse_nodes(g.space.max_degree)
-        pts, wts = tensor_rule(d, nodes)
-        coarse = [float(np.dot(wts, row)) for row in np.abs(eval_stacked(diffs, pts))]
-        pts2, wts2 = tensor_rule(d, 2 * nodes)
-        fine = [float(np.dot(wts2, row)) for row in np.abs(eval_stacked(diffs, pts2))]
-        return [DistanceResult(b, abs(b - a)) for a, b in zip(coarse, fine)]
-    rng, chunk, total = substream(seed, STREAM_DISTANCE), g.space.split().chunk, spec.samples
+        nodes = spec.coarse_nodes(space.max_degree)
+        sums = []
+        for n in (nodes, 2 * nodes):
+            pts, wts = tensor_rule(d, n)
+            rows = np.abs(evaluate(pts, np.empty((count, len(pts)))))
+            sums.append([float(np.dot(wts, row)) for row in rows])
+        return [DistanceResult(b, abs(b - a)) for a, b in zip(*sums)]
+    rng, chunk, total = substream(seed, STREAM_DISTANCE), space.split().chunk, spec.samples
     chunks = (rng.standard_normal((min(chunk, total - i), d)) for i in range(0, total, chunk))
-    values = eval_stacked(diffs, chunks, out=np.empty((len(diffs), total)))
+    values = evaluate(chunks, np.empty((count, total)))
     return [
         DistanceResult(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(total)))
         for vals in np.abs(values, out=values)
@@ -211,32 +222,40 @@ def rate_sweep(
     its simulated shifts (a bare ChaosVector, which counts as kind
     coefficients). It is centered, the limit series built and the ladder of
     Wick powers of its excess (excess_powers) climbed once per sweep; each
-    row's density is then a weighted sum of the rungs, and a row's seconds
-    are the time of that sum and its lift. A product_hermite density takes
-    these steps on its axis factor in GaussianSpace(1, K), since each acts
-    coordinate by coordinate and commutes with the cut at total degree K,
-    and lifts each result with axis_product; other kinds take them in their
-    own space, where the lift is the identity. All rows are measured in one
-    l1_distances call on the same points (common random numbers), so the
-    measured distances of successive n share their Monte-Carlo noise. The
-    density is audited unless the caller passes the report of that audit,
-    and a failed verdict of the report stops the sweep before any row. The
-    ladder and its space's pair table are freed before the distances.
+    row's density is then a weighted sum of the rungs, whose time is the
+    row's seconds. A product_hermite density takes these steps on its axis
+    factor in GaussianSpace(1, K), since each acts coordinate by coordinate
+    and commutes with the cut at total degree K: only C lifts its two inputs
+    with axis_product, and the rows and the target are measured as products
+    by eval_products. All rows are measured on the same points (common
+    random numbers, l1_distances' points), so the distances of successive n
+    share their Monte-Carlo noise. The density is audited unless the caller
+    passes the report of that audit, and a failed verdict of the report, or
+    a bound at or below NOISE_FLOOR, where no row could fail, stops the
+    sweep before any row. The ladder and its pair table are freed before the
+    distances.
     """
     if isinstance(density, ChaosVector):
         density = Density(density)
     space = density.vector.space
     config.require_llt_fields(space.dimension, space.max_degree)
     if report is None:
-        report = audit_density(density.vector)
+        report = audit_density(density)
     require_passed(report.verdicts)
     algebra, f, lift = space, density.vector, lambda v: v
     if density.kind == "product_hermite":
         algebra = GaussianSpace(1, space.max_degree)
         f, lift = axis_product(density.structure, algebra), lambda v: axis_product(v.coeffs, space)
     centered = center_density(f)
-    limit = lift(gaussian_limit_series(kernel_view(f).g2, algebra).series)
-    constant = _rate_constant(lift(centered), limit, config.alpha)
+    limit = gaussian_limit_series(kernel_view(f).g2, algebra).series
+    constant = _rate_constant(lift(centered), lift(limit), config.alpha)
+    ns = sorted(config.n_values)
+    floored = [n for n in ns if constant.c / math.sqrt(n) <= NOISE_FLOOR]
+    if constant.c > 0.0 and floored:  # every l1 up to the floor would pass those rows
+        raise ConfigError(
+            f"alpha {config.alpha!r} is too small: the bound at n={floored[0]} is at or "
+            f"below the {NOISE_FLOOR:g} noise floor of a measured distance"
+        )
     target = gamma(math.sqrt(config.alpha), limit)
     distance_seed = child_seed(config.seed, STREAM_DISTANCE)
 
@@ -245,24 +264,25 @@ def rate_sweep(
     elapsed = time.perf_counter() - start
     power_ladder = {"rungs": len(ladder) - 1, "seconds": elapsed, "dimension": algebra.dimension}
     algebra.release("pair_table")  # the ladder was the sweep's last product
-    ns = sorted(config.n_values)
     densities, seconds = [], []
     for n in ns:
         start = time.perf_counter()
         lam = math.sqrt(config.alpha / n)
-        densities.append(lift(power_from_ladder(float(centered.coeffs[0]), ladder, n, lam)))
+        densities.append(power_from_ladder(float(centered.coeffs[0]), ladder, n, lam))
         seconds.append(time.perf_counter() - start)
     del ladder
-    distances = l1_distances(densities, target, config.distance, seed=distance_seed)
+    if density.kind == "product_hermite":  # rows and target stay one-axis series
+        axes = np.array([v.coeffs for v in densities + [target]])
+        evaluate = partial(eval_products, axes, space)
+        distances = _distances(evaluate, space, len(ns), config.distance, distance_seed)
+    else:
+        distances = l1_distances(densities, target, config.distance, seed=distance_seed)
     rows = [
         RateRow(n=n, l1=dist, bound=constant.c / math.sqrt(n), error=err, seconds=s)
         for n, s, (dist, err) in zip(ns, seconds, distances)
     ]
     table = RateTable(tuple(rows), *constant[:3], power_ladder, pair_footprint(algebra))
-    # absolute floor below which a measured distance is evaluation noise
-    # (coefficients agree to roundoff, e.g. the fixed-point density)
-    noise = 1e-12
-    bad = [row for row in rows if row.l1 > row.bound + row.error + noise]
+    bad = [row for row in rows if row.l1 > row.bound + row.error + NOISE_FLOOR]
     if bad:
         detail = "; ".join(
             f"n={row.n}: l1={row.l1:.6g} > bound={row.bound:.6g} + err={row.error:.6g}"

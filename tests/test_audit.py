@@ -208,3 +208,39 @@ class TestFullAudit:
         space = GaussianSpace(5, 4)
         report = audit_density(unit_density(space))
         assert report.all_passed
+
+
+class TestDensityAudit:
+    """audit_density takes a config Density; a bare vector counts as kind
+    coefficients, and a product_hermite density is screened from its axis
+    factor."""
+
+    @pytest.mark.parametrize(
+        "section, space",
+        [
+            ({"kind": "shift_mixture", "weights": [0.5, 0.5], "shifts": [[0.4, 0.2], [-0.4, -0.2]]}, (2, 8)),
+            ({"kind": "gaussian_cov", "g2": [[0.1, 0.0], [0.0, 0.05]]}, (2, 6)),
+        ],
+        ids=["shift_mixture", "gaussian_cov"],
+    )
+    def test_other_kinds_equal_the_bare_vector(self, section, space):
+        from wickllt.config import resolve_density
+
+        density = resolve_density(section, GaussianSpace(*space))
+        assert audit_density(density).to_json_dict() == audit_density(density.vector).to_json_dict()
+
+    @pytest.mark.parametrize("space", [(2, 8), (3, 7), (5, 14)])
+    def test_product_screen_never_evaluates_the_vector(self, monkeypatch, space):
+        import wickllt.audit as audit
+        from wickllt.config import resolve_density
+
+        section = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.02]}
+        density = resolve_density(section, GaussianSpace(*space))
+        want = audit_density(density.vector).to_json_dict()
+        monkeypatch.setattr(audit, "eval_many", None)  # the d-space route would fail
+        got = audit_density(density).to_json_dict()
+        # the screen sums each value in another order: roundoff of the O(1) values
+        assert got.pop("min_on_grid") == pytest.approx(want.pop("min_on_grid"), rel=1e-14)
+        for report in (got, want):
+            del report["verdicts"]["nonnegativity"]["measured"]
+        assert got == want

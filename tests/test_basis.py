@@ -20,12 +20,14 @@ from wickllt.basis import (
     enumerate_indices,
     eval_at,
     eval_many,
+    eval_products,
     eval_stacked,
     from_kernel_view,
     hermite_eval,
     hermite_table,
     kernel_view,
     monomial_powers,
+    monomial_sums,
     power_table,
 )
 from wickllt.quadrature import tensor_rule
@@ -197,6 +199,17 @@ class TestMonomialPowers:
         )
         got = monomial_powers(space, h)
         assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
+
+    @pytest.mark.parametrize("d, k", [(1, 8), (2, 8), (3, 7), (8, 8)])
+    def test_equals_the_one_point_monomial_sums_bit_for_bit(self, d, k):
+        # the cached one-point fillers form each entry as the one product of a
+        # head and a tail value that monomial_sums forms with weight one
+        space = GaussianSpace(d, k)
+        rng = np.random.default_rng(10 * d + k)
+        for h in 2.0 * rng.standard_normal((5, d)):
+            want = monomial_sums(space, h[None, :], np.ones(1))
+            assert np.array_equal(monomial_powers(space, h), want)
 
 
 class TestHermite:
@@ -593,6 +606,47 @@ class TestStackedEvaluation:
     def test_rejects_mixed_spaces(self, line16, plane8):
         with pytest.raises(IncompatibleBasisError):
             eval_stacked([unit_density(plane8), unit_density(line16)], np.zeros((1, 2)))
+
+
+class TestProductEvaluation:
+    """eval_products evaluates axis_product(a, space) for each axis series a
+    without forming it; eval_stacked on the formed vectors is the reference."""
+
+    @pytest.mark.parametrize("dimension, degree", [(1, 8), (2, 8), (3, 7), (4, 8), (5, 14)])
+    def test_matches_the_formed_products(self, dimension, degree):
+        space = GaussianSpace(dimension, degree)
+        chunk = space.split().chunk
+        rng = np.random.default_rng(10 * dimension + degree)
+        # axis series shorter and longer than K + 1 are padded and cut
+        axes = 0.4 * rng.standard_normal((4, degree + 1))
+        axes[:, 0] = 1.0
+        short, long = axes[:, :3], np.hstack((axes, rng.standard_normal((4, 2))))
+        for count in (1, chunk - 1, chunk + 1):
+            pts = rng.standard_normal((count, dimension))
+            for series in (axes, short, long):
+                want = eval_stacked([axis_product(a, space) for a in series], pts)
+                tol = 1e-13 * np.abs(want).max()
+                got = eval_products(series, space, pts)
+                assert got.shape == want.shape and np.abs(got - want).max() <= tol
+                # an iterator of chunks fills out; V - 1 rows get the differences
+                chunks = iter([pts[i : i + chunk] for i in range(0, count, chunk)])
+                diffs = eval_products(series, space, chunks, out=np.empty((3, count)))
+                assert np.abs(diffs - (want[:-1] - want[-1])).max() <= 2 * tol
+
+    def test_never_forms_a_d_space_vector(self, monkeypatch):
+        # only the head and the tail spaces get axis products
+        space = GaussianSpace(5, 14)
+        split = space.split()
+        seen = []
+        real = basis.axis_product
+
+        def recording(axis, part):
+            seen.append(part)
+            return real(axis, part)
+
+        monkeypatch.setattr(basis, "axis_product", recording)
+        eval_products(np.ones((3, 15)), space, np.zeros((4, 5)))
+        assert seen == [split.head] * 3 + [split.tail] * 3
 
 
 class TestKernelView:

@@ -242,22 +242,25 @@ class TestManifestNotes:
     """The manifest records the sizes basis evaluation ran at; the counted
     points are those the distance stage really evaluated."""
 
-    def _run_counting(self, monkeypatch, tmp_path, command, data):
+    def _run_counting(self, monkeypatch, tmp_path, command, data, evaluation="eval_stacked"):
+        # the points that harness's evaluation (eval_stacked, or eval_products
+        # on the product route) really evaluated
         import wickllt.harness as harness
 
         points = []
-        real = harness.eval_stacked
+        real = getattr(harness, evaluation)
 
-        def counting(fs, pts, *args, **kwargs):
+        def counting(*args):
+            *lead, pts, out = args  # harness passes the points and out positionally
             if isinstance(pts, np.ndarray):  # a quadrature grid
                 points.append(len(pts))
-                return real(fs, pts, *args, **kwargs)
+                return real(*lead, pts, out)
             # the Monte-Carlo route's iterator of point chunks
             chunks = list(pts)
             points.extend(len(chunk) for chunk in chunks)
-            return real(fs, iter(chunks), *args, **kwargs)
+            return real(*lead, iter(chunks), out)
 
-        monkeypatch.setattr(harness, "eval_stacked", counting)
+        monkeypatch.setattr(harness, evaluation, counting)
         cfg = write_config(tmp_path, "c.json", data)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
@@ -280,11 +283,14 @@ class TestManifestNotes:
             density={"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1]},
             distance={"method": "mc", "samples": 3000},
         )
-        notes, points = self._run_counting(monkeypatch, tmp_path, "llt", data)
+        # the product route evaluates its rows and target as products of their
+        # one-axis series, and the d-space vectors at no distance point
+        notes, points = self._run_counting(monkeypatch, tmp_path, "llt", data, "eval_products")
         assert notes["basis_rows"] == {
             "head": 7, "tail": 28, "full": 84, "contracted": 7, "chunk": 2048
         }
         assert notes["distance_points"] == points == 3000
+        assert self._run_counting(monkeypatch, tmp_path, "llt", data)[1] == 0
         # a product density climbs its ladder on the axis factor, in (1, 6)
         assert notes["power_ladder"]["dimension"] == 1
         assert notes["pairs"] == (math.comb(2 + 6, 6) + 4) // 2 == 16
@@ -1463,6 +1469,32 @@ def test_cli_runs_without_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "clean"
+
+
+def test_gate_below_the_noise_floor_is_one_config_error(tmp_path):
+    # at alpha = 1e-8 every bound of the llt_mixture_d2 sweep is below 1e-18,
+    # under the 1e-12 noise floor, so no row could fail: exit 2 with one line,
+    # in a fresh process, and no rate.csv
+    import wickllt
+
+    src = str(Path(wickllt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    data = {**json.loads((configs / "llt_mixture_d2.json").read_text()), "alpha": 1e-8}
+    cfg = write_config(tmp_path, "c.json", data)
+    result = subprocess.run(
+        [sys.executable, "-m", "wickllt.cli", "llt", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "config error: alpha 1e-08 is too small: the bound at n=4 is at or below the "
+        "1e-12 noise floor of a measured distance"
+    ]
+    assert not (tmp_path / "o" / "rate.csv").exists()
 
 
 @pytest.mark.parametrize(

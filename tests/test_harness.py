@@ -10,6 +10,7 @@ from wickllt.basis import ChaosVector, GaussianSpace, eval_many, eval_stacked, k
 from wickllt.config import ConfigError, DistanceConfig, load_config, resolve_density
 from wickllt.harness import (
     KOLMOGOROV_1PCT,
+    NOISE_FLOOR,
     BoundViolationError,
     DistanceResult,
     empirical_convolution_check,
@@ -240,6 +241,17 @@ class TestRateConstant:
         assert result.beta == pytest.approx(4.0)
         assert result.n0 == 4
 
+    def test_bound_at_the_noise_floor_is_refused(self):
+        # C > 0, but the bounds from n = 10^5 on are at most 1e-12, where an l1
+        # anywhere below the noise floor would pass: the first such n is named
+        spec = {"kind": "coefficients", "coeffs": [1.0, 0.0, 0.1, 0.05, 0, 0, 0, 0, 0]}
+        config = _config_for(spec, [4, 10**4, 10**5, 10**6], space=(1, 8), alpha=1e-6)
+        density = _config_density(config)
+        c = rate_constant(density, 1e-6).c
+        assert c / math.sqrt(10**4) > NOISE_FLOOR >= c / math.sqrt(10**5)
+        with pytest.raises(ConfigError, match=r"alpha 1e-06 is too small: the bound at n=100000 "):
+            rate_sweep(config, density)
+
     def test_underflowing_scale_is_not_a_zero_constant(self, line16):
         # at alpha = 1e-300 every lam**k with k >= 3 is 0, so the tail would
         # read 0 for any density; only a true fixed point may report C = 0
@@ -452,31 +464,49 @@ class TestRateSweep:
 
 class TestProductRoute:
     """A product_hermite sweep runs its algebra on the axis factor in
-    GaussianSpace(1, K) and lifts the results; the general route, taken by
-    the bare vector, is the reference."""
+    GaussianSpace(1, K) and measures its rows and target as products of their
+    one-axis series (eval_products); the general route, taken by the bare
+    vector, is the reference."""
 
     def _sweep(self, monkeypatch, config, density):
-        # the table, rows and target of a sweep, and the dimensions of the
-        # spaces whose pair table it built
+        # the table, rows and target of a sweep (the product route's one-axis
+        # series lifted here, in the test), the dimensions of the spaces whose
+        # pair table it built, and the spaces it lifted an axis series to
+        import wickllt.basis as basis
         import wickllt.harness as harness
         import wickllt.wick as wick
 
-        seen, tables = {}, []
-        real_distances, real_table = harness.l1_distances, wick._pair_table
+        seen, tables, lifts = {}, [], []
+        space = getattr(density, "vector", density).space
+        real_distances, real_products = harness.l1_distances, harness.eval_products
+        real_table, real_lift = wick._pair_table, basis.axis_product
 
         def recording(fs, g, spec=None, seed=0):
             seen.update(rows=list(fs), target=g)
             return real_distances(fs, g, spec, seed)
 
+        def products(axes, at, points, out=None):
+            lifted = [real_lift(a, at) for a in axes]
+            seen.update(rows=lifted[:-1], target=lifted[-1])
+            return real_products(axes, at, points, out)
+
         def table(space):
             tables.append(space.dimension)
             return real_table(space)
 
+        def lift(axis, at):
+            lifts.append(at)
+            return real_lift(axis, at)
+
         with monkeypatch.context() as patch:
             patch.setattr(harness, "l1_distances", recording)
+            patch.setattr(harness, "eval_products", products)
             patch.setattr(wick, "_pair_table", table)
+            patch.setattr(harness, "axis_product", lift)
+            patch.setattr(basis, "axis_product", lift)
             result, _ = rate_sweep(config, density)
-        return result, seen["rows"], seen["target"], set(tables)
+        swept = [at for at in lifts if at is space]
+        return result, seen["rows"], seen["target"], set(tables), swept
 
     @pytest.mark.parametrize(
         "axis, space, distance",
@@ -492,25 +522,65 @@ class TestProductRoute:
         config = _config_for(spec, [4**k for k in range(1, 10)], space=space, distance=distance)
         density = resolve_density(config.density, config.build_space())
         assert density.kind == "product_hermite"
-        product, rows, target, built = self._sweep(monkeypatch, config, density)
-        general, ref_rows, ref_target, ref_built = self._sweep(monkeypatch, config, density.vector)
+        product, rows, target, built, swept = self._sweep(monkeypatch, config, density)
+        general, ref_rows, ref_target, ref_built, _ = self._sweep(monkeypatch, config, density.vector)
         # no d-space pair table on the product route; the general route builds one
         assert built == {1} and ref_built == {space[0]}
+        # on the swept space only C's two inputs are lifted, never a row or the target
+        assert len(swept) == 2
         assert product.power_ladder["dimension"] == 1
         assert general.power_ladder["dimension"] == space[0]
         scale = density.vector.norm()
         for got, want in zip(rows + [target], ref_rows + [ref_target], strict=True):
-            assert got.space is want.space is density.vector.space
+            assert got.space.is_compatible(want.space) and want.space is density.vector.space
             assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * scale
         assert product.constant == pytest.approx(general.constant, rel=1e-14, abs=0.0)
         for got, want, a, b in zip(product.rows, general.rows, rows, ref_rows, strict=True):
             # 1e-12 relative, or what the rows' own roundoff allows: a distance
             # moves by at most ||a - b||_2 (Cauchy-Schwarz; exactly so on a
             # quadrature rule, which integrates (a - b)^2), and err, the gap of
-            # two distances, by twice that
-            slack = (a - b).norm()
+            # two distances, by twice that. The product route also sums each
+            # value in another order than eval_stacked, which moves a distance
+            # by a few ulps of the O(1) values at the points: 1e-15 absolute.
+            slack = (a - b).norm() + 1e-15
             assert abs(got.l1 - want.l1) <= 1e-12 * want.l1 + slack
             assert abs(got.error - want.error) <= 1e-12 * want.error + 2 * slack
+
+    def test_distance_phase_holds_out_and_chunks(self):
+        # dimension_sweep_d4's size: (4, 8), four rows and the target at 20,000
+        # points. Beyond out, the (V - 1, n) differences, the phase holds the
+        # head/tail table, three (V, chunk) arrays, one chunk of draws and a
+        # (V - 1, chunk) difference; never a V x n array of values.
+        from wickllt.harness import _distances
+        import wickllt.basis as basis
+
+        space, total, count = GaussianSpace(4, 8), 20_000, 5
+        split = space.split()
+        axes = np.tile([1.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], (count, 1))
+        axes[:, 2] += 0.01 * np.arange(count)
+        spec = DistanceConfig(method="mc", samples=total)
+
+        def phase():
+            evaluate = lambda pts, out: basis.eval_products(axes, space, pts, out)  # noqa: E731
+            return _distances(evaluate, space, count - 1, spec, 5)
+
+        want = phase()  # the space's cached plans are built untraced
+        tracemalloc.start()
+        try:
+            got = phase()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        chunk = split.chunk
+        # the head and the tail share one table of 2 x chunk columns at even d,
+        # filled from a transient of the K + 1 one-dimensional values; per
+        # chunk, the draws, their transposed copy and one recurrence temporary
+        # take d x chunk each
+        tables = split.tail.size * 2 * chunk + (space.max_degree + 1) * 4 * chunk
+        floats = (count - 1) * total + tables + (3 * count + (count - 1) + 3 * 4) * chunk
+        # the slack is below a V x n array (800 KB) and a (K + 1, V, chunk) stack
+        assert peak <= 8 * floats + 64 * 1024
 
 
 class TestYoung:
