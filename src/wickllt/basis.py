@@ -376,23 +376,24 @@ def chaos_inner(f: ChaosVector, g: ChaosVector) -> float:
 
 def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
     """h^alpha for every table index: the monomial sums of h with weight one,
-    bit for bit, from one-point head and tail fillers cached by the space."""
+    bit for bit, from one-point head and tail tables cached by the space."""
     h = np.asarray(h, dtype=float)
     if h.shape != (space.dimension,):
         raise ValueError(f"expected vector of length {space.dimension}")
-    fill_head, fill_tail, rows = space.cached("point_powers", _point_powers)
-    s = space.dimension // 2
-    return fill_head(h[:s, None])[rows[0], 0] * fill_tail(h[s:, None])[rows[1], 0]
+    tables, rows = space.cached("point_powers", _point_powers)
+    head, tail = tables(h[None, :])
+    return head[rows[0], 0] * tail[rows[1], 0]
 
 
-def _point_powers(space: GaussianSpace) -> tuple[Callable, Callable, np.ndarray]:
-    # one-point fillers of the head and the tail, and the rows of each index in them
-    split, rows = space.split(), np.empty((2, space.size), dtype=np.intp)
+def _point_powers(space: GaussianSpace) -> tuple[Callable, np.ndarray]:
+    # the one-point tables, and the head and the tail row of every table index,
+    # as narrow as the tail's size allows (the space keeps them)
+    split = space.split()
+    rows = np.empty((2, space.size), dtype=np.min_scalar_type(split.tail.size - 1))
     rows[:, split.order] = np.hstack(
         [(np.indices((hi - lo, t)) + [[[lo]], [[0]]]).reshape(2, -1) for lo, hi, t in split.blocks]
     )
-    head = (lambda x: np.ones((1, 1))) if split.head is None else _filler(split.head, power_table, 1)
-    return head, _filler(split.tail, power_table, 1), rows
+    return _chunk_tables(split, power_table, 1), rows
 
 
 # A one-dimensional family t: one_d(K, x) returns t_0..t_K at x, shape
@@ -562,48 +563,47 @@ def _build_split(space: GaussianSpace) -> SumSplit:
     return SumSplit(head, tail, order, tuple(blocks), over_tail, tuple(over_head), row, chunk)
 
 
+def _chunk_tables(split: SumSplit, one_d: OneD, columns: int) -> Callable:
+    """tables(block): the head and the tail table of m <= columns points,
+    shapes (head_rows, m) and (tail size, m), as views of buffers that the
+    next call refills (see _filler); the head table of d = 1 is a row of
+    ones. A head and a tail that share a space (every even d) are one table
+    of 2m columns, the head coordinates followed by the tail coordinates,
+    which halves the multiplies."""
+    shared = split.head is split.tail
+    tail_fill = _filler(split.tail, one_d, 2 * columns if shared else columns)
+    head_fill = None if shared or split.head is None else _filler(split.head, one_d, columns)
+
+    def tables(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k, s = block.shape[0], block.shape[1] // 2
+        if shared:
+            table = tail_fill(np.ascontiguousarray(block.reshape(k, 2, s).T).reshape(s, 2 * k))
+            return table[:, :k], table[:, k:]
+        x = np.ascontiguousarray(block.T)
+        return np.ones((1, k)) if head_fill is None else head_fill(x[:s]), tail_fill(x[s:])
+
+    return tables
+
+
 def _split_tables(
     split: SumSplit, one_d: OneD, points
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (start, head, tail) for each chunk of points, an array cut into
     chunks of split.chunk rows or an iterable of such chunks, all but the
-    last full: the head and the tail table, shapes (head_rows, m) and (tail
-    size, m); the head table of d = 1 is a row of ones.
-
-    The tables are views of buffers sized at the first chunk and refilled
-    per chunk (see _filler), valid (and free to overwrite) until the next
-    yield, so a call binds views for at most two chunk lengths: the full
-    chunk and the last, shorter one. A head and a tail that share a space
-    (every even d) are one table of 2m columns, the head coordinates of the
-    chunk followed by its tail coordinates, which halves the multiplies. The
-    tables hold (head_rows + tail size) x chunk values; with eval_stacked's
-    partial table of split.contracted rows, the three stay within TABLE_BYTES.
+    last full: the tables of _chunk_tables sized at the first chunk, valid
+    until the next yield, so a call binds views for at most two chunk
+    lengths: the full chunk and the last, shorter one. The tables hold
+    (head_rows + tail size) x chunk values; with eval_stacked's partial
+    table of split.contracted rows, the three stay within TABLE_BYTES.
     """
     if isinstance(points, np.ndarray):
         points = [points[i : i + split.chunk] for i in range(0, len(points), split.chunk)]
-    start, shared = 0, split.head is split.tail
+    start = 0
     for block in points:
-        k = len(block)
         if start == 0:  # buffers for the first chunk, the longest
-            s = block.shape[1] // 2
-            tail_fill = _filler(split.tail, one_d, 2 * k if shared else k)
-            if split.head is None:
-                ones = np.empty(k)
-            elif not shared:
-                head_fill = _filler(split.head, one_d, k)
-        if shared:
-            table = tail_fill(np.ascontiguousarray(block.reshape(k, 2, s).T).reshape(s, 2 * k))
-            head, tail = table[:, :k], table[:, k:]
-        else:
-            x = np.ascontiguousarray(block.T)
-            if split.head is None:
-                head = ones[:k].reshape(1, k)
-                head.fill(1.0)
-            else:
-                head = head_fill(x[:s])
-            tail = tail_fill(x[s:])
-        yield start, head, tail
-        start += k
+            tables = _chunk_tables(split, one_d, len(block))
+        yield (start, *tables(block))
+        start += len(block)
 
 
 def eval_stacked(fs, points, out: np.ndarray | None = None) -> np.ndarray:
