@@ -380,20 +380,14 @@ def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != (space.dimension,):
         raise ValueError(f"expected vector of length {space.dimension}")
-    tables, rows = space.cached("point_powers", _point_powers)
-    head, tail = tables(h[None, :])
-    return head[rows[0], 0] * tail[rows[1], 0]
-
-
-def _point_powers(space: GaussianSpace) -> tuple[Callable, np.ndarray]:
-    # the one-point tables, and the head and the tail row of every table index,
-    # as narrow as the tail's size allows (the space keeps them)
     split = space.split()
-    rows = np.empty((2, space.size), dtype=np.min_scalar_type(split.tail.size - 1))
-    rows[:, split.order] = np.hstack(
-        [(np.indices((hi - lo, t)) + [[[lo]], [[0]]]).reshape(2, -1) for lo, hi, t in split.blocks]
-    )
-    return _chunk_tables(split, power_table, 1), rows
+    tables = space.cached("point_tables", lambda _: _chunk_tables(split, power_table, 1))
+    head, tail = (table[:, 0] for table in tables(h[None, :]))
+    flat, out = np.empty(space.size), np.empty(space.size)
+    for block, (lo, hi, tails) in zip(split.views(flat), split.blocks):
+        np.multiply.outer(head[lo:hi], tail[:tails], out=block)
+    out[split.order] = flat
+    return out
 
 
 # A one-dimensional family t: one_d(K, x) returns t_0..t_K at x, shape
