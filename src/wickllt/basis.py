@@ -558,12 +558,10 @@ def _build_split(space: GaussianSpace) -> SumSplit:
 
 
 def _chunk_tables(split: SumSplit, one_d: OneD, columns: int) -> Callable:
-    """tables(block): the head and the tail table of m <= columns points,
-    shapes (head_rows, m) and (tail size, m), as views of buffers that the
-    next call refills (see _filler); the head table of d = 1 is a row of
-    ones. A head and a tail that share a space (every even d) are one table
-    of 2m columns, the head coordinates followed by the tail coordinates,
-    which halves the multiplies."""
+    """tables(block): the (head_rows, m) and (tail size, m) tables of m <=
+    columns points, views that the next call refills (see _filler); d = 1
+    has a head row of ones. A head and a tail that share a space (even d) are
+    one table of the head then the tail coordinates, halving the multiplies."""
     shared = split.head is split.tail
     tail_fill = _filler(split.tail, one_d, 2 * columns if shared else columns)
     head_fill = None if shared or split.head is None else _filler(split.head, one_d, columns)
@@ -585,11 +583,9 @@ def _split_tables(
     """Yield (start, head, tail) for each chunk of points, an array cut into
     chunks of split.chunk rows or an iterable of such chunks, all but the
     last full: the tables of _chunk_tables sized at the first chunk, valid
-    until the next yield, so a call binds views for at most two chunk
-    lengths: the full chunk and the last, shorter one. The tables hold
-    (head_rows + tail size) x chunk values; with eval_stacked's partial
-    table of split.contracted rows, the three stay within TABLE_BYTES.
-    """
+    until the next yield, bound for at most two chunk lengths. They hold
+    (head_rows + tail size) x chunk values, within TABLE_BYTES with
+    eval_stacked's partial table of split.contracted rows."""
     if isinstance(points, np.ndarray):
         points = [points[i : i + split.chunk] for i in range(0, len(points), split.chunk)]
     start = 0

@@ -226,14 +226,12 @@ def rate_sweep(
     row's seconds. A product_hermite density takes these steps on its axis
     factor in GaussianSpace(1, K), since each acts coordinate by coordinate
     and commutes with the cut at total degree K: only C lifts its two inputs
-    with axis_product, and the rows and the target are measured as products
-    by eval_products. All rows are measured on the same points (common
-    random numbers, l1_distances' points), so the distances of successive n
-    share their Monte-Carlo noise. The density is audited unless the caller
-    passes the report of that audit, and a failed verdict of the report, or
-    a bound at or below NOISE_FLOOR, where no row could fail, stops the
-    sweep before any row. The ladder and its pair table are freed before the
-    distances.
+    with axis_product, and eval_products measures the rows and the target.
+    All rows are measured on l1_distances' points (common random numbers).
+    The density is audited unless the caller passes that audit's report; a
+    failed verdict, or a bound at or below NOISE_FLOOR (no row could fail),
+    stops the sweep before any row. The ladder and its pair table are freed
+    before the distances.
     """
     if isinstance(density, ChaosVector):
         density = Density(density)
