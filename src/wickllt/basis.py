@@ -375,19 +375,11 @@ def chaos_inner(f: ChaosVector, g: ChaosVector) -> float:
 
 
 def monomial_powers(space: GaussianSpace, h: np.ndarray) -> np.ndarray:
-    """h^alpha for every table index: the monomial sums of h with weight one,
-    bit for bit, from one-point head and tail tables cached by the space."""
+    """h^alpha for every table index: the monomial sums of h with weight one."""
     h = np.asarray(h, dtype=float)
     if h.shape != (space.dimension,):
         raise ValueError(f"expected vector of length {space.dimension}")
-    split = space.split()
-    tables = space.cached("point_tables", lambda _: _chunk_tables(split, power_table, 1))
-    head, tail = (table[:, 0] for table in tables(h[None, :]))
-    flat, out = np.empty(space.size), np.empty(space.size)
-    for block, (lo, hi, tails) in zip(split.views(flat), split.blocks):
-        np.multiply.outer(head[lo:hi], tail[:tails], out=block)
-    out[split.order] = flat
-    return out
+    return monomial_sums(space, h[None, :], np.ones(1))
 
 
 # A one-dimensional family t: one_d(K, x) returns t_0..t_K at x, shape
@@ -557,43 +549,48 @@ def _build_split(space: GaussianSpace) -> SumSplit:
     return SumSplit(head, tail, order, tuple(blocks), over_tail, tuple(over_head), row, chunk)
 
 
-def _chunk_tables(split: SumSplit, one_d: OneD, columns: int) -> Callable:
-    """tables(block): the (head_rows, m) and (tail size, m) tables of m <=
-    columns points, views that the next call refills (see _filler); d = 1
-    has a head row of ones. A head and a tail that share a space (even d) are
-    one table of the head then the tail coordinates, halving the multiplies."""
-    shared = split.head is split.tail
-    tail_fill = _filler(split.tail, one_d, 2 * columns if shared else columns)
-    head_fill = None if shared or split.head is None else _filler(split.head, one_d, columns)
-
-    def tables(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k, s = block.shape[0], block.shape[1] // 2
-        if shared:
-            table = tail_fill(np.ascontiguousarray(block.reshape(k, 2, s).T).reshape(s, 2 * k))
-            return table[:, :k], table[:, k:]
-        x = np.ascontiguousarray(block.T)
-        return np.ones((1, k)) if head_fill is None else head_fill(x[:s]), tail_fill(x[s:])
-
-    return tables
-
-
 def _split_tables(
     split: SumSplit, one_d: OneD, points
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (start, head, tail) for each chunk of points, an array cut into
     chunks of split.chunk rows or an iterable of such chunks, all but the
-    last full: the tables of _chunk_tables sized at the first chunk, valid
-    until the next yield, bound for at most two chunk lengths. They hold
-    (head_rows + tail size) x chunk values, within TABLE_BYTES with
-    eval_stacked's partial table of split.contracted rows."""
+    last full: the head and the tail table, shapes (head_rows, m) and (tail
+    size, m); the head table of d = 1 is a row of ones.
+
+    The tables are views of buffers sized at the first chunk and refilled
+    per chunk (see _filler), valid (and free to overwrite) until the next
+    yield, so a call binds views for at most two chunk lengths: the full
+    chunk and the last, shorter one. A head and a tail that share a space
+    (every even d) are one table of 2m columns, the head coordinates of the
+    chunk followed by its tail coordinates, which halves the multiplies. The
+    tables hold (head_rows + tail size) x chunk values; with eval_stacked's
+    partial table of split.contracted rows, the three stay within TABLE_BYTES.
+    """
     if isinstance(points, np.ndarray):
         points = [points[i : i + split.chunk] for i in range(0, len(points), split.chunk)]
-    start = 0
+    start, shared = 0, split.head is split.tail
     for block in points:
+        k = len(block)
         if start == 0:  # buffers for the first chunk, the longest
-            tables = _chunk_tables(split, one_d, len(block))
-        yield (start, *tables(block))
-        start += len(block)
+            s = block.shape[1] // 2
+            tail_fill = _filler(split.tail, one_d, 2 * k if shared else k)
+            if split.head is None:
+                ones = np.empty(k)
+            elif not shared:
+                head_fill = _filler(split.head, one_d, k)
+        if shared:
+            table = tail_fill(np.ascontiguousarray(block.reshape(k, 2, s).T).reshape(s, 2 * k))
+            head, tail = table[:, :k], table[:, k:]
+        else:
+            x = np.ascontiguousarray(block.T)
+            if split.head is None:
+                head = ones[:k].reshape(1, k)
+                head.fill(1.0)
+            else:
+                head = head_fill(x[:s])
+            tail = tail_fill(x[s:])
+        yield start, head, tail
+        start += k
 
 
 def eval_stacked(fs, points, out: np.ndarray | None = None) -> np.ndarray:
@@ -647,9 +644,9 @@ def eval_stacked(fs, points, out: np.ndarray | None = None) -> np.ndarray:
 def eval_products(axes, space: GaussianSpace, points, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate axis_product(a, space) for each row a of axes, never forming it.
 
-    Points are an (n, d) array or chunks as eval_stacked takes them. Returns
-    the values of the V rows, or writes the first V - 1 minus the last to an
-    out of V - 1 rows. Each block C_k of SumSplit is rank one, a_head[lo:hi]
+    Points are an (n, d) array or an iterator of chunks as eval_stacked takes
+    them, which needs out. Returns the values of the V rows, or writes the
+    first V - 1 minus the last to an out of V - 1 rows. Each block C_k of SumSplit is rank one, a_head[lo:hi]
     (x) a_tail[:tails] for the axis products onto split.head and split.tail,
     so a value is the sum over head degrees k of H_k L_{K-k}, with H_k =
     a_head[:, lo:hi] @ T_head[lo:hi] and L_m = a_tail @ T_tail summed over

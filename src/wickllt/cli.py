@@ -174,17 +174,15 @@ def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> Ra
     return table
 
 
-def _note_evaluation(manifest: _Manifest, space: GaussianSpace) -> None:
+def _note_evaluation(manifest: _Manifest, space: GaussianSpace, product: bool = False) -> None:
     """Record the row counts of the head/tail split basis evaluation runs at,
-    the rows of its partial table, and its points per chunk."""
+    the rows of its partial table, and its points per chunk. A product sweep
+    (eval_products) forms no partial table, and its rows are left out."""
     split = space.split()
-    manifest.notes["basis_rows"] = {
-        "head": split.head_rows,
-        "tail": split.tail.size,
-        "full": space.size,
-        "contracted": split.contracted,
-        "chunk": split.chunk,
-    }
+    rows = {"head": split.head_rows, "tail": split.tail.size, "full": space.size}
+    if not product:
+        rows["contracted"] = split.contracted
+    manifest.notes["basis_rows"] = {**rows, "chunk": split.chunk}
 
 
 def cmd_llt(args) -> int:
@@ -194,9 +192,9 @@ def cmd_llt(args) -> int:
             "distance_stream": child_seed(config.seed, STREAM_DISTANCE)
         }
         space = config.build_space()
-        _note_evaluation(manifest, space)
         with manifest.stage("density"):
             density = resolve_density(config.density, space)
+        _note_evaluation(manifest, space, density.kind == "product_hermite")
         table = _sweep(manifest, config, density, None)
     print(
         f"llt: PASS (C={table.constant:.6g}, n0={table.n0}, rows={len(table.rows)})"

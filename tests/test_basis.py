@@ -27,7 +27,6 @@ from wickllt.basis import (
     hermite_table,
     kernel_view,
     monomial_powers,
-    monomial_sums,
     power_table,
 )
 from wickllt.quadrature import tensor_rule
@@ -199,17 +198,6 @@ class TestMonomialPowers:
         )
         got = monomial_powers(space, h)
         assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
-
-
-    @pytest.mark.parametrize("d, k", [(1, 8), (2, 8), (3, 7), (8, 8)])
-    def test_equals_the_one_point_monomial_sums_bit_for_bit(self, d, k):
-        # the cached one-point fillers form each entry as the one product of a
-        # head and a tail value that monomial_sums forms with weight one
-        space = GaussianSpace(d, k)
-        rng = np.random.default_rng(10 * d + k)
-        for h in 2.0 * rng.standard_normal((5, d)):
-            want = monomial_sums(space, h[None, :], np.ones(1))
-            assert np.array_equal(monomial_powers(space, h), want)
 
 
 class TestHermite:

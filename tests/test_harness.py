@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from wickllt.basis import ChaosVector, GaussianSpace, eval_many, eval_stacked, kernel_view
+from wickllt.basis import ChaosVector, GaussianSpace, eval_many, eval_products, eval_stacked, kernel_view
 from wickllt.config import ConfigError, DistanceConfig, load_config, resolve_density
 from wickllt.harness import (
     KOLMOGOROV_1PCT,
     NOISE_FLOOR,
     BoundViolationError,
     DistanceResult,
+    _distances,
     empirical_convolution_check,
     ks_against_density,
     l1_distance,
@@ -25,7 +26,7 @@ from wickllt.harness import (
 from wickllt.identities import run_identity_suite
 from wickllt.limit_density import gaussian_limit_series
 from wickllt.measures import DensityValidationError
-from wickllt.streams import STREAM_DISTANCE, substream
+from wickllt.streams import STREAM_DISTANCE, child_seed, substream
 from wickllt.wick import center_density, gamma, stochastic_exponential, wick_product
 
 from conftest import random_low_degree, unit_density
@@ -487,7 +488,7 @@ class TestProductRoute:
 
         def products(axes, at, points, out=None):
             lifted = [real_lift(a, at) for a in axes]
-            seen.update(rows=lifted[:-1], target=lifted[-1])
+            seen.update(rows=lifted[:-1], target=lifted[-1], axes=axes)
             return real_products(axes, at, points, out)
 
         def table(space):
@@ -506,7 +507,7 @@ class TestProductRoute:
             patch.setattr(basis, "axis_product", lift)
             result, _ = rate_sweep(config, density)
         swept = [at for at in lifts if at is space]
-        return result, seen["rows"], seen["target"], set(tables), swept
+        return result, seen["rows"], seen["target"], set(tables), swept, seen.get("axes")
 
     @pytest.mark.parametrize(
         "axis, space, distance",
@@ -522,8 +523,8 @@ class TestProductRoute:
         config = _config_for(spec, [4**k for k in range(1, 10)], space=space, distance=distance)
         density = resolve_density(config.density, config.build_space())
         assert density.kind == "product_hermite"
-        product, rows, target, built, swept = self._sweep(monkeypatch, config, density)
-        general, ref_rows, ref_target, ref_built, _ = self._sweep(monkeypatch, config, density.vector)
+        product, rows, target, built, swept, axes = self._sweep(monkeypatch, config, density)
+        general, ref_rows, ref_target, ref_built, *_ = self._sweep(monkeypatch, config, density.vector)
         # no d-space pair table on the product route; the general route builds one
         assert built == {1} and ref_built == {space[0]}
         # on the swept space only C's two inputs are lifted, never a row or the target
@@ -532,26 +533,39 @@ class TestProductRoute:
         assert general.power_ladder["dimension"] == space[0]
         scale = density.vector.norm()
         for got, want in zip(rows + [target], ref_rows + [ref_target], strict=True):
-            assert got.space.is_compatible(want.space) and want.space is density.vector.space
+            assert got.space is want.space is density.vector.space
             assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * scale
         assert product.constant == pytest.approx(general.constant, rel=1e-14, abs=0.0)
-        for got, want, a, b in zip(product.rows, general.rows, rows, ref_rows, strict=True):
+
+        def parting(points, out):
+            # where eval_products and eval_stacked part on the same lifted rows
+            # at the sweep's own points: the roundoff of summing in another order
+            pts = points if isinstance(points, np.ndarray) else np.vstack(list(points))
+            eval_products(axes, density.vector.space, pts, out)
+            return np.subtract(out, eval_stacked([a - target for a in rows], pts), out=out)
+
+        seed = child_seed(config.seed, STREAM_DISTANCE)
+        partings = _distances(parting, density.vector.space, len(rows), config.distance, seed)
+        for got, want, a, b, part in zip(product.rows, general.rows, rows, ref_rows, partings, strict=True):
             # 1e-12 relative, or what the rows' own roundoff allows: a distance
             # moves by at most ||a - b||_2 (Cauchy-Schwarz; exactly so on a
             # quadrature rule, which integrates (a - b)^2), and err, the gap of
-            # two distances, by twice that. The product route also sums each
-            # value in another order than eval_stacked, which moves a distance
-            # by a few ulps of the O(1) values at the points: 1e-15 absolute.
-            slack = (a - b).norm() + 1e-15
-            assert abs(got.l1 - want.l1) <= 1e-12 * want.l1 + slack
-            assert abs(got.error - want.error) <= 1e-12 * want.error + 2 * slack
+            # two distances, by twice that. Both also move by the values'
+            # roundoff: l1 by its mean or quadrature sum, part.value; err on the
+            # quadrature route by its sums on both grids, coarse + fine <= 2 fine
+            # + |fine - coarse|, and on the Monte-Carlo route by its RMS /
+            # sqrt(N - 1) <= 2 x its mean
+            slack = (a - b).norm()
+            assert part.value <= 4 * np.finfo(float).eps * scale  # roundoff, not a fault
+            assert abs(got.l1 - want.l1) <= 1e-12 * want.l1 + slack + part.value
+            roundoff = 2 * part.value + part.error
+            assert abs(got.error - want.error) <= 1e-12 * want.error + 2 * slack + roundoff
 
     def test_distance_phase_holds_out_and_chunks(self):
         # dimension_sweep_d4's size: (4, 8), four rows and the target at 20,000
         # points. Beyond out, the (V - 1, n) differences, the phase holds the
         # head/tail table, three (V, chunk) arrays, one chunk of draws and a
         # (V - 1, chunk) difference; never a V x n array of values.
-        from wickllt.harness import _distances
         import wickllt.basis as basis
 
         space, total, count = GaussianSpace(4, 8), 20_000, 5
