@@ -20,7 +20,7 @@ quadrature oracle in low dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -88,17 +88,8 @@ class AssumptionReport:
         return all(v.passed for v in self.verdicts.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "l2_norm": self.l2_norm,
-            "normalization": self.normalization,
-            "min_on_grid": self.min_on_grid,
-            "min_eigenvalue_m": self.min_eigenvalue_m,
-            "trace_m": self.trace_m,
-            "frobenius_sq_m": self.frobenius_sq_m,
-            "spectral_radius_2g": self.spectral_radius_2g,
-            "all_passed": self.all_passed,
-            "verdicts": verdicts_json(self.verdicts),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "verdicts"}
+        return {**data, "all_passed": self.all_passed, "verdicts": verdicts_json(self.verdicts)}
 
 
 class VariancePairing(NamedTuple):

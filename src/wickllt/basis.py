@@ -760,7 +760,7 @@ def from_kernel_view(
     kernel2 = np.asarray(kernel2, dtype=float)
     if mean.shape != (d,) or kernel2.shape != (d, d):
         raise ValueError("kernel shapes do not match the space dimension")
-    if not np.allclose(kernel2, kernel2.T, atol=0.0):
+    if not np.array_equal(kernel2, kernel2.T):
         raise ValueError("second-order kernel must be exactly symmetric")
     p1, p2 = _low_positions(space)
     upper = np.triu_indices(d, 1)

@@ -33,7 +33,7 @@ from .harness import BoundViolationError, RateTable, rate_sweep
 from .identities import run_identity_suite
 from .limit_density import limit_l2_norms
 from .measures import DensityValidationError, shift_mixture
-from .sde import PathGrid, SdeNumericError, drift_from_config, simulate_drift_shifts
+from .sde import SdeNumericError, drift_from_config, simulate_drift_shifts
 from .serialize import chaos_to_json, csv_text, dumps_canonical
 from .streams import STREAM_DISTANCE, STREAM_PATHS, child_seed
 from .wick import NotNormalizedError
@@ -240,9 +240,9 @@ def cmd_sde(args) -> int:
             "path_stream_block0": child_seed(config.seed, STREAM_PATHS, 0)
         }
         space = GaussianSpace(section.steps, section.max_degree)
-        drift, grid = drift_from_config(section.drift), PathGrid(section.steps)
+        drift = drift_from_config(section.drift)
         with manifest.stage("simulate"):
-            draw = simulate_drift_shifts(drift, grid, section.paths, seed=config.seed)
+            draw = simulate_drift_shifts(drift, section.steps, section.paths, seed=config.seed)
         _note_evaluation(manifest, space)
         with manifest.stage("density"):
             with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it

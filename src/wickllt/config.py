@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -21,7 +20,7 @@ import numpy as np
 
 from .basis import MAX_DEGREE, MAX_DIMENSION, ChaosVector, GaussianSpace, axis_product
 from .limit_density import gaussian_limit_series
-from .measures import rank_one_quadratic, shift_mixture, WeightedShifts
+from .measures import shift_mixture, WeightedShifts
 from .quadrature import MAX_QUADRATURE_DIM
 from .sde import drift_from_config
 
@@ -30,8 +29,8 @@ SCHEMA_VERSION = 1
 # float, which holds every integer only up to 2**53
 MAX_SUMMANDS = 2**53
 # Largest array of draws or points a config may ask for, in floats (800 MB):
-# paths times steps, distance points times dimension, six KS sample arrays,
-# and the square of the validate space's size (its orthogonality check).
+# paths times steps, distance points times their dimension and the rows the
+# sweep evaluates there, and six KS sample arrays.
 MAX_ENTRIES = 10**8
 
 
@@ -219,10 +218,12 @@ class ExperimentConfig:
                 f"the swept space has dimension {dimension}; use distance.method 'mc'"
             )
         points = self.distance.points(dimension, max_degree)
-        if points * dimension > MAX_ENTRIES:
+        entries = points * (dimension + len(self.n_values))
+        if entries > MAX_ENTRIES:
             raise ConfigError(
                 f"the {self.distance.method} distance evaluates {points} points of dimension "
-                f"{dimension}, {points * dimension} entries, more than {MAX_ENTRIES}"
+                f"{dimension} for {len(self.n_values)} rows, {entries} entries, more than "
+                f"{MAX_ENTRIES}"
             )
 
 
@@ -311,14 +312,6 @@ def parse_config(data) -> ExperimentConfig:
         raise ConfigError(
             f"sde.paths times sde.steps is {sde.paths * sde.steps}, more than {MAX_ENTRIES} "
             f"drift values"
-        )
-    check = sections.get("validate")
-    size = math.comb(check.dimension + check.max_degree, check.max_degree) if check else 0
-    if size * size > MAX_ENTRIES:
-        raise ConfigError(
-            f"validate space (dimension {check.dimension}, max_degree {check.max_degree}) has "
-            f"{size} basis functions; its orthogonality check holds {size}**2 = {size * size} "
-            f"entries, more than {MAX_ENTRIES}"
         )
     if sde is not None and dim is not None and (dim, maxdeg) != (sde.steps, sde.max_degree):
         raise ConfigError(
@@ -414,9 +407,6 @@ def _build_density(spec: dict | None, space: GaussianSpace) -> Density:
         _take(spec, {"kind": True, "g2": True}, "density")
         limit = gaussian_limit_series(_finite(spec["g2"], "density.g2"), space)
         return Density(limit.series, kind, limit)
-    if kind == "rank_one_quadratic":
-        _take(spec, {"kind": True, "g": True}, "density")
-        return Density(rank_one_quadratic(_finite(spec["g"], "density.g"), space), kind)
     if kind == "product_hermite":
         _take(spec, {"kind": True, "axis_coeffs": True}, "density")
         base = _finite(spec["axis_coeffs"], "density.axis_coeffs")

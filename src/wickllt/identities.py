@@ -45,17 +45,16 @@ def _random_vector(space: GaussianSpace, rng, max_degree: int, scale: float = 0.
 
 
 def _check_orthogonality(space: GaussianSpace, rng, mutate: bool) -> CheckResult:
-    # one Gram product: row p of basis is the basis vector of indices[p],
-    # placed by its rank, and the Gram matrix must be diag(alpha!)
+    # the basis vector of indices[p] is the unit vector at its rank pos[p], so the
+    # Gram matrix, which must be diag(alpha!), holds w[p] = factorials[pos[p]] at
+    # each (p, q) with pos[q] == pos[p]: the diagonal and the shared ranks give its max
     tol = 1e-10
-    basis = np.zeros((space.size, space.size))
-    basis[np.arange(space.size), space.positions(space.indices)] = 1.0
-    left = basis * space.factorials
+    pos = space.positions(space.indices)
+    w = space.factorials[pos]
     if mutate:
-        left[-1] = -left[-1]  # deliberate sign corruption
-    gram = left @ basis.T
-    gram[np.diag_indices(space.size)] -= space.factorials
-    worst = float(np.abs(gram).max())
+        w[-1] = -w[-1]  # deliberate sign corruption
+    shared = np.bincount(pos)[pos] > 1
+    worst = float(max(np.abs(w - space.factorials).max(), np.abs(w[shared]).max(initial=0.0)))
     return CheckResult(worst <= tol, worst, tol)
 
 

@@ -68,8 +68,8 @@ def _validated_kernel(g2, space: GaussianSpace | None = None) -> tuple[np.ndarra
         raise ValueError(
             f"kernel is {g.shape[0]}x{g.shape[0]}, space dimension is {space.dimension}"
         )
-    if not np.allclose(g, g.T, atol=1e-14, rtol=0.0):
-        raise ValueError("excess kernel must be symmetric")
+    if not np.array_equal(g, g.T):
+        raise ValueError("excess kernel must be exactly symmetric")
     eig = np.linalg.eigvalsh(g)
     if eig.min() < -1e-10:
         raise AssumptionViolationError(

@@ -1,10 +1,10 @@
 """Constructors for test densities, and a sampler for one-dimensional ones.
 
-Families covered:
-  * finite mixtures of shifted Gaussians, the convolution of the reference
-    measure with a finitely supported measure on the shift space;
-  * the rank-one quadratic exponential, which admits an independent closed
-    form for cross-checking.
+The family covered is the finite mixture of shifted Gaussians, the
+convolution of the reference measure with a finitely supported measure on
+the shift space. rank_one_closed_form is the closed expression of the limit
+density for a rank-one excess kernel G = g g^T (gaussian_limit_series of
+np.outer(g, g)), an independent oracle for that series.
 
 A one-dimensional density has one grid CDF, grid_cdf, which the KS check of
 the identity suite compares against; sample draws from the same CDF by
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ChaosVector, GaussianSpace, eval_many, monomial_sums
-from .limit_density import gaussian_limit_series
 from .streams import STREAM_SAMPLER, substream
 
 
@@ -97,26 +96,9 @@ def shift_mixture(nu: WeightedShifts, space: GaussianSpace) -> ChaosVector:
     return ChaosVector(space, acc / space.factorials)
 
 
-def rank_one_quadratic(g, space: GaussianSpace) -> ChaosVector:
-    """Series density for the rank-one excess kernel G = g g^T.
-
-    Defined while 2 |g|^2 < 1; pointwise it agrees with rank_one_closed_form
-    up to the truncation tail.
-    """
-    g = np.asarray(g, dtype=float).reshape(-1)
-    if g.shape != (space.dimension,):
-        raise ValueError(f"direction must have length {space.dimension}")
-    sq = float(g @ g)
-    if 2.0 * sq >= 1.0:
-        raise ValueError(
-            f"rank-one quadratic exponential requires 2|g|^2 < 1, got {2 * sq:.6f}"
-        )
-    return gaussian_limit_series(np.outer(g, g), space).series
-
-
 def rank_one_closed_form(g, w) -> float | np.ndarray:
     """(1 + 2|g|^2)^{-1/2} exp(<w, g>^2 / (1 + 2|g|^2)), the closed expression
-    for the rank-one quadratic exponential."""
+    for the limit density of the rank-one excess kernel G = g g^T."""
     g = np.asarray(g, dtype=float).reshape(-1)
     sq = float(g @ g)
     pts = np.asarray(w, dtype=float)

@@ -1,4 +1,5 @@
-"""Tensorized Gauss-Hermite quadrature against the standard Gaussian measure."""
+"""Tensorized Gauss-Hermite quadrature against the standard Gaussian measure,
+and the uniform tensor grid that shares its point layout."""
 
 from __future__ import annotations
 
@@ -45,20 +46,18 @@ def gauss_hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, np.ldexp(1.0 / total, -2 * shift)
 
 
+def _tensor_points(axis: np.ndarray, dimension: int) -> np.ndarray:
+    """Every d-tuple of axis values, shape (n^d, d), the last coordinate fastest."""
+    grids = np.meshgrid(*([axis] * dimension), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+
 def tensor_rule(dimension: int, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Product rule on R^d: points (n^d, d) and matching probability weights."""
     x, w = gauss_hermite_rule(nodes_per_axis)
-    grids = np.meshgrid(*([x] * dimension), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w] * dimension), indexing="ij")
-    wts = np.ones(pts.shape[0])
-    for g in wgrids:
-        wts = wts * g.reshape(-1)
-    return pts, wts
+    return _tensor_points(x, dimension), np.prod(_tensor_points(w, dimension), axis=1)
 
 
 def tensor_grid(dimension: int, points_per_axis: int, halfwidth: float) -> np.ndarray:
     """Uniform tensor grid on [-halfwidth, halfwidth]^d, shape (n^d, d)."""
-    axis = np.linspace(-halfwidth, halfwidth, points_per_axis)
-    grids = np.meshgrid(*([axis] * dimension), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
+    return _tensor_points(np.linspace(-halfwidth, halfwidth, points_per_axis), dimension)

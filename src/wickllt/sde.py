@@ -7,8 +7,8 @@ The first component of the coupled system
 is, under the original measure, a Brownian motion translated by the
 independent drift path Y_t = -int_0^t b1(B2_s) ds. Its law is therefore the
 reference measure convolved with the law of Y, which lives on the shift
-space. We model paths on a uniform grid of `steps` intervals where
-coordinate i of the Gaussian space is the normalized increment
+space. We model paths on a uniform grid of `steps` intervals, dt = 1 / steps,
+where coordinate i of the Gaussian space is the normalized increment
 (w(t_i) - w(t_{i-1})) / sqrt(dt), so i.i.d. standard Gaussians reproduce
 the discrete Wiener measure, and the shift vector of a simulated drift path
 has component i equal to -sqrt(dt) * b1(B2_{t_{i-1}}) (left-point rule).
@@ -25,7 +25,6 @@ drift_energy verdict joins the density's audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,21 +46,6 @@ class SdeNumericError(Exception):
     """Numerical failure inside the path-space pipeline."""
 
 
-@dataclass(frozen=True)
-class PathGrid:
-    """Uniform time grid on [0, 1] with `steps` increments."""
-
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError("need at least one time step")
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.steps
-
-
 # b1 of the first equation, applied elementwise to an array of positions
 Drift = Callable[[np.ndarray], np.ndarray]
 
@@ -78,20 +62,22 @@ def _drift_values(b1: Drift, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _drift_at_left_points(b1: Drift, grid: PathGrid, paths: int, seed: int) -> np.ndarray:
-    """b1 evaluated at the left grid points of `paths` independent paths.
+def _drift_at_left_points(b1: Drift, steps: int, paths: int, seed: int) -> np.ndarray:
+    """b1 evaluated at the left grid points of `paths` independent paths on
+    the uniform grid of [0, 1] with `steps` increments.
 
-    Row j holds b1(B2_{t_0, j}), ..., b1(B2_{t_{d-1}, j}) with B2_{t_0} = 0.
+    Row j holds b1(B2_{t_0, j}), ..., b1(B2_{t_{steps-1}, j}) with B2_{t_0} = 0.
     """
+    if steps < 1:
+        raise ValueError("need at least one time step")
     if paths < 1:
         raise ValueError("need at least one path")
-    d = grid.steps
-    sqdt = math.sqrt(grid.dt)
-    out = np.empty((paths, d))
+    sqdt = math.sqrt(1.0 / steps)
+    out = np.empty((paths, steps))
     for start in range(0, paths, PATH_BLOCK):
         stop = min(start + PATH_BLOCK, paths)
         rng = substream(seed, STREAM_PATHS, start // PATH_BLOCK)
-        increments = sqdt * rng.standard_normal((stop - start, d))
+        increments = sqdt * rng.standard_normal((stop - start, steps))
         left = np.concatenate(
             [np.zeros((stop - start, 1)), np.cumsum(increments, axis=1)[:, :-1]], axis=1
         )
@@ -126,8 +112,9 @@ class DriftDraw(NamedTuple):
         return CheckResult(upper < 1.0, upper, 1.0)
 
 
-def simulate_drift_shifts(b1: Drift, grid: PathGrid, paths: int, seed: int = 0) -> DriftDraw:
-    """Simulate the drift measure and its two gates from one draw of the paths.
+def simulate_drift_shifts(b1: Drift, steps: int, paths: int, seed: int = 0) -> DriftDraw:
+    """Simulate the drift measure and its two gates from one draw of the paths
+    on the uniform grid of [0, 1] with `steps` increments, dt = 1 / steps.
 
     Path j contributes h_j[i] = -sqrt(dt) * b1(B2_{t_{i-1}, j}) with uniform
     weight 1/paths; B2 is an independent Brownian motion evaluated at the
@@ -137,8 +124,9 @@ def simulate_drift_shifts(b1: Drift, grid: PathGrid, paths: int, seed: int = 0) 
     the mean of dt * sum_i b1^2, accumulated from the drift values so that a
     constant drift is exact.
     """
-    vals = _drift_at_left_points(b1, grid, paths, seed)
-    shifts = -math.sqrt(grid.dt) * vals
+    vals = _drift_at_left_points(b1, steps, paths, seed)
+    dt = 1.0 / steps
+    shifts = -math.sqrt(dt) * vals
     with np.errstate(over="ignore"):  # an infinite exponent is raised below
         exponents = 0.5 * np.sum(shifts**2, axis=1)
     if exponents.max() > EXP_OVERFLOW:
@@ -151,7 +139,7 @@ def simulate_drift_shifts(b1: Drift, grid: PathGrid, paths: int, seed: int = 0) 
             f"Novikov check failed (numeric): estimate {novikov.estimate:.3g} above ceiling "
             f"{NOVIKOV_CEILING:.3g}"
         )
-    energy = _mc_mean(grid.dt * np.sum(vals * vals, axis=1))
+    energy = _mc_mean(dt * np.sum(vals * vals, axis=1))
     return DriftDraw(WeightedShifts(np.full(paths, 1.0 / paths), shifts), novikov, energy)
 
 

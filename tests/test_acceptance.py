@@ -31,13 +31,9 @@ from wickllt.limit_density import (
     pointwise_tail_bound,
     self_similarity_defect,
 )
-from wickllt.measures import rank_one_closed_form, rank_one_quadratic, shift_mixture
+from wickllt.measures import rank_one_closed_form, shift_mixture
 from wickllt.quadrature import tensor_grid
-from wickllt.sde import (
-    PathGrid,
-    drift_from_config,
-    simulate_drift_shifts,
-)
+from wickllt.sde import drift_from_config, simulate_drift_shifts
 from wickllt.wick import gamma, s_transform, stochastic_exponential, wick_product
 
 from helpers import sha256_file
@@ -110,7 +106,7 @@ def d8_sweep(tmp_path_factory):
     config = config_from(CORPUS_D8, tmp_path_factory)
     drift = drift_from_config({"kind": "scaled_sin", "scale": 0.5})
     start = time.perf_counter()
-    shifts = simulate_drift_shifts(drift, PathGrid(8), 10000, seed=MASTER_SEED).measure
+    shifts = simulate_drift_shifts(drift, 8, 10000, seed=MASTER_SEED).measure
     table, audit = rate_sweep(config, shift_mixture(shifts, config.build_space()))
     return {"table": table, "audit": audit, "seconds": time.perf_counter() - start}
 
@@ -234,7 +230,7 @@ def test_criterion_05_rank_one_closed_form():
     worst = 0.0
     for g, space, grid in cases:
         assert 2.0 * float(g @ g) <= 0.5
-        series = rank_one_quadratic(g, space)
+        series = gaussian_limit_series(np.outer(g, g), space).series
         closed = rank_one_closed_form(g, grid)
         worst = max(worst, float((np.abs(eval_many(series, grid) - closed) / closed).max()))
     report(
@@ -352,9 +348,8 @@ def test_criterion_09_variance_identity():
 
 
 def test_criterion_10_path_space_pipeline(d8_sweep):
-    grid = PathGrid(8)
     half = drift_from_config({"kind": "constant", "value": 0.5})
-    draw = simulate_drift_shifts(half, grid, 1024, seed=MASTER_SEED)
+    draw = simulate_drift_shifts(half, 8, 1024, seed=MASTER_SEED)
     nov, energy = draw.novikov, draw.energy
     # the moment is read off the shifts, whose squares carry the rounding of sqrt(dt)
     exact = (
@@ -364,7 +359,7 @@ def test_criterion_10_path_space_pipeline(d8_sweep):
         and energy.standard_error == 0.0
     )
     sin_drift = drift_from_config({"kind": "scaled_sin", "scale": 0.5})
-    sin_energy = simulate_drift_shifts(sin_drift, grid, 10_000, seed=MASTER_SEED).energy
+    sin_energy = simulate_drift_shifts(sin_drift, 8, 10_000, seed=MASTER_SEED).energy
     gate = sin_energy.estimate + 3.0 * sin_energy.standard_error < 1.0
     bound_ok, monotone, slope, _ = _check_rate_table(d8_sweep["table"])
     report(

@@ -670,6 +670,13 @@ class TestKernelView:
         assert np.allclose(view.mean, mean, atol=0)
         assert np.allclose(view.kernel2, kernel2, atol=0)
 
+    @pytest.mark.parametrize("lower", [0.030000001, 0.03 + 2**-57])
+    def test_placement_refuses_any_asymmetry(self, lower):
+        # the placed vector keeps only the upper triangle, so a lower entry
+        # that differs in the last bit would be dropped without a word
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            from_kernel_view(GaussianSpace(2, 4), np.zeros(2), [[0.1, 0.03], [lower, 0.06]])
+
     def test_off_diagonal_symmetric_by_construction(self, plane8):
         c = np.zeros(plane8.size)
         c[0] = 1.0

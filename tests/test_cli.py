@@ -18,7 +18,7 @@ from wickllt.cli import main
 from wickllt.config import ConfigError, load_config, parse_config, resolve_density
 from wickllt.identities import IDENTITY_NAMES
 from wickllt.limit_density import LimitDensity, gaussian_limit_series
-from wickllt.sde import PathGrid, drift_from_config, simulate_drift_shifts
+from wickllt.sde import drift_from_config, simulate_drift_shifts
 
 from helpers import sha256_file
 
@@ -367,15 +367,11 @@ class TestValidateCommand:
         assert [n for n, line in zip(IDENTITY_NAMES, lines) if ": FAIL (" in line] == ["young"]
         assert captured.err.startswith("validate: FAIL (identity suite failed: young (measured ")
 
-    @pytest.mark.parametrize("dimension, max_degree", [(16, 5), (8, 8)])
-    def test_space_cap_refuses_before_any_space_is_built(self, monkeypatch, dimension, max_degree):
-        # the orthogonality check would hold 3.3 GB (16, 5) or 1.3 GB (8, 8) per array
-        def no_space(*args):
-            raise AssertionError("a space was built")
-
-        monkeypatch.setattr(basis.GaussianSpace, "__init__", no_space)
-        with pytest.raises(ConfigError, match="its orthogonality check holds"):
-            parse_config(base_validate_config(dimension=dimension, max_degree=max_degree))
+    def test_large_space_loads(self):
+        # no validate space is refused for its size: the orthogonality check
+        # holds a few arrays of its size, not its square
+        check = parse_config(base_validate_config(dimension=8, max_degree=8)).validate
+        assert (check.dimension, check.max_degree) == (8, 8)
 
     def test_capped_products_factorize_exactly(self, tmp_path):
         # at d=2, K=4 the S-transform check compares capped products with no
@@ -439,7 +435,7 @@ class TestSdeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["artifact_sha256"]["shifts.f64"] == digest
         drift = drift_from_config(load_config(cfg).sde.drift)
-        nu = simulate_drift_shifts(drift, PathGrid(3), 50, seed=data["seed"]).measure
+        nu = simulate_drift_shifts(drift, 3, 50, seed=data["seed"]).measure
         atoms = np.frombuffer((out / "shifts.f64").read_bytes(), "<f8").reshape(header["shape"])
         assert atoms.tobytes() == np.column_stack([nu.weights, nu.shifts]).tobytes()
 
@@ -927,16 +923,6 @@ class TestConfigErrors:
                 "validate.max_degree must be at least 2, got 1",
             ),
             (
-                "validate",
-                base_validate_config(dimension=16, max_degree=5),
-                "(dimension 16, max_degree 5) has 20349 basis functions",
-            ),
-            (
-                "validate",
-                base_validate_config(dimension=8, max_degree=8),
-                "12870**2 = 165636900 entries, more than 100000000",
-            ),
-            (
                 "llt",
                 base_llt_config(record_wall_times=True),
                 "unknown field(s) ['record_wall_times'] in config root",
@@ -986,13 +972,16 @@ class TestConfigErrors:
             ),
             (
                 "llt",
-                base_llt_config(density={"kind": "rank_one_quadratic", "g": [0.1, 0.1]}),
-                "direction must have length 1",
+                # the rank-one kernel g g^T of g = (0.1, 0.1) in a space of dimension 1
+                base_llt_config(
+                    density={"kind": "gaussian_cov", "g2": [[0.01, 0.01], [0.01, 0.01]]}
+                ),
+                "kernel is 2x2, space dimension is 1",
             ),
             (
                 "llt",
-                base_llt_config(density={"kind": "rank_one_quadratic", "g": [0.9]}),
-                "requires 2|g|^2 < 1",
+                base_llt_config(density={"kind": "rank_one_quadratic", "g": [0.1]}),
+                "config error: unknown density kind 'rank_one_quadratic'",
             ),
             ("llt", base_llt_config(distance=5), "distance must be an object, got 5"),
             ("llt", base_llt_config(density=5), "density must be an object, got 5"),
@@ -1126,8 +1115,6 @@ class TestConfigErrors:
             "ks_samples_cap_plus_one",
             "validate_degree_zero",
             "validate_degree_one",
-            "validate_space_16_5",
-            "validate_space_8_8",
             "wall_times_unknown",
             "shift_dimension",
             "weights_sum",
@@ -1135,7 +1122,7 @@ class TestConfigErrors:
             "index_table_too_large",
             "kernel_not_square",
             "direction_length",
-            "rank_one_too_large",
+            "rank_one_kind_unknown",
             "distance_not_object",
             "density_not_object",
             "term_not_object",
@@ -1172,6 +1159,21 @@ class TestConfigErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("samples, refused", [(10**8 // 5, False), (10**8 // 5 + 1, True)])
+    def test_distance_cap_counts_the_rows(self, samples, refused):
+        # the sweep holds its points and one difference per n value at each:
+        # llt_cubic_d1 has four n values, so 10**8 // 5 points of dimension 1
+        # fill the cap (at 10**8 points the rows alone would be 3.2 GB)
+        data = json.loads((REPO / "configs" / "llt_cubic_d1.json").read_text())
+        data["distance"] = {"method": "mc", "samples": samples}
+        config = parse_config(data)
+        if not refused:
+            config.require_llt_fields(1, 16)
+            return
+        message = f"evaluates {samples} points of dimension 1 for 4 rows"
+        with pytest.raises(ConfigError, match=message):
+            config.require_llt_fields(1, 16)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "command, data, message",
@@ -1185,6 +1187,12 @@ class TestConfigErrors:
                 "audit",
                 base_xi_config(g2=[[0.9]]),
                 "spectral radius of the doubled excess kernel is 1.800000 >= 1",
+            ),
+            (
+                "llt",
+                # g g^T of g = (0.9): 2 |g|^2 = 1.62
+                base_llt_config(density={"kind": "gaussian_cov", "g2": [[0.81]]}),
+                "spectral radius of the doubled excess kernel is 1.620000 >= 1",
             ),
             ("audit", base_xi_config(g2=[[-0.2]]), "excess kernel is not positive semidefinite"),
             (
@@ -1209,6 +1217,7 @@ class TestConfigErrors:
         ids=[
             "xi_spectral_radius",
             "audit_spectral_radius",
+            "llt_rank_one_too_large",
             "audit_not_psd",
             "sde_drift_overflows",
             "sde_novikov_exponent_overflows",
@@ -1296,13 +1305,12 @@ class TestConfigErrors:
             ),
             ({"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, "X"]}, "density.axis_coeffs"),
             ({"kind": "gaussian_cov", "g2": [["X"]]}, "density.g2"),
-            ({"kind": "rank_one_quadratic", "g": ["X"]}, "density.g"),
             (
                 {"kind": "shift_mixture", "weights": [0.5, 0.5], "shifts": [["X"], [0.1]]},
                 "density: weights and shifts",
             ),
         ],
-        ids=["coeffs", "terms", "axis_coeffs", "g2", "g", "shifts"],
+        ids=["coeffs", "terms", "axis_coeffs", "g2", "shifts"],
     )
     def test_non_finite_density_value_exits_two(self, tmp_path, capsys, value, density, field):
         # json writes NaN and Infinity as bare literals, which json.loads reads back

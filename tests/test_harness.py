@@ -23,7 +23,7 @@ from wickllt.harness import (
     sum_density,
     young_check,
 )
-from wickllt.identities import run_identity_suite
+from wickllt.identities import _check_orthogonality, run_identity_suite
 from wickllt.limit_density import gaussian_limit_series
 from wickllt.measures import DensityValidationError
 from wickllt.streams import STREAM_DISTANCE, child_seed, substream
@@ -693,3 +693,54 @@ class TestEmpiricalConvolution:
             empirical_convolution_check(
                 unit_density(plane8), unit_density(plane8), (0.5, 0.5), samples=100
             )
+
+
+def gram_worst(space: GaussianSpace, mutate: bool) -> float:
+    """The orthogonality deviation as one Gram product: row p of basis is the
+    unit vector at the rank of indices[p], and the Gram matrix must be
+    diag(alpha!). The reference of the O(size) check, for small spaces."""
+    basis = np.zeros((space.size, space.size))
+    basis[np.arange(space.size), space.positions(space.indices)] = 1.0
+    left = basis * space.factorials
+    if mutate:
+        left[-1] = -left[-1]
+    gram = left @ basis.T
+    gram[np.diag_indices(space.size)] -= space.factorials
+    return float(np.abs(gram).max())
+
+
+class TestOrthogonalityCheck:
+    @pytest.mark.parametrize("mutate", [False, True])
+    @pytest.mark.parametrize("d, k", [(1, 8), (2, 8), (3, 6), (4, 5)])
+    def test_equals_the_gram_on_the_tables(self, d, k, mutate):
+        space = GaussianSpace(d, k)
+        got = _check_orthogonality(space, None, mutate)
+        assert got.measured == gram_worst(space, mutate)
+        assert got.passed is not mutate
+
+    @pytest.mark.parametrize("mutate", [False, True])
+    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("d, k", [(1, 8), (2, 4), (3, 3)])
+    def test_equals_the_gram_on_wrong_ranks(self, monkeypatch, d, k, duplicated, mutate):
+        # a ranking that permutes the table, or sends two rows to one rank
+        space = GaussianSpace(d, k)
+        rng = np.random.default_rng(d * 100 + k)
+        for _ in range(20):
+            if duplicated:
+                ranks = rng.integers(0, space.size, space.size)
+            else:
+                ranks = rng.permutation(space.size)
+            monkeypatch.setattr(GaussianSpace, "positions", lambda self, indices: ranks)
+            assert _check_orthogonality(space, None, mutate).measured == gram_worst(space, mutate)
+
+    def test_holds_a_few_megabytes_at_8_8(self):
+        # 12,870 functions: the Gram product held four arrays of 1.3 GB each
+        space = GaussianSpace(8, 8)
+        tracemalloc.start()
+        try:
+            result = _check_orthogonality(space, None, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed and result.measured == 0.0
+        assert peak < 4e6

@@ -41,6 +41,13 @@ class TestSeries:
         odd = density.series.coeffs[plane12.degrees % 2 == 1]
         assert np.all(odd == 0.0)
 
+    @pytest.mark.parametrize("lower", [0.030000001, 0.03 + 2**-57])
+    def test_rejects_any_asymmetry(self, plane12, lower):
+        # the rule of from_kernel_view, checked before the eigenvalues (which
+        # read one triangle only)
+        with pytest.raises(ValueError, match="excess kernel must be exactly symmetric"):
+            gaussian_limit_series([[0.1, 0.03], [lower, 0.06]], plane12)
+
     def test_rejects_non_psd(self, line16):
         with pytest.raises(AssumptionViolationError, match="positive semidefinite"):
             gaussian_limit_series([[-0.1]], line16)

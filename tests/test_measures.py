@@ -6,14 +6,13 @@ import pytest
 from scipy import stats
 
 import wickllt.basis as basis
-from wickllt.audit import audit_density
+from wickllt.audit import AssumptionViolationError, audit_density
 from wickllt.basis import ChaosVector, GaussianSpace, eval_many, kernel_view
 from wickllt.limit_density import gaussian_limit_series, limit_l2_norms
 from wickllt.measures import (
     DensityValidationError,
     WeightedShifts,
     rank_one_closed_form,
-    rank_one_quadratic,
     sample,
     shift_mixture,
 )
@@ -163,6 +162,12 @@ class TestGaussianCov:
         assert report.all_passed
 
 
+def rank_one_quadratic(g, space: GaussianSpace) -> ChaosVector:
+    """The limit series of the rank-one excess kernel G = g g^T."""
+    g = np.asarray(g, dtype=float)
+    return gaussian_limit_series(np.outer(g, g), space).series
+
+
 class TestRankOneQuadratic:
     def test_zero_direction(self, line16):
         assert np.array_equal(
@@ -170,7 +175,8 @@ class TestRankOneQuadratic:
         )
 
     def test_domain_rejected(self, line16):
-        with pytest.raises(ValueError, match=r"2\|g\|\^2 < 1"):
+        # 2 |g|^2 = 1.28: the limit is not square integrable
+        with pytest.raises(AssumptionViolationError, match="kernel is 1.280000 >= 1"):
             rank_one_quadratic([0.8], line16)
 
     def test_pointwise_match_small_direction(self):
