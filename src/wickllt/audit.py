@@ -20,12 +20,13 @@ quadrature oracle in low dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .basis import ChaosVector, eval_many, eval_products, kernel_view
+from .basis import ChaosVector, eval_axis_products, eval_many, kernel_view
 from .quadrature import MAX_QUADRATURE_DIM, tensor_grid, tensor_rule
 from .streams import STREAM_AUDIT, substream
 
@@ -125,19 +126,24 @@ def variance_pairing(f: ChaosVector, h) -> VariancePairing:
 def audit_density(density: Density | ChaosVector) -> AssumptionReport:
     """Run all standing-hypothesis checks in one report.
 
-    A bare ChaosVector counts as kind coefficients, and product_hermite is
-    screened from its axis factor. The two second-order checks share one M
-    and one eigendecomposition, whose spectral radius always satisfies
-    rho(2G) <= |M|_F. A space of max_degree below 2 has no kernel and gets
-    the first check only.
+    A bare ChaosVector counts as kind coefficients. The two second-order
+    checks share one M and one eigendecomposition, whose spectral radius
+    always satisfies rho(2G) <= |M|_F. A space of max_degree below 2 has no
+    kernel and gets the first check only. A product_hermite density is read
+    from its axis series a (a_0 = 1, as resolve_density requires), with M =
+    (2 a_2 - a_1^2) I.
     """
     f = getattr(density, "vector", density)
-    grid = screen_grid(f.space.dimension)
     product = getattr(density, "kind", None) == "product_hermite"
-    values = eval_products([density.structure], f.space, grid) if product else eval_many(f, grid)
     report = AssumptionReport()
-    report.l2_norm = f.norm()
-    report.normalization = float(f.coeffs[0])
+    if product:
+        d, a = density.structure, f.coeffs
+        values = eval_axis_products(a[None], d, screen_grid(d))
+        report.l2_norm = math.sqrt(density.degree_norms_sq().sum())
+        report.normalization = float(a[0] ** d)
+    else:
+        values = eval_many(f, screen_grid(f.space.dimension))
+        report.l2_norm, report.normalization = f.norm(), float(f.coeffs[0])
     report.min_on_grid = float(values.min())
     report.verdicts["normalization"] = CheckResult(
         abs(report.normalization - 1.0) <= 1e-12, report.normalization, 1e-12
@@ -148,11 +154,15 @@ def audit_density(density: Density | ChaosVector) -> AssumptionReport:
     )
     if f.space.max_degree < 2:
         return report
-    m = 2.0 * kernel_view(f).g2
-    eig = np.linalg.eigvalsh(m)
+    if product:
+        m = 2.0 * a[2] - a[1] * a[1]
+        eig, trace, frobenius_sq = np.array([m]), d * m, d * m * m
+    else:
+        m = 2.0 * kernel_view(f).g2
+        eig, trace, frobenius_sq = np.linalg.eigvalsh(m), np.trace(m), np.sum(m * m)
     report.min_eigenvalue_m = float(eig.min())
-    report.trace_m = float(np.trace(m))
-    report.frobenius_sq_m = float(np.sum(m * m))
+    report.trace_m = float(trace)
+    report.frobenius_sq_m = float(frobenius_sq)
     report.spectral_radius_2g = float(np.abs(eig).max())
     report.verdicts["variance_domination"] = CheckResult(
         report.min_eigenvalue_m >= -1e-10, report.min_eigenvalue_m, -1e-10

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .audit import AssumptionViolationError, audit_density, require_passed, verdicts_json
-from .basis import BasisTooLargeError, GaussianSpace, InsufficientDegreeError
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
+from .basis import BasisTooLargeError, GaussianSpace, InsufficientDegreeError, power_sum_chunk
+from .config import ConfigError, Density, ExperimentConfig, load_config, parse_config
 from .config import require_finite, resolve_density
 from .harness import BoundViolationError, RateTable, rate_sweep
 from .identities import run_identity_suite
@@ -123,9 +123,9 @@ def _run(args, command: str):
 
 def cmd_audit(args) -> int:
     with _run(args, "audit") as (config, manifest):
-        space = config.build_space()
+        shape = config.space_shape()
         with manifest.stage("build_density"):
-            density = resolve_density(config.density, space)
+            density = resolve_density(config.density, *shape)
         with manifest.stage("audit"):
             report = audit_density(density)
         payload = report.to_json_dict()
@@ -139,12 +139,11 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> RateTable:
+def _sweep(manifest: _Manifest, config: ExperimentConfig, density: Density, report) -> RateTable:
     """The rate sweep of llt and of sde with n_values, written to rate.csv and
     summary.json. A bound violation writes them too, listing its rows, and
     then propagates; report is the audit the caller already ran, or None."""
-    space = getattr(density, "vector", density).space
-    manifest.notes["distance_points"] = config.distance.points(space.dimension, space.max_degree)
+    manifest.notes["distance_points"] = config.distance.points(*density.shape)
     violation = None
     try:
         with manifest.stage("sweep"):
@@ -174,15 +173,18 @@ def _sweep(manifest: _Manifest, config: ExperimentConfig, density, report) -> Ra
     return table
 
 
-def _note_evaluation(manifest: _Manifest, space: GaussianSpace, product: bool = False) -> None:
-    """Record the row counts of the head/tail split basis evaluation runs at,
-    the rows of its partial table, and its points per chunk. A product sweep
-    (eval_products) forms no partial table, and its rows are left out."""
+def _note_evaluation(manifest: _Manifest, density: Density) -> None:
+    """Record the sizes evaluation runs at: the points per chunk of
+    eval_axis_products for a product_hermite density, else the row counts of
+    the head/tail split of its space, the rows of its partial table and its
+    points per chunk."""
+    if density.kind == "product_hermite":
+        manifest.notes["power_sums"] = {"chunk": power_sum_chunk(*density.shape)}
+        return
+    space = density.vector.space
     split = space.split()
     rows = {"head": split.head_rows, "tail": split.tail.size, "full": space.size}
-    if not product:
-        rows["contracted"] = split.contracted
-    manifest.notes["basis_rows"] = {**rows, "chunk": split.chunk}
+    manifest.notes["basis_rows"] = {**rows, "contracted": split.contracted, "chunk": split.chunk}
 
 
 def cmd_llt(args) -> int:
@@ -191,10 +193,10 @@ def cmd_llt(args) -> int:
         manifest.notes["derived_seeds"] = {
             "distance_stream": child_seed(config.seed, STREAM_DISTANCE)
         }
-        space = config.build_space()
+        shape = config.space_shape()
         with manifest.stage("density"):
-            density = resolve_density(config.density, space)
-        _note_evaluation(manifest, space, density.kind == "product_hermite")
+            density = resolve_density(config.density, *shape)
+        _note_evaluation(manifest, density)
         table = _sweep(manifest, config, density, None)
     print(
         f"llt: PASS (C={table.constant:.6g}, n0={table.n0}, rows={len(table.rows)})"
@@ -243,11 +245,11 @@ def cmd_sde(args) -> int:
         drift = drift_from_config(section.drift)
         with manifest.stage("simulate"):
             draw = simulate_drift_shifts(drift, section.steps, section.paths, seed=config.seed)
-        _note_evaluation(manifest, space)
         with manifest.stage("density"):
             with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
                 density = require_finite(shift_mixture(draw.measure, space))
             report = audit_density(density)
+        _note_evaluation(manifest, Density(density))
         report.verdicts["drift_energy"] = draw.drift_energy
         payload = {
             "drift": section.drift,
@@ -272,7 +274,7 @@ def cmd_sde(args) -> int:
         novikov, energy = draw.novikov, draw.energy
         del draw, nu  # the sweep reads none of the atoms
         if config.n_values:
-            _sweep(manifest, config, density, report)
+            _sweep(manifest, config, Density(density), report)
     print(
         f"sde: PASS (novikov={novikov.estimate:.6g}, "
         f"drift_energy={energy.estimate:.6g} +- {energy.standard_error:.2g})"
@@ -284,9 +286,8 @@ def cmd_build_xi(args) -> int:
     with _run(args, "build-xi") as (config, manifest):
         if (config.density or {}).get("kind") != "gaussian_cov":
             raise ConfigError("this command needs a density of kind 'gaussian_cov'")
-        space = config.build_space()
         with manifest.stage("series"):
-            density = resolve_density(config.density, space).structure
+            density = resolve_density(config.density, *config.space_shape()).structure
             norms = limit_l2_norms(density)
         manifest.artifact("xi_series.json", dumps_canonical, density.to_json_dict())
         report = {
@@ -298,7 +299,7 @@ def cmd_build_xi(args) -> int:
             "norm_sq_scalar_frobenius": norms.scalar_frobenius_value,
         }
         manifest.artifact("xi_report.json", dumps_canonical, report)
-    print(f"build-xi: wrote series with {space.size} coefficients")
+    print(f"build-xi: wrote series with {density.series.space.size} coefficients")
     return EXIT_OK
 
 

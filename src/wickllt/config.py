@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import MAX_DEGREE, MAX_DIMENSION, ChaosVector, GaussianSpace, axis_product
+from .basis import product_masses
 from .limit_density import gaussian_limit_series
 from .measures import shift_mixture, WeightedShifts
 from .quadrature import MAX_QUADRATURE_DIM
@@ -192,15 +193,16 @@ class ExperimentConfig:
     validate: ValidateSection | None = None
     raw: dict = field(default_factory=dict)
 
-    def build_space(self) -> GaussianSpace:
+    def space_shape(self) -> tuple[int, int]:
+        """(dimension, max_degree) of the space section; a ConfigError without one."""
         if self.space_dimension is None or self.space_max_degree is None:
             raise ConfigError("config does not define a space section")
-        return GaussianSpace(self.space_dimension, self.space_max_degree)
+        return self.space_dimension, self.space_max_degree
 
     def require_llt_fields(self, dimension: int | None, max_degree: int | None) -> None:
         """Check the fields a rate sweep reads; dimension and max_degree are
         those of the swept space (None when the config has no space section,
-        which build_space reports)."""
+        which space_shape reports)."""
         if self.alpha is None or not self.n_values:
             raise ConfigError("this command needs 'alpha' and 'n_values'")
         if not 0.0 < self.alpha < 1.0:
@@ -334,16 +336,32 @@ def parse_config(data) -> ExperimentConfig:
 
 class Density(NamedTuple):
     """A resolved density section: its vector, its kind, and the structure the
-    vector loses: the axis coefficients of product_hermite, the WeightedShifts
-    of shift_mixture or the whole LimitDensity of gaussian_cov, else None."""
+    vector loses: the WeightedShifts of shift_mixture or the whole
+    LimitDensity of gaussian_cov, else None. A product_hermite density, the
+    product of one axis series over d coordinates cut at total degree K, has
+    that series in GaussianSpace(1, K) as its vector and d as its structure:
+    its GaussianSpace(d, K) is never built."""
 
     vector: ChaosVector
     kind: str = "coefficients"
     structure: object = None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(d, K), the dimension and the degree cap of the density."""
+        space = self.vector.space
+        product = self.kind == "product_hermite"
+        return (self.structure if product else space.dimension), space.max_degree
+
+    def degree_norms_sq(self) -> np.ndarray:
+        """Squared L2 mass per degree 0..K of the density."""
+        if self.kind == "product_hermite":
+            return product_masses(self.vector.coeffs, 0.0, self.structure)
+        return self.vector.degree_norms_sq()
+
 
 @np.errstate(over="ignore", invalid="ignore")
-def require_finite(f: ChaosVector) -> ChaosVector:
+def require_finite(f: ChaosVector | Density) -> ChaosVector | Density:
     """f if its coefficients and norm are finite, else a ConfigError naming
     the first degree where its L2 mass, summed without warnings, is not."""
     bad = np.flatnonzero(~np.isfinite(np.cumsum(f.degree_norms_sq())))
@@ -355,8 +373,9 @@ def require_finite(f: ChaosVector) -> ChaosVector:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def resolve_density(spec: dict | None, space: GaussianSpace) -> Density:
-    """Build the density named by a config 'density' section.
+def resolve_density(spec: dict | None, dimension: int, max_degree: int) -> Density:
+    """Build the density named by a config 'density' section on R^dimension,
+    cut at max_degree.
 
     Raw coefficients are taken as given: the assumption audit, which every
     command runs on the result, screens normalization and nonnegativity. A
@@ -364,17 +383,25 @@ def resolve_density(spec: dict | None, space: GaussianSpace) -> Density:
     warnings, is a ConfigError (require_finite).
     """
     try:
-        density = _build_density(spec, space)
+        density = _build_density(spec, dimension, max_degree)
     except (TypeError, ValueError) as exc:  # an object among shift_mixture's numbers: TypeError
         raise ConfigError(f"density: {exc}") from exc
-    require_finite(density.vector)
-    return density
+    return require_finite(density)
 
 
-def _build_density(spec: dict | None, space: GaussianSpace) -> Density:
+def _build_density(spec: dict | None, dimension: int, max_degree: int) -> Density:
     if spec is None:
         raise ConfigError("this command needs a 'density' section")
     kind = spec.get("kind")
+    if kind == "product_hermite":
+        _take(spec, {"kind": True, "axis_coeffs": True}, "density")
+        base = _finite(spec["axis_coeffs"], "density.axis_coeffs")
+        if base.ndim != 1 or base.size == 0:
+            raise ConfigError("density.axis_coeffs must be a non-empty list of numbers")
+        if base[0] != 1.0:
+            raise ConfigError("product_hermite axis_coeffs must start with 1.0")
+        return Density(axis_product(base, GaussianSpace(1, max_degree)), kind, dimension)
+    space = GaussianSpace(dimension, max_degree)
     if kind == "coefficients":
         _take(spec, {"kind": True, "terms": False, "coeffs": False}, "density")
         if "coeffs" in spec:
@@ -407,12 +434,4 @@ def _build_density(spec: dict | None, space: GaussianSpace) -> Density:
         _take(spec, {"kind": True, "g2": True}, "density")
         limit = gaussian_limit_series(_finite(spec["g2"], "density.g2"), space)
         return Density(limit.series, kind, limit)
-    if kind == "product_hermite":
-        _take(spec, {"kind": True, "axis_coeffs": True}, "density")
-        base = _finite(spec["axis_coeffs"], "density.axis_coeffs")
-        if base.ndim != 1 or base.size == 0:
-            raise ConfigError("density.axis_coeffs must be a non-empty list of numbers")
-        if base[0] != 1.0:
-            raise ConfigError("product_hermite axis_coeffs must start with 1.0")
-        return Density(axis_product(base, space), kind, base)
     raise ConfigError(f"unknown density kind {kind!r}")

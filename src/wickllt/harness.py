@@ -34,7 +34,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .audit import AssumptionReport, audit_density, require_passed
-from .basis import ChaosVector, GaussianSpace, axis_product, eval_products, eval_stacked, kernel_view
+from .basis import ChaosVector, eval_axis_products, eval_stacked, kernel_view
+from .basis import power_sum_chunk, product_masses
 from .config import ConfigError, Density, DistanceConfig, ExperimentConfig
 from .limit_density import gaussian_limit_series
 from .measures import grid_cdf, sample
@@ -108,25 +109,27 @@ def l1_distances(
     samples are drawn per evaluation chunk, which equals one draw of all;
     rate_sweep's product route draws them through the same _distances.
     """
-    diffs = [f - g for f in fs]
-    return _distances(partial(eval_stacked, diffs), g.space, len(diffs), spec, seed)
+    diffs, space = [f - g for f in fs], g.space
+    shape, chunk = (space.dimension, space.max_degree), space.split().chunk
+    return _distances(partial(eval_stacked, diffs), len(diffs), shape, chunk, spec, seed)
 
 
-def _distances(evaluate, space: GaussianSpace, count: int, spec, seed: int) -> list[DistanceResult]:
-    # l1_distances from evaluate(points, out), which writes count differences
+def _distances(evaluate, count: int, shape, chunk: int, spec, seed: int) -> list[DistanceResult]:
+    # l1_distances from evaluate(points, out), which writes count differences,
+    # for densities of shape (d, K); Monte-Carlo points come in chunks of chunk
     spec = spec or DistanceConfig()
-    d = space.dimension
+    d, max_degree = shape
     if spec.method == "quadrature":
         if d > MAX_QUADRATURE_DIM:
             raise ValueError(f"quadrature distance limited to dimension <= {MAX_QUADRATURE_DIM}")
-        nodes = spec.coarse_nodes(space.max_degree)
+        nodes = spec.coarse_nodes(max_degree)
         sums = []
         for n in (nodes, 2 * nodes):
             pts, wts = tensor_rule(d, n)
             rows = np.abs(evaluate(pts, np.empty((count, len(pts)))))
             sums.append([float(np.dot(wts, row)) for row in rows])
         return [DistanceResult(b, abs(b - a)) for a, b in zip(*sums)]
-    rng, chunk, total = substream(seed, STREAM_DISTANCE), space.split().chunk, spec.samples
+    rng, total = substream(seed, STREAM_DISTANCE), spec.samples
     chunks = (rng.standard_normal((min(chunk, total - i), d)) for i in range(0, total, chunk))
     values = evaluate(chunks, np.empty((count, total)))
     return [
@@ -164,9 +167,13 @@ def rate_constant(f: ChaosVector, alpha: float) -> RateConstant:
     return _rate_constant(center_density(f), limit, alpha)
 
 
-def _rate_constant(centered: ChaosVector, limit: ChaosVector, alpha: float) -> RateConstant:
+def _rate_constant(
+    centered: ChaosVector, limit: ChaosVector, alpha: float, dimension: int | None = None
+) -> RateConstant:
     # rate_constant from the centered density and its limit series, which
-    # rate_sweep builds once and also uses for its rows and target.
+    # rate_sweep builds once and also uses for its rows and target; with a
+    # dimension, from those of a product_hermite density, one-axis series
+    # whose products over dimension coordinates C measures (product_masses).
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if centered.space.max_degree < 3:
@@ -180,9 +187,14 @@ def _rate_constant(centered: ChaosVector, limit: ChaosVector, alpha: float) -> R
     # back into [0, 1] for the same reason
     n0 = max(1, math.ceil(beta - 1e-9))
     lam = min(1.0, math.sqrt(beta / n0))
-    diff = gamma(lam, centered) - gamma(lam, limit)
-    tail = float(diff.degree_norms_sq()[3:].sum())
-    if tail == 0.0 and (centered - limit).degree_norms_sq()[3:].sum() > 0.0:
+
+    def masses(f, g):  # squared L2 mass per degree of f - g, or of their products
+        if dimension is None:
+            return (f - g).degree_norms_sq()
+        return product_masses(f.coeffs, g.coeffs, dimension)
+
+    tail = float(masses(gamma(lam, centered), gamma(lam, limit))[3:].sum())
+    if tail == 0.0 and masses(centered, limit)[3:].sum() > 0.0:
         # lam**k flushed a nonzero difference to zero: C = 0 is a fixed point's
         raise ConfigError(
             f"alpha {alpha!r} is too small: the scaled degree >= 3 difference "
@@ -224,10 +236,11 @@ def rate_sweep(
     Wick powers of its excess (excess_powers) climbed once per sweep; each
     row's density is then a weighted sum of the rungs, whose time is the
     row's seconds. A product_hermite density takes these steps on its axis
-    factor in GaussianSpace(1, K), since each acts coordinate by coordinate
-    and commutes with the cut at total degree K: only C lifts its two inputs
-    with axis_product, and eval_products measures the rows and the target.
-    All rows are measured on l1_distances' points (common random numbers).
+    series in GaussianSpace(1, K), since each acts coordinate by coordinate
+    and commutes with the cut at total degree K: C comes from one-axis
+    masses (product_masses), eval_axis_products measures the rows and the
+    target, and no GaussianSpace(d, K) is built. All rows are measured on
+    l1_distances' points (common random numbers).
     The density is audited unless the caller passes that audit's report; a
     failed verdict, or a bound at or below NOISE_FLOOR (no row could fail),
     stops the sweep before any row. The ladder and its pair table are freed
@@ -235,18 +248,16 @@ def rate_sweep(
     """
     if isinstance(density, ChaosVector):
         density = Density(density)
-    space = density.vector.space
-    config.require_llt_fields(space.dimension, space.max_degree)
+    shape = density.shape
+    config.require_llt_fields(*shape)
     if report is None:
         report = audit_density(density)
     require_passed(report.verdicts)
-    algebra, f, lift = space, density.vector, lambda v: v
-    if density.kind == "product_hermite":
-        algebra = GaussianSpace(1, space.max_degree)
-        f, lift = axis_product(density.structure, algebra), lambda v: axis_product(v.coeffs, space)
+    f, product = density.vector, density.kind == "product_hermite"
+    algebra = f.space
     centered = center_density(f)
     limit = gaussian_limit_series(kernel_view(f).g2, algebra).series
-    constant = _rate_constant(lift(centered), lift(limit), config.alpha)
+    constant = _rate_constant(centered, limit, config.alpha, shape[0] if product else None)
     ns = sorted(config.n_values)
     floored = [n for n in ns if constant.c / math.sqrt(n) <= NOISE_FLOOR]
     if constant.c > 0.0 and floored:  # every l1 up to the floor would pass those rows
@@ -269,10 +280,11 @@ def rate_sweep(
         densities.append(power_from_ladder(float(centered.coeffs[0]), ladder, n, lam))
         seconds.append(time.perf_counter() - start)
     del ladder
-    if density.kind == "product_hermite":  # rows and target stay one-axis series
+    if product:  # rows and target stay one-axis series
         axes = np.array([v.coeffs for v in densities + [target]])
-        evaluate = partial(eval_products, axes, space)
-        distances = _distances(evaluate, space, len(ns), config.distance, distance_seed)
+        evaluate = partial(eval_axis_products, axes, shape[0])
+        chunk = power_sum_chunk(*shape)
+        distances = _distances(evaluate, len(ns), shape, chunk, config.distance, distance_seed)
     else:
         distances = l1_distances(densities, target, config.distance, seed=distance_seed)
     rows = [

@@ -107,7 +107,7 @@ def d8_sweep(tmp_path_factory):
     drift = drift_from_config({"kind": "scaled_sin", "scale": 0.5})
     start = time.perf_counter()
     shifts = simulate_drift_shifts(drift, 8, 10000, seed=MASTER_SEED).measure
-    table, audit = rate_sweep(config, shift_mixture(shifts, config.build_space()))
+    table, audit = rate_sweep(config, shift_mixture(shifts, GaussianSpace(*config.space_shape())))
     return {"table": table, "audit": audit, "seconds": time.perf_counter() - start}
 
 
@@ -254,7 +254,7 @@ def test_criterion_06_rate_corpus(tmp_path_factory, d8_sweep):
     results = {}
     for label, raw in (("d1", CORPUS_D1), ("d2", CORPUS_D2)):
         config = config_from(raw, tmp_path_factory)
-        table, _ = rate_sweep(config, resolve_density(config.density, config.build_space()))
+        table, _ = rate_sweep(config, resolve_density(config.density, *config.space_shape()))
         results[label] = _check_rate_table(table)
     results["d8"] = _check_rate_table(d8_sweep["table"])
     elapsed = time.perf_counter() - start + d8_sweep["seconds"]

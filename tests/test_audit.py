@@ -212,8 +212,8 @@ class TestFullAudit:
 
 class TestDensityAudit:
     """audit_density takes a config Density; a bare vector counts as kind
-    coefficients, and a product_hermite density is screened from its axis
-    factor."""
+    coefficients, and a product_hermite density is read from its axis
+    series."""
 
     @pytest.mark.parametrize(
         "section, space",
@@ -226,21 +226,36 @@ class TestDensityAudit:
     def test_other_kinds_equal_the_bare_vector(self, section, space):
         from wickllt.config import resolve_density
 
-        density = resolve_density(section, GaussianSpace(*space))
+        density = resolve_density(section, *space)
         assert audit_density(density).to_json_dict() == audit_density(density.vector).to_json_dict()
 
-    @pytest.mark.parametrize("space", [(2, 8), (3, 7), (5, 14)])
+    @pytest.mark.parametrize("space", [(2, 8), (4, 8), (5, 14)])
     def test_product_screen_never_evaluates_the_vector(self, monkeypatch, space):
+        # every field and verdict of the audit read from the axis series
+        # matches the audit of the formed product to 1e-14 relative (the
+        # screen's minimum was held to that before; the other fields came
+        # from the formed vector itself), and the d-space route (eval_many)
+        # never runs
         import wickllt.audit as audit
+        from wickllt.basis import axis_product
         from wickllt.config import resolve_density
 
-        section = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.02]}
-        density = resolve_density(section, GaussianSpace(*space))
-        want = audit_density(density.vector).to_json_dict()
-        monkeypatch.setattr(audit, "eval_many", None)  # the d-space route would fail
-        got = audit_density(density).to_json_dict()
-        # the screen sums each value in another order: roundoff of the O(1) values
-        assert got.pop("min_on_grid") == pytest.approx(want.pop("min_on_grid"), rel=1e-14)
-        for report in (got, want):
-            del report["verdicts"]["nonnegativity"]["measured"]
-        assert got == want
+        def agree(got, want):
+            if isinstance(want, dict):
+                assert got.keys() == want.keys()
+                for key in want:
+                    agree(got[key], want[key])
+            elif isinstance(want, bool):
+                assert got is want
+            else:
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+        for axis in ([1.0, 0.0, 0.1, 0.02], [1.0, 0.2, 0.1, 0.02, -0.005]):
+            section = {"kind": "product_hermite", "axis_coeffs": axis}
+            density = resolve_density(section, *space)
+            formed = axis_product(density.vector.coeffs, GaussianSpace(*space))
+            want = audit_density(formed).to_json_dict()
+            with monkeypatch.context() as patch:
+                patch.setattr(audit, "eval_many", None)  # the d-space route would fail
+                got = audit_density(density).to_json_dict()
+            agree(got, want)

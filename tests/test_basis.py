@@ -19,8 +19,8 @@ from wickllt.basis import (
     chaos_inner,
     enumerate_indices,
     eval_at,
+    eval_axis_products,
     eval_many,
-    eval_products,
     eval_stacked,
     from_kernel_view,
     hermite_eval,
@@ -28,6 +28,7 @@ from wickllt.basis import (
     kernel_view,
     monomial_powers,
     power_table,
+    product_masses,
 )
 from wickllt.quadrature import tensor_rule
 from wickllt.serialize import chaos_to_json
@@ -237,6 +238,28 @@ class TestHermite:
             assert np.array_equal(hermite_eval(n, x), cur)
             assert hermite_eval(n, float(x[n])) == cur[n]
             prev, cur = cur, x * cur - n * prev
+
+    @pytest.mark.parametrize("shape", [(5_000,), (3, 2_000)])
+    def test_holds_the_output_and_one_row(self, shape):
+        # bit for bit the former in-place recurrence, whose k He_{k-1} was a
+        # fresh temporary at every step; the table now reuses one scratch row
+        import tracemalloc
+
+        x = 2.0 * np.random.default_rng(41).standard_normal(shape)
+        want = np.empty((21,) + np.shape(x))
+        want[0], want[1] = 1.0, x
+        for k in range(1, 20):
+            np.multiply(x, want[k], out=want[k + 1, ...])
+            want[k + 1, ...] -= k * want[k - 1]
+        tracemalloc.start()
+        try:
+            got = hermite_table(20, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        # the output, one row, and a few hundred bytes of array headers
+        assert peak <= got.nbytes + x.nbytes + 1024
 
 
 class TestPowerTable:
@@ -597,44 +620,136 @@ class TestStackedEvaluation:
 
 
 class TestProductEvaluation:
-    """eval_products evaluates axis_product(a, space) for each axis series a
-    without forming it; eval_stacked on the formed vectors is the reference."""
+    """eval_axis_products evaluates the product of each axis series a over d
+    coordinates, cut at total degree K, through Hermite power sums: at d <= 5
+    eval_stacked on the formed axis_product vectors is the reference, at
+    d = 64 the per-axis product of the one-dimensional series cut at K."""
 
-    @pytest.mark.parametrize("dimension, degree", [(1, 8), (2, 8), (3, 7), (4, 8), (5, 14)])
+    @pytest.mark.parametrize(
+        "dimension, degree", [(1, 8), (2, 8), (3, 7), (4, 8), (5, 14), (2, 30), (1, 60)]
+    )
     def test_matches_the_formed_products(self, dimension, degree):
         space = GaussianSpace(dimension, degree)
-        chunk = space.split().chunk
+        chunk = basis.power_sum_chunk(dimension, degree)
         rng = np.random.default_rng(10 * dimension + degree)
-        # axis series shorter and longer than K + 1 are padded and cut
+        # general series, a_0 other than one (negative too), even series, and
+        # series whose log has only every third degree: the gcd of the
+        # degrees in use is 1, 2 and 3
         axes = 0.4 * rng.standard_normal((4, degree + 1))
-        axes[:, 0] = 1.0
-        short, long = axes[:, :3], np.hstack((axes, rng.standard_normal((4, 2))))
+        axes[:, 0] = [1.0, 0.7, -1.3, 1.0]
+        even, third = axes.copy(), np.zeros_like(axes)
+        even[:, 1::2] = 0.0
+        third[:, 0], third[:, 3::3] = axes[:, 0], axes[:, 3::3]
         for count in (1, chunk - 1, chunk + 1):
             pts = rng.standard_normal((count, dimension))
-            for series in (axes, short, long):
+            for series in (axes, even, third):
                 want = eval_stacked([axis_product(a, space) for a in series], pts)
                 tol = 1e-13 * np.abs(want).max()
-                got = eval_products(series, space, pts)
+                got = eval_axis_products(series, dimension, pts)
                 assert got.shape == want.shape and np.abs(got - want).max() <= tol
                 # an iterator of chunks fills out; V - 1 rows get the differences
-                chunks = iter([pts[i : i + chunk] for i in range(0, count, chunk)])
-                diffs = eval_products(series, space, chunks, out=np.empty((3, count)))
+                chunks = iter([pts[i : i + 300] for i in range(0, count, 300)])
+                diffs = eval_axis_products(series, dimension, chunks, out=np.empty((3, count)))
                 assert np.abs(diffs - (want[:-1] - want[-1])).max() <= 2 * tol
 
     def test_never_forms_a_d_space_vector(self, monkeypatch):
-        # only the head and the tail spaces get axis products
-        space = GaussianSpace(5, 14)
-        split = space.split()
-        seen = []
-        real = basis.axis_product
+        # no space of any dimension is built, at a dimension whose space
+        # (about 1.2e10 functions) no table could hold
+        built = []
+        real = GaussianSpace.__post_init__
 
-        def recording(axis, part):
-            seen.append(part)
-            return real(axis, part)
+        def counting(self):
+            built.append(self.dimension)
+            real(self)
 
-        monkeypatch.setattr(basis, "axis_product", recording)
-        eval_products(np.ones((3, 15)), space, np.zeros((4, 5)))
-        assert seen == [split.head] * 3 + [split.tail] * 3
+        monkeypatch.setattr(GaussianSpace, "__post_init__", counting)
+        values = eval_axis_products(np.ones((3, 9)), 64, np.zeros((4, 64)))
+        assert built == [] and values.shape == (3, 4)
+
+    def test_dimension_64_matches_the_per_axis_product(self):
+        # the product over 64 axes of sum_j a_j He_j(x_i) t^j, one Cauchy
+        # product per axis cut at degree K, summed over the degrees
+        dimension, degree = 64, 8
+        rng = np.random.default_rng(64)
+        axes = np.array([[1.0, 0.0, 0.1], [1.0, 0.05, 0.1], [1.0, 0.0, 0.1]])
+        axes = np.hstack((axes, np.zeros((3, degree - 2))))
+        axes[1, 3], axes[2, 4] = 0.02, 0.01
+        pts = rng.standard_normal((300, dimension))
+        got = eval_axis_products(axes, dimension, pts)
+        he = hermite_table(degree, pts)  # (K + 1, n, d)
+        for a, values in zip(axes, got, strict=True):
+            series = np.zeros((degree + 1, len(pts)))
+            series[0] = 1.0
+            for i in range(dimension):
+                factor = a[:, None] * he[:, :, i]
+                series = np.array(
+                    [sum(factor[j] * series[k - j] for j in range(k + 1)) for k in range(degree + 1)]
+                )
+            want = series.sum(axis=0)
+            assert np.abs(values - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "dimension, degree, axis",
+        [(2, 30, [1.0, 0.0, 0.1, 0.02]), (1, 60, [1.0, 0.0, 0.1, 0.02]), (1, 20, [1.0, 0.5, 0.5, 0.5])],
+    )
+    def test_ill_conditioned_series_keep_their_digits(self, monkeypatch, dimension, degree, axis):
+        # past POWER_SUM_CONDITION the values come axis by axis: the power
+        # sums alone err 1e-10, noise and 2e-7 here
+        space = GaussianSpace(dimension, degree)
+        a = np.zeros((1, degree + 1))
+        a[0, : len(axis)] = axis
+        pts = np.random.default_rng(degree).standard_normal((500, dimension))
+        want = eval_stacked([axis_product(a[0], space)], pts)
+        got = eval_axis_products(a, dimension, pts)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        monkeypatch.setattr(basis, "POWER_SUM_CONDITION", np.inf)
+        assert np.abs(eval_axis_products(a, dimension, pts) - want).max() > 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "dimension, degree, axis", [(5, 14, [1.0, 0.0, 0.1, 0.02]), (4, 8, [1.0, 0.0, 0.1])]
+    )
+    def test_shipped_densities_take_the_power_sums(self, monkeypatch, dimension, degree, axis):
+        # llt_wick_d5's and dimension_sweep_d4's densities and their limit
+        # targets stay within POWER_SUM_CONDITION
+        from wickllt.limit_density import gaussian_limit_series
+        from wickllt.wick import gamma
+
+        line = GaussianSpace(1, degree)
+        f = axis_product(np.array(axis), line)
+        target = gamma(math.sqrt(0.5), gaussian_limit_series(kernel_view(f).g2, line).series)
+        axes = np.array([f.coeffs, target.coeffs])
+        pts = np.random.default_rng(dimension).standard_normal((300, dimension))
+        got = eval_axis_products(axes, dimension, pts)
+        monkeypatch.setattr(basis, "POWER_SUM_CONDITION", np.inf)
+        assert np.array_equal(got, eval_axis_products(axes, dimension, pts))
+
+    def test_zero_constant_term_raises(self):
+        axes = np.array([[1.0, 0.0, 0.1], [0.0, 1.0, 0.1]])
+        with pytest.raises(ValueError, match="nonzero degree-0"):
+            eval_axis_products(axes, 3, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("dimension, degree", [(1, 6), (3, 6), (4, 8)])
+    def test_masses_are_those_of_the_formed_difference(self, dimension, degree):
+        # product_masses against sum_{|alpha| = k} alpha! (prod a - prod b)^2
+        # in exact rational arithmetic on the same float inputs: for b apart
+        # from a, b = 0 (the masses of the product itself), and b within 1e-9
+        # of a, where the formed float difference would cancel
+        from fractions import Fraction
+
+        indices = GaussianSpace(dimension, degree).indices.tolist()
+        rng = np.random.default_rng(dimension)
+        a, b = 0.5 * rng.standard_normal((2, degree + 1))
+        a[0], b[0] = 1.0, 0.8
+        for other in (b, np.zeros_like(a), a + 1e-9 * b):
+            fa, fb = [Fraction(v) for v in a], [Fraction(v) for v in other]
+            want = [Fraction(0)] * (degree + 1)
+            for alpha in indices:
+                weight, pa, pb = 1, Fraction(1), Fraction(1)
+                for e in alpha:
+                    weight, pa, pb = weight * math.factorial(e), pa * fa[e], pb * fb[e]
+                want[sum(alpha)] += weight * (pa - pb) ** 2
+            got = product_masses(a, other, dimension)
+            assert np.allclose(got, [float(w) for w in want], rtol=1e-13, atol=0.0)
 
 
 class TestKernelView:

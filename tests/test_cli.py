@@ -243,8 +243,8 @@ class TestManifestNotes:
     points are those the distance stage really evaluated."""
 
     def _run_counting(self, monkeypatch, tmp_path, command, data, evaluation="eval_stacked"):
-        # the points that harness's evaluation (eval_stacked, or eval_products
-        # on the product route) really evaluated
+        # the points that harness's evaluation (eval_stacked, or
+        # eval_axis_products on the product route) really evaluated
         import wickllt.harness as harness
 
         points = []
@@ -283,11 +283,11 @@ class TestManifestNotes:
             density={"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1]},
             distance={"method": "mc", "samples": 3000},
         )
-        # the product route evaluates its rows and target as products of their
-        # one-axis series, and the d-space vectors at no distance point
-        notes, points = self._run_counting(monkeypatch, tmp_path, "llt", data, "eval_products")
-        # with no partial table, whose rows the manifest leaves out
-        assert notes["basis_rows"] == {"head": 7, "tail": 28, "full": 84, "chunk": 2048}
+        # the product route evaluates its rows and target from their one-axis
+        # series through Hermite power sums, and d-space vectors at no point
+        notes, points = self._run_counting(monkeypatch, tmp_path, "llt", data, "eval_axis_products")
+        # no head/tail split exists: the note is the evaluator's chunk
+        assert "basis_rows" not in notes and notes["power_sums"] == {"chunk": 2048}
         assert notes["distance_points"] == points == 3000
         assert self._run_counting(monkeypatch, tmp_path, "llt", data)[1] == 0
         # a product density climbs its ladder on the axis factor, in (1, 6)
@@ -318,6 +318,56 @@ class TestManifestNotes:
         assert notes["power_ladder"]["dimension"] == 4
         assert notes["pairs"] == (math.comb(8 + 4, 4) + 1 + 16 + 100) // 2 == 306
         assert notes["pair_bytes"] == 306  # 70 rows: uint8 positions
+
+
+class TestProductWithoutADSpace:
+    """llt and audit read a product_hermite density from its axis series and
+    build no GaussianSpace above d = 1, so d = 64 at K = 8 (about 1.2e10
+    basis functions) runs; the dimension cap still holds."""
+
+    def _config(self, tmp_path, dimension):
+        # |M|_F^2 = d (2 a_2)^2 = 0.64 at d = 64: the audit passes
+        data = base_llt_config(
+            space={"dimension": dimension, "max_degree": 8},
+            density={"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.05]},
+            n_values=[4, 16],
+            distance={"method": "mc", "samples": 300},
+        )
+        return write_config(tmp_path, "c.json", data)
+
+    @pytest.mark.parametrize("command", ["llt", "audit"])
+    def test_builds_no_space_above_one_dimension(self, monkeypatch, tmp_path, command):
+        built = []
+        real = basis.GaussianSpace.__post_init__
+
+        def counting(space):
+            built.append(space.dimension)
+            real(space)
+
+        monkeypatch.setattr(basis.GaussianSpace, "__post_init__", counting)
+        cfg = self._config(tmp_path, 4)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert built and set(built) == {1}
+
+    @pytest.mark.parametrize("command", ["llt", "audit"])
+    def test_dimension_64_runs(self, tmp_path, command):
+        cfg = self._config(tmp_path, 64)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        if command == "audit":
+            assert json.loads((out / "audit.json").read_text())["all_passed"] is True
+            return
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["constant"] > 0.0 and len(summary["rows"]) == 2
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert "basis_rows" not in notes
+        assert notes["power_sums"] == {"chunk": basis.power_sum_chunk(64, 8)}
+
+    def test_dimension_257_is_one_config_error(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, 257)
+        assert main(["llt", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
 
 
 class TestValidateCommand:
@@ -634,7 +684,7 @@ def test_failed_audit_stops_every_command(tmp_path, capsys, command, data, faile
         verdicts = json.loads((out / "sde_report.json").read_text())["audit"]["verdicts"]
     else:
         config = load_config(cfg)
-        density = resolve_density(config.density, config.build_space()).vector
+        density = resolve_density(config.density, *config.space_shape())
         verdicts = audit_density(density).to_json_dict()["verdicts"]
     check = verdicts[failed]
     assert [name for name, v in verdicts.items() if not v["passed"]] == [failed]
@@ -695,7 +745,7 @@ class TestBuildXi:
     def test_resolved_gaussian_cov_carries_its_limit_density(self):
         g2 = [[0.1, 0.05], [0.05, 0.2]]
         space = basis.GaussianSpace(2, 8)
-        density = resolve_density({"kind": "gaussian_cov", "g2": g2}, space)
+        density = resolve_density({"kind": "gaussian_cov", "g2": g2}, 2, 8)
         limit = density.structure
         assert density.kind == "gaussian_cov" and isinstance(limit, LimitDensity)
         assert limit.series is density.vector

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from wickllt.basis import ChaosVector, GaussianSpace, eval_many, eval_products, eval_stacked, kernel_view
+from wickllt.basis import ChaosVector, GaussianSpace, axis_product, eval_axis_products, eval_many, eval_stacked, kernel_view
 from wickllt.config import ConfigError, DistanceConfig, load_config, resolve_density
 from wickllt.harness import (
     KOLMOGOROV_1PCT,
@@ -292,7 +292,12 @@ def _config_for(density: dict, n_values, space=(1, 16), method="quadrature", **e
 
 
 def _config_density(config):
-    return resolve_density(config.density, config.build_space()).vector
+    # the density's vector on its space; for a product_hermite density the
+    # formed product of its axis series, which the general route sweeps
+    density = resolve_density(config.density, *config.space_shape())
+    if density.kind == "product_hermite":
+        return axis_product(density.vector.coeffs, GaussianSpace(*config.space_shape()))
+    return density.vector
 
 
 class TestRateSweep:
@@ -452,8 +457,8 @@ class TestRateSweep:
         # limit series it builds once, through the helper behind rate_constant
         real = harness._rate_constant
 
-        def broken(centered, limit, alpha):
-            result = real(centered, limit, alpha)
+        def broken(*args):
+            result = real(*args)
             return type(result)(result.c * 1e-9, result.n0, result.beta, result.tail_sum)
 
         monkeypatch.setattr(harness, "_rate_constant", broken)
@@ -464,50 +469,50 @@ class TestRateSweep:
 
 
 class TestProductRoute:
-    """A product_hermite sweep runs its algebra on the axis factor in
-    GaussianSpace(1, K) and measures its rows and target as products of their
-    one-axis series (eval_products); the general route, taken by the bare
-    vector, is the reference."""
+    """A product_hermite sweep runs its algebra on the axis series in
+    GaussianSpace(1, K), takes C from one-axis masses and measures its rows
+    and target through Hermite power sums (eval_axis_products), building no
+    d-space. The independent reference is the general route at d <= 5: the
+    formed product (axis_product) swept as a bare vector, whose distances run
+    through eval_stacked."""
 
-    def _sweep(self, monkeypatch, config, density):
+    def _sweep(self, monkeypatch, config, density, space):
         # the table, rows and target of a sweep (the product route's one-axis
-        # series lifted here, in the test), the dimensions of the spaces whose
-        # pair table it built, and the spaces it lifted an axis series to
-        import wickllt.basis as basis
+        # series formed on space here, in the test), the dimensions of the
+        # spaces whose pair table it built and of every space it built
         import wickllt.harness as harness
         import wickllt.wick as wick
 
-        seen, tables, lifts = {}, [], []
-        space = getattr(density, "vector", density).space
-        real_distances, real_products = harness.l1_distances, harness.eval_products
-        real_table, real_lift = wick._pair_table, basis.axis_product
+        seen, tables, built = {}, [], []
+        real_distances, real_products = harness.l1_distances, harness.eval_axis_products
+        real_table, real_init = wick._pair_table, GaussianSpace.__post_init__
 
         def recording(fs, g, spec=None, seed=0):
             seen.update(rows=list(fs), target=g)
             return real_distances(fs, g, spec, seed)
 
-        def products(axes, at, points, out=None):
-            lifted = [real_lift(a, at) for a in axes]
-            seen.update(rows=lifted[:-1], target=lifted[-1], axes=axes)
-            return real_products(axes, at, points, out)
+        def products(axes, dimension, points, out=None):
+            seen.update(axes=axes)
+            return real_products(axes, dimension, points, out)
 
-        def table(space):
-            tables.append(space.dimension)
-            return real_table(space)
+        def table(at):
+            tables.append(at.dimension)
+            return real_table(at)
 
-        def lift(axis, at):
-            lifts.append(at)
-            return real_lift(axis, at)
+        def init(at):
+            built.append(at.dimension)
+            real_init(at)
 
         with monkeypatch.context() as patch:
             patch.setattr(harness, "l1_distances", recording)
-            patch.setattr(harness, "eval_products", products)
+            patch.setattr(harness, "eval_axis_products", products)
             patch.setattr(wick, "_pair_table", table)
-            patch.setattr(harness, "axis_product", lift)
-            patch.setattr(basis, "axis_product", lift)
+            patch.setattr(GaussianSpace, "__post_init__", init)
             result, _ = rate_sweep(config, density)
-        swept = [at for at in lifts if at is space]
-        return result, seen["rows"], seen["target"], set(tables), swept, seen.get("axes")
+        if "axes" in seen:
+            formed = [axis_product(a, space) for a in seen["axes"]]
+            seen.update(rows=formed[:-1], target=formed[-1])
+        return result, seen["rows"], seen["target"], set(tables), built, seen.get("axes")
 
     @pytest.mark.parametrize(
         "axis, space, distance",
@@ -521,31 +526,32 @@ class TestProductRoute:
     def test_matches_the_general_route(self, monkeypatch, axis, space, distance):
         spec = {"kind": "product_hermite", "axis_coeffs": axis}
         config = _config_for(spec, [4**k for k in range(1, 10)], space=space, distance=distance)
-        density = resolve_density(config.density, config.build_space())
-        assert density.kind == "product_hermite"
-        product, rows, target, built, swept, axes = self._sweep(monkeypatch, config, density)
-        general, ref_rows, ref_target, ref_built, *_ = self._sweep(monkeypatch, config, density.vector)
-        # no d-space pair table on the product route; the general route builds one
-        assert built == {1} and ref_built == {space[0]}
-        # on the swept space only C's two inputs are lifted, never a row or the target
-        assert len(swept) == 2
+        density = resolve_density(config.density, *space)
+        assert density.kind == "product_hermite" and density.shape == space
+        formed = axis_product(density.vector.coeffs, GaussianSpace(*space))
+        product, rows, target, tables, built, axes = self._sweep(monkeypatch, config, density, formed.space)
+        general, ref_rows, ref_target, ref_tables, *_ = self._sweep(monkeypatch, config, formed, None)
+        # no d-space pair table, nor any space above d = 1, on the product
+        # route; the general route builds the table
+        assert tables == {1} and set(built) <= {1}
+        assert ref_tables == {space[0]}
         assert product.power_ladder["dimension"] == 1
         assert general.power_ladder["dimension"] == space[0]
-        scale = density.vector.norm()
+        scale = formed.norm()
         for got, want in zip(rows + [target], ref_rows + [ref_target], strict=True):
-            assert got.space is want.space is density.vector.space
+            assert got.space is want.space is formed.space
             assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * scale
         assert product.constant == pytest.approx(general.constant, rel=1e-14, abs=0.0)
 
         def parting(points, out):
-            # where eval_products and eval_stacked part on the same lifted rows
-            # at the sweep's own points: the roundoff of summing in another order
+            # where eval_axis_products and eval_stacked part on the same formed
+            # rows at the sweep's own points: the roundoff of another route
             pts = points if isinstance(points, np.ndarray) else np.vstack(list(points))
-            eval_products(axes, density.vector.space, pts, out)
+            eval_axis_products(axes, space[0], pts, out)
             return np.subtract(out, eval_stacked([a - target for a in rows], pts), out=out)
 
         seed = child_seed(config.seed, STREAM_DISTANCE)
-        partings = _distances(parting, density.vector.space, len(rows), config.distance, seed)
+        partings = _distances(parting, len(rows), space, 2048, config.distance, seed)
         for got, want, a, b, part in zip(product.rows, general.rows, rows, ref_rows, partings, strict=True):
             # 1e-12 relative, or what the rows' own roundoff allows: a distance
             # moves by at most ||a - b||_2 (Cauchy-Schwarz; exactly so on a
@@ -563,22 +569,24 @@ class TestProductRoute:
 
     def test_distance_phase_holds_out_and_chunks(self):
         # dimension_sweep_d4's size: (4, 8), four rows and the target at 20,000
-        # points. Beyond out, the (V - 1, n) differences, the phase holds the
-        # head/tail table, three (V, chunk) arrays, one chunk of draws and a
-        # (V - 1, chunk) difference; never a V x n array of values.
-        import wickllt.basis as basis
+        # points. Beyond out, the (V - 1, n) differences, the phase holds per
+        # chunk of m points O((K + 1)(V + d) m) values: the draws and their
+        # transposed copy, the Hermite table and its scratch row or the power
+        # sums, the log and exponential coefficients, and the values; never a
+        # V x n array.
+        from wickllt.basis import power_sum_chunk
 
-        space, total, count = GaussianSpace(4, 8), 20_000, 5
-        split = space.split()
-        axes = np.tile([1.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], (count, 1))
-        axes[:, 2] += 0.01 * np.arange(count)
+        d, degree, total, count = 4, 8, 20_000, 5
+        axes = np.zeros((count, degree + 1))
+        axes[:, 0], axes[:, 2], axes[:, 3] = 1.0, 0.1 + 0.01 * np.arange(count), 0.02
         spec = DistanceConfig(method="mc", samples=total)
+        chunk = power_sum_chunk(d, degree)
 
         def phase():
-            evaluate = lambda pts, out: basis.eval_products(axes, space, pts, out)  # noqa: E731
-            return _distances(evaluate, space, count - 1, spec, 5)
+            evaluate = lambda pts, out: eval_axis_products(axes, d, pts, out)  # noqa: E731
+            return _distances(evaluate, count - 1, (d, degree), chunk, spec, 5)
 
-        want = phase()  # the space's cached plans are built untraced
+        want = phase()  # the quadrature rule behind the log series is built untraced
         tracemalloc.start()
         try:
             got = phase()
@@ -586,13 +594,11 @@ class TestProductRoute:
         finally:
             tracemalloc.stop()
         assert got == want
-        chunk = split.chunk
-        # the head and the tail share one table of 2 x chunk columns at even d,
-        # filled from a transient of the K + 1 one-dimensional values; per
-        # chunk, the draws, their transposed copy and one recurrence temporary
-        # take d x chunk each
-        tables = split.tail.size * 2 * chunk + (space.max_degree + 1) * 4 * chunk
-        floats = (count - 1) * total + tables + (3 * count + (count - 1) + 3 * 4) * chunk
+        table = (degree + 1) * d + max(d, degree + 1)  # Hermite table, then scratch row or sums
+        coefficients = (degree + 1) + degree * count + (degree + 1) * count + 2 * count
+        # two chunks of draws (the next is drawn while the last is held) and a
+        # transposed copy, the larger of the two phases of a chunk
+        floats = (count - 1) * total + (3 * d + max(table, coefficients)) * chunk
         # the slack is below a V x n array (800 KB) and a (K + 1, V, chunk) stack
         assert peak <= 8 * floats + 64 * 1024
 

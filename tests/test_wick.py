@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wickllt.basis import (
     ChaosVector,
     GaussianSpace,
+    axis_product,
     basis_vector,
     constant_vector,
     eval_at,
@@ -29,7 +30,6 @@ from wickllt.wick import (
     wick_product,
 )
 from wickllt import wick
-from wickllt.config import resolve_density
 
 from conftest import random_low_degree, unit_density
 
@@ -446,8 +446,8 @@ class TestWickPower:
     def test_ladder_matches_products_on_sweep_rows(self, product_calls):
         # the rows of a d=5, K=14 sweep of a product density, n = 4 ... 4^9
         space = GaussianSpace(5, 14)
-        spec = {"kind": "product_hermite", "axis_coeffs": [1.0, 0.0, 0.1, 0.02]}
-        centered = center_density(resolve_density(spec, space).vector)
+        # the product over the coordinates of the axis [1, 0, 0.1, 0.02]
+        centered = center_density(axis_product(np.array([1.0, 0.0, 0.1, 0.02]), space))
         for n in [4**k for k in range(1, 10)]:
             row = gamma(math.sqrt(0.5 / n), centered)
             product_calls.clear()
