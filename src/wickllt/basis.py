@@ -669,22 +669,17 @@ def eval_stacked(fs, points, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-
-
 def power_sum_chunk(dimension: int, max_degree: int) -> int:
     """Points per chunk of eval_axis_products: as many as keep its Hermite
     table, (K + 1) x d x chunk values, within TABLE_BYTES, up to MAX_CHUNK."""
     return max(1, min(MAX_CHUNK, TABLE_BYTES // (8 * (max_degree + 1) * dimension)))
 
 
-# Largest condition number for which eval_axis_products takes the power sums:
-# sum_k sum_m |gam_km| sqrt(d m!) / k, the typical size of the terms that the
-# L_k sum, over the value's order one. Measured against eval_stacked, the
-# power sums erred by at most 1.2 eps times it (beyond the 3e-15 of any
-# route), and up to 1000 by at most 7.4e-14 of the largest value; series
-# with large coefficients at high degree go past it (2e-8 for [1, .5, .5,
-# .5] at d = 1, K = 20, 1e-10 for [1, 0, .1, .02] at d = 2, K = 30, and
-# noise at K = 60).
+# Largest sum_k sum_m |gam_km| sqrt(d m!) / k, the size of the terms each L_k
+# sums, at which eval_axis_products takes the power sums: below it they erred
+# at most 7.4e-14 of the largest value against eval_stacked; beyond it
+# [1, .5, .5, .5] erred 2e-7 at d = 1, K = 20, and [1, 0, .1, .02] lost every
+# digit at d = 2, K = 60.
 POWER_SUM_CONDITION = 1000.0
 
 
@@ -694,16 +689,14 @@ def eval_axis_products(axes, dimension: int, points, out: np.ndarray | None = No
     never forming it. Points and out as eval_stacked takes them; an out of
     V - 1 rows gets the first V - 1 values minus the last.
 
-    With the Hermite power sums T_m(x) = sum_i He_m(x_i) (Macdonald, ch. I 2),
-    prod_i sum_j a_j He_j(x_i) t^j = a_0^d exp(sum_k L_k t^k), k L_k = sum_m
-    gam_km T_m. k [t^k] log(sum_j a_j He_j t^j / a_0) is a polynomial of
-    degree <= k: formed at K + 1 Gauss-Hermite nodes (one Newton step and
-    weights from He_K: as the rule gives them, a few ulps off, they cost 6e-14
-    of the values at d = 5, K = 14) and projected on He_0..He_K, exactly. The
-    value is a_0^d sum_{k <= K} e_k, k e_k = sum_{j <= k} j L_j e_{k-j}, e_0 =
-    1, over the multiples k of the gcd of the degrees with some L_k != 0 (2
-    for even series). A chunk of m points holds (K + 1)(d + 2V) x m values.
-    Past POWER_SUM_CONDITION the values come axis by axis instead.
+    With T_m = sum_i He_m(x_i) (Macdonald, ch. I 2), prod_i sum_j a_j
+    He_j(x_i) t^j = a_0^d exp(sum_k L_k t^k) with k L_k = sum_m gam_km T_m:
+    k [t^k] log(sum_j a_j He_j t^j / a_0) has degree <= k, so gam projects it
+    exactly from K + 1 Gauss-Hermite nodes (polished by one Newton step, with
+    weights from He_K) onto He_0..He_K. The value is a_0^d sum_k e_k, k e_k =
+    sum_j j L_j e_{k-j}, e_0 = 1, over the multiples of the gcd of the degrees
+    in use. A chunk of m points holds (K + 1)(d + 2V) x m values. Past
+    POWER_SUM_CONDITION the values come axis by axis instead.
     """
     axes = np.asarray(axes, dtype=float)
     if not np.all(axes[:, 0] != 0.0):

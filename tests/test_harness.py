@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from wickllt.basis import ChaosVector, GaussianSpace, axis_product, eval_axis_products, eval_many, eval_stacked, kernel_view
+from wickllt.basis import (
+    ChaosVector,
+    GaussianSpace,
+    axis_product,
+    eval_axis_products,
+    eval_many,
+    eval_stacked,
+    kernel_view,
+)
 from wickllt.config import ConfigError, DistanceConfig, load_config, resolve_density
 from wickllt.harness import (
     KOLMOGOROV_1PCT,
