@@ -19,14 +19,12 @@ from .basis import (
     eval_at,
     eval_many,
     eval_stacked,
-    hermite_eval,
     kernel_view,
 )
 from .wick import (
     TruncationPolicy,
     center_density,
     gamma,
-    ou_apply,
     s_transform,
     stochastic_exponential,
     wick_exp,
@@ -37,7 +35,6 @@ from .limit_density import (
     LimitDensity,
     gaussian_limit_closed_form,
     gaussian_limit_series,
-    limit_char_functional,
     limit_l2_norms,
     self_similarity_defect,
 )
@@ -52,12 +49,10 @@ __all__ = [
     "eval_at",
     "eval_many",
     "eval_stacked",
-    "hermite_eval",
     "kernel_view",
     "TruncationPolicy",
     "center_density",
     "gamma",
-    "ou_apply",
     "s_transform",
     "stochastic_exponential",
     "wick_exp",
@@ -66,7 +61,6 @@ __all__ = [
     "LimitDensity",
     "gaussian_limit_closed_form",
     "gaussian_limit_series",
-    "limit_char_functional",
     "limit_l2_norms",
     "self_similarity_defect",
     "AssumptionReport",

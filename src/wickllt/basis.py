@@ -258,15 +258,6 @@ def _require_same_space(f: "ChaosVector", g: "ChaosVector") -> GaussianSpace:
     return f.space
 
 
-def hermite_eval(n: int, x):
-    """He_n(x) for the probabilists' Hermite polynomials: row n of
-    hermite_table. Accepts scalars or arrays; a scalar gives a float."""
-    if n < 0:
-        raise ValueError("Hermite order must be nonnegative")
-    value = hermite_table(n, x)[n]
-    return value if value.shape else float(value)
-
-
 def hermite_table(max_order: int, x) -> np.ndarray:
     """He_0..He_max_order evaluated at x, a scalar or an array; shape
     (max_order+1, *x.shape), by the three-term recurrence He_{k+1} =

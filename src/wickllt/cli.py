@@ -303,31 +303,33 @@ def cmd_build_xi(args) -> int:
     return EXIT_OK
 
 
+def _commands() -> dict[str, Callable]:
+    """Each command's handler, read from the module on every call."""
+    return {
+        "audit": cmd_audit,
+        "llt": cmd_llt,
+        "validate": cmd_validate,
+        "sde": cmd_sde,
+        "build-xi": cmd_build_xi,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wickllt",
         description="Gaussian-space density convergence experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("audit", cmd_audit),
-        ("llt", cmd_llt),
-        ("validate", cmd_validate),
-        ("sde", cmd_sde),
-        ("build-xi", cmd_build_xi),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.set_defaults(handler=fn)
+    parser.add_argument("command", choices=_commands())
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _commands()[args.command](args)
     except USAGE_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

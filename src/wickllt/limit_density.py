@@ -121,15 +121,6 @@ def gaussian_limit_closed_form(g2, w) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def limit_char_functional(g2, h) -> float:
-    """exp(-h^T G h - |h|^2 / 2), the characteristic functional of the limit law."""
-    g = np.atleast_2d(np.asarray(g2, dtype=float))
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != g.shape[0]:
-        raise ValueError("argument dimension does not match the kernel")
-    return float(math.exp(-float(h @ g @ h) - 0.5 * float(h @ h)))
-
-
 class L2Norms(NamedTuple):
     series_value: float
     determinant_value: float

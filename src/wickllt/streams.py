@@ -11,7 +11,7 @@ Registry of stream tags (first path element):
     2  Brownian path simulation, sub-keyed by path block
     3  distance estimation samples
     4  measures.sample: uniforms inverted through the grid CDF
-    5  Ornstein-Uhlenbeck Monte Carlo checks
+    5  the tests' Ornstein-Uhlenbeck Monte Carlo checks
     6  identity-suite randomness
 """
 
@@ -23,7 +23,6 @@ STREAM_AUDIT = 1
 STREAM_PATHS = 2
 STREAM_DISTANCE = 3
 STREAM_SAMPLER = 4
-STREAM_OU = 5
 STREAM_VALIDATE = 6
 
 

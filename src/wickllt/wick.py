@@ -8,8 +8,7 @@ additive convolution of multi-indices,
 which realizes the kernel-level rule (degree-k) <> (degree-j) -> degree-(k+j)
 with symmetrized tensor kernels. The scaling operator gamma(lambda)
 multiplies degree-k coefficients by lambda^k; gamma(exp(-t)) is the
-Ornstein-Uhlenbeck semigroup, and ou_apply provides an independent
-Monte-Carlo check of that identity through the Mehler integral form.
+Ornstein-Uhlenbeck semigroup.
 
 Products are truncated at a cap degree, the space's max_degree unless a
 TruncationPolicy sets a lower one, and return a plain ChaosVector: exact on
@@ -46,12 +45,9 @@ from .basis import (
     ChaosError,
     _require_same_space,
     constant_vector,
-    eval_at,
-    eval_many,
     extract_mean,
     monomial_powers,
 )
-from .streams import STREAM_OU, substream
 
 
 class NotNormalizedError(ChaosError):
@@ -78,12 +74,15 @@ class PairTable(NamedTuple):
     a and one column per index of degree a to K - a, whose entries are the
     positions of alpha + beta (bounds being the space's degree_bounds). The
     two indices of an entry are its row and column, and are not stored. A
-    pair with |alpha| > |beta| is read as (beta, alpha).
+    pair with |alpha| > |beta| is read as (beta, alpha). gathers holds
+    _convolve's index triples of small calls, so releasing the table frees
+    them.
     """
 
     out: np.ndarray
     groups: tuple[np.ndarray, ...]
     bounds: tuple[int, ...]
+    gathers: dict
 
 
 def _pair_table(space: GaussianSpace) -> PairTable:
@@ -132,7 +131,7 @@ def _pair_table(space: GaussianSpace) -> PairTable:
             for r in range(0, rows[a], chunk):
                 lookups = prev[parent[r : r + chunk]] + offset[r : r + chunk, None]
                 np.take(step, lookups, out=cur[r : r + chunk], mode="clip")
-        return PairTable(out, groups, tuple(bounds))
+        return PairTable(out, groups, tuple(bounds), {})
 
     return space.cached("pair_table", build)
 
@@ -145,8 +144,46 @@ def pair_footprint(space: GaussianSpace) -> tuple[int, int]:
     return pairs, pairs * np.min_scalar_type(space.size - 1).itemsize
 
 
-# Entries of _convolve's float and position buffers, 512 KB for the pair
+# Entries of _convolve's float and position buffers, 512 KB for the pair; a
+# call with at most this many pairs gathers through a cached triple instead
 _CAPACITY = 1 << 15
+
+
+def _blocks(a_range: range, b_range: range, top: int) -> list[tuple]:
+    """The blocks (g, lo, hi, step) of a convolution in term order: group g's
+    rows in the direction step against its columns of degrees lo..hi."""
+    blocks = []
+    for a in range(a_range.start, min(a_range.stop, top // 2 + 1)):
+        blocks.append((a, max(a, b_range.start), min(b_range.stop - 1, top - a), 1))
+    for b in reversed(range(b_range.start, min(b_range.stop, (top + 1) // 2))):
+        blocks.append((b, max(b + 1, a_range.start), min(a_range.stop - 1, top - b), -1))
+    return [block for block in blocks if block[1] <= block[2]]
+
+
+def _views(table: PairTable, blocks, left: np.ndarray, right: np.ndarray):
+    """Per block: the group's own coefficients as a column, the other
+    factor's columns and the block of output positions."""
+    b = table.bounds
+    for g, lo, hi, step in blocks:
+        own, other = (left, right) if step == 1 else (right, left)
+        positions = table.groups[g][::step, b[lo] - b[g] : b[hi + 1] - b[g]]
+        yield own[b[g] : b[g + 1], None][::step], other[b[lo] : b[hi + 1]], positions
+
+
+def _gather(table: PairTable, blocks, pairs: int) -> tuple[np.ndarray, ...]:
+    """(left index, right index, output position) of every pair of blocks, in
+    their term order."""
+    index = np.arange(table.bounds[-1])
+    i, j, where = np.empty((3, pairs), np.intp)
+    n = 0
+    for (*_, step), (rows, cols, positions) in zip(blocks, _views(table, blocks, index, index)):
+        m = n + positions.size
+        own, other = (i, j) if step == 1 else (j, i)
+        own[n:m].reshape(positions.shape)[...] = rows
+        other[n:m].reshape(positions.shape)[...] = cols
+        where[n:m].reshape(positions.shape)[...] = positions
+        n = m
+    return i, j, where
 
 
 def _convolve(
@@ -158,31 +195,36 @@ def _convolve(
     Pairs with |alpha| <= |beta| come from group |alpha| in ascending |alpha|,
     rows alpha by columns beta, as left_alpha * right_beta; then the others
     from group |beta| in descending |beta|, rows beta reversed by columns
-    alpha, as right_beta * left_alpha (an IEEE multiply commutes). Whole rows
-    fill one float and one intp buffer of _CAPACITY entries (or one row, or
-    the call's pairs), and np.add.at adds it in index order when full. So a
-    bin of degree m gets its terms in one fixed order, left degree then left
-    index: a <= m / 2 before a > m / 2, and within a block it meets each alpha
-    once, with beta = gamma - alpha, where alpha -> gamma - alpha reverses a
+    alpha, as right_beta * left_alpha (an IEEE multiply commutes). So a bin of
+    degree m gets its terms in one fixed order, left degree then left index:
+    a <= m / 2 before a > m / 2, and within a block it meets each alpha once,
+    with beta = gamma - alpha, where alpha -> gamma - alpha reverses a
     degree's descending lexicographic order. A bincount over the pairs sorted
     by output degree, left degree and left index sums in the same order.
+
+    A call of at most _CAPACITY pairs, counted from the block sizes, gathers
+    both factors through the (left index, right index, position) triple of
+    its pairs in that order, built once per (a_range, b_range, top) and kept
+    on the table, and adds them with one np.add.at. A larger call fills whole
+    rows into one float and one intp buffer of _CAPACITY entries (or one row),
+    and np.add.at adds it in index order when full, so it never holds an
+    array as long as its pairs.
     """
-    bounds, blocks = table.bounds, []
-
-    def add_block(g, rows, cols, lo, hi, step):
-        # group g's rows, in the direction step, against its columns of degrees lo..hi
-        if lo <= hi:
-            c0, c1 = bounds[lo] - bounds[g], bounds[hi + 1] - bounds[g]
-            own = rows[bounds[g] : bounds[g + 1], None][::step]  # a column of coefficients
-            blocks.append((own, cols[bounds[lo] : bounds[hi + 1]], table.groups[g][::step, c0:c1]))
-
-    for a in range(a_range.start, min(a_range.stop, top // 2 + 1)):
-        add_block(a, left, right, max(a, b_range.start), min(b_range.stop - 1, top - a), 1)
-    for b in reversed(range(b_range.start, min(b_range.stop, (top + 1) // 2))):
-        add_block(b, right, left, max(b + 1, a_range.start), min(a_range.stop - 1, top - b), -1)
-    size = max([min(sum(p.size for *_, p in blocks), _CAPACITY)] + [c.size for _, c, _ in blocks])
-    acc, prods, where, n = np.zeros(left.size), np.empty(size), np.empty(size, np.intp), 0
-    for rows, cols, positions in blocks:
+    acc, key = np.zeros(left.size), (a_range, b_range, top)
+    gather = table.gathers.get(key)
+    if gather is None:
+        blocks, b = _blocks(a_range, b_range, top), table.bounds
+        pairs = sum((b[g + 1] - b[g]) * (b[hi + 1] - b[lo]) for g, lo, hi, _ in blocks)
+        if pairs <= _CAPACITY:
+            gather = table.gathers[key] = _gather(table, blocks, pairs)
+    if gather is not None:
+        i, j, where = gather
+        np.add.at(acc, where, np.multiply(left[i], right[j]))
+        return acc
+    views = list(_views(table, blocks, left, right))
+    size = max(_CAPACITY, *(cols.size for _, cols, _ in views))
+    prods, where, n = np.empty(size), np.empty(size, np.intp), 0
+    for rows, cols, positions in views:
         width, r = cols.size, 0
         while n + (len(rows) - r) * width > size:  # fill the buffer with rows that fit, add it
             k = (size - n) // width
@@ -296,41 +338,6 @@ def gamma(lam: float, f: ChaosVector) -> ChaosVector:
         raise ValueError(f"scaling parameter must lie in [0, 1], got {lam}")
     scale = np.power(float(lam), f.space.degrees.astype(float))
     return ChaosVector(f.space, f.coeffs * scale)
-
-
-class OuEstimate(NamedTuple):
-    value: float
-    standard_error: float
-
-
-def ou_apply(
-    t: float,
-    f: ChaosVector,
-    w,
-    mc_samples: int = 4096,
-    seed: int = 0,
-) -> OuEstimate:
-    """Monte-Carlo Mehler-integral evaluation of the OU semigroup at a point.
-
-    Estimates E[f(exp(-t) w + sqrt(1 - exp(-2t)) W)] with W standard normal;
-    converges to eval_at(gamma(exp(-t), f), w) as the sample count grows.
-    Exists as an oracle for the coefficient route, hence sampling rather
-    than quadrature.
-    """
-    if t < 0:
-        raise ValueError("time parameter must be nonnegative")
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape != (f.space.dimension,):
-        raise ValueError("point dimension mismatch")
-    decay = math.exp(-t)
-    spread = math.sqrt(max(0.0, 1.0 - decay * decay))
-    if spread == 0.0:
-        return OuEstimate(eval_at(f, w), 0.0)
-    rng = substream(seed, STREAM_OU)
-    pts = decay * w[None, :] + spread * rng.standard_normal((mc_samples, f.space.dimension))
-    vals = eval_many(f, pts)
-    se = float(vals.std(ddof=1) / math.sqrt(mc_samples))
-    return OuEstimate(float(vals.mean()), se)
 
 
 def stochastic_exponential(h, space: GaussianSpace) -> ChaosVector:

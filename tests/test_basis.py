@@ -23,7 +23,6 @@ from wickllt.basis import (
     eval_many,
     eval_stacked,
     from_kernel_view,
-    hermite_eval,
     hermite_table,
     kernel_view,
     monomial_powers,
@@ -35,6 +34,7 @@ from wickllt.serialize import chaos_to_json
 from wickllt.wick import stochastic_exponential
 
 from conftest import random_low_degree, unit_density
+from helpers import hermite_eval
 
 
 def reference_indices(dimension, max_degree):

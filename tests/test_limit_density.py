@@ -8,7 +8,6 @@ from wickllt.basis import GaussianSpace, eval_many
 from wickllt.limit_density import (
     gaussian_limit_closed_form,
     gaussian_limit_series,
-    limit_char_functional,
     limit_l2_norms,
     pointwise_tail_bound,
     self_similarity_defect,
@@ -16,6 +15,7 @@ from wickllt.limit_density import (
 from wickllt.quadrature import tensor_rule
 
 from conftest import unit_density
+from helpers import limit_char_functional
 
 
 class TestSeries:

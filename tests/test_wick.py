@@ -22,7 +22,6 @@ from wickllt.wick import (
     center_density,
     excess_powers,
     gamma,
-    ou_apply,
     s_transform,
     stochastic_exponential,
     wick_exp,
@@ -32,6 +31,7 @@ from wickllt.wick import (
 from wickllt import wick
 
 from conftest import random_low_degree, unit_density
+from helpers import ou_apply
 
 small_coeff = st.floats(min_value=-0.8, max_value=0.8, allow_nan=False)
 
