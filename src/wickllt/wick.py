@@ -20,8 +20,11 @@ of each index pair (alpha, beta) with |alpha| <= |beta| and
 that holds size - 1 (uint16 up to 65,536 basis functions). Its rows are the
 indices of one degree a and its columns those of degree a to K - a, so a
 block's products are the outer product of two contiguous coefficient slices.
-Blocks fill one fixed-size buffer pair, added into the output when full, so a
-product never holds an array as long as the table.
+A call of more than _CAPACITY pairs fills its blocks into one fixed-size
+buffer pair, added into the output when full, so it never holds an array as
+long as the table; a smaller one (a full product has C(2d + K, K) pairs,
+12,870 at (4, 8)) gathers through an index triple cached on the table. Both
+routes add each output bin's terms in one order, so they give the same bits.
 
 Wick powers and the Wick exponential come from one ladder: with f = f_0 + u,
 u starting at degree lo, the rungs u, u^{<>2}, ..., u^{<>K//lo} are all a

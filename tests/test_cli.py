@@ -1586,3 +1586,28 @@ def test_overflowing_density_is_one_config_error(tmp_path, density, degree):
     assert result.stderr.splitlines() == [
         f"config error: density is not finite: its coefficients or L2 mass overflow at degree {degree}"
     ]
+
+
+class TestParser:
+    """One parser: a positional command and the three shared flags."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command, --config"),
+            (["solve", "--config", "c.json"], "argument command: invalid choice: 'solve'"),
+            (["llt"], "the following arguments are required: --config"),
+        ],
+        ids=["no_command", "unknown_command", "no_config"],
+    )
+    def test_usage_error_exits_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "{audit,llt,validate,sde,build-xi}" in capsys.readouterr().out

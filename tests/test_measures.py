@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from wickllt.limit_density import gaussian_limit_series, limit_l2_norms
 from wickllt.measures import (
     DensityValidationError,
     WeightedShifts,
+    grid_cdf,
     rank_one_closed_form,
     sample,
     shift_mixture,
 )
 from wickllt.serialize import dumps_canonical
+from wickllt.streams import STREAM_SAMPLER, substream
 
 from conftest import unit_density
 
@@ -250,6 +253,33 @@ class TestSampler:
         cdf /= cdf[-1]
         ks = stats.ks_1samp(draws, lambda x: np.interp(x, grid, cdf)).statistic
         assert ks < stats.kstwobign.isf(0.01) / math.sqrt(50_000)
+
+    @staticmethod
+    def _plain(f, count, seed):
+        # one np.interp over the unsorted uniforms
+        grid, cdf = grid_cdf(f)
+        return np.interp(substream(seed, STREAM_SAMPLER).random(count), cdf, grid)[:, None]
+
+    # empty, one draw, one block less one, one block, one block and one, 13 blocks
+    @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 50_000])
+    def test_blocks_give_the_bits_of_one_interp(self, line16, count):
+        f = shift_mixture(WeightedShifts([0.5, 0.5], [[0.4], [-0.4]]), line16)
+        draws = sample(f, count, seed=11)
+        assert draws.shape == (count, 1)
+        assert np.array_equal(draws, self._plain(f, count, 11))
+
+    def test_peak_stays_within_one_interp(self, line16):
+        f = unit_density(line16)
+        peaks = []
+        for draw in (self._plain, sample):
+            draw(f, 10, 12)  # the space's evaluation tables are built outside the trace
+            tracemalloc.start()
+            try:
+                draw(f, 50_000, 12)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
     def test_deterministic_per_seed(self, line16):
         a = sample(unit_density(line16), 1000, seed=7)

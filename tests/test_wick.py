@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -274,6 +276,47 @@ class TestPairTable:
         monkeypatch.setattr(wick, "np", Numpy())
         assert np.array_equal(wick_product(f, g).coeffs, want)
         assert added == [math.comb(2 * 2 + 8, 8)]
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["capacity", "capacity_plus_one"])
+    def test_a_call_of_capacity_pairs_gathers_and_one_more_does_not(self, monkeypatch, extra):
+        # the full product and the ladder's rung 2 at (2, 8), each with
+        # exactly _CAPACITY pairs and with _CAPACITY + 1: the same bits
+        space = GaussianSpace(2, 8)
+        rng = np.random.default_rng(28)
+        f = ChaosVector(space, rng.standard_normal(space.size) / space.factorials)
+        g = ChaosVector(space, rng.standard_normal(space.size))
+        table = wick._pair_table(space)
+        n = [math.comb(a + 1, 1) for a in range(9)]  # indices of degree a in d = 2
+        for key, got, want in [
+            ((range(9), range(9), 8), lambda: wick_product(f, g), _gathered_product(f, g, 8)),
+            ((range(1, 9), range(1, 9), 8), lambda: excess_powers(f)[2], _gathered_excess_powers(f)[2]),
+        ]:
+            a_range, b_range, top = key
+            pairs = sum(n[a] * n[b] for a in a_range for b in b_range if a + b <= top)
+            monkeypatch.setattr(wick, "_CAPACITY", pairs - extra)
+            table.gathers.clear()
+            assert np.array_equal(got().coeffs, want)
+            assert (key in table.gathers) == (extra == 0)
+
+    def test_a_small_call_builds_its_triple_once_and_release_frees_it(self, monkeypatch):
+        space = GaussianSpace(2, 8)
+        rng = np.random.default_rng(28)
+        f = ChaosVector(space, rng.standard_normal(space.size))
+        g = ChaosVector(space, rng.standard_normal(space.size))
+        built, gather = [], wick._gather
+        monkeypatch.setattr(wick, "_gather", lambda *args: built.append(1) or gather(*args))
+        key = (range(9), range(9), 8)
+        want = wick_product(f, g).coeffs
+        triple = wick._pair_table(space).gathers[key]
+        assert np.array_equal(wick_product(f, g).coeffs, want)
+        assert len(built) == 1 and wick._pair_table(space).gathers[key] is triple
+        freed = weakref.ref(triple[0].base)
+        del triple
+        space.release("pair_table")
+        gc.collect()
+        assert freed() is None
+        assert np.array_equal(wick_product(f, g).coeffs, want)
+        assert len(built) == 2 and key in wick._pair_table(space).gathers
 
     @pytest.mark.parametrize("capacity", [1, 5, 64])
     @pytest.mark.parametrize("d, k", [(2, 8), (3, 7), (4, 8)])
